@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field, asdict
 
 from . import queries, symexec, usbdb, usbstatic
+from .lifter import Region
 
 TOOL_VERSION = "usbvet 0.1.0"
 
@@ -76,6 +77,9 @@ def parse_precondition(text: str) -> queries.Precondition:
     if len(parts) != 4:
         raise ConfigInvalid(f"precondition {text!r} (want REGION:ADDR:REL:VAL)")
     region, addr_s, rel, val_s = parts
+    if region.upper() not in Region.__members__:
+        raise ConfigInvalid(f"precondition region {region!r} (want one of "
+                            f"{', '.join(Region.__members__)})")
     if rel not in queries.RELATIONS:
         raise ConfigInvalid(f"precondition relation {rel!r}")
     try:
@@ -485,7 +489,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         report, code = run_pipeline(cfg)
-    except (ConfigInvalid, IoError, ImageTooLarge) as e:
+    except (ConfigInvalid, IoError, ImageTooLarge,
+            queries.PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     text = report.to_json()

@@ -125,6 +125,7 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 block_repeat_threshold=min(base.block_repeat_threshold, 32),
                 cooldown_min=2, cooldown_max=8,
                 select_weights=base.select_weights,
+                time_limit=base.time_limit,
                 max_blocks=min(base.max_blocks, 4_000),
                 max_indirect_fanout=base.max_indirect_fanout,
                 only_interrupt_source=source,
@@ -208,7 +209,7 @@ def apply_preconditions(state: symexec.ExecState, preconditions,
     exprs = state.path.exprs() + [e for e, _ in pairs]
     if not sat.is_satisfiable(exprs):
         raise UnsatisfiablePreconditions(
-            "; ".join(note for _, note in pairs))
+            "unsatisfiable: " + "; ".join(note for _, note in pairs))
     for e, note in pairs:
         state.path.append(e, -1, note)
     return state
@@ -299,7 +300,7 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
         sat = solver.Solver(cfg.solver_timeout)
         if not sat.is_satisfiable([e for e, _ in init]):
             raise UnsatisfiablePreconditions(
-                "; ".join(note for _, note in init))
+                "unsatisfiable: " + "; ".join(note for _, note in init))
     res = execute(image, policy, cfg, initial_constraints=init)
     out: dict[int, Query1Target] = {}
     sat = solver.Solver(cfg.solver_timeout)

@@ -11,8 +11,17 @@ by backtracking search. Firmware constraints here are over 8-bit memory
 bytes, where this is both exact and fast; queries can also be dumped in
 SMT-LIB text form for offline debugging with an external solver.
 
+Each `Solver` memoises two pure functions for the queries it is given: the
+satisfying values of a single-variable constraint (a domain, kept as an int
+bitmask so intersecting domains is one `&`), and the model or unsat result
+of a whole component. A query that extends an earlier one by a constraint
+therefore re-solves only the component that constraint touches. The tables
+live as long as their `Solver`; the symbolic executor makes one per
+exploration, so they are shared by the paths of one run and freed with it.
+
 Timeouts never report unsat: a timed-out query is treated as satisfiable
-with a diagnostic so reachability reporting stays sound.
+with a diagnostic so reachability reporting stays sound, and it stores
+nothing in the tables.
 """
 
 from __future__ import annotations
@@ -269,17 +278,6 @@ def eval_expr(e: SymExpr, env: dict) -> int:
     return memo[id(e)]
 
 
-def substitute(e: SymExpr, env: dict):
-    """Partially evaluate: replace bound variables, fold what becomes constant."""
-    if not e.vars() & set(env):
-        return e
-    if e.op == "var":
-        return const(env[e.args[0]], e.width)
-    new_args = tuple(substitute(a, env) if isinstance(a, SymExpr) else a
-                     for a in e.args)
-    return mk(e.op, new_args, e.width)
-
-
 # ---------------------------------------------------------------------------
 # Path conditions
 # ---------------------------------------------------------------------------
@@ -377,12 +375,35 @@ def split_independent(exprs: list[SymExpr]) -> list[list[SymExpr]]:
     return out
 
 
-def _solve_component(exprs: list[SymExpr], deadline: float) -> dict | None:
-    """Exact model search for one component; None if unsat. May raise SolverTimeout."""
+def _domain(e: SymExpr, name: str, width: int, deadline: float,
+            domains: dict, fresh: dict) -> int:
+    """Bitmask of the values of `name` that satisfy the single-variable
+    constraint e, looked up in the stored table, then in this query's new
+    entries, else enumerated. May raise SolverTimeout before enumerating."""
+    key = (e, name, width)
+    mask = domains.get(key)
+    if mask is None:
+        mask = fresh.get(key)
+    if mask is None:
+        if time.monotonic() > deadline:
+            raise SolverTimeout()
+        mask = 0
+        for x in range(1 << width):
+            if eval_expr(e, {name: x}) != 0:
+                mask |= 1 << x
+        fresh[key] = mask
+    return mask
+
+
+def _solve_component(exprs: list[SymExpr], deadline: float, domains: dict,
+                     fresh: dict) -> dict | None:
+    """Exact model search for one component; None if unsat. May raise
+    SolverTimeout. Domains are read from `domains` and `fresh`; new ones are
+    added to `fresh`."""
     widths = _collect_var_widths(exprs)
     names = sorted(widths)
     # Domain pruning with single-variable constraints.
-    domains: dict[str, list[int]] = {}
+    masks: dict[str, int] = {}
     multi: list[SymExpr] = []
     singles: dict[str, list[SymExpr]] = {n: [] for n in names}
     for e in exprs:
@@ -395,18 +416,20 @@ def _solve_component(exprs: list[SymExpr], deadline: float) -> dict | None:
         else:
             multi.append(e)
     for n in names:
-        dom = range(1 << widths[n])
+        width = widths[n]
+        dom = (1 << (1 << width)) - 1
         for e in singles[n]:
-            if time.monotonic() > deadline:
-                raise SolverTimeout()
-            dom = [x for x in dom if eval_expr(e, {n: x}) != 0]
+            dom &= _domain(e, n, width, deadline, domains, fresh)
             if not dom:
                 return None
-        domains[n] = list(dom)
+        masks[n] = dom
     if not multi:
-        return {n: domains[n][0] for n in names}
+        # the least value of each domain
+        return {n: (m & -m).bit_length() - 1 for n, m in masks.items()}
+    domains_of = {n: [x for x in range(1 << widths[n]) if masks[n] >> x & 1]
+                  for n in names}
     # Backtracking over remaining constraints; most-constrained variable first.
-    order = sorted(names, key=lambda n: len(domains[n]))
+    order = sorted(names, key=lambda n: len(domains_of[n]))
     by_last: list[list[SymExpr]] = [[] for _ in order]
     pos = {n: i for i, n in enumerate(order)}
     for e in multi:
@@ -420,7 +443,7 @@ def _solve_component(exprs: list[SymExpr], deadline: float) -> dict | None:
         if i == len(order):
             return True
         name = order[i]
-        for v in domains[name]:
+        for v in domains_of[name]:
             checks += 1
             if checks % 512 == 0 and time.monotonic() > deadline:
                 raise SolverTimeout()
@@ -448,20 +471,40 @@ class SatResult:
         return self.sat
 
 
-def check(exprs, timeout: float = 5.0) -> SatResult:
-    """Decide satisfiability of a conjunction. Timeout biases to satisfiable."""
+_MISS = object()
+
+
+def check(exprs, timeout: float = 5.0, cache: Solver | None = None
+          ) -> SatResult:
+    """Decide satisfiability of a conjunction. Timeout biases to satisfiable.
+
+    With `cache`, domains and component results are read from and stored in
+    that Solver's tables. A timed-out query stores nothing.
+    """
     exprs = [e for e in exprs if isinstance(e, SymExpr)]
     deadline = time.monotonic() + timeout
+    domains = cache.domains if cache is not None else {}
+    components = cache.components if cache is not None else {}
+    fresh_domains: dict = {}
+    fresh_components: dict = {}
     model: dict[str, int] = {}
+    sat = True
     try:
         for comp in split_independent(exprs):
-            m = _solve_component(comp, deadline)
+            key = tuple(comp)
+            m = components.get(key, _MISS)
+            if m is _MISS:
+                m = fresh_components[key] = _solve_component(
+                    comp, deadline, domains, fresh_domains)
             if m is None:
-                return SatResult(False, None)
+                sat = False
+                break
             model.update(m)
     except SolverTimeout:
         return SatResult(True, None, timed_out=True)
-    return SatResult(True, model)
+    domains.update(fresh_domains)
+    components.update(fresh_components)
+    return SatResult(True, model) if sat else SatResult(False, None)
 
 
 class Solver:
@@ -469,11 +512,17 @@ class Solver:
 
     Collects timeout diagnostics rather than failing: a timed-out query
     over-approximates (path kept alive / value treated as not-unique).
+    Every query goes through `check` with this Solver's tables: `domains`
+    maps (constraint, variable, width) to the bitmask of satisfying values,
+    and `components` maps a component's constraint tuple to its model, or
+    None when unsat.
     """
 
     def __init__(self, timeout: float = 5.0):
         self.timeout = timeout
         self.diagnostics: list[str] = []
+        self.domains: dict[tuple, int] = {}
+        self.components: dict[tuple, dict | None] = {}
 
     def _exprs(self, pc) -> list[SymExpr]:
         if isinstance(pc, PathCondition):
@@ -481,13 +530,13 @@ class Solver:
         return list(pc)
 
     def is_satisfiable(self, pc, extra=()) -> bool:
-        res = check(self._exprs(pc) + list(extra), self.timeout)
+        res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
         if res.timed_out:
             self.diagnostics.append("solver timeout: assumed satisfiable")
         return res.sat
 
     def model(self, pc, extra=()) -> dict:
-        res = check(self._exprs(pc) + list(extra), self.timeout)
+        res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
         if not res.sat:
             raise Unsat()
         if res.model is None:
@@ -498,7 +547,8 @@ class Solver:
     def eval_model(self, pc, expr: SymExpr) -> int:
         """One witness value of expr under some model of pc."""
         exprs = self._exprs(pc)
-        res = check(exprs + [mk("eq", (expr, expr), 1)], self.timeout)
+        res = check(exprs + [mk("eq", (expr, expr), 1)], self.timeout,
+                    cache=self)
         if not res.sat:
             raise Unsat()
         model = res.model or {}
@@ -515,14 +565,15 @@ class Solver:
         if expr.is_const():
             return expr.value
         exprs = self._exprs(pc)
-        res = check(exprs, self.timeout)
+        res = check(exprs, self.timeout, cache=self)
         if not res.sat:
             raise Unsat()
         if res.timed_out:
             self.diagnostics.append("solver timeout in is_constant: not-unique")
             return NOT_UNIQUE
         v = eval_expr(expr, res.model)
-        res2 = check(exprs + [mk("ne", (expr, v), 1)], self.timeout)
+        res2 = check(exprs + [mk("ne", (expr, v), 1)], self.timeout,
+                     cache=self)
         if res2.timed_out:
             self.diagnostics.append("solver timeout in is_constant: not-unique")
             return NOT_UNIQUE
@@ -552,8 +603,7 @@ def to_text(e) -> str:
 
 
 _SMT_OPS = {"add": "bvadd", "sub": "bvsub", "mul": "bvmul", "and": "bvand",
-            "or": "bvor", "xor": "bvxor", "shl": "bvshl", "shr": "bvlshr",
-            "udiv": "bvudiv", "umod": "bvurem"}
+            "or": "bvor", "xor": "bvxor", "shl": "bvshl", "shr": "bvlshr"}
 
 
 def _smt(e: SymExpr) -> str:
@@ -565,6 +615,26 @@ def _smt(e: SymExpr) -> str:
          for x in e.args]
     if e.op in _SMT_OPS:
         return f"({_SMT_OPS[e.op]} {a[0]} {a[1]})"
+    if e.op in ("udiv", "umod"):
+        # eval_op gives 0 for a zero divisor; SMT-LIB gives all-ones / a
+        fn = "bvudiv" if e.op == "udiv" else "bvurem"
+        zero = f"(_ bv0 {e.width})"
+        return f"(ite (= {a[1]} {zero}) {zero} ({fn} {a[0]} {a[1]}))"
+    if e.op == "rotl":
+        w = f"(_ bv{e.width} {e.width})"
+        k = f"(bvurem {a[1]} {w})"
+        # a shift by the full width yields 0, so k = 0 gives a back
+        return f"(bvor (bvshl {a[0]} {k}) (bvlshr {a[0]} (bvsub {w} {k})))"
+    if e.op == "par":
+        # eval_op's parity folds the low 8 bits of its operand
+        bits = [f"((_ extract {i} {i}) {a[0]})"
+                for i in range(min(e.args[0].width, 8))]
+        p = bits[0]
+        for b in bits[1:]:
+            p = f"(bvxor {p} {b})"
+        if e.width == 1:
+            return p
+        return f"((_ zero_extend {e.width - 1}) {p})"
     if e.op in ("eq", "ne", "ult", "ugt", "ule", "uge"):
         cmps = {"eq": "=", "ne": "distinct", "ult": "bvult", "ugt": "bvugt",
                 "ule": "bvule", "uge": "bvuge"}

@@ -116,10 +116,10 @@ class Listener:
 
 
 class ExecState:
-    __slots__ = ("pc", "iram", "sfr", "xram", "path", "history",
-                 "visit_counts", "stale", "cooldowns", "active_isr",
-                 "isr_written", "notes", "last_cover_seq", "sid",
-                 "terminated", "cur_site", "cur_block", "steps")
+    __slots__ = ("pc", "iram", "sfr", "xram", "path", "history", "stale",
+                 "cooldowns", "active_isr", "isr_written", "notes",
+                 "last_cover_seq", "sid", "terminated", "cur_site",
+                 "cur_block")
 
     def __init__(self):
         self.pc = 0
@@ -128,7 +128,6 @@ class ExecState:
         self.xram: dict[int, object] = {}
         self.path = solver.PathCondition()
         self.history: list[int] = []
-        self.visit_counts: dict[int, int] = {}
         self.stale: dict[int, int] = {}
         self.cooldowns: dict[str, int] = {}
         self.active_isr: str | None = None
@@ -139,7 +138,6 @@ class ExecState:
         self.terminated: str | None = None
         self.cur_site = 0
         self.cur_block = 0
-        self.steps = 0
 
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
@@ -149,7 +147,6 @@ class ExecState:
         c.xram = dict(self.xram)
         c.path = self.path.copy()
         c.history = list(self.history)
-        c.visit_counts = dict(self.visit_counts)
         c.stale = dict(self.stale)
         c.cooldowns = dict(self.cooldowns)
         c.active_isr = self.active_isr
@@ -160,7 +157,6 @@ class ExecState:
         c.terminated = None
         c.cur_site = self.cur_site
         c.cur_block = self.cur_block
-        c.steps = self.steps
         return c
 
     def concrete_sp(self):
@@ -271,6 +267,8 @@ class Executor:
         self.config = config
         self.listeners = list(listeners)
         self.program = lifter.lift_program(self.image)
+        # Every query of this exploration goes through this Solver, so its
+        # memo tables serve all paths of the run and are freed with it.
         self.solver = solver.Solver(config.solver_timeout)
         self.rng = random.Random(config.seed)
         self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
@@ -351,8 +349,9 @@ class Executor:
         extra: list[SymExpr] = []
         limit = self.config.max_indirect_fanout
         base = s.path.exprs()
+        timeout = self.config.solver_timeout
         while len(vals) < limit:
-            res = solver.check(base + extra, self.config.solver_timeout)
+            res = solver.check(base + extra, timeout, cache=self.solver)
             if res.timed_out:
                 self.diagnostics.append(f"solver timeout enumerating {what} "
                                         f"at 0x{s.cur_site:04x}")
@@ -362,8 +361,8 @@ class Executor:
             v = solver.eval_expr(expr, res.model)
             vals.append(v)
             extra.append(mk("ne", (expr, v), 1))
-        if len(vals) == limit and solver.check(base + extra,
-                                               self.config.solver_timeout).sat:
+        if len(vals) == limit and solver.check(base + extra, timeout,
+                                               cache=self.solver).sat:
             self.diagnostics.append(
                 f"{what} fanout over {limit} at 0x{s.cur_site:04x}; extra "
                 f"targets dropped")
@@ -472,7 +471,6 @@ class Executor:
                     return []
             elif cls is Boundary:
                 s.cur_site = st.addr
-                s.steps += 1
                 if st.addr in self.config.targets and st.addr not in self.target_hits:
                     self.target_hits[st.addr] = TargetHit(
                         st.addr, s, self.states_created, len(self.covered),
@@ -562,7 +560,6 @@ class Executor:
         survivors = []
         for o in outs:
             o.history.append(entry)
-            o.visit_counts[entry] = o.visit_counts.get(entry, 0) + 1
             for k in o.cooldowns:
                 if o.cooldowns[k] > 0:
                     o.cooldowns[k] -= 1

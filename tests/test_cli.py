@@ -169,3 +169,30 @@ def test_timing_flag_adds_timing_section(tmp_path):
     report, _ = run_pipeline(cfg)
     assert report.timing is not None
     assert "timing" in report.to_dict()
+
+
+def test_time_limit_bounds_symbolic_set_discovery(tmp_path):
+    path, _ = write_fixture(tmp_path, "benign-hid")
+    # A zero budget stops every discovery run at its first budget check.
+    report, _ = run_pipeline(small_config(path, query="identity",
+                                          policy="auto", time_limit=0.0))
+    reasons = [it["reason"] for it in report.symbolic_set["iterations"]]
+    assert reasons and set(reasons) == {"time-limit"}
+
+
+@pytest.mark.parametrize("precondition, message", [
+    ("FOO:0x10:==:6", "region 'FOO'"),
+    ("IRAM:0x10:==:6", "not designated symbolic"),
+    ("XRAM:{setup1}:bit-set:9", "unsatisfiable"),
+])
+def test_main_bad_precondition_exit_code(tmp_path, capsys, precondition,
+                                         message):
+    path, man = write_fixture(tmp_path, "benign-hid")
+    pre = precondition.format(setup1=hex(man.setup_base + 1))
+    code = cli.main(["analyze", path, "--query", "identity", "--tau", "8",
+                     "--seed", "7", "--state-limit", "1200",
+                     "--precondition", pre])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1

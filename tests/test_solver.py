@@ -1,11 +1,13 @@
+import inspect
 import itertools
 import random
+import re
 
 import pytest
 
 from usbvet import solver
-from usbvet.solver import (NOT_UNIQUE, PathCondition, Solver, check,
-                           const, eval_expr, eval_op, mk, var)
+from usbvet.solver import (NOT_UNIQUE, PathCondition, Solver, SymExpr,
+                           check, const, eval_expr, eval_op, mk, var)
 
 BIN_OPS = ["add", "sub", "mul", "and", "or", "xor", "udiv", "umod",
            "eq", "ne", "ult", "ugt", "ule", "uge"]
@@ -119,6 +121,50 @@ def test_sat_agrees_with_bruteforce_two_vars():
             [solver.to_text(e) for e in exprs]
 
 
+def test_warm_tables_agree_with_cold_and_bruteforce():
+    # One Solver answers every prefix of every case twice: the second pass
+    # and the longer prefixes hit the tables the earlier queries filled.
+    rng = random.Random(9)
+    s = Solver(timeout=30)
+    for _ in range(60):
+        names = ["x", "y"][: rng.randrange(1, 3)]
+        exprs = []
+        for _ in range(rng.randrange(1, 4)):
+            a = rand_expr(rng, 2, names)
+            b = rand_expr(rng, 2, names)
+            exprs.append(mk(rng.choice(["eq", "ne", "ult", "ugt"]), (a, b), 1))
+        for n in range(1, len(exprs) + 1):
+            query = exprs[:n]
+            cold = check(query, timeout=30)
+            assert not cold.timed_out
+            for _ in range(2):
+                warm = check(query, 30, cache=s)
+                assert (warm.sat, warm.model) == (cold.sat, cold.model)
+            if cold.sat:
+                assert all(eval_expr(e, cold.model) for e in query)
+        assert cold.sat == brute_sat(exprs)
+    assert s.domains and s.components
+
+
+def test_timed_out_query_stores_nothing():
+    a, b = var("a", 8), var("b", 8)
+    vs = [var(f"v{i}", 8) for i in range(8)]
+    # The (a, b) component is solved before the v chain times out; neither
+    # may be stored.
+    exprs = [mk("eq", (mk("add", (a, b), 8), 3), 1)]
+    exprs += [mk("eq", (mk("mul", (vs[i], vs[i + 1]), 8), 251), 1)
+              for i in range(7)]
+    exprs.append(mk("eq", (vs[0], 1), 1))
+    s = Solver(timeout=0.0)
+    assert s.is_satisfiable(exprs) and s.diagnostics
+    assert s.domains == {} and s.components == {}
+    s.timeout = 30
+    model = s.model(exprs)
+    assert model == check(exprs, timeout=30).model
+    assert all(eval_expr(e, model) for e in exprs)
+    assert s.domains and s.components
+
+
 def test_independent_splitting():
     x, y, z = var("x", 8), var("y", 8), var("z", 8)
     groups = solver.split_independent([
@@ -186,3 +232,19 @@ def test_smt2_emission():
     assert text.startswith("(set-logic QF_BV)")
     assert "(declare-const |x| (_ BitVec 8))" in text
     assert text.rstrip().endswith("(check-sat)")
+    # every operator eval_op gives semantics to has an SMT-LIB form
+    ops = re.findall(r'op == "(\w+)"', inspect.getsource(eval_op))
+    assert {"rotl", "par", "resize", "ite"} <= set(ops)
+    y = var("y", 8)
+    for op in ops:
+        if op in ("not", "par"):
+            exprs = [SymExpr(op, (x,), 8)]
+        elif op == "resize":
+            exprs = [SymExpr(op, (x,), 4), SymExpr(op, (x,), 16)]
+        elif op == "ite":
+            exprs = [SymExpr(op, (mk("ult", (x, y), 1), x, y), 8)]
+        else:
+            exprs = [SymExpr(op, (x, y), 8)]
+        text = solver.to_smt2(exprs)
+        assert text.count("(") == text.count(")"), op
+        assert "(declare-const |x| (_ BitVec 8))" in text, op
