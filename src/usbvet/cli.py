@@ -217,7 +217,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     for cls in ("hid", "mass-storage"):
         try:
             inf = usbstatic.find_devspec_to_ep0(image, cls, instrs=instrs,
-                                                patterns=patterns)
+                                                hits=hits)
         except usbstatic.NoDescriptors as e:
             diagnostics.append(f"NoDescriptors[{cls}]: {e}")
             ep0_info["classes"][cls] = {"error": "NoDescriptors"}
@@ -265,26 +265,18 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     elif config.query in ("identity", "both"):
         diagnostics.append("no target instructions: identity query skipped")
 
-    # 3c. Query 2 (consistency)
+    # 3c. Query 2 (consistency): both detectors watch one exploration
     q2_dict = None
+    rep4 = rep5 = None
     if config.query in ("consistency", "both"):
-        q2_parts = {}
-        if ep0_union:
-            rep4 = queries.query2_unexpected(image, ep0_union, symset,
-                                             max_ep=config.max_ep,
-                                             config=base_cfg, instrs=instrs)
-            q2_parts["unexpected_flow"] = _q2_dict(rep4)
+        rep4, rep5 = queries.query2(image, ep0_union, symset,
+                                    max_ep=config.max_ep, config=base_cfg,
+                                    instrs=instrs)
+        q2_dict = {"inconsistent_flow": _q2_dict(rep5)}
+        if rep4 is not None:
+            q2_dict["unexpected_flow"] = _q2_dict(rep4)
         else:
             diagnostics.append("EP0 unknown: unexpected-flow query skipped")
-            rep4 = None
-        pol = symexec.SymbolicPolicy()
-        pol.designate_all(symset.locations)
-        pol.designate_all(queries.find_counters(image, instrs))
-        rep5 = queries.query2_inconsistent(image, pol, base_cfg)
-        q2_parts["inconsistent_flow"] = _q2_dict(rep5)
-        q2_dict = q2_parts
-    else:
-        rep4 = rep5 = None
 
     # 4. claimed model from descriptors + reachability evidence
     claimed_ifaces: list[usbdb.ClaimedInterface] = []
@@ -367,10 +359,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         timing = {}
         if q1 is not None:
             timing["query1_s"] = round(q1.wall_time, 3)
-        if rep4 is not None:
-            timing["query2_unexpected_s"] = round(rep4.wall_time, 3)
         if rep5 is not None:
-            timing["query2_inconsistent_s"] = round(rep5.wall_time, 3)
+            timing["query2_s"] = round(rep5.wall_time, 3)
 
     report = AnalysisReport(
         tool=TOOL_VERSION,
@@ -446,12 +436,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# JSON key -> (RunConfig attribute, accepted JSON value types)
 _CONFIG_KEYS = {
-    "expected": "expected", "query": "query", "policy": "policy",
-    "tau": "tau", "max_ep": "max_ep", "seed": "seed",
-    "time_limit": "time_limit", "state_limit": "state_limit",
-    "preconditions": "preconditions", "signatures": "signatures_path",
-    "ruledb": "ruledb_path", "report": "report_path",
+    "expected": ("expected", str), "query": ("query", str),
+    "policy": ("policy", str), "tau": ("tau", int), "max_ep": ("max_ep", int),
+    "seed": ("seed", int), "state_limit": ("state_limit", int),
+    "time_limit": ("time_limit", (int, float, type(None))),
+    "preconditions": ("preconditions", list),
+    "signatures": ("signatures_path", (str, type(None))),
+    "ruledb": ("ruledb_path", (str, type(None))),
+    "report": ("report_path", (str, type(None))),
 }
 
 
@@ -463,11 +457,22 @@ def config_from_args(args) -> RunConfig:
                 data = json.load(fh)
         except OSError as e:
             raise IoError(f"cannot read config: {e}") from None
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigInvalid(f"config file: {e}") from None
-        for key, attr in _CONFIG_KEYS.items():
-            if key in data:
-                setattr(cfg, attr, data[key])
+        if not isinstance(data, dict):
+            raise ConfigInvalid("config file: want a JSON object, not "
+                                f"{type(data).__name__}")
+        for key, (attr, types) in _CONFIG_KEYS.items():
+            if key not in data:
+                continue
+            value = data[key]
+            # bool is an int subclass, but no key takes true/false
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or isinstance(value, list)
+                    and not all(isinstance(p, str) for p in value)):
+                raise ConfigInvalid(f"config file: {key!r} has the wrong "
+                                    f"type: {json.dumps(value)}")
+            setattr(cfg, attr, value)
     overrides = {
         "expected": args.expected, "query": args.query, "policy": args.policy,
         "tau": args.tau, "max_ep": args.max_ep, "seed": args.seed,

@@ -226,10 +226,6 @@ class ConcreteState:
         return "\n".join(lines)
 
 
-def _signed(v: int) -> int:
-    return v - 256 if v > 127 else v
-
-
 def _operand_value(st: ConcreteState, image: bytes, op: isa.Operand) -> int:
     k = op.kind
     if k is isa.OpKind.ACC:

@@ -17,7 +17,7 @@ payloads and must be symbolic for the payload to be explored).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import isa, machine, solver, symexec, usbstatic
 from .lifter import Region
@@ -507,61 +507,6 @@ class _ConcreteFlowListener(Listener):
         return None
 
 
-def query2_unexpected(image: bytes, ep0: set[int], symbolic_set,
-                      max_ep: int = 4,
-                      config: ExplorationConfig | None = None,
-                      instrs: list[isa.Instruction] | None = None
-                      ) -> Query2Report:
-    """Concrete data flowing into predicted endpoint buffers.
-
-    Endpoint buffers are predicted from EP0 by constant packet-size offsets;
-    stores whose tracked destination lands there are targets. Delay counters
-    are made symbolic in addition to the given set so threshold-guarded
-    payloads are explored without unrolling."""
-    if not ep0:
-        raise ValueError("query2_unexpected requires a nonempty EP0 set")
-    if instrs is None:
-        instrs = usbstatic.reachable_instructions(image)
-    other_eps = other_endpoint_addresses(ep0, max_ep)
-    M = usbstatic.prop_const_mem(instrs)
-    targets = set()
-    for ins in instrs:
-        if M.get(ins.addr, "dst")[1] in other_eps:
-            targets.add(ins.addr)
-    counters = find_counters(image, instrs)
-    locs = (symbolic_set.locations
-            if isinstance(symbolic_set, SymbolicLocationSet)
-            else set(symbolic_set))
-    policy = SymbolicPolicy()
-    policy.designate_all(locs)
-    policy.designate_all(counters)
-    cfg = config or ExplorationConfig()
-    sat = solver.Solver(cfg.solver_timeout)
-    listener = _ConcreteFlowListener(targets, sat)
-    res = execute(image, policy, cfg, listeners=[listener])
-    flagged = sorted(listener.flags.values(),
-                     key=lambda f: (f.write_addr, f.site))
-    ranked = _rank_unexpected(flagged)
-    return Query2Report("unexpected-flow", flagged,
-                        sorted((Region(r).name, a) for r, a in counters),
-                        ranked, res.states_created, res.blocks_executed,
-                        len(res.coverage), res.reason,
-                        res.diagnostics + sat.diagnostics, res.wall_time)
-
-
-def _rank_unexpected(flagged: list[FlaggedAccess]) -> list[RankedWrite]:
-    by_addr: dict[int, list[FlaggedAccess]] = {}
-    for f in flagged:
-        by_addr.setdefault(f.write_addr, []).append(f)
-    rows = []
-    for addr, items in by_addr.items():
-        values = sorted({v for f in items for v in f.values})
-        rows.append(RankedWrite(addr, sorted({f.site for f in items}),
-                                [], values, len(values)))
-    rows.sort(key=lambda r: (-r.score, r.write_addr))
-    return rows
-
-
 class _AccessRecorder(Listener):
     """Alg-5-style recording: per (address, block) symbolic/concrete marks."""
 
@@ -581,16 +526,34 @@ class _AccessRecorder(Listener):
         return None
 
 
-def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
-                        config: ExplorationConfig | None = None
-                        ) -> Query2Report:
-    """Inconsistent data flow: an address written concretely in one block and
-    symbolically in another. Write addresses are ranked by the number of
-    distinct concrete values involved (single-value writers rank low; they
-    are the documented false-positive shape)."""
+def _rank(flagged: list[FlaggedAccess],
+          sym_sources: dict[int, set]) -> list[RankedWrite]:
+    by_addr: dict[int, list[FlaggedAccess]] = {}
+    for f in flagged:
+        by_addr.setdefault(f.write_addr, []).append(f)
+    rows = []
+    for addr, items in by_addr.items():
+        values = sorted({v for f in items for v in f.values})
+        rows.append(RankedWrite(addr, sorted({f.site for f in items}),
+                                sorted(sym_sources.get(addr, ())),
+                                values, len(values)))
+    rows.sort(key=lambda r: (-r.score, r.write_addr))
+    return rows
+
+
+def _explore_query2(image: bytes, policy: SymbolicPolicy,
+                    config: ExplorationConfig | None, targets: set[int] | None,
+                    counters: set) -> tuple[Query2Report | None, Query2Report]:
+    """One exploration watched by the inconsistent-flow recorder and, given
+    target sites, the unexpected-flow listener."""
     cfg = config or ExplorationConfig()
     rec = _AccessRecorder()
-    res = execute(image, policy, cfg, listeners=[rec])
+    flow = None
+    if targets is not None:
+        sat = solver.Solver(cfg.solver_timeout)
+        flow = _ConcreteFlowListener(targets, sat)
+    res = execute(image, policy, cfg,
+                  listeners=[ln for ln in (flow, rec) if ln is not None])
     sym_addrs: dict[int, set] = {}
     sym_sources: dict[int, set] = {}
     for (addr, block), names in rec.sym.items():
@@ -603,17 +566,62 @@ def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
             continue
         for site, values in sorted(sites.items()):
             flagged.append(FlaggedAccess(site, addr, block, sorted(values)))
-    by_addr: dict[int, list[FlaggedAccess]] = {}
-    for f in flagged:
-        by_addr.setdefault(f.write_addr, []).append(f)
-    rows = []
-    for addr, items in by_addr.items():
-        values = sorted({v for f in items for v in f.values})
-        rows.append(RankedWrite(addr, sorted({f.site for f in items}),
-                                sorted(sym_sources.get(addr, ())),
-                                values, len(values)))
-    rows.sort(key=lambda r: (-r.score, r.write_addr))
-    return Query2Report("inconsistent-flow", flagged, [], rows,
-                        res.states_created, res.blocks_executed,
-                        len(res.coverage), res.reason, res.diagnostics,
-                        res.wall_time)
+    inconsistent = Query2Report(
+        "inconsistent-flow", flagged, [], _rank(flagged, sym_sources),
+        res.states_created, res.blocks_executed, len(res.coverage), res.reason,
+        res.diagnostics + res.solver_diagnostics, res.wall_time)
+    if flow is None:
+        return None, inconsistent
+    stores = sorted(flow.flags.values(), key=lambda f: (f.write_addr, f.site))
+    return replace(inconsistent, kind="unexpected-flow", flagged=stores,
+                   counters=sorted((Region(r).name, a) for r, a in counters),
+                   ranked=_rank(stores, {}),
+                   diagnostics=inconsistent.diagnostics + flow.sat.diagnostics
+                   ), inconsistent
+
+
+def query2(image: bytes, ep0: set[int], symbolic_set, max_ep: int = 4,
+           config: ExplorationConfig | None = None,
+           instrs: list[isa.Instruction] | None = None
+           ) -> tuple[Query2Report | None, Query2Report]:
+    """Both Query 2 detectors over one exploration. Returns the
+    unexpected-flow report, None when EP0 is unknown, and the
+    inconsistent-flow report.
+
+    Endpoint buffers are predicted from EP0 by constant packet-size offsets;
+    stores whose tracked destination lands there are targets. Delay counters
+    are made symbolic in addition to the given set so threshold-guarded
+    payloads are explored without unrolling."""
+    if instrs is None:
+        instrs = usbstatic.reachable_instructions(image)
+    targets = None
+    if ep0:
+        other_eps = other_endpoint_addresses(ep0, max_ep)
+        M = usbstatic.prop_const_mem(instrs)
+        targets = {ins.addr for ins in instrs
+                   if M.get(ins.addr, "dst")[1] in other_eps}
+    counters = find_counters(image, instrs)
+    _, policy = resolve_policy("partial", symbolic_set)
+    policy.designate_all(counters)
+    return _explore_query2(image, policy, config, targets, counters)
+
+
+def query2_unexpected(image: bytes, ep0: set[int], symbolic_set,
+                      max_ep: int = 4,
+                      config: ExplorationConfig | None = None,
+                      instrs: list[isa.Instruction] | None = None
+                      ) -> Query2Report:
+    """Concrete data flowing into predicted endpoint buffers (see query2)."""
+    if not ep0:
+        raise ValueError("query2_unexpected requires a nonempty EP0 set")
+    return query2(image, ep0, symbolic_set, max_ep, config, instrs)[0]
+
+
+def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
+                        config: ExplorationConfig | None = None
+                        ) -> Query2Report:
+    """Inconsistent data flow: an address written concretely in one block and
+    symbolically in another. Write addresses are ranked by the number of
+    distinct concrete values involved (single-value writers rank low; they
+    are the documented false-positive shape)."""
+    return _explore_query2(image, policy, config, None, set())[1]

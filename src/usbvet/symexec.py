@@ -116,7 +116,7 @@ class Listener:
 
 
 class ExecState:
-    __slots__ = ("pc", "iram", "sfr", "xram", "path", "history", "stale",
+    __slots__ = ("pc", "iram", "sfr", "xram", "path", "stale",
                  "cooldowns", "active_isr", "isr_written", "notes",
                  "last_cover_seq", "sid", "terminated", "cur_site",
                  "cur_block")
@@ -127,7 +127,6 @@ class ExecState:
         self.sfr: dict[int, object] = {}
         self.xram: dict[int, object] = {}
         self.path = solver.PathCondition()
-        self.history: list[int] = []
         self.stale: dict[int, int] = {}
         self.cooldowns: dict[str, int] = {}
         self.active_isr: str | None = None
@@ -146,7 +145,6 @@ class ExecState:
         c.sfr = dict(self.sfr)
         c.xram = dict(self.xram)
         c.path = self.path.copy()
-        c.history = list(self.history)
         c.stale = dict(self.stale)
         c.cooldowns = dict(self.cooldowns)
         c.active_isr = self.active_isr
@@ -559,7 +557,6 @@ class Executor:
             self.cover_seq += 1
         survivors = []
         for o in outs:
-            o.history.append(entry)
             for k in o.cooldowns:
                 if o.cooldowns[k] > 0:
                     o.cooldowns[k] -= 1

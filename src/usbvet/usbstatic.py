@@ -126,12 +126,12 @@ def descriptor_extent(image: bytes, hit: DescriptorHit) -> int:
 _XREF_SCAN_LIMIT = 32  # instructions examined after a DPTR load
 
 
-def find_xrefs(image: bytes, target: int, range_len: int = 1) -> list[int]:
-    """Addresses of instructions loading DPTR with a constant inside
-    [target, target+range_len) that feed a CODE read downstream in the same
-    block. Falls back to accepting the DPTR load alone when the block cannot
-    be decoded further (conservative linear-sweep behavior)."""
-    instrs, _ = isa.disassemble_sweep(image, 0)
+def find_xrefs(instrs: list[isa.Instruction], target: int,
+               range_len: int = 1) -> list[int]:
+    """Addresses of linear-sweep instructions loading DPTR with a constant
+    inside [target, target+range_len) that feed a CODE read downstream in the
+    same block. Falls back to accepting the DPTR load alone when the block
+    cannot be decoded further (conservative linear-sweep behavior)."""
     out = []
     for idx, ins in enumerate(instrs):
         if ins.mnemonic != "MOV" or not ins.operands:
@@ -165,8 +165,9 @@ def find_xrefs(image: bytes, target: int, range_len: int = 1) -> list[int]:
 
 def scan_with_xrefs(image: bytes, patterns=DEFAULT_SIGNATURES) -> list[DescriptorHit]:
     hits = scan_signatures(image, patterns)
+    instrs, _ = isa.disassemble_sweep(image, 0)
     for h in hits:
-        h.xrefs = find_xrefs(image, h.addr, descriptor_extent(image, h))
+        h.xrefs = find_xrefs(instrs, h.addr, descriptor_extent(image, h))
     return hits
 
 
@@ -394,9 +395,6 @@ class PropMap:
     def set(self, site: int, role: str, tup: tuple):
         self.m[(site, role)] = tup
 
-    def items(self):
-        return self.m.items()
-
 
 def prop_const_mem(instrs: list[isa.Instruction],
                    is_a_reg=default_is_a_reg) -> PropMap:
@@ -498,14 +496,10 @@ class NoDescriptors(Exception):
 
 @dataclass
 class Ep0Inference:
-    cand_dd: list[DescriptorHit]
-    cand_cd: list[DescriptorHit]
-    cand_funcspec: list[DescriptorHit]
     ep0_1: set[int]
     ep0_2: set[int]
     ep0: set[int]
     target_sites: list[int]
-    prop_map: PropMap
 
 
 def _in_ranges(value, image, hits) -> bool:
@@ -519,11 +513,11 @@ def _in_ranges(value, image, hits) -> bool:
 
 def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
                         instrs: list[isa.Instruction] | None = None,
-                        is_a_reg=default_is_a_reg,
-                        patterns=DEFAULT_SIGNATURES) -> Ep0Inference:
+                        is_a_reg=default_is_a_reg, hits=None) -> Ep0Inference:
     """Candidate EP0 buffer addresses and the stores that copy
-    function-specific data into them."""
-    hits = scan_signatures(image, patterns)
+    function-specific data into them, given the image's signature `hits`
+    (by default, a scan for the default signatures)."""
+    hits = scan_signatures(image) if hits is None else hits
     cand_dd = [h for h in hits if h.name == "DEVICE_DESC"]
     cand_cd = [h for h in hits if h.name == "CONFIG_DESC"]
     func_names = CLASS_FUNCSPEC.get(claimed_class, ("HID_REPORT",))
@@ -553,5 +547,4 @@ def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
         dst_tracked = M.get(ins.addr, "dst")[1]
         if dst_tracked in ep0 and _in_ranges(src_tracked, image, cand_fs):
             targets.append(ins.addr)
-    return Ep0Inference(cand_dd, cand_cd, cand_fs, ep0_1, ep0_2, ep0,
-                        sorted(targets), M)
+    return Ep0Inference(ep0_1, ep0_2, ep0, sorted(targets))

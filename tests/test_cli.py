@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from usbvet import cli, fwkit
+from usbvet import cli, fwkit, queries
 from usbvet.cli import RunConfig, run_pipeline
 
 
@@ -134,6 +134,27 @@ def test_main_config_file_with_flag_override(tmp_path, capsys):
     assert code in (cli.EXIT_CONSISTENT, cli.EXIT_INCOMPLETE)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "want a JSON object"),
+    (b'{"tau": "3"}', "'tau' has the wrong type"),
+    (b'{"time_limit": "x"}', "'time_limit' has the wrong type"),
+    (b'{"preconditions": 5}', "'preconditions' has the wrong type"),
+    (b'{"preconditions": [5]}', "'preconditions' has the wrong type"),
+    (b'{"seed": true}', "'seed' has the wrong type"),
+    (b"\xff{}", "config file"),
+])
+def test_main_bad_config_file_exit_code(tmp_path, capsys, content, message):
+    path, _ = write_fixture(tmp_path, "straightline")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(content)
+    code = cli.main(["analyze", path, "--config", str(cfg_file),
+                     "--query", "identity", "--state-limit", "200"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_main_prints_report_without_outfile(tmp_path, capsys):
     path, _ = write_fixture(tmp_path, "straightline")
     code = cli.main(["analyze", path, "--query", "identity", "--seed", "1",
@@ -169,6 +190,23 @@ def test_timing_flag_adds_timing_section(tmp_path):
     report, _ = run_pipeline(cfg)
     assert report.timing is not None
     assert "timing" in report.to_dict()
+
+
+def test_consistency_query_explores_once(tmp_path, monkeypatch):
+    path, _ = write_fixture(tmp_path, "injector-hid")
+    calls = []
+    real = queries.execute
+
+    def counting(image, policy, config, listeners=(), **kw):
+        calls.append([type(ln).__name__ for ln in listeners])
+        return real(image, policy, config, listeners, **kw)
+
+    monkeypatch.setattr(queries, "execute", counting)
+    # the full policy skips symbolic-set discovery, so only Query 2 explores
+    report, _ = run_pipeline(small_config(path, query="consistency",
+                                          policy="full"))
+    assert calls == [["_ConcreteFlowListener", "_AccessRecorder"]]
+    assert set(report.query2) == {"unexpected_flow", "inconsistent_flow"}
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):

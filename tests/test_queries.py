@@ -464,3 +464,46 @@ def test_query2_single_value_writer_low_rank():
     assert 0x6000 in by_addr and 0x6001 in by_addr
     assert by_addr[0x6001].score == 2 and by_addr[0x6000].score == 1
     assert rep.ranked[0].write_addr == 0x6001
+
+
+@pytest.mark.parametrize("template",
+                         ["benign-hid", "injector-hid", "storage-claiming-hid"])
+def test_query2_one_exploration_matches_separate_runs(template):
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template=template))
+    symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
+    instrs = usbstatic.reachable_instructions(image)
+    ep0 = usbstatic.find_devspec_to_ep0(image, "hid", instrs=instrs).ep0
+    both = queries.query2(image, ep0, symset, max_ep=4, config=cfg(seed=5),
+                          instrs=instrs)
+    pol = SymbolicPolicy()
+    pol.designate_all(symset.locations)
+    pol.designate_all(queries.find_counters(image, instrs))
+    separate = (queries.query2_unexpected(image, ep0, symset, max_ep=4,
+                                          config=cfg(seed=5)),
+                queries.query2_inconsistent(image, pol, cfg(seed=5)))
+    for one, alone in zip(both, separate):
+        for name in ("kind", "flagged", "counters", "ranked",
+                     "states_explored", "blocks_executed", "coverage",
+                     "reason", "diagnostics"):
+            assert getattr(one, name) == getattr(alone, name), name
+    # the unexpected-flow listener alone on its own run flags the same stores
+    other = queries.other_endpoint_addresses(ep0, 4)
+    M = usbstatic.prop_const_mem(instrs)
+    targets = {i.addr for i in instrs if M.get(i.addr, "dst")[1] in other}
+    flow = queries._ConcreteFlowListener(targets, solver.Solver())
+    res = symexec.execute(image, pol, cfg(seed=5), listeners=[flow])
+    assert res.states_created == both[0].states_explored
+    assert (sorted(flow.flags.values(), key=lambda f: (f.write_addr, f.site))
+            == both[0].flagged)
+    assert bool(both[0].flagged) == (template == "injector-hid")
+
+
+def test_query2_reports_keep_solver_timeouts():
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
+    ep0 = usbstatic.find_devspec_to_ep0(image, "hid").ep0
+    pol = SymbolicPolicy()
+    pol.designate_all(queries.find_counters(image))
+    budget = cfg(solver_timeout=0.0, max_states=64)
+    for rep in (queries.query2_unexpected(image, ep0, set(), config=budget),
+                queries.query2_inconsistent(image, pol, budget)):
+        assert "solver timeout: assumed satisfiable" in rep.diagnostics

@@ -237,10 +237,7 @@ def test_indirect_jump_enumerates_decodable_targets():
     image, syms = fwkit.assemble_with_symbols(src)
     cfg = ExplorationConfig(block_repeat_threshold=4, seed=1)
     res = execute(image, xram_policy(0x7F00), cfg)
-    visited = set()
-    for s in res.ended:
-        visited.update(s.history)
-    assert syms["t0"] in visited and syms["t1"] in visited
+    assert syms["t0"] in res.coverage and syms["t1"] in res.coverage
 
 
 def test_out_of_region_code_jump_killed():

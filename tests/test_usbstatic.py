@@ -71,23 +71,28 @@ def test_signature_file_roundtrip():
     assert custom[0].pattern == (0x24, 0x02, None, 0x01)
 
 
+def sweep(image):
+    return isa.disassemble_sweep(bytes(image), 0)[0]
+
+
 def test_find_xrefs_fig3_shape():
     image = bytearray(0x1000)
     image[0x0BEE:0x0BF5] = bytes([0x7F, 0x00, 0xEF, 0x90, 0x30, 0xC3, 0x93])
     image[0x0BF5:0x0BF7] = bytes([0x80, 0xFE])
-    assert usbstatic.find_xrefs(bytes(image), 0x30C3) == [0x0BF1]
+    assert usbstatic.find_xrefs(sweep(image), 0x30C3) == [0x0BF1]
 
 
 def test_find_xrefs_absent_target():
     image = bytes([0x00] * 64)
-    assert usbstatic.find_xrefs(image, 0x4444) == []
+    assert usbstatic.find_xrefs(sweep(image), 0x4444) == []
 
 
 def test_find_xrefs_range_membership():
     # loading an interior address of the descriptor still counts
     image = bytearray(0x1000)
     image[0x100:0x104] = bytes([0x90, 0x30, 0xC3, 0x93])
-    assert usbstatic.find_xrefs(bytes(image), 0x3084, range_len=0x64) == [0x100]
+    assert usbstatic.find_xrefs(sweep(image), 0x3084,
+                                range_len=0x64) == [0x100]
 
 
 def test_find_xrefs_requires_code_read_downstream():
@@ -96,7 +101,7 @@ def test_find_xrefs_requires_code_read_downstream():
     image[0x100:0x107] = bytes([0x90, 0x30, 0xC3,   # mov dptr,#0x30c3
                                 0x90, 0x40, 0x00,   # mov dptr,#0x4000
                                 0x22])              # ret
-    assert usbstatic.find_xrefs(bytes(image), 0x30C3) == []
+    assert usbstatic.find_xrefs(sweep(image), 0x30C3) == []
 
 
 def test_fixture_xrefs_found_for_all_descriptors():
@@ -106,6 +111,20 @@ def test_fixture_xrefs_found_for_all_descriptors():
     for name, addr in man.descriptors.items():
         assert by_name[name].addr == addr
         assert by_name[name].xrefs, name
+
+
+def test_scan_with_xrefs_sweeps_once(monkeypatch):
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
+    sweeps = []
+    real = isa.disassemble_sweep
+
+    def counting(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(isa, "disassemble_sweep", counting)
+    hits = usbstatic.scan_with_xrefs(image)
+    assert len(hits) >= 2 and len(sweeps) == 1
 
 
 # ---------------------------------------------------------------------------
