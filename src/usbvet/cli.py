@@ -189,6 +189,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                 patterns = tuple(usbstatic.parse_signature_file(fh.read()))
         except OSError as e:
             raise IoError(f"cannot read signatures: {e}") from None
+        except ValueError as e:
+            raise ConfigInvalid(f"signatures file: {e}") from None
     rules = None
     if config.ruledb_path:
         try:
@@ -196,6 +198,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                 rules = usbdb.load_rules(fh.read())
         except OSError as e:
             raise IoError(f"cannot read rule db: {e}") from None
+        except ValueError as e:
+            raise ConfigInvalid(f"rule db: {e}") from None
 
     base_cfg = symexec.ExplorationConfig(
         max_states=config.state_limit,

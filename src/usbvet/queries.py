@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from . import isa, machine, solver, symexec, usbstatic
+from . import isa, machine, solver, usbstatic
 from .lifter import Region
 from .solver import NOT_UNIQUE, is_symbolic, mk
 from .symexec import (ExplorationConfig, Listener, STOP_ALL, SymbolicPolicy,
@@ -120,17 +120,12 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
             policy.designate_all(locations)
             # Tight budgets: each run only has to reach the handler's next
             # fresh read, not saturate the whole program.
-            cfg = ExplorationConfig(
-                max_states=min(base.max_states, 192),
+            cfg = replace(
+                base, max_states=min(base.max_states, 192),
                 block_repeat_threshold=min(base.block_repeat_threshold, 32),
                 cooldown_min=2, cooldown_max=8,
-                select_weights=base.select_weights,
-                time_limit=base.time_limit,
                 max_blocks=min(base.max_blocks, 4_000),
-                max_indirect_fanout=base.max_indirect_fanout,
-                only_interrupt_source=source,
-                seed=base.seed,
-                solver_timeout=base.solver_timeout)
+                only_interrupt_source=source, targets=frozenset())
             checker = _CheckLoads(locations)
             res = execute(image, policy, cfg,
                           listeners=[_RecordStores(), checker],
@@ -198,21 +193,6 @@ def _precondition_exprs(preconditions, policy: SymbolicPolicy):
                 f"{p.relation} {p.value}")
         out.append((e, note))
     return out
-
-
-def apply_preconditions(state: symexec.ExecState, preconditions,
-                        policy: SymbolicPolicy,
-                        sat: solver.Solver | None = None) -> symexec.ExecState:
-    """Conjoin preconditions into a state's path; reject unsatisfiable sets."""
-    pairs = _precondition_exprs(preconditions, policy)
-    sat = sat or solver.Solver()
-    exprs = state.path.exprs() + [e for e, _ in pairs]
-    if not sat.is_satisfiable(exprs):
-        raise UnsatisfiablePreconditions(
-            "unsatisfiable: " + "; ".join(note for _, note in pairs))
-    for e, note in pairs:
-        state.path.append(e, -1, note)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +272,7 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
         raise ValueError("query1 requires at least one target instruction")
     name, policy = resolve_policy(policy_source, symbolic_set)
     base = config or ExplorationConfig()
-    cfg = ExplorationConfig(**{**base.__dict__,
-                               "targets": frozenset(targets),
-                               "stop_when_targets_hit": True})
+    cfg = replace(base, targets=frozenset(targets))
     init = _precondition_exprs(preconditions, policy) if preconditions else []
     if init:
         sat = solver.Solver(cfg.solver_timeout)

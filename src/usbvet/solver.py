@@ -544,17 +544,6 @@ class Solver:
             return {}
         return res.model
 
-    def eval_model(self, pc, expr: SymExpr) -> int:
-        """One witness value of expr under some model of pc."""
-        exprs = self._exprs(pc)
-        res = check(exprs + [mk("eq", (expr, expr), 1)], self.timeout,
-                    cache=self)
-        if not res.sat:
-            raise Unsat()
-        model = res.model or {}
-        # Variables of expr untouched by pc may be absent; they read as 0.
-        return eval_expr(expr, model)
-
     def is_constant(self, pc, expr):
         """The unique value of expr under pc, or NOT_UNIQUE.
 

@@ -90,7 +90,6 @@ class ExplorationConfig:
     max_indirect_fanout: int = 16
     only_interrupt_source: str | None = None
     targets: frozenset = frozenset()
-    stop_when_targets_hit: bool = True
     seed: int = 0
     solver_timeout: float = 5.0
 
@@ -329,17 +328,6 @@ class Executor:
         s.terminated = reason
         self.ended.append(s)
 
-    def _emit(self, which: str, site, state, region, addr, value) -> str | None:
-        action = None
-        for ln in self.listeners:
-            cb = ln.on_load if which == "load" else ln.on_store
-            r = cb(site, state, region, addr, value)
-            if r == STOP_ALL:
-                action = STOP_ALL
-            elif r == KILL_PATH and action is None:
-                action = KILL_PATH
-        return action
-
     def _enumerate(self, s: ExecState, expr: SymExpr, bound: int,
                    what: str) -> list[int]:
         """Feasible concrete values of expr under the path, up to the fanout."""
@@ -364,21 +352,75 @@ class Executor:
             self.diagnostics.append(
                 f"{what} fanout over {limit} at 0x{s.cur_site:04x}; extra "
                 f"targets dropped")
-        return [v for v in vals if v < bound] or self._oor(s, vals, bound, what)
-
-    def _oor(self, s, vals, bound, what) -> list:
-        if vals:
+        inside = [v for v in vals if v < bound]
+        if vals and not inside:
             self.diagnostics.append(
                 f"symbolic {what} out of region at 0x{s.cur_site:04x} "
                 f"(bound 0x{bound:x})")
-        return []
+        return inside
+
+    def _settle(self, s: ExecState, act: str | None) -> bool:
+        """Apply a listener verdict to s; False when it ended s."""
+        if act == STOP_ALL:
+            self.stop_reason = "listener-stop"
+            self._terminate(s, "listener-stop")
+            return False
+        if act == KILL_PATH:
+            self._terminate(s, "listener-kill")
+            return False
+        return True
+
+    def _access(self, s: ExecState, st, region: Region, addr: int,
+                vals: list) -> bool:
+        """One read (Load) or write (Store/Put) at a concrete address, seen
+        by every listener; False when their verdict ended s. STOP_ALL from
+        any listener outranks KILL_PATH."""
+        if st.__class__ is Load:
+            value = self._read(s, region, addr)
+            vals[st.dst.i] = value
+            which = "load"
+        else:
+            v = st.src
+            value = vals[v.i] if type(v) is Tmp else v
+            self._write(s, region, addr, value)
+            which = "store"
+        act = None
+        for ln in self.listeners:
+            cb = ln.on_load if which == "load" else ln.on_store
+            r = cb(s.cur_site, s, region, addr, value)
+            if r == STOP_ALL:
+                act = STOP_ALL
+            elif r == KILL_PATH and act is None:
+                act = KILL_PATH
+        return act is None or self._settle(s, act)
+
+    def _fork_access(self, s: ExecState, blk, i: int, st, region: Region,
+                     addr: SymExpr, vals: list) -> list[ExecState]:
+        """Make a symbolic address concrete: one child per feasible value in
+        the region, each constrained to it, accessed and run on to the end
+        of the block. A stop verdict drops the remaining values."""
+        bound = len(self.image) if region == Region.CODE else (
+            0x10000 if region == Region.XRAM else 0x100)
+        what = "load address" if st.__class__ is Load else "store address"
+        choices = self._enumerate(s, addr, bound, what)
+        out = []
+        for v in choices:
+            child = self._fork(s)
+            child.path.append(mk("eq", (addr, v), 1), s.cur_site, "mem-index")
+            nv = list(vals)
+            if self._access(child, st, region, v, nv):
+                out.extend(self._exec_from(child, blk, i + 1, nv))
+            elif child.terminated == "listener-stop":
+                break
+        if not choices:
+            self._terminate(s, "mem-index-out-of-region")
+        return out
 
     # -- block execution ---------------------------------------------------
 
     def _exec_from(self, s: ExecState, blk, idx: int, vals: list) -> list[ExecState]:
         """Run statements from idx; returns continuation states (PC advanced)."""
         stmts = blk.stmts
-        image_len = len(self.image)
         i = idx
         while True:
             st = stmts[i]
@@ -390,82 +432,15 @@ class Executor:
                     vals[st.dst.i] = eval_op(st.op, resolved, st.width)
                 else:
                     vals[st.dst.i] = mk(st.op, resolved, st.width)
-            elif cls is Load:
-                a = st.addr
+            elif cls is Load or cls is Store or cls is Put:
+                if cls is Put:
+                    region, a = Region.SFR, st.reg
+                else:
+                    region, a = st.region, st.addr
                 addr = vals[a.i] if type(a) is Tmp else a
                 if type(addr) is not int:
-                    bound = image_len if st.region == Region.CODE else (
-                        0x10000 if st.region == Region.XRAM else 0x100)
-                    choices = self._enumerate(s, addr, bound, "load address")
-                    out = []
-                    for v in choices:
-                        child = self._fork(s)
-                        child.path.append(mk("eq", (addr, v), 1), s.cur_site,
-                                          "mem-index")
-                        val = self._read(child, st.region, v)
-                        act = self._emit("load", child.cur_site, child,
-                                         st.region, v, val)
-                        nv = list(vals)
-                        nv[st.dst.i] = val
-                        if act == STOP_ALL:
-                            self.stop_reason = "listener-stop"
-                            self._terminate(child, "listener-stop")
-                            return out
-                        if act == KILL_PATH:
-                            self._terminate(child, "listener-kill")
-                            continue
-                        out.extend(self._exec_from(child, blk, i + 1, nv))
-                    if not choices:
-                        self._terminate(s, "mem-index-out-of-region")
-                    return out
-                val = self._read(s, st.region, addr)
-                act = self._emit("load", s.cur_site, s, st.region, addr, val)
-                vals[st.dst.i] = val
-                if act == STOP_ALL:
-                    self.stop_reason = "listener-stop"
-                    self._terminate(s, "listener-stop")
-                    return []
-                if act == KILL_PATH:
-                    self._terminate(s, "listener-kill")
-                    return []
-            elif cls is Store or cls is Put:
-                if cls is Put:
-                    region, addr, v = Region.SFR, st.reg, st.src
-                else:
-                    region, addr, v = st.region, st.addr, st.src
-                value = vals[v.i] if type(v) is Tmp else v
-                if type(addr) is Tmp:
-                    addr = vals[addr.i]
-                if type(addr) is not int:
-                    bound = 0x10000 if region == Region.XRAM else 0x100
-                    choices = self._enumerate(s, addr, bound, "store address")
-                    out = []
-                    for cv in choices:
-                        child = self._fork(s)
-                        child.path.append(mk("eq", (addr, cv), 1), s.cur_site,
-                                          "mem-index")
-                        self._write(child, region, cv, value)
-                        act = self._emit("store", child.cur_site, child,
-                                         region, cv, value)
-                        if act == STOP_ALL:
-                            self.stop_reason = "listener-stop"
-                            self._terminate(child, "listener-stop")
-                            return [o for o in out if o]
-                        if act == KILL_PATH:
-                            self._terminate(child, "listener-kill")
-                            continue
-                        out.extend(self._exec_from(child, blk, i + 1, list(vals)))
-                    if not choices:
-                        self._terminate(s, "mem-index-out-of-region")
-                    return out
-                self._write(s, region, addr, value)
-                act = self._emit("store", s.cur_site, s, region, addr, value)
-                if act == STOP_ALL:
-                    self.stop_reason = "listener-stop"
-                    self._terminate(s, "listener-stop")
-                    return []
-                if act == KILL_PATH:
-                    self._terminate(s, "listener-kill")
+                    return self._fork_access(s, blk, i, st, region, addr, vals)
+                if not self._access(s, st, region, addr, vals):
                     return []
             elif cls is Boundary:
                 s.cur_site = st.addr
@@ -593,7 +568,6 @@ class Executor:
                 reason = self.stop_reason
                 break
             if (self.config.targets
-                    and self.config.stop_when_targets_hit
                     and all(t in self.target_hits for t in self.config.targets)):
                 reason = "targets-hit"
                 break

@@ -183,6 +183,23 @@ def test_custom_ruledb(tmp_path):
     assert {"rule": "USB_DEVICE", "driver": "my-widget"} in report.driver_matches
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    ("--signatures", "BAD LINE\n", "signatures file: signature file line 1"),
+    ("--ruledb", "USB_DEVICE x vid=zz\n", "rule db: invalid literal"),
+])
+def test_main_malformed_pattern_file_exit_code(tmp_path, capsys, flag,
+                                               content, message):
+    path, _ = write_fixture(tmp_path, "straightline")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(content)
+    code = cli.main(["analyze", path, flag, str(bad), "--query", "identity",
+                     "--state-limit", "200"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
+
+
 def test_timing_flag_adds_timing_section(tmp_path):
     path, _ = write_fixture(tmp_path, "branchy", guard_count=1)
     cfg = small_config(path, query="identity", policy="auto")

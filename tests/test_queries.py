@@ -92,42 +92,37 @@ def make_policy(*xram_addrs):
     return pol
 
 
-def test_apply_preconditions_empty_is_identity():
-    st = symexec.ExecState()
-    queries.apply_preconditions(st, [], make_policy())
-    assert len(st.path) == 0
+def test_precondition_exprs_empty():
+    assert queries._precondition_exprs([], make_policy()) == []
 
 
-def test_apply_preconditions_conjoins_constraint():
-    st = symexec.ExecState()
+def test_precondition_exprs_renders_equality():
     pol = make_policy(0x7FE9)
-    queries.apply_preconditions(st, [Precondition("XRAM", 0x7FE9, "==", 6)], pol)
-    assert len(st.path) == 1
-    assert solver.to_text(st.path.entries[0][0]) == "(xram_7fe9 == 6)"
+    [(expr, note)] = queries._precondition_exprs(
+        [Precondition("XRAM", 0x7FE9, "==", 6)], pol)
+    assert solver.to_text(expr) == "(xram_7fe9 == 6)"
+    assert note == "precondition XRAM[0x7fe9] == 6"
 
 
-def test_apply_preconditions_rejects_contradiction():
-    st = symexec.ExecState()
+def test_query1_rejects_contradiction():
     pol = make_policy(0x7FE9)
     with pytest.raises(queries.UnsatisfiablePreconditions):
-        queries.apply_preconditions(
-            st, [Precondition("XRAM", 0x7FE9, "==", 6),
-                 Precondition("XRAM", 0x7FE9, "==", 7)], pol)
+        queries.query1(bytes([0x80, 0xFE]), {0}, pol, preconditions=[
+            Precondition("XRAM", 0x7FE9, "==", 6),
+            Precondition("XRAM", 0x7FE9, "==", 7)])
 
 
-def test_apply_preconditions_requires_designation():
-    st = symexec.ExecState()
+def test_precondition_exprs_requires_designation():
     with pytest.raises(queries.PreconditionError):
-        queries.apply_preconditions(
-            st, [Precondition("XRAM", 0x7FE9, "==", 6)], make_policy())
+        queries._precondition_exprs(
+            [Precondition("XRAM", 0x7FE9, "==", 6)], make_policy())
 
 
 def test_bit_relations():
-    st = symexec.ExecState()
     pol = make_policy(0x7FAB)
-    queries.apply_preconditions(
-        st, [Precondition("XRAM", 0x7FAB, "bit-set", 0)], pol)
-    assert "& 1" in solver.to_text(st.path.entries[0][0])
+    [(expr, _)] = queries._precondition_exprs(
+        [Precondition("XRAM", 0x7FAB, "bit-set", 0)], pol)
+    assert "& 1" in solver.to_text(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -66,24 +66,6 @@ def test_fig5_shaped_conjunction():
     assert res.model["xram_7fab"] & 1
 
 
-def test_eval_model_simple_and_forced_range():
-    s = Solver()
-    x = var("x", 8)
-    pc = PathCondition([(mk("eq", (x, 6), 1), 0, "t")])
-    assert s.eval_model(pc, x) == 6
-    pc = PathCondition([(mk("ugt", (x, 250), 1), 0, "t")])
-    assert s.eval_model(pc, x) in range(251, 256)
-
-
-def test_eval_model_unsat_raises():
-    s = Solver()
-    x = var("x", 8)
-    pc = PathCondition([(mk("eq", (x, 6), 1), 0, "t"),
-                        (mk("eq", (x, 7), 1), 0, "t")])
-    with pytest.raises(solver.Unsat):
-        s.eval_model(pc, x)
-
-
 def test_is_constant():
     s = Solver()
     assert s.is_constant(PathCondition(), const(0x2A, 8)) == 42

@@ -1,6 +1,8 @@
 import random
 
-from usbvet import fwkit, machine, solver, symexec
+import pytest
+
+from usbvet import fwkit, lifter, machine, solver, symexec
 from usbvet.lifter import Region
 from usbvet.symexec import (ExecState, ExplorationConfig, Listener,
                             SymbolicPolicy, execute, schedule_interrupt,
@@ -288,3 +290,170 @@ def test_overlapping_designation_rejected():
     except symexec.SymbolicPolicyError:
         return
     raise AssertionError("overlap accepted")
+
+
+# -- fan-out at a symbolic load/store address ---------------------------------
+
+# The selector byte at XRAM 0x7f00 is symbolic. The cjne peels off the value
+# 3 into a state that idles at `stop`, so the frontier is never empty when
+# `site` runs: the run loop reads a stop verdict only while a state is left.
+# The selector then picks DPL: the load narrows it to one bit (two feasible
+# pointers), the store keeps both bits (three).
+FANOUT_SRC = """
+.org 0
+    mov dptr, #0x7f00
+    movx a, @dptr
+    anl a, #0x03
+    cjne a, #3, go
+stop:
+    sjmp stop
+go:
+{narrow}
+    mov dpl, a
+    mov dph, #0x7e
+site:
+    {access}
+idle:
+    sjmp idle
+"""
+
+
+class SiteAccesses(Listener):
+    """Record (sid, addr) of every XRAM access at one site; optionally
+    answer each with a verdict chosen by the accessed address."""
+
+    def __init__(self, site, which, verdict=None):
+        self.site = site
+        self.which = which
+        self.verdict = verdict or (lambda addr: None)
+        self.seen = []
+
+    def _access(self, site, state, region, addr):
+        if site != self.site or region != Region.XRAM:
+            return None
+        self.seen.append((state.sid, addr))
+        return self.verdict(addr)
+
+    def on_load(self, site, state, region, addr, value):
+        if self.which == "load":
+            return self._access(site, state, region, addr)
+        return None
+
+    def on_store(self, site, state, region, addr, value):
+        if self.which == "store":
+            return self._access(site, state, region, addr)
+        return None
+
+
+def fanout_run(which, verdict=None):
+    if which == "load":
+        src = FANOUT_SRC.format(narrow="    anl a, #0x01",
+                                access="movx a, @dptr")
+    else:
+        src = FANOUT_SRC.format(narrow="", access="movx @dptr, a")
+    image, syms = fwkit.assemble_with_symbols(src)
+    watch = SiteAccesses(syms["site"], which, verdict)
+    cfg = ExplorationConfig(block_repeat_threshold=4, seed=1)
+    res = execute(image, xram_policy(0x7F00), cfg, listeners=[watch],
+                  isr_map={})
+    return res, watch, syms
+
+
+def mem_index_value(state):
+    """The concrete address the state's last mem-index constraint pins."""
+    expr, _, note = state.path.entries[-1]
+    assert note == "mem-index"
+    assert expr.op == "eq" and expr.args[1].op == "const"
+    return expr.args[1].value
+
+
+FANOUT_ADDRS = {"load": [0x7E00, 0x7E01], "store": [0x7E00, 0x7E01, 0x7E02]}
+
+
+@pytest.mark.parametrize("which", ["load", "store"])
+def test_symbolic_address_forks_one_child_per_value(which):
+    res, watch, syms = fanout_run(which)
+    assert sorted(a for _, a in watch.seen) == FANOUT_ADDRS[which]
+    sids = [sid for sid, _ in watch.seen]
+    assert len(set(sids)) == len(sids)  # one child per feasible value
+    assert sids == sorted(sids)         # forked in enumeration order
+    by_sid = {s.sid: s for s in res.ended}
+    for sid, addr in watch.seen:
+        assert mem_index_value(by_sid[sid]) == addr
+        assert by_sid[sid].terminated == "loop-pruned"
+    assert syms["idle"] in res.coverage
+    assert res.reason == "complete"
+
+
+@pytest.mark.parametrize("which", ["load", "store"])
+def test_kill_path_ends_only_that_child(which):
+    first = FANOUT_ADDRS[which][0]
+    res, watch, _ = fanout_run(
+        which, lambda addr: symexec.KILL_PATH if addr == first else None)
+    # every sibling is still forked and runs on
+    assert sorted(a for _, a in watch.seen) == FANOUT_ADDRS[which]
+    by_sid = {s.sid: s for s in res.ended}
+    for sid, addr in watch.seen:
+        want = "listener-kill" if addr == first else "loop-pruned"
+        assert by_sid[sid].terminated == want
+        assert mem_index_value(by_sid[sid]) == addr
+    assert res.reason == "complete"
+
+
+@pytest.mark.parametrize("which", ["load", "store"])
+def test_stop_all_drops_remaining_choices(which):
+    res, watch, _ = fanout_run(which, lambda addr: symexec.STOP_ALL)
+    assert len(watch.seen) == 1  # later choices are never forked
+    assert res.reason == "listener-stop"
+    sid, addr = watch.seen[0]
+    stopped = [s for s in res.ended if s.terminated == "listener-stop"]
+    assert [s.sid for s in stopped] == [sid]
+    assert mem_index_value(stopped[0]) == addr
+    assert res.states_created == sid  # no state was created after it
+
+
+def _run_hand_block(stmts, n_temps, fanout=16, listeners=()):
+    """Run one hand-lifted block at address 0 of a one-byte image."""
+    ex = symexec.Executor(b"\x00", xram_policy(0x7F00),
+                          ExplorationConfig(seed=1, max_blocks=1,
+                                            max_indirect_fanout=fanout),
+                          listeners=listeners, isr_map={})
+    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0], ())
+    return ex.run()
+
+
+def test_symbolic_store_out_of_region_ends_path():
+    # IRAM has 256 bytes; the address 0x100 | selector never falls inside
+    t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
+    res = _run_hand_block([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "or", (t0, 0x100), 16),
+        lifter.Store(Region.IRAM, t1, 0x55),
+        lifter.Jump(1),
+    ], 2, fanout=4)
+    assert [s.terminated for s in res.ended] == ["mem-index-out-of-region"]
+    assert res.states_created == 1
+    assert any("symbolic store address out of region at 0x0000" in d
+               for d in res.diagnostics)
+
+
+def test_symbolic_store_keeps_only_in_region_values():
+    # addresses 0xfe.. straddle the IRAM bound: only 0xfe and 0xff fork
+    t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
+    seen = []
+
+    class Stores(Listener):
+        def on_store(self, site, state, region, addr, value):
+            seen.append((region, addr))
+            return None
+
+    _run_hand_block([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "add", (t0, 0xFE), 16),
+        lifter.Store(Region.IRAM, t1, 0x55),
+        lifter.Jump(1),
+    ], 2, fanout=4, listeners=[Stores()])
+    assert sorted(a for _, a in seen) == [0xFE, 0xFF]
+    assert all(r == Region.IRAM for r, _ in seen)
