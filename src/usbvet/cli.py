@@ -71,22 +71,35 @@ class RunConfig:
             raise ConfigInvalid("tau, max-ep and state-limit must be positive")
 
 
+_REGION_SIZE = {"CODE": 0x10000, "IRAM": 0x100, "SFR": 0x100,
+                "XRAM": 0x10000}
+
+
 def parse_precondition(text: str) -> queries.Precondition:
-    """REGION:ADDR:REL:VAL, e.g. XRAM:0x7fe9:==:6"""
+    """REGION:ADDR:REL:VAL, e.g. XRAM:0x7fe9:==:6. VAL is a byte, or a bit
+    number 0-7 for bit-set/bit-clear."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigInvalid(f"precondition {text!r} (want REGION:ADDR:REL:VAL)")
     region, addr_s, rel, val_s = parts
-    if region.upper() not in Region.__members__:
-        raise ConfigInvalid(f"precondition region {region!r} (want one of "
+    region = region.upper()
+    if region not in Region.__members__:
+        raise ConfigInvalid(f"precondition region {parts[0]!r} (want one of "
                             f"{', '.join(Region.__members__)})")
     if rel not in queries.RELATIONS:
         raise ConfigInvalid(f"precondition relation {rel!r}")
     try:
-        return queries.Precondition(region.upper(), int(addr_s, 0), rel,
-                                    int(val_s, 0))
-    except (ValueError, KeyError) as e:
+        addr, value = int(addr_s, 0), int(val_s, 0)
+    except ValueError as e:
         raise ConfigInvalid(f"precondition {text!r}: {e}") from None
+    if not 0 <= addr < _REGION_SIZE[region]:
+        raise ConfigInvalid(f"precondition address {addr_s} outside {region} "
+                            f"(0-0x{_REGION_SIZE[region] - 1:x})")
+    top = 7 if rel in ("bit-set", "bit-clear") else 0xFF
+    if not 0 <= value <= top:
+        raise ConfigInvalid(f"precondition value {val_s} outside 0-{top} "
+                            f"for {rel}")
+    return queries.Precondition(region, addr, rel, value)
 
 
 @dataclass

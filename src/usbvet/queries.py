@@ -71,20 +71,11 @@ class SymbolicLocationSet:
         return sorted((Region(r).name, a) for r, a in self.locations)
 
 
-class _RecordStores(Listener):
-    """Track per-path locations written inside the active interrupt handler."""
-
-    def on_store(self, site, state, region, addr, value):
-        if state.active_isr is not None:
-            ws = state.notes.get("wset", frozenset())
-            state.notes["wset"] = ws | {(region, addr)}
-        return None
-
-
 class _CheckLoads(Listener):
     """Stop the run at the first in-handler load from a location neither
-    written on this path nor already symbolic; that location is environment
-    data. CODE loads are image constants and never qualify."""
+    written by the handler on this path (`ExecState.isr_written`) nor already
+    symbolic; that location is environment data. CODE loads are image
+    constants and never qualify."""
 
     def __init__(self, known: set):
         self.known = known
@@ -95,8 +86,6 @@ class _CheckLoads(Listener):
             return None
         loc = (region, addr)
         if loc in self.known or loc in state.isr_written:
-            return None
-        if loc in state.notes.get("wset", frozenset()):
             return None
         self.found = loc
         return STOP_ALL
@@ -128,7 +117,7 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 only_interrupt_source=source, targets=frozenset())
             checker = _CheckLoads(locations)
             res = execute(image, policy, cfg,
-                          listeners=[_RecordStores(), checker],
+                          listeners=[checker],
                           isr_map=isrs)
             dt = time.monotonic() - t0
             if checker.found is not None:
@@ -341,7 +330,7 @@ def find_counters(image: bytes,
             if ins is None or (addr, live) in seen:
                 continue
             seen.add((addr, live))
-            sm = usbstatic._summarize(ins, usbstatic.default_is_a_reg)
+            sm = usbstatic._summarize(ins)
             live_set = set(live)
             if live_set & set(sm.addr_load) or live_set & set(sm.addr_store):
                 return True

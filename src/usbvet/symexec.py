@@ -41,14 +41,11 @@ class SymbolicPolicy:
     def var_name(region: Region, addr: int) -> str:
         return f"{Region(region).name.lower()}_{addr:04x}"
 
-    def designate(self, region: Region, addr: int, length: int = 1,
-                  name: str | None = None):
-        for i in range(length):
-            key = (Region(region), addr + i)
-            if key in self.vars:
-                raise SymbolicPolicyError(f"overlapping designation {key}")
-            vname = name if (name and length == 1) else self.var_name(*key)
-            self.vars[key] = solver.var(vname, 8)
+    def designate(self, region: Region, addr: int):
+        key = (Region(region), addr)
+        if key in self.vars:
+            raise SymbolicPolicyError(f"overlapping designation {key}")
+        self.vars[key] = solver.var(self.var_name(*key), 8)
 
     def designate_all(self, locations):
         for region, addr in locations:
@@ -57,14 +54,6 @@ class SymbolicPolicy:
 
     def lookup(self, region: Region, addr: int):
         return self.vars.get((region, addr))
-
-    def locations(self) -> set[tuple[Region, int]]:
-        return set(self.vars)
-
-    def copy(self) -> "SymbolicPolicy":
-        p = SymbolicPolicy()
-        p.vars = dict(self.vars)
-        return p
 
     @staticmethod
     def full() -> "SymbolicPolicy":
@@ -84,7 +73,6 @@ class ExplorationConfig:
     block_repeat_threshold: int = 256
     cooldown_min: int = 20
     cooldown_max: int = 100
-    select_weights: tuple[float, float] = (1.0, 1.0)  # (random, coverage-new)
     time_limit: float | None = None
     max_blocks: int = 250_000
     max_indirect_fanout: int = 16
@@ -99,7 +87,7 @@ STOP_ALL = "stop-all"
 
 
 class Listener:
-    """Observation hooks. Returning KILL_PATH ends the path, STOP_ALL the run."""
+    """Access hooks. Returning KILL_PATH ends the path, STOP_ALL the run."""
 
     def on_load(self, site, state, region, addr, value):
         return None
@@ -107,16 +95,10 @@ class Listener:
     def on_store(self, site, state, region, addr, value):
         return None
 
-    def on_block(self, state):
-        return None
-
-    def on_termination(self, states):
-        return None
-
 
 class ExecState:
     __slots__ = ("pc", "iram", "sfr", "xram", "path", "stale",
-                 "cooldowns", "active_isr", "isr_written", "notes",
+                 "cooldowns", "active_isr", "isr_written",
                  "last_cover_seq", "sid", "terminated", "cur_site",
                  "cur_block")
 
@@ -130,7 +112,6 @@ class ExecState:
         self.cooldowns: dict[str, int] = {}
         self.active_isr: str | None = None
         self.isr_written: set = set()
-        self.notes: dict = {}
         self.last_cover_seq = 0
         self.sid = 0
         self.terminated: str | None = None
@@ -148,7 +129,6 @@ class ExecState:
         c.cooldowns = dict(self.cooldowns)
         c.active_isr = self.active_isr
         c.isr_written = set(self.isr_written)
-        c.notes = dict(self.notes)
         c.last_cover_seq = self.last_cover_seq
         c.sid = self.sid
         c.terminated = None
@@ -183,17 +163,12 @@ class ExplorationResult:
     solver_diagnostics: list[str] = field(default_factory=list)
 
 
-def select_next(frontier: list[ExecState], config: ExplorationConfig,
-                rng: random.Random) -> ExecState:
-    """Interleave uniform-random choice with preference for the state that
-    most recently grew the global coverage set."""
+def select_next(frontier: list[ExecState], rng: random.Random) -> ExecState:
+    """Split evenly between a uniform-random choice and the state that most
+    recently grew the global coverage set."""
     if len(frontier) == 1:
         return frontier[0]
-    rw, cw = config.select_weights
-    total = rw + cw
-    if total <= 0:
-        rw, total = 1.0, 1.0
-    if rng.random() * total < rw:
+    if rng.random() < 0.5:
         return frontier[rng.randrange(len(frontier))]
     return max(frontier, key=lambda s: (s.last_cover_seq, -s.sid))
 
@@ -544,15 +519,7 @@ class Executor:
                 if n > self.config.block_repeat_threshold:
                     self._terminate(o, "loop-pruned")
                     continue
-            for ln in self.listeners:
-                r = ln.on_block(o)
-                if r == STOP_ALL:
-                    self.stop_reason = "listener-stop"
-                elif r == KILL_PATH:
-                    self._terminate(o, "listener-kill")
-                    break
-            if o.terminated is None:
-                survivors.append(o)
+            survivors.append(o)
         return survivors
 
     def run(self) -> ExplorationResult:
@@ -563,10 +530,7 @@ class Executor:
         self.states_created = 1
         frontier = [s0]
         reason = "complete"
-        while frontier:
-            if self.stop_reason:
-                reason = self.stop_reason
-                break
+        while frontier and not self.stop_reason:
             if (self.config.targets
                     and all(t in self.target_hits for t in self.config.targets)):
                 reason = "targets-hit"
@@ -582,7 +546,7 @@ class Executor:
                     and time.monotonic() - self.t0 > self.config.time_limit):
                 reason = "time-limit"
                 break
-            s = select_next(frontier, self.config, self.rng)
+            s = select_next(frontier, self.rng)
             frontier.remove(s)
             if s.pc >= len(self.image):
                 self._terminate(s, "exit-image")
@@ -596,10 +560,10 @@ class Executor:
                     f.sid = self.states_created
                 frontier.extend(forks)
                 frontier.append(o)
+        if self.stop_reason:  # also when the stop ended the last state
+            reason = self.stop_reason
         for s in frontier:
             self._terminate(s, "unfinished")
-        for ln in self.listeners:
-            ln.on_termination(self.ended)
         return ExplorationResult(
             ended=self.ended,
             coverage=set(self.covered),

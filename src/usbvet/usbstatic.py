@@ -210,7 +210,7 @@ DPH = ("sfr", 0x83)
 DPTR_LOCS = (DPL, DPH)
 
 
-def default_is_a_reg(loc) -> bool:
+def is_register(loc) -> bool:
     """Memory-mapped registers: every SFR plus the four register banks."""
     space, addr = loc
     if space == "sfr":
@@ -252,7 +252,7 @@ class _Summary:
         self.store_class = False      # writes non-register memory
 
 
-def _summarize(ins: isa.Instruction, is_a_reg) -> _Summary:
+def _summarize(ins: isa.Instruction) -> _Summary:
     s = _Summary()
     m = ins.mnemonic
     ops = ins.operands
@@ -281,7 +281,7 @@ def _summarize(ins: isa.Instruction, is_a_reg) -> _Summary:
         if src_op.kind in (K.IMM8, K.IMM16):
             if dst is not None:
                 s.writes = (dst,)
-                if is_a_reg(dst):
+                if is_register(dst):
                     s.seed = (src_op.value, 8)
                 else:
                     s.store_class = True
@@ -302,7 +302,7 @@ def _summarize(ins: isa.Instruction, is_a_reg) -> _Summary:
             s.store_class = True
         elif dst is not None:
             s.writes = (dst,)
-            if is_a_reg(dst):
+            if is_register(dst):
                 s.value_dst_reg = dst
             else:
                 s.store_class = True
@@ -387,7 +387,6 @@ class PropMap:
 
     def __init__(self):
         self.m: dict[tuple[int, str], tuple] = {}
-        self.visits: dict[int, int] = {}
 
     def get(self, site: int, role: str) -> tuple:
         return self.m.get((site, role), BOT)
@@ -396,8 +395,7 @@ class PropMap:
         self.m[(site, role)] = tup
 
 
-def prop_const_mem(instrs: list[isa.Instruction],
-                   is_a_reg=default_is_a_reg) -> PropMap:
+def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
     """Worklist propagation of constant values / tracked addresses.
 
     Seeds are stores of constants into memory-mapped registers. A value
@@ -407,7 +405,7 @@ def prop_const_mem(instrs: list[isa.Instruction],
     guard bounds updates to at most two per site.
     """
     by_addr: dict[int, isa.Instruction] = {i.addr: i for i in instrs}
-    summaries: dict[int, _Summary] = {a: _summarize(i, is_a_reg)
+    summaries: dict[int, _Summary] = {a: _summarize(i)
                                       for a, i in by_addr.items()}
     M = PropMap()
     wl: deque[int] = deque()
@@ -479,7 +477,6 @@ def prop_const_mem(instrs: list[isa.Instruction],
                 if tup[0] is None:
                     continue
                 M.set(j, "dst", (None, tup[0]))
-            M.visits[j] = M.visits.get(j, 0) + 1
             if not sm.store_class:
                 wl.append(j)
     return M
@@ -513,7 +510,7 @@ def _in_ranges(value, image, hits) -> bool:
 
 def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
                         instrs: list[isa.Instruction] | None = None,
-                        is_a_reg=default_is_a_reg, hits=None) -> Ep0Inference:
+                        hits=None) -> Ep0Inference:
     """Candidate EP0 buffer addresses and the stores that copy
     function-specific data into them, given the image's signature `hits`
     (by default, a scan for the default signatures)."""
@@ -527,8 +524,8 @@ def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
             f"device={len(cand_dd)} config={len(cand_cd)} candidates")
     if instrs is None:
         instrs = reachable_instructions(image)
-    M = prop_const_mem(instrs, is_a_reg)
-    stores = [ins for ins in instrs if _summarize(ins, is_a_reg).store_class]
+    M = prop_const_mem(instrs)
+    stores = [ins for ins in instrs if _summarize(ins).store_class]
     ep0_1: set[int] = set()
     ep0_2: set[int] = set()
     for ins in stores:

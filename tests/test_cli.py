@@ -2,9 +2,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from usbvet import cli, fwkit, queries
+from usbvet import cli, fwkit, queries, symexec
 from usbvet.cli import RunConfig, run_pipeline
+from usbvet.lifter import Region
 
 
 def write_fixture(tmp_path, template, **spec_kw):
@@ -238,12 +240,23 @@ def test_time_limit_bounds_symbolic_set_discovery(tmp_path):
 @pytest.mark.parametrize("precondition, message", [
     ("FOO:0x10:==:6", "region 'FOO'"),
     ("IRAM:0x10:==:6", "not designated symbolic"),
-    ("XRAM:{setup1}:bit-set:9", "unsatisfiable"),
+    ("XRAM:{setup1}:<:0", "unsatisfiable"),
+    ("XRAM:{setup1}:bit-set:9", "value 9 outside 0-7"),
+    ("XRAM:{setup1}:bit-clear:-1", "value -1 outside 0-7"),
+    ("XRAM:{setup1}:==:300", "value 300 outside 0-255"),
+    ("XRAM:{setup1}:<:256", "value 256 outside 0-255"),
+    ("XRAM:0x10000:==:6", "address 0x10000 outside XRAM"),
+    ("IRAM:0x100:==:6", "address 0x100 outside IRAM"),
+    ("SFR:-1:==:6", "address -1 outside SFR"),
 ])
-def test_main_bad_precondition_exit_code(tmp_path, capsys, precondition,
-                                         message):
+def test_main_bad_precondition_exit_code(tmp_path, capsys, monkeypatch,
+                                         precondition, message):
     path, man = write_fixture(tmp_path, "benign-hid")
     pre = precondition.format(setup1=hex(man.setup_base + 1))
+    explored = []
+    real = queries.execute
+    monkeypatch.setattr(queries, "execute",
+                        lambda *a, **kw: explored.append(1) or real(*a, **kw))
     code = cli.main(["analyze", path, "--query", "identity", "--tau", "8",
                      "--seed", "7", "--state-limit", "1200",
                      "--precondition", pre])
@@ -251,3 +264,27 @@ def test_main_bad_precondition_exit_code(tmp_path, capsys, precondition,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+    if "outside" in message:
+        assert explored == []  # rejected before any exploration
+
+
+@settings(max_examples=300, deadline=None)
+@given(region=st.sampled_from(["CODE", "IRAM", "SFR", "XRAM"]),
+       addr=st.integers(-0x20000, 0x20000),
+       relation=st.sampled_from(queries.RELATIONS),
+       value=st.integers(-600, 600))
+def test_precondition_value_is_kept_or_rejected(region, addr, relation,
+                                                value):
+    try:
+        p = cli.parse_precondition(f"{region}:{addr}:{relation}:{value}")
+    except cli.ConfigInvalid:
+        return
+    pol = symexec.SymbolicPolicy()
+    pol.designate(Region[region], addr)
+    [(expr, _)] = queries._precondition_exprs([p], pol)
+    if relation in ("bit-set", "bit-clear"):
+        mask = expr.args[0].args[1]
+        assert mask.op == "const" and mask.value == 1 << value
+    else:
+        const = expr.args[1]
+        assert const.op == "const" and const.value == value
