@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, asdict
 
@@ -24,6 +25,7 @@ from .lifter import Region
 TOOL_VERSION = "usbvet 0.1.0"
 
 MAX_IMAGE_SIZE = 0x10000
+MAX_EP = 15
 
 EXIT_CONSISTENT = 0
 EXIT_FLAGGED = 1
@@ -69,6 +71,12 @@ class RunConfig:
             raise ConfigInvalid(f"policy {self.policy!r}")
         if self.tau <= 0 or self.max_ep <= 0 or self.state_limit <= 0:
             raise ConfigInvalid("tau, max-ep and state-limit must be positive")
+        if self.max_ep > MAX_EP:
+            raise ConfigInvalid(f"max-ep {self.max_ep} over {MAX_EP} (USB "
+                                f"numbers non-control endpoints 1-{MAX_EP})")
+        if self.time_limit is not None and not 0 <= self.time_limit < math.inf:
+            raise ConfigInvalid(f"time-limit {self.time_limit} (want a finite "
+                                f"number of seconds >= 0)")
 
 
 _REGION_SIZE = {"CODE": 0x10000, "IRAM": 0x100, "SFR": 0x100,

@@ -7,9 +7,11 @@ when its value is nonzero. Comparison operators yield 0/1.
 The satisfiability backend is internal: constraints are split into
 independent sets (connected components over shared variables), single
 variable constraints prune domains by enumeration, and the rest is settled
-by backtracking search. Firmware constraints here are over 8-bit memory
-bytes, where this is both exact and fast; queries can also be dumped in
-SMT-LIB text form for offline debugging with an external solver.
+by backtracking search. A domain is enumerated in one post-order walk of its
+constraint, in which each node holds its values at all 2^width points.
+Firmware constraints here are over 8-bit memory bytes, where this is both
+exact and fast; queries can also be dumped in SMT-LIB text form for offline
+debugging with an external solver.
 
 Each `Solver` memoises two pure functions for the queries it is given: the
 satisfying values of a single-variable constraint (a domain, kept as an int
@@ -27,6 +29,7 @@ nothing in the tables.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 
 
 def _rotl(v: int, k: int, width: int) -> int:
@@ -253,9 +256,15 @@ def is_symbolic(v) -> bool:
     return isinstance(v, SymExpr) and bool(v.vars())
 
 
-def eval_expr(e: SymExpr, env: dict) -> int:
-    """Evaluate under a full assignment; unbound variables read 0."""
-    memo: dict[int, int] = {}
+def _walk(e: SymExpr, env: dict, name: str | None = None,
+          column: range | None = None):
+    """Post-order evaluation of e; unbound variables read 0.
+
+    With a `column`, the variable `name` is bound to all of its values at
+    once: every node that mentions it evaluates, pointwise through
+    `eval_op`, to a list with one value per point of the column, and every
+    other node to one int."""
+    memo: dict[int, object] = {}
     stack = [(e, False)]
     while stack:
         node, ready = stack.pop()
@@ -265,7 +274,11 @@ def eval_expr(e: SymExpr, env: dict) -> int:
         if node.op == "const":
             memo[key] = node.args[0]
         elif node.op == "var":
-            memo[key] = env.get(node.args[0], 0) & ((1 << node.width) - 1)
+            mask = (1 << node.width) - 1
+            if node.args[0] == name:
+                memo[key] = [x & mask for x in column]
+            else:
+                memo[key] = env.get(node.args[0], 0) & mask
         elif not ready:
             stack.append((node, True))
             for a in node.args:
@@ -274,8 +287,18 @@ def eval_expr(e: SymExpr, env: dict) -> int:
         else:
             vals = tuple(memo[id(a)] if isinstance(a, SymExpr) else a
                          for a in node.args)
-            memo[key] = eval_op(node.op, vals, node.width)
+            if name is not None and name in node.vars():
+                op, width = node.op, node.width
+                memo[key] = [eval_op(op, point, width) for point in zip(
+                    *(v if isinstance(v, list) else repeat(v) for v in vals))]
+            else:
+                memo[key] = eval_op(node.op, vals, node.width)
     return memo[id(e)]
+
+
+def eval_expr(e: SymExpr, env: dict) -> int:
+    """Evaluate under a full assignment; unbound variables read 0."""
+    return _walk(e, env)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +402,8 @@ def _domain(e: SymExpr, name: str, width: int, deadline: float,
             domains: dict, fresh: dict) -> int:
     """Bitmask of the values of `name` that satisfy the single-variable
     constraint e, looked up in the stored table, then in this query's new
-    entries, else enumerated. May raise SolverTimeout before enumerating."""
+    entries, else enumerated in one walk of e over all 2^width values. May
+    raise SolverTimeout before enumerating."""
     key = (e, name, width)
     mask = domains.get(key)
     if mask is None:
@@ -388,8 +412,8 @@ def _domain(e: SymExpr, name: str, width: int, deadline: float,
         if time.monotonic() > deadline:
             raise SolverTimeout()
         mask = 0
-        for x in range(1 << width):
-            if eval_expr(e, {name: x}) != 0:
+        for x, v in enumerate(_walk(e, {}, name, range(1 << width))):
+            if v:
                 mask |= 1 << x
         fresh[key] = mask
     return mask

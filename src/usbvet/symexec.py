@@ -15,6 +15,7 @@ config seed.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -163,14 +164,60 @@ class ExplorationResult:
     solver_diagnostics: list[str] = field(default_factory=list)
 
 
-def select_next(frontier: list[ExecState], rng: random.Random) -> ExecState:
-    """Split evenly between a uniform-random choice and the state that most
-    recently grew the global coverage set."""
+class Frontier:
+    """Pending states in the order they were added, with a heap on
+    (-last_cover_seq, sid, push number) beside them.
+
+    The heap's top is the first pending state, in list order, with the
+    greatest (last_cover_seq, -sid). A state's key does not change while it
+    is pending. A state removed by position leaves its heap entry behind; an
+    entry counts only while its push number is the state's current one."""
+
+    def __init__(self, states=()):
+        self.states: list[ExecState] = []
+        self._heap: list[tuple] = []
+        self._live: dict[int, int] = {}  # id(state) -> its push number
+        self._pushes = 0
+        for s in states:
+            self.push(s)
+
+    def __len__(self):
+        return len(self.states)
+
+    def push(self, s: ExecState):
+        n = self._pushes
+        self._pushes += 1
+        self.states.append(s)
+        self._live[id(s)] = n
+        heapq.heappush(self._heap, (-s.last_cover_seq, s.sid, n, s))
+
+    def pop_at(self, i: int) -> ExecState:
+        s = self.states.pop(i)
+        del self._live[id(s)]
+        if len(self._heap) > 2 * len(self.states) + 64:
+            live = self._live
+            self._heap = [e for e in self._heap if live.get(id(e[3])) == e[2]]
+            heapq.heapify(self._heap)
+        return s
+
+    def pop_latest_cover(self) -> ExecState:
+        while True:
+            _, _, n, s = heapq.heappop(self._heap)
+            if self._live.get(id(s)) == n:
+                del self._live[id(s)]
+                self.states.remove(s)
+                return s
+
+
+def select_next(frontier: Frontier, rng: random.Random) -> ExecState:
+    """Remove and return the next state: an even split between a
+    uniform-random choice and the state that most recently grew the global
+    coverage set."""
     if len(frontier) == 1:
-        return frontier[0]
+        return frontier.pop_at(0)
     if rng.random() < 0.5:
-        return frontier[rng.randrange(len(frontier))]
-    return max(frontier, key=lambda s: (s.last_cover_seq, -s.sid))
+        return frontier.pop_at(rng.randrange(len(frontier)))
+    return frontier.pop_latest_cover()
 
 
 def schedule_interrupt(state: ExecState, isr_map: dict[str, int],
@@ -528,7 +575,7 @@ class Executor:
         for expr, note in self.initial_constraints:
             s0.path.append(expr, -1, note)
         self.states_created = 1
-        frontier = [s0]
+        frontier = Frontier([s0])
         reason = "complete"
         while frontier and not self.stop_reason:
             if (self.config.targets
@@ -547,7 +594,6 @@ class Executor:
                 reason = "time-limit"
                 break
             s = select_next(frontier, self.rng)
-            frontier.remove(s)
             if s.pc >= len(self.image):
                 self._terminate(s, "exit-image")
                 continue
@@ -558,11 +604,11 @@ class Executor:
                 for f in forks:
                     self.states_created += 1
                     f.sid = self.states_created
-                frontier.extend(forks)
-                frontier.append(o)
+                    frontier.push(f)
+                frontier.push(o)
         if self.stop_reason:  # also when the stop ended the last state
             reason = self.stop_reason
-        for s in frontier:
+        for s in frontier.states:
             self._terminate(s, "unfinished")
         return ExplorationResult(
             ended=self.ended,

@@ -102,6 +102,7 @@ def test_config_validation():
         RunConfig(image_path="x", expected="toaster").validate()
     with pytest.raises(cli.ConfigInvalid):
         RunConfig(image_path="x", tau=0).validate()
+    RunConfig(image_path="x", max_ep=15, time_limit=0.0).validate()
 
 
 def test_precondition_parsing():
@@ -155,6 +156,33 @@ def test_main_bad_config_file_exit_code(tmp_path, capsys, content, message):
     err = capsys.readouterr().err
     assert err.startswith("error: config file:") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--time-limit", "nan"], None, "time-limit nan"),
+    (["--time-limit", "-1"], None, "time-limit -1.0"),
+    (["--time-limit", "inf"], None, "time-limit inf"),
+    ([], '{"time_limit": NaN}', "time-limit nan"),
+    ([], '{"time_limit": -0.5}', "time-limit -0.5"),
+    (["--max-ep", "16"], None, "max-ep 16 over 15"),
+    ([], '{"max_ep": 100000}', "max-ep 100000 over 15"),
+])
+def test_main_bad_limit_exit_code(tmp_path, capsys, monkeypatch, flags,
+                                  config, message):
+    path, _ = write_fixture(tmp_path, "benign-hid")
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(config)
+        flags = flags + ["--config", str(cfg_file)]
+    explored = []
+    monkeypatch.setattr(queries, "execute",
+                        lambda *a, **kw: explored.append(1))
+    code = cli.main(["analyze", path] + flags)
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
+    assert explored == []  # rejected before any exploration
 
 
 def test_main_prints_report_without_outfile(tmp_path, capsys):

@@ -230,3 +230,75 @@ def test_smt2_emission():
         text = solver.to_smt2(exprs)
         assert text.count("(") == text.count(")"), op
         assert "(declare-const |x| (_ BitVec 8))" in text, op
+
+
+CMP_OPS = ["eq", "ne", "ult", "ugt", "ule", "uge"]
+WIDTH_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "udiv",
+             "umod", "rotl"]
+
+
+def rand_single(rng, depth, width, pool):
+    """A random expression over the one variable x, built with SymExpr so no
+    operator is folded away. Subtrees from `pool` are shared by identity."""
+    if pool and rng.random() < 0.15:
+        shared = [p for p in pool if p.width == width]
+        if shared:
+            return rng.choice(shared)
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            leaf = var("x", rng.choice([8, 8, 8, 4]))
+            return leaf if leaf.width == width else SymExpr("resize", (leaf,),
+                                                            width)
+        return const(rng.choice([0, 1, rng.randrange(1 << width)]), width)
+    kinds = ["bin", "bin", "ite", "not", "resize"]
+    if width == 1:
+        kinds += ["cmp", "cmp", "par"]
+    kind = rng.choice(kinds)
+
+    def sub(w):
+        return rand_single(rng, depth - 1, w, pool)
+
+    if kind == "bin":
+        op = rng.choice(WIDTH_OPS)
+        if op in ("udiv", "umod") and rng.random() < 0.3:
+            e = SymExpr(op, (sub(width), const(0, width)), width)
+        else:
+            e = SymExpr(op, (sub(width), sub(width)), width)
+    elif kind == "cmp":
+        w = rng.choice([1, 4, 8, 16])
+        e = SymExpr(rng.choice(CMP_OPS), (sub(w), sub(w)), 1)
+    elif kind == "ite":
+        e = SymExpr("ite", (sub(rng.choice([1, 8])), sub(width), sub(width)),
+                    width)
+    elif kind == "not":
+        e = SymExpr("not", (sub(width),), width)
+    elif kind == "par":
+        e = SymExpr("par", (sub(8),), 1)
+    else:
+        e = SymExpr("resize", (sub(rng.choice([4, 8, 16])),), width)
+    pool.append(e)
+    return e
+
+
+def test_one_walk_domain_matches_per_value_evaluation():
+    rng = random.Random(61)
+    seen: set[str] = set()
+    checked = 0
+    while checked < 400:
+        pool: list = []
+        e = rand_single(rng, 4, rng.choice([1, 8]), pool)
+        if e.vars() != {"x"}:
+            continue
+        stack = [e]
+        while stack:
+            n = stack.pop()
+            seen.add(n.op)
+            stack.extend(a for a in n.args if isinstance(a, SymExpr))
+        want = sum(1 << v for v in range(256) if eval_expr(e, {"x": v}))
+        fresh: dict = {}
+        got = solver._domain(e, "x", 8, float("inf"), {}, fresh)
+        assert got == want, solver.to_text(e)
+        assert fresh == {(e, "x", 8): want}
+        checked += 1
+    ops = set(re.findall(r'op == "(\w+)"', inspect.getsource(eval_op)))
+    assert ops <= seen, ops - seen

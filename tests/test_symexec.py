@@ -5,8 +5,8 @@ import pytest
 from usbvet import fwkit, lifter, machine, solver, symexec
 from usbvet.lifter import Region
 from usbvet.symexec import (ExecState, ExplorationConfig, Listener,
-                            SymbolicPolicy, execute, schedule_interrupt,
-                            select_next)
+                            Frontier, SymbolicPolicy, execute,
+                            schedule_interrupt, select_next)
 
 import diffutil
 
@@ -268,13 +268,58 @@ def test_select_next_modes():
     a, b = ExecState(), ExecState()
     a.sid, b.sid = 1, 2
     a.last_cover_seq, b.last_cover_seq = 5, 9
-    assert select_next([a, b], Draw(0.5)) is b   # upper half: coverage
-    assert select_next([a, b], Draw(0.49)) is a  # lower half: random pick
+    frontier = Frontier([a, b])
+    assert select_next(frontier, Draw(0.5)) is b   # upper half: coverage
+    assert frontier.states == [a]
+    frontier = Frontier([a, b])
+    assert select_next(frontier, Draw(0.49)) is a  # lower half: random pick
+    assert frontier.states == [b]
     rng = random.Random(7)
-    seq1 = [select_next([a, b], rng).sid for _ in range(6)]
+    seq1 = [select_next(Frontier([a, b]), rng).sid for _ in range(6)]
     rng = random.Random(7)
-    seq2 = [select_next([a, b], rng).sid for _ in range(6)]
+    seq2 = [select_next(Frontier([a, b]), rng).sid for _ in range(6)]
     assert seq1 == seq2  # reproducible under a fixed seed
+
+
+def test_select_next_matches_full_frontier_max():
+    # The rule the heap replaces: a random pick from the list, or the max of
+    # (last_cover_seq, -sid) over the whole list, first in list order on a
+    # tie; then remove the pick and add the round's new states at the end.
+    def reference(frontier, rng):
+        if len(frontier) == 1:
+            return frontier[0]
+        if rng.random() < 0.5:
+            return frontier[rng.randrange(len(frontier))]
+        return max(frontier, key=lambda s: (s.last_cover_seq, -s.sid))
+
+    gen = random.Random(3)
+    for trial in range(40):
+        def new_state():
+            s = ExecState()
+            s.sid = gen.randrange(6)  # repeated sids exercise the list order
+            s.last_cover_seq = gen.randrange(4)
+            return s
+
+        start = [new_state() for _ in range(gen.randrange(1, 8))]
+        ref, frontier = list(start), Frontier(start)
+        rng_ref, rng_new = random.Random(trial), random.Random(trial)
+        for step in range(400):
+            if not ref:
+                break
+            want = reference(ref, rng_ref)
+            ref.remove(want)
+            assert select_next(frontier, rng_new) is want
+            # a picked state may come back with a new key, as in Executor.run;
+            # the frontier grows, then drains
+            back = [want] if gen.random() < 0.5 else []
+            if back:
+                want.last_cover_seq += gen.randrange(2)
+            if step < 200:
+                back += [new_state() for _ in range(gen.randrange(3))]
+            for s in back:
+                ref.append(s)
+                frontier.push(s)
+            assert frontier.states == ref
 
 
 def test_indirect_jump_enumerates_decodable_targets():
