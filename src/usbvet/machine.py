@@ -474,14 +474,6 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
     return st
 
 
-def run_concrete(st: ConcreteState, image: bytes, steps: int) -> ConcreteState:
-    for _ in range(steps):
-        if st.halted or st.pc >= len(image):
-            break
-        step_concrete(st, image)
-    return st
-
-
 def interrupt_enabled(ie_value: int, source: str) -> bool:
     """IE gating: global EA bit and the per-source enable bit must both be set."""
     _, bit = INT_SOURCES[source]

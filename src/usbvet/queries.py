@@ -116,18 +116,17 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 max_blocks=min(base.max_blocks, 4_000),
                 only_interrupt_source=source, targets=frozenset())
             checker = _CheckLoads(locations)
-            res = execute(image, policy, cfg,
-                          listeners=[checker],
-                          isr_map=isrs)
+            reason = execute(image, policy, cfg, listeners=[checker],
+                             isr_map=isrs).reason
             dt = time.monotonic() - t0
             if checker.found is not None:
                 locations.add(checker.found)
                 region, addr = checker.found
                 log.append(IterationRecord(source, it,
                                            (Region(region).name, addr), dt,
-                                           res.reason))
+                                           reason))
             else:
-                log.append(IterationRecord(source, it, None, dt, res.reason))
+                log.append(IterationRecord(source, it, None, dt, reason))
                 break  # fixpoint for this handler; later runs are identical
     return SymbolicLocationSet(locations, log)
 
@@ -263,14 +262,11 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
     init = _precondition_exprs(preconditions, policy) if preconditions else []
-    if init:
-        sat = solver.Solver(cfg.solver_timeout)
-        if not sat.is_satisfiable([e for e, _ in init]):
-            raise UnsatisfiablePreconditions(
-                "unsatisfiable: " + "; ".join(note for _, note in init))
+    if init and not solver.check([e for e, _ in init], cfg.solver_timeout).sat:
+        raise UnsatisfiablePreconditions(
+            "unsatisfiable: " + "; ".join(note for _, note in init))
     res = execute(image, policy, cfg, initial_constraints=init)
     out: dict[int, Query1Target] = {}
-    sat = solver.Solver(cfg.solver_timeout)
     for t in sorted(targets):
         hit = res.target_hits.get(t)
         if hit is None:
@@ -278,10 +274,7 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
                                   res.states_created, len(res.coverage))
             continue
         st = hit.state
-        try:
-            model = sat.model(st.path)
-        except solver.Unsat:  # cannot happen for a reached target
-            model = {}
+        model = res.solver.model(st.path)
         path_rows = [{"constraint": solver.to_text(e),
                       "site": f"0x{site:04x}" if site >= 0 else "initial",
                       "note": note}
@@ -291,9 +284,10 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
             path=path_rows,
             witness={k: model[k] for k in sorted(model)},
             usb_constraints=_usb_notes(st.path))
+    # read after the witnesses, so a timeout while building one is reported
     return Query1Report(name, out, res.states_created, res.blocks_executed,
                         len(res.coverage), res.reason,
-                        res.diagnostics + res.solver_diagnostics,
+                        res.diagnostics + res.solver.diagnostics,
                         res.wall_time)
 
 
@@ -536,7 +530,7 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
     inconsistent = Query2Report(
         "inconsistent-flow", flagged, [], _rank(flagged, sym_sources),
         res.states_created, res.blocks_executed, len(res.coverage), res.reason,
-        res.diagnostics + res.solver_diagnostics, res.wall_time)
+        res.diagnostics + res.solver.diagnostics, res.wall_time)
     if flow is None:
         return None, inconsistent
     stores = sorted(flow.flags.values(), key=lambda f: (f.write_addr, f.site))

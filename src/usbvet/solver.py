@@ -10,8 +10,7 @@ variable constraints prune domains by enumeration, and the rest is settled
 by backtracking search. A domain is enumerated in one post-order walk of its
 constraint, in which each node holds its values at all 2^width points.
 Firmware constraints here are over 8-bit memory bytes, where this is both
-exact and fast; queries can also be dumped in SMT-LIB text form for offline
-debugging with an external solver.
+exact and fast.
 
 Each `Solver` memoises two pure functions for the queries it is given: the
 satisfying values of a single-variable constraint (a domain, kept as an int
@@ -539,7 +538,8 @@ class Solver:
     Every query goes through `check` with this Solver's tables: `domains`
     maps (constraint, variable, width) to the bitmask of satisfying values,
     and `components` maps a component's constraint tuple to its model, or
-    None when unsat.
+    None when unsat. `values` is the one loop that enumerates the feasible
+    values of an expression.
     """
 
     def __init__(self, timeout: float = 5.0):
@@ -568,29 +568,40 @@ class Solver:
             return {}
         return res.model
 
-    def is_constant(self, pc, expr):
-        """The unique value of expr under pc, or NOT_UNIQUE.
+    def values(self, pc, expr: SymExpr, limit: int
+               ) -> tuple[list[int], bool, bool]:
+        """Up to `limit` distinct feasible values of expr under pc: take a
+        model, exclude its value, ask again. Returns (values, more,
+        timed_out). Once `limit` values are found, one more query sets
+        `more`: another value is feasible, or that query timed out.
+        `timed_out` says some query timed out; one before the limit ends the
+        list early."""
+        base = self._exprs(pc)
+        vals: list[int] = []
+        extra: list[SymExpr] = []
+        while len(vals) < limit:
+            res = check(base + extra, self.timeout, cache=self)
+            if res.timed_out or not res.sat:
+                return vals, False, res.timed_out
+            v = eval_expr(expr, res.model)
+            vals.append(v)
+            extra.append(mk("ne", (expr, v), 1))
+        res = check(base + extra, self.timeout, cache=self)
+        return vals, res.sat, res.timed_out
 
-        Two queries: take a model, then ask whether a different value exists.
-        """
+    def is_constant(self, pc, expr):
+        """The unique value of expr under pc, or NOT_UNIQUE."""
         if isinstance(expr, int):
             return expr
         if expr.is_const():
             return expr.value
-        exprs = self._exprs(pc)
-        res = check(exprs, self.timeout, cache=self)
-        if not res.sat:
+        vals, more, timed_out = self.values(pc, expr, 1)
+        if timed_out:
+            self.diagnostics.append("solver timeout in is_constant: not-unique")
+            return NOT_UNIQUE
+        if not vals:
             raise Unsat()
-        if res.timed_out:
-            self.diagnostics.append("solver timeout in is_constant: not-unique")
-            return NOT_UNIQUE
-        v = eval_expr(expr, res.model)
-        res2 = check(exprs + [mk("ne", (expr, v), 1)], self.timeout,
-                     cache=self)
-        if res2.timed_out:
-            self.diagnostics.append("solver timeout in is_constant: not-unique")
-            return NOT_UNIQUE
-        return NOT_UNIQUE if res2.sat else v
+        return NOT_UNIQUE if more else vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,65 +624,3 @@ def to_text(e) -> str:
         return f"({to_text(e.args[0])} {_INFIX[e.op]} {to_text(e.args[1])})"
     inner = ", ".join(to_text(a) for a in e.args)
     return f"{e.op}({inner})"
-
-
-_SMT_OPS = {"add": "bvadd", "sub": "bvsub", "mul": "bvmul", "and": "bvand",
-            "or": "bvor", "xor": "bvxor", "shl": "bvshl", "shr": "bvlshr"}
-
-
-def _smt(e: SymExpr) -> str:
-    if e.op == "const":
-        return f"(_ bv{e.args[0]} {e.width})"
-    if e.op == "var":
-        return f"|{e.args[0]}|"
-    a = [_smt(x) if isinstance(x, SymExpr) else f"(_ bv{x} {e.width})"
-         for x in e.args]
-    if e.op in _SMT_OPS:
-        return f"({_SMT_OPS[e.op]} {a[0]} {a[1]})"
-    if e.op in ("udiv", "umod"):
-        # eval_op gives 0 for a zero divisor; SMT-LIB gives all-ones / a
-        fn = "bvudiv" if e.op == "udiv" else "bvurem"
-        zero = f"(_ bv0 {e.width})"
-        return f"(ite (= {a[1]} {zero}) {zero} ({fn} {a[0]} {a[1]}))"
-    if e.op == "rotl":
-        w = f"(_ bv{e.width} {e.width})"
-        k = f"(bvurem {a[1]} {w})"
-        # a shift by the full width yields 0, so k = 0 gives a back
-        return f"(bvor (bvshl {a[0]} {k}) (bvlshr {a[0]} (bvsub {w} {k})))"
-    if e.op == "par":
-        # eval_op's parity folds the low 8 bits of its operand
-        bits = [f"((_ extract {i} {i}) {a[0]})"
-                for i in range(min(e.args[0].width, 8))]
-        p = bits[0]
-        for b in bits[1:]:
-            p = f"(bvxor {p} {b})"
-        if e.width == 1:
-            return p
-        return f"((_ zero_extend {e.width - 1}) {p})"
-    if e.op in ("eq", "ne", "ult", "ugt", "ule", "uge"):
-        cmps = {"eq": "=", "ne": "distinct", "ult": "bvult", "ugt": "bvugt",
-                "ule": "bvule", "uge": "bvuge"}
-        return (f"(ite ({cmps[e.op]} {a[0]} {a[1]}) (_ bv1 {e.width})"
-                f" (_ bv0 {e.width}))")
-    if e.op == "ite":
-        return (f"(ite (distinct {a[0]} (_ bv0 {e.args[0].width})) {a[1]} {a[2]})")
-    if e.op == "not":
-        return f"(bvnot {a[0]})"
-    if e.op == "resize":
-        src = e.args[0]
-        if src.width < e.width:
-            return f"((_ zero_extend {e.width - src.width}) {a[0]})"
-        return f"((_ extract {e.width - 1} 0) {a[0]})"
-    raise AssertionError(f"no SMT form for {e.op}")
-
-
-def to_smt2(exprs) -> str:
-    """Render a conjunction as SMT-LIB text for offline debugging."""
-    widths = _collect_var_widths(exprs)
-    lines = ["(set-logic QF_BV)"]
-    for n in sorted(widths):
-        lines.append(f"(declare-const |{n}| (_ BitVec {widths[n]}))")
-    for e in exprs:
-        lines.append(f"(assert (distinct {_smt(e)} (_ bv0 {e.width})))")
-    lines.append("(check-sat)")
-    return "\n".join(lines)

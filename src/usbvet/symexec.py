@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import isa, lifter, machine, solver
 from .lifter import (Assign, Boundary, CallMark, CJump, Jump, Load, Put,
@@ -83,12 +83,12 @@ class ExplorationConfig:
     solver_timeout: float = 5.0
 
 
-KILL_PATH = "kill-path"
 STOP_ALL = "stop-all"
 
 
 class Listener:
-    """Access hooks. Returning KILL_PATH ends the path, STOP_ALL the run."""
+    """Hooks on every load and store at a concrete address. Returning
+    STOP_ALL ends the run; any other value lets the path go on."""
 
     def on_load(self, site, state, region, addr, value):
         return None
@@ -161,7 +161,7 @@ class ExplorationResult:
     diagnostics: list[str]
     target_hits: dict[int, TargetHit]
     wall_time: float
-    solver_diagnostics: list[str] = field(default_factory=list)
+    solver: solver.Solver
 
 
 class Frontier:
@@ -352,25 +352,14 @@ class Executor:
 
     def _enumerate(self, s: ExecState, expr: SymExpr, bound: int,
                    what: str) -> list[int]:
-        """Feasible concrete values of expr under the path, up to the fanout."""
-        vals: list[int] = []
-        extra: list[SymExpr] = []
+        """Feasible concrete values of expr under the path, up to the fanout,
+        that lie below bound."""
         limit = self.config.max_indirect_fanout
-        base = s.path.exprs()
-        timeout = self.config.solver_timeout
-        while len(vals) < limit:
-            res = solver.check(base + extra, timeout, cache=self.solver)
-            if res.timed_out:
-                self.diagnostics.append(f"solver timeout enumerating {what} "
-                                        f"at 0x{s.cur_site:04x}")
-                break
-            if not res.sat:
-                break
-            v = solver.eval_expr(expr, res.model)
-            vals.append(v)
-            extra.append(mk("ne", (expr, v), 1))
-        if len(vals) == limit and solver.check(base + extra, timeout,
-                                               cache=self.solver).sat:
+        vals, more, timed_out = self.solver.values(s.path, expr, limit)
+        if timed_out:
+            self.diagnostics.append(f"solver timeout enumerating {what} "
+                                    f"at 0x{s.cur_site:04x}")
+        if more:
             self.diagnostics.append(
                 f"{what} fanout over {limit} at 0x{s.cur_site:04x}; extra "
                 f"targets dropped")
@@ -381,22 +370,11 @@ class Executor:
                 f"(bound 0x{bound:x})")
         return inside
 
-    def _settle(self, s: ExecState, act: str | None) -> bool:
-        """Apply a listener verdict to s; False when it ended s."""
-        if act == STOP_ALL:
-            self.stop_reason = "listener-stop"
-            self._terminate(s, "listener-stop")
-            return False
-        if act == KILL_PATH:
-            self._terminate(s, "listener-kill")
-            return False
-        return True
-
     def _access(self, s: ExecState, st, region: Region, addr: int,
                 vals: list) -> bool:
         """One read (Load) or write (Store/Put) at a concrete address, seen
-        by every listener; False when their verdict ended s. STOP_ALL from
-        any listener outranks KILL_PATH."""
+        by every listener; False when one of them stopped the run, which
+        ends s."""
         if st.__class__ is Load:
             value = self._read(s, region, addr)
             vals[st.dst.i] = value
@@ -406,15 +384,15 @@ class Executor:
             value = vals[v.i] if type(v) is Tmp else v
             self._write(s, region, addr, value)
             which = "store"
-        act = None
+        stop = False
         for ln in self.listeners:
             cb = ln.on_load if which == "load" else ln.on_store
-            r = cb(s.cur_site, s, region, addr, value)
-            if r == STOP_ALL:
-                act = STOP_ALL
-            elif r == KILL_PATH and act is None:
-                act = KILL_PATH
-        return act is None or self._settle(s, act)
+            if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
+                stop = True
+        if stop:
+            self.stop_reason = "listener-stop"
+            self._terminate(s, "listener-stop")
+        return not stop
 
     def _fork_access(self, s: ExecState, blk, i: int, st, region: Region,
                      addr: SymExpr, vals: list) -> list[ExecState]:
@@ -430,10 +408,9 @@ class Executor:
             child = self._fork(s)
             child.path.append(mk("eq", (addr, v), 1), s.cur_site, "mem-index")
             nv = list(vals)
-            if self._access(child, st, region, v, nv):
-                out.extend(self._exec_from(child, blk, i + 1, nv))
-            elif child.terminated == "listener-stop":
+            if not self._access(child, st, region, v, nv):
                 break
+            out.extend(self._exec_from(child, blk, i + 1, nv))
         if not choices:
             self._terminate(s, "mem-index-out-of-region")
         return out
@@ -619,7 +596,7 @@ class Executor:
             diagnostics=list(self.diagnostics),
             target_hits=dict(self.target_hits),
             wall_time=time.monotonic() - self.t0,
-            solver_diagnostics=list(self.solver.diagnostics),
+            solver=self.solver,
         )
 
 

@@ -68,14 +68,6 @@ def parse_signature_file(text: str) -> list[SignaturePattern]:
     return out
 
 
-def format_signatures(patterns) -> str:
-    lines = []
-    for p in patterns:
-        cells = " ".join("??" if b is None else f"{b:02x}" for b in p.pattern)
-        lines.append(f"{p.name}: {cells}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class DescriptorHit:
     name: str

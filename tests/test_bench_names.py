@@ -8,6 +8,10 @@ import ast
 import importlib
 import pathlib
 
+from usbvet import fwkit, solver, symexec
+from usbvet.lifter import Region
+from usbvet.solver import PathCondition, mk, var
+
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -29,3 +33,48 @@ def test_every_wrapped_name_resolves():
                if not callable(getattr(importlib.import_module(
                    f"usbvet.{mod}"), attr, None))]
     assert missing == []
+
+
+def test_every_solver_query_reaches_module_check(monkeypatch):
+    """`solver.queries` counts calls of the module-level ``solver.check``,
+    which the tracer replaces by attribute; every query path must look that
+    name up at call time."""
+    real = solver.check
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "check", counting)
+    x = var("x", 8)
+    pc = PathCondition()
+    pc.append(mk("ult", (x, 4), 1), 0, "t")
+    s = solver.Solver()
+    for name, ask, queries in [
+            ("values", lambda: s.values(pc, x, 8), 5),  # 4 values, 1 unsat
+            ("is_constant", lambda: s.is_constant(pc, x), 2),
+            ("is_satisfiable", lambda: s.is_satisfiable(pc), 1),
+            ("model", lambda: s.model(pc), 1)]:
+        before = len(calls)
+        ask()
+        assert len(calls) - before == queries, name
+
+    # a symbolic store address fans out to 0x7f00 and 0x7f01
+    image, _ = fwkit.assemble_with_symbols("""
+    .org 0
+        mov dptr, #0x7f00
+        movx a, @dptr
+        anl a, #0x01
+        mov dpl, a
+        movx @dptr, a
+    spin:
+        sjmp spin
+    """)
+    policy = symexec.SymbolicPolicy()
+    policy.designate(Region.XRAM, 0x7F00)
+    del calls[:]
+    res = symexec.execute(image, policy, symexec.ExplorationConfig(
+        block_repeat_threshold=4), isr_map={})
+    assert res.states_created == 3
+    assert len(calls) == 3  # two values, then the unsat query that ends them

@@ -173,9 +173,3 @@ def test_jmp_a_dptr():
     image[0] = 0x73
     machine.step_concrete(st, bytes(image))
     assert st.pc == 0x104
-
-
-def test_run_concrete_stops_at_image_end():
-    st = fresh()
-    machine.run_concrete(st, bytes([0x00, 0x00]), 100)
-    assert st.pc == 2 and st.instr_count == 2

@@ -195,6 +195,28 @@ def test_query1_precondition_soundness():
     assert any(n.startswith("precondition") for n in notes)
 
 
+def test_query1_witness_timeout_reported():
+    # with no time to solve, the branch is assumed feasible both ways, and
+    # the reached target's witness is the empty model
+    src = """
+    .org 0
+        mov dptr, #0x7fe9
+        movx a, @dptr
+        cjne a, #6, spin
+    tgt:
+        nop
+    spin:
+        sjmp spin
+    """
+    image, syms = fwkit.assemble_with_symbols(src)
+    rep = queries.query1(image, [syms["tgt"]], make_policy(0x7FE9),
+                         config=cfg(solver_timeout=0.0))
+    t = rep.targets[syms["tgt"]]
+    assert t.reached and t.witness == {}
+    assert [row["constraint"] for row in t.path] == ["(xram_7fe9 == 6)"]
+    assert "solver timeout: empty model" in rep.diagnostics
+
+
 def test_query1_requires_targets():
     with pytest.raises(ValueError):
         queries.query1(bytes(16), [], "full")

@@ -80,6 +80,56 @@ def test_is_constant():
     assert s.is_constant(pc, k) == 4
 
 
+def rand_nibble_expr(rng, depth, names):
+    """Random 4-bit expression over 4-bit variables: brute force visits
+    every assignment of two of them in 256 evaluations."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return var(rng.choice(names), 4)
+        return const(rng.randrange(16), 4)
+    op = rng.choice(["add", "sub", "and", "or", "xor", "mul"])
+    return mk(op, (rand_nibble_expr(rng, depth - 1, names),
+                   rand_nibble_expr(rng, depth - 1, names)), 4)
+
+
+def test_values_and_is_constant_match_bruteforce():
+    rng = random.Random(21)
+    s = Solver(timeout=30)
+    counts = set()
+    for _ in range(150):
+        names = ["x", "y"][: rng.randrange(1, 3)]
+        pc = PathCondition()
+        for _ in range(rng.randrange(1, 4)):
+            pc.append(mk(rng.choice(["eq", "ne", "ult", "ugt", "ule"]),
+                         (rand_nibble_expr(rng, 2, names),
+                          rand_nibble_expr(rng, 2, names)), 1), 0, "t")
+        expr = rand_nibble_expr(rng, 2, names)
+        while not solver.is_symbolic(expr):  # is_constant answers constants
+            expr = rand_nibble_expr(rng, 2, names)
+        feasible = set()
+        for point in itertools.product(range(16), repeat=len(names)):
+            env = dict(zip(names, point))
+            if all(eval_expr(e, env) for e in pc.exprs()):
+                feasible.add(eval_expr(expr, env))
+        counts.add(min(len(feasible), 2))
+        for limit in (1, 2, 3, 16):
+            vals, more, timed_out = s.values(pc, expr, limit)
+            assert not timed_out
+            assert len(set(vals)) == len(vals)
+            assert set(vals) <= feasible
+            assert len(vals) == min(limit, len(feasible))
+            assert more == (len(feasible) > len(vals))
+        if not feasible:
+            with pytest.raises(solver.Unsat):
+                s.is_constant(pc, expr)
+        elif len(feasible) == 1:
+            assert s.is_constant(pc, expr) == feasible.pop()
+        else:
+            assert s.is_constant(pc, expr) is NOT_UNIQUE
+    assert counts == {0, 1, 2}  # unsat, unique and many-valued cases all ran
+    assert s.diagnostics == []
+
+
 def brute_sat(exprs):
     names = sorted(set().union(*[e.vars() for e in exprs]) or set())
     for vals in itertools.product(range(256), repeat=len(names)):
@@ -206,30 +256,6 @@ def test_structural_equality_and_hash():
     b = mk("add", (var("x", 8), 3), 8)
     assert a == b and hash(a) == hash(b)
     assert a != mk("add", (var("x", 8), 4), 8)
-
-
-def test_smt2_emission():
-    x = var("x", 8)
-    text = solver.to_smt2([mk("eq", (mk("and", (x, 0xFE), 8), 4), 1)])
-    assert text.startswith("(set-logic QF_BV)")
-    assert "(declare-const |x| (_ BitVec 8))" in text
-    assert text.rstrip().endswith("(check-sat)")
-    # every operator eval_op gives semantics to has an SMT-LIB form
-    ops = re.findall(r'op == "(\w+)"', inspect.getsource(eval_op))
-    assert {"rotl", "par", "resize", "ite"} <= set(ops)
-    y = var("y", 8)
-    for op in ops:
-        if op in ("not", "par"):
-            exprs = [SymExpr(op, (x,), 8)]
-        elif op == "resize":
-            exprs = [SymExpr(op, (x,), 4), SymExpr(op, (x,), 16)]
-        elif op == "ite":
-            exprs = [SymExpr(op, (mk("ult", (x, y), 1), x, y), 8)]
-        else:
-            exprs = [SymExpr(op, (x, y), 8)]
-        text = solver.to_smt2(exprs)
-        assert text.count("(") == text.count(")"), op
-        assert "(declare-const |x| (_ BitVec 8))" in text, op
 
 
 CMP_OPS = ["eq", "ne", "ult", "ugt", "ule", "uge"]

@@ -64,7 +64,12 @@ def test_scan_finds_every_planted_instance():
 
 
 def test_signature_file_roundtrip():
-    text = usbstatic.format_signatures(DEFAULT_SIGNATURES)
+    text = ("DEVICE_DESC: 12 01 00 ?? 00\n"
+            "CONFIG_DESC: 09 02 ?? ?? ?? 01 00\n"
+            "# the HID report descriptor prefix\n"
+            "\n"
+            "HID_REPORT: 05 01 09 06 a1  # usage page, usage, collection\n"
+            "MASS_STORAGE_CBW: 55 53 42 43\n")
     parsed = usbstatic.parse_signature_file(text)
     assert tuple(parsed) == tuple(DEFAULT_SIGNATURES)
     custom = usbstatic.parse_signature_file("AUDIO_HDR: 24 02 ?? 01\n")
