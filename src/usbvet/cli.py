@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, asdict
 
 from . import queries, symexec, usbdb, usbstatic
-from .lifter import Region
+from .lifter import REGION_SIZE, Region
 
 TOOL_VERSION = "usbvet 0.1.0"
 
@@ -79,10 +79,6 @@ class RunConfig:
                                 f"number of seconds >= 0)")
 
 
-_REGION_SIZE = {"CODE": 0x10000, "IRAM": 0x100, "SFR": 0x100,
-                "XRAM": 0x10000}
-
-
 def parse_precondition(text: str) -> queries.Precondition:
     """REGION:ADDR:REL:VAL, e.g. XRAM:0x7fe9:==:6. VAL is a byte, or a bit
     number 0-7 for bit-set/bit-clear."""
@@ -100,9 +96,10 @@ def parse_precondition(text: str) -> queries.Precondition:
         addr, value = int(addr_s, 0), int(val_s, 0)
     except ValueError as e:
         raise ConfigInvalid(f"precondition {text!r}: {e}") from None
-    if not 0 <= addr < _REGION_SIZE[region]:
+    size = REGION_SIZE[Region[region]]
+    if not 0 <= addr < size:
         raise ConfigInvalid(f"precondition address {addr_s} outside {region} "
-                            f"(0-0x{_REGION_SIZE[region] - 1:x})")
+                            f"(0-0x{size - 1:x})")
     top = 7 if rel in ("bit-set", "bit-clear") else 0xFF
     if not 0 <= value <= top:
         raise ConfigInvalid(f"precondition value {val_s} outside 0-{top} "

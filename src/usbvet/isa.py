@@ -32,9 +32,6 @@ class OpKind(Enum):
     AB = auto()         # A,B pair (MUL/DIV)
 
 
-# Flag identifiers used in OpcodeInfo.flags
-CY, AC, OV, P = "CY", "AC", "OV", "P"
-
 RESERVED_OPCODE = 0xA5
 
 
@@ -119,7 +116,6 @@ class OpcodeInfo:
     mnemonic: str
     length: int
     specs: tuple[str, ...]
-    flags: frozenset[str]
 
 
 # Operand spec tokens and the number of instruction bytes each consumes.
@@ -130,28 +126,6 @@ _SPEC_BYTES = {
     "dir": 1, "#i8": 1, "bit": 1, "/bit": 1, "rel": 1, "a11": 1,
     "#i16": 2, "a16": 2,
 }
-
-# Flag side effects by mnemonic (parity is added separately for ACC writers).
-_FLAGS_BY_MNEMONIC = {
-    "ADD": {CY, AC, OV}, "ADDC": {CY, AC, OV}, "SUBB": {CY, AC, OV},
-    "MUL": {CY, OV}, "DIV": {CY, OV},
-    "RLC": {CY}, "RRC": {CY}, "DA": {CY}, "CJNE": {CY},
-}
-
-# Mnemonics whose listed forms always write the accumulator.
-_ACC_WRITERS = {
-    "ADD", "ADDC", "SUBB", "MOVC", "MUL", "DIV", "DA", "SWAP",
-    "RL", "RLC", "RR", "RRC", "XCH", "XCHD",
-}
-
-
-def _entry_flags(mnemonic: str, specs: tuple[str, ...]) -> frozenset[str]:
-    flags = set(_FLAGS_BY_MNEMONIC.get(mnemonic, ()))
-    if specs and specs[0] == "C":
-        flags.add(CY)
-    if mnemonic in _ACC_WRITERS or (specs and specs[0] == "A"):
-        flags.add(P)
-    return frozenset(flags)
 
 
 def _build_table() -> dict[int, OpcodeInfo]:
@@ -280,7 +254,7 @@ def _build_table() -> dict[int, OpcodeInfo]:
     for op, (mnem, specs) in raw.items():
         specs_t = tuple(specs)
         length = 1 + sum(_SPEC_BYTES[s] for s in specs_t)
-        table[op] = OpcodeInfo(mnem, length, specs_t, _entry_flags(mnem, specs_t))
+        table[op] = OpcodeInfo(mnem, length, specs_t)
     assert len(table) == 255 and RESERVED_OPCODE not in table
     return table
 

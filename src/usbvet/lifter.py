@@ -26,6 +26,12 @@ class Region(IntEnum):
     XRAM = 3
 
 
+# Address-space size of each region (SFR addresses are 0x80-0xFF of a
+# byte-wide space).
+REGION_SIZE = {Region.CODE: 0x10000, Region.IRAM: 0x100, Region.SFR: 0x100,
+               Region.XRAM: 0x10000}
+
+
 class Tmp:
     """Reference to a block-local single-assignment temporary."""
     __slots__ = ("i",)

@@ -94,7 +94,6 @@ class ConcreteState:
     iram: bytearray = field(default_factory=lambda: bytearray(256))
     sfr: bytearray = field(default_factory=lambda: bytearray(128))
     xram: dict[int, int] = field(default_factory=dict)
-    halted: bool = False
     instr_count: int = 0
     in_interrupt: bool = False
 
@@ -104,7 +103,7 @@ class ConcreteState:
 
     def clone(self) -> "ConcreteState":
         return ConcreteState(self.pc, bytearray(self.iram), bytearray(self.sfr),
-                             dict(self.xram), self.halted, self.instr_count,
+                             dict(self.xram), self.instr_count,
                              self.in_interrupt)
 
     # SFR access. Reads of PSW fold in the live parity bit.
@@ -278,8 +277,6 @@ def _subb(st: ConcreteState, value: int):
 
 def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
     """Execute exactly one instruction, mutating and returning st."""
-    if st.halted:
-        raise MachineError("machine is halted")
     ins = isa.decode(image, st.pc)
     next_pc = (st.pc + ins.length) & 0xFFFF
     st.pc = next_pc
@@ -474,10 +471,15 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
     return st
 
 
+def ie_mask(source: str) -> int:
+    """IE bits that must all be set for source to interrupt: the global EA
+    bit and the source's own enable bit."""
+    return (1 << IE_EA_BIT) | (1 << INT_SOURCES[source][1])
+
+
 def interrupt_enabled(ie_value: int, source: str) -> bool:
-    """IE gating: global EA bit and the per-source enable bit must both be set."""
-    _, bit = INT_SOURCES[source]
-    return bool(ie_value & (1 << IE_EA_BIT)) and bool(ie_value & (1 << bit))
+    mask = ie_mask(source)
+    return ie_value & mask == mask
 
 
 def discover_isrs(image: bytes) -> dict[str, int]:

@@ -39,13 +39,9 @@ USB_CONSTANT_NAMES = {
     34: "HID report descriptor type",
 }
 
-_REGION_BY_NAME = {"CODE": Region.CODE, "IRAM": Region.IRAM,
-                   "SFR": Region.SFR, "XRAM": Region.XRAM}
-
-
 def _as_region(r) -> Region:
     if isinstance(r, str):
-        return _REGION_BY_NAME[r.upper()]
+        return Region[r.upper()]
     return Region(r)
 
 
@@ -295,10 +291,6 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
 # Counter discovery
 # ---------------------------------------------------------------------------
 
-# Compute registers never count as delay counters.
-_CORE_REGS = {("sfr", a) for a in (0xE0, 0xF0, 0xD0, 0x81, 0x82, 0x83)}
-
-
 def find_counters(image: bytes,
                   instrs: list[isa.Instruction] | None = None
                   ) -> set[tuple[Region, int]]:
@@ -353,7 +345,7 @@ def find_counters(image: bytes,
             loc = usbstatic.ACC
         else:
             continue
-        if loc in _CORE_REGS or loc[0] == "sfr":
+        if loc[0] == "sfr":
             continue  # hardware registers are not data counters
         if value_feeds_address(ins.addr, loc):
             continue

@@ -184,6 +184,13 @@ def _coerce(a, width: int):
 
 
 _CMP_OPS = frozenset(("eq", "ne", "ult", "ugt", "ule", "uge"))
+# Operators whose low result bits depend on operand bits above the result
+# width: built at their widest operand's width, then resized.
+_WIDE_OPS = frozenset(("shl", "shr", "udiv", "umod"))
+
+
+def _width(a) -> int:
+    return a.width if isinstance(a, SymExpr) else a.bit_length()
 
 
 def _resize(a: SymExpr, width: int) -> SymExpr:
@@ -197,13 +204,22 @@ def _resize(a: SymExpr, width: int) -> SymExpr:
 def mk(op: str, args: tuple, width: int) -> SymExpr:
     """Smart constructor: folds constant-only trees, keeps operand widths equal.
 
-    Result width is `width`; comparisons compare at their operands' width
-    (unsigned, zero-extending the narrower side) and yield 0/1.
+    Result width is `width`, and the result evaluates as `eval_op` does on
+    the operands' values. Comparisons and `par` read their operands at the
+    widest operand's width (unsigned, zero-extending the narrower side). A
+    shift, udiv or umod with an operand wider than the result is built at
+    that width and resized; other operators narrow their operands first,
+    which keeps the result's low bits. `rotl` takes an operand of the result
+    width.
     """
     if op in ("const", "var"):
         return SymExpr(op, args, width)
-    if op in _CMP_OPS:
-        ow = max((a.width for a in args if isinstance(a, SymExpr)), default=8)
+    if op in _WIDE_OPS:
+        ow = max(_width(a) for a in args)
+        if ow > width:
+            return _resize(mk(op, args, ow), width)
+    if op in _CMP_OPS or op == "par":
+        ow = max(_width(a) for a in args)
         coerced = tuple(_resize(_coerce(a, ow), ow) for a in args)
     elif op == "ite":
         cond = args[0] if isinstance(args[0], SymExpr) else _coerce(args[0], 8)

@@ -1,10 +1,14 @@
 """Symbolic executor over the lifted IR.
 
-States are self-contained: three byte-granular symbolic stores, a path
-condition, coverage/interrupt bookkeeping. The PC is always concrete;
-symbolic load/store addresses and indirect jump targets are resolved by
-solver-bounded enumeration (forking one state per feasible concrete value,
-up to a configurable fanout).
+States are self-contained: one byte-granular store per memory region
+(`mem[Region]`), a path condition, coverage/interrupt bookkeeping. The PC
+is always concrete; symbolic load/store addresses and indirect jump targets
+are resolved by solver-bounded enumeration (forking one state per feasible
+concrete value, up to a configurable fanout).
+
+`Executor._read` and `Executor._write` are the only way machine state is
+read or written, by the lifted code and by interrupt entry alike. A byte
+reads its last write, else the policy's variable, else its reset value.
 
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
@@ -25,7 +29,9 @@ from .lifter import (Assign, Boundary, CallMark, CJump, Jump, Load, Put,
                      Region, RetMark, Store, Tmp)
 from .solver import SymExpr, eval_op, mk
 
-IE_ADDR = machine.IE
+# Reset values of unwritten bytes the policy leaves concrete; every byte not
+# listed reads 0.
+_RESET = {(Region.SFR, machine.SP): machine.RESET_SP}
 
 
 class SymbolicPolicyError(Exception):
@@ -98,16 +104,15 @@ class Listener:
 
 
 class ExecState:
-    __slots__ = ("pc", "iram", "sfr", "xram", "path", "stale",
+    __slots__ = ("pc", "mem", "path", "stale",
                  "cooldowns", "active_isr", "isr_written",
                  "last_cover_seq", "sid", "terminated", "cur_site",
                  "cur_block")
 
     def __init__(self):
         self.pc = 0
-        self.iram: dict[int, object] = {}
-        self.sfr: dict[int, object] = {}
-        self.xram: dict[int, object] = {}
+        # written bytes, one dict per Region (CODE's stays empty)
+        self.mem: list[dict[int, object]] = [{} for _ in Region]
         self.path = solver.PathCondition()
         self.stale: dict[int, int] = {}
         self.cooldowns: dict[str, int] = {}
@@ -122,9 +127,7 @@ class ExecState:
     def clone(self) -> "ExecState":
         c = ExecState.__new__(ExecState)
         c.pc = self.pc
-        c.iram = dict(self.iram)
-        c.sfr = dict(self.sfr)
-        c.xram = dict(self.xram)
+        c.mem = [m.copy() for m in self.mem]
         c.path = self.path.copy()
         c.stale = dict(self.stale)
         c.cooldowns = dict(self.cooldowns)
@@ -136,10 +139,6 @@ class ExecState:
         c.cur_site = self.cur_site
         c.cur_block = self.cur_block
         return c
-
-    def concrete_sp(self):
-        v = self.sfr.get(machine.SP, machine.RESET_SP)
-        return v if isinstance(v, int) else None
 
 
 @dataclass
@@ -220,61 +219,6 @@ def select_next(frontier: Frontier, rng: random.Random) -> ExecState:
     return frontier.pop_latest_cover()
 
 
-def schedule_interrupt(state: ExecState, isr_map: dict[str, int],
-                       config: ExplorationConfig, rng: random.Random,
-                       sat: solver.Solver) -> list[ExecState]:
-    """Fork ISR-entry states for every eligible source.
-
-    Eligible: handler discovered, no ISR frame already active (nesting is
-    unsupported), cooldown expired, and the IE predicate (EA and the source
-    bit) satisfiable under the path condition. The continuation also redraws
-    the cooldown so a pending source does not fork at every block boundary.
-    """
-    if state.active_isr is not None:
-        return []
-    forks: list[ExecState] = []
-    for source in sorted(isr_map):
-        if config.only_interrupt_source and source != config.only_interrupt_source:
-            continue
-        if state.cooldowns.get(source, 0) > 0:
-            continue
-        ie = state.sfr.get(IE_ADDR, 0)
-        _, bit = machine.INT_SOURCES[source]
-        mask = 0x80 | (1 << bit)
-        pred = None
-        if isinstance(ie, int):
-            if ie & mask != mask:
-                continue
-        else:
-            pred = mk("eq", (mk("and", (ie, mask), 8), mask), 1)
-            if not sat.is_satisfiable(state.path, (pred,)):
-                continue
-        sp = state.concrete_sp()
-        if sp is None:
-            continue  # symbolic stack pointer: cannot model the hardware push
-        child = state.clone()
-        if pred is not None:
-            child.path.append(pred, state.pc, f"isr-enable:{source}")
-        ret = state.pc
-        child.iram[(sp + 1) & 0xFF] = ret & 0xFF
-        child.iram[(sp + 2) & 0xFF] = ret >> 8
-        child.sfr[machine.SP] = (sp + 2) & 0xFF
-        child.isr_written.update({(Region.IRAM, (sp + 1) & 0xFF),
-                                  (Region.IRAM, (sp + 2) & 0xFF),
-                                  (Region.SFR, machine.SP)})
-        child.pc = isr_map[source]
-        child.active_isr = source
-        draw = rng.randint(config.cooldown_min, config.cooldown_max)
-        child.cooldowns[source] = draw
-        state.cooldowns[source] = rng.randint(config.cooldown_min,
-                                              config.cooldown_max)
-        forks.append(child)
-    return forks
-
-
-_SFR_DEFAULTS = {machine.SP: machine.RESET_SP}
-
-
 class Executor:
     def __init__(self, image: bytes, policy: SymbolicPolicy,
                  config: ExplorationConfig, listeners=(),
@@ -304,37 +248,22 @@ class Executor:
     # -- state memory ------------------------------------------------------
 
     def _read(self, s: ExecState, region: Region, addr: int):
-        if region == Region.IRAM:
-            v = s.iram.get(addr)
+        if region == Region.CODE:
+            # Harvard space, read-only image; mirror the interpreter's
+            # read-zero past the end
+            return self.image[addr] if addr < len(self.image) else 0
+        v = s.mem[region].get(addr)
+        if v is None:
+            v = self.policy.lookup(region, addr)
             if v is None:
-                v = self.policy.lookup(Region.IRAM, addr)
-            return 0 if v is None else v
-        if region == Region.SFR:
-            v = s.sfr.get(addr)
-            if v is None:
-                v = self.policy.lookup(Region.SFR, addr)
-            if v is None:
-                return _SFR_DEFAULTS.get(addr, 0)
-            return v
-        if region == Region.XRAM:
-            v = s.xram.get(addr)
-            if v is None:
-                v = self.policy.lookup(Region.XRAM, addr)
-            return 0 if v is None else v
-        # CODE: Harvard space, read-only image; mirror the interpreter's
-        # read-zero past the end
-        return self.image[addr] if addr < len(self.image) else 0
+                return _RESET.get((region, addr), 0)
+        return v
 
     @staticmethod
     def _write(s: ExecState, region: Region, addr: int, value):
-        if region == Region.IRAM:
-            s.iram[addr] = value
-        elif region == Region.SFR:
-            s.sfr[addr] = value
-        elif region == Region.XRAM:
-            s.xram[addr] = value
-        else:
+        if region == Region.CODE:
             raise AssertionError("store to CODE")
+        s.mem[region][addr] = value
         if s.active_isr is not None:
             s.isr_written.add((region, addr))
 
@@ -399,8 +328,8 @@ class Executor:
         """Make a symbolic address concrete: one child per feasible value in
         the region, each constrained to it, accessed and run on to the end
         of the block. A stop verdict drops the remaining values."""
-        bound = len(self.image) if region == Region.CODE else (
-            0x10000 if region == Region.XRAM else 0x100)
+        bound = (len(self.image) if region == Region.CODE
+                 else lifter.REGION_SIZE[region])
         what = "load address" if st.__class__ is Load else "store address"
         choices = self._enumerate(s, addr, bound, what)
         out = []
@@ -414,6 +343,54 @@ class Executor:
         if not choices:
             self._terminate(s, "mem-index-out-of-region")
         return out
+
+    # -- interrupts --------------------------------------------------------
+
+    def _schedule_interrupts(self, s: ExecState) -> list[ExecState]:
+        """Fork ISR-entry states for every eligible source.
+
+        Eligible: handler discovered, no ISR frame already active (nesting is
+        unsupported), cooldown expired, and the IE predicate (EA and the
+        source bit) satisfiable under the path condition. The continuation
+        also redraws the cooldown so a pending source does not fork at every
+        block boundary.
+        """
+        if s.active_isr is not None:
+            return []
+        cfg = self.config
+        ie = self._read(s, Region.SFR, machine.IE)
+        forks: list[ExecState] = []
+        for source in sorted(self.isr_map):
+            if cfg.only_interrupt_source and source != cfg.only_interrupt_source:
+                continue
+            if s.cooldowns.get(source, 0) > 0:
+                continue
+            mask = machine.ie_mask(source)
+            pred = None
+            if type(ie) is int:
+                if ie & mask != mask:
+                    continue
+            else:
+                pred = mk("eq", (mk("and", (ie, mask), 8), mask), 1)
+                if not self.solver.is_satisfiable(s.path, (pred,)):
+                    continue
+            sp = self._read(s, Region.SFR, machine.SP)
+            if type(sp) is not int:
+                continue  # symbolic stack pointer: cannot model the hardware push
+            child = self._fork(s)
+            if pred is not None:
+                child.path.append(pred, s.pc, f"isr-enable:{source}")
+            child.active_isr = source
+            self._write(child, Region.IRAM, (sp + 1) & 0xFF, s.pc & 0xFF)
+            self._write(child, Region.IRAM, (sp + 2) & 0xFF, s.pc >> 8)
+            self._write(child, Region.SFR, machine.SP, (sp + 2) & 0xFF)
+            child.pc = self.isr_map[source]
+            child.cooldowns[source] = self.rng.randint(cfg.cooldown_min,
+                                                       cfg.cooldown_max)
+            s.cooldowns[source] = self.rng.randint(cfg.cooldown_min,
+                                                   cfg.cooldown_max)
+            forks.append(child)
+        return forks
 
     # -- block execution ---------------------------------------------------
 
@@ -576,11 +553,7 @@ class Executor:
                 continue
             survivors = self._run_block(s)
             for o in survivors:
-                forks = schedule_interrupt(o, self.isr_map, self.config,
-                                           self.rng, self.solver)
-                for f in forks:
-                    self.states_created += 1
-                    f.sid = self.states_created
+                for f in self._schedule_interrupts(o):
                     frontier.push(f)
                 frontier.push(o)
         if self.stop_reason:  # also when the stop ended the last state

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import isa, machine
 
@@ -62,9 +63,16 @@ def parse_signature_file(text: str) -> list[SignaturePattern]:
         m = re.match(r"^(\w+)\s*:\s*(.+)$", line)
         if not m:
             raise ValueError(f"signature file line {line_no}: {raw!r}")
-        cells = m.group(2).split()
-        pat = tuple(None if c == "??" else int(c, 16) for c in cells)
-        out.append(SignaturePattern(m.group(1), pat))
+        pat = []
+        for c in m.group(2).split():
+            if c == "??":
+                pat.append(None)
+            elif re.fullmatch(r"[0-9A-Fa-f]{1,2}", c):
+                pat.append(int(c, 16))
+            else:
+                raise ValueError(f"signature file line {line_no}: cell {c!r} "
+                                 f"is not a hex byte or ??")
+        out.append(SignaturePattern(m.group(1), tuple(pat)))
     return out
 
 
@@ -76,25 +84,17 @@ class DescriptorHit:
     xrefs: list[int] = field(default_factory=list)
 
 
+@lru_cache(maxsize=64)
+def _regex(pattern: tuple) -> re.Pattern:
+    """One compiled bytes regex per pattern; a wildcard matches any byte."""
+    return re.compile(b"".join(b"." if b is None else re.escape(bytes((b,)))
+                               for b in pattern), re.DOTALL)
+
+
 def scan_signatures(image: bytes, patterns=DEFAULT_SIGNATURES) -> list[DescriptorHit]:
     """All non-overlapping matches per pattern, ascending address."""
-    hits: list[DescriptorHit] = []
-    n = len(image)
-    for pat in patterns:
-        plen = len(pat.pattern)
-        pos = 0
-        while pos + plen <= n:
-            ok = True
-            for i, b in enumerate(pat.pattern):
-                if b is not None and image[pos + i] != b:
-                    ok = False
-                    break
-            if ok:
-                hits.append(DescriptorHit(pat.name, pos,
-                                          bytes(image[pos:pos + plen])))
-                pos += plen
-            else:
-                pos += 1
+    hits = [DescriptorHit(pat.name, m.start(), m.group())
+            for pat in patterns for m in _regex(pat.pattern).finditer(image)]
     hits.sort(key=lambda h: (h.addr, h.name))
     return hits
 

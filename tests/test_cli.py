@@ -215,6 +215,11 @@ def test_custom_ruledb(tmp_path):
 
 @pytest.mark.parametrize("flag, content, message", [
     ("--signatures", "BAD LINE\n", "signatures file: signature file line 1"),
+    # a cell that is not one byte would never match
+    ("--signatures", "TAG: 12 1FF\n",
+     "signatures file: signature file line 1: cell '1FF' is not a hex byte"),
+    ("--signatures", "# tags\nTAG: -1 ??\n",
+     "signatures file: signature file line 2: cell '-1' is not a hex byte"),
     ("--ruledb", "USB_DEVICE x vid=zz\n", "rule db: invalid literal"),
 ])
 def test_main_malformed_pattern_file_exit_code(tmp_path, capsys, flag,

@@ -146,6 +146,8 @@ def test_interrupt_enabled_predicate():
     assert machine.interrupt_enabled(0x81, "external0")
     assert machine.interrupt_enabled(0x82, "timer0")
     assert machine.interrupt_enabled(0xA0, "timer2")
+    assert [machine.ie_mask(s) for s in machine.INT_SOURCES] == [
+        0x81, 0x82, 0x84, 0x88, 0x90, 0xA0]
 
 
 def test_dump_snapshot_mentions_core_registers():

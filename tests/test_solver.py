@@ -35,6 +35,62 @@ def test_constant_folding_matches_bruteforce_all_ops():
             assert e.value == eval_op(op, (a, b), width), (op, a, b)
 
 
+MK_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "udiv",
+          "umod", "eq", "ne", "ult", "ugt", "ule", "uge", "ite", "not", "par",
+          "rotl", "resize"]
+MK_LEAVES = [var("x", 8), var("y", 8), var("n", 4), var("z", 16)]
+
+
+def rand_mk(rng, depth, env, seen):
+    """A random expression built with mk over 4-, 8- and 16-bit variables and
+    int atoms. At every node it asserts that the node evaluates as eval_op
+    does on its operands' values, whatever their widths."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.25:
+            return rng.randrange(256)
+        return rng.choice(MK_LEAVES)
+    op = rng.choice(MK_OPS)
+    width = rng.choice([1, 4, 8, 16])
+
+    def sub():
+        return rand_mk(rng, depth - 1, env, seen)
+
+    if op in ("not", "par", "resize"):
+        args = (sub(),)
+    elif op == "ite":
+        args = (sub(), sub(), sub())
+    elif op == "rotl":  # rotl's operand has the result width
+        args = (mk("resize", (sub(),), width), rng.randrange(width))
+    else:
+        args = (sub(), sub())
+    e = mk(op, args, width)
+    assert e.width == width
+    vals = tuple(a if isinstance(a, int) else eval_expr(a, env) for a in args)
+    widths = [a.width for a in args if isinstance(a, SymExpr)]
+    assert eval_expr(e, env) == eval_op(op, vals, width), (
+        op, width, vals, solver.to_text(e))
+    seen.add((op, any(w > width for w in widths)))
+    return e
+
+
+def test_mk_evaluates_as_eval_op():
+    # The carry of a symbolic ADD: bit 8 of a 16-bit sum, read at width 8
+    y = var("y", 8)
+    carry = mk("shr", (mk("add", (y, 0xE9), 16), 8), 8)
+    assert eval_expr(carry, {"y": 0x20}) == 1
+    assert eval_expr(carry, {"y": 0x16}) == 0
+    rng = random.Random(67)
+    seen: set = set()
+    for _ in range(3000):
+        env = {"x": rng.randrange(256), "y": rng.randrange(256),
+               "n": rng.randrange(16), "z": rng.randrange(1 << 16)}
+        rand_mk(rng, 4, env, seen)
+    # every operator occurred, and each but rotl with an operand wider than
+    # its result
+    assert {op for op, _ in seen} == set(MK_OPS)
+    assert {op for op, wide in seen if wide} == set(MK_OPS) - {"rotl"}
+
+
 def test_add_folding_exhaustive():
     for a in range(256):
         for b in range(0, 256, 3):

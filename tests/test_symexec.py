@@ -5,8 +5,7 @@ import pytest
 from usbvet import fwkit, lifter, machine, solver, symexec
 from usbvet.lifter import Region
 from usbvet.symexec import (ExecState, ExplorationConfig, Listener,
-                            Frontier, SymbolicPolicy, execute,
-                            schedule_interrupt, select_next)
+                            Frontier, SymbolicPolicy, execute, select_next)
 
 import diffutil
 
@@ -118,62 +117,179 @@ def test_concrete_consistency_with_empty_policy():
         # single path (loop gets pruned); its stores agree with the interpreter
         assert len(res.ended) == 1
         end = res.ended[0]
-        for addr, v in end.iram.items():
+        for addr, v in end.mem[Region.IRAM].items():
             assert isinstance(v, int) and st.iram[addr] == v
-        for addr, v in end.sfr.items():
+        for addr, v in end.mem[Region.SFR].items():
             if addr == machine.PSW:
                 continue  # dead parity bit differs from the eager image
             assert isinstance(v, int) and st.sfr[addr - 0x80] == v, hex(addr)
-        for addr, v in end.xram.items():
+        for addr, v in end.mem[Region.XRAM].items():
             assert st.xram.get(addr, 0) == v
 
 
+def _symbolic_differential(seed: int, trials: int) -> tuple[int, int]:
+    """Run seeded straight-line sequences with some IRAM/XRAM bytes and two
+    of ACC/B/DPL/DPH symbolic. A model of each path that reaches the final
+    self-loop seeds the interpreter, and every byte the path wrote must
+    evaluate under that model to the interpreter's byte (PSW without its
+    dead parity bit). Returns (paths checked, mismatches)."""
+    rng = random.Random(seed)
+    checked = mismatches = 0
+    for _ in range(trials):
+        seq = diffutil.random_straight_sequence(rng, 12)
+        image = seq + bytes([0x80, 0xFE])
+        pol = SymbolicPolicy()
+        for a in rng.sample(range(0x30), 6):
+            pol.designate(Region.IRAM, a)
+        for a in rng.sample(range(0x10), 2):
+            pol.designate(Region.XRAM, a)
+        for a in rng.sample((machine.ACC, machine.B, machine.DPL,
+                             machine.DPH), 2):
+            pol.designate(Region.SFR, a)
+        cfg = ExplorationConfig(block_repeat_threshold=2, seed=1,
+                                max_states=64, max_indirect_fanout=4)
+        res = execute(image, pol, cfg, isr_map={})
+        for end in res.ended:
+            if end.terminated != "loop-pruned":
+                continue
+            env = {v.args[0]: rng.randrange(256) for v in pol.vars.values()}
+            env.update(res.solver.model(end.path))
+            assert all(solver.eval_expr(e, env) for e in end.path.exprs())
+            st = machine.ConcreteState()
+            for (region, addr), v in pol.vars.items():
+                if region == Region.IRAM:
+                    st.iram[addr] = env[v.args[0]]
+                elif region == Region.SFR:
+                    st.sfr[addr - 0x80] = env[v.args[0]]
+                else:
+                    st.xram[addr] = env[v.args[0]]
+            try:
+                while st.pc < len(seq):
+                    machine.step_concrete(st, image)
+            except machine.StackOverflow:
+                continue  # the executor wraps SP where the interpreter stops
+            checked += 1
+            ok = True
+            for region in (Region.IRAM, Region.SFR, Region.XRAM):
+                for addr, v in end.mem[region].items():
+                    got = v if type(v) is int else solver.eval_expr(v, env)
+                    if region == Region.IRAM:
+                        want = st.iram[addr]
+                    elif region == Region.SFR:
+                        want = st.sfr[addr - 0x80]
+                    else:
+                        want = st.xram.get(addr, 0)
+                    if region == Region.SFR and addr == machine.PSW:
+                        got, want = got & 0xFE, want & 0xFE
+                    ok = ok and got == want
+            mismatches += not ok
+    return checked, mismatches
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_symbolic_executor_agrees_with_interpreter(seed):
+    checked, mismatches = _symbolic_differential(seed, 150)
+    assert checked >= 150
+    assert mismatches == 0
+
+
+def _scheduler() -> symexec.Executor:
+    """An executor with one discovered handler: external0 at 0x400."""
+    cfg = ExplorationConfig(cooldown_min=5, cooldown_max=9)
+    return symexec.Executor(b"\x00", SymbolicPolicy(), cfg,
+                            isr_map={"external0": 0x400})
+
+
 def test_schedule_requires_ie():
-    st = ExecState()
-    rng = random.Random(0)
-    sat = solver.Solver()
-    cfg = ExplorationConfig()
-    assert schedule_interrupt(st, {"external0": 0x400}, cfg, rng, sat) == []
-    st.sfr[machine.IE] = 0x01  # EA clear
-    assert schedule_interrupt(st, {"external0": 0x400}, cfg, rng, sat) == []
-    st.sfr[machine.IE] = 0x80  # source bit clear
-    assert schedule_interrupt(st, {"external0": 0x400}, cfg, rng, sat) == []
+    ex, st = _scheduler(), ExecState()
+    assert ex._schedule_interrupts(st) == []  # IE reads its reset value 0
+    st.mem[Region.SFR][machine.IE] = 0x01  # EA clear
+    assert ex._schedule_interrupts(st) == []
+    st.mem[Region.SFR][machine.IE] = 0x80  # source bit clear
+    assert ex._schedule_interrupts(st) == []
 
 
 def test_schedule_single_fork_with_hardware_push():
-    st = ExecState()
+    ex, st = _scheduler(), ExecState()
     st.pc = 0x1234
-    st.sfr[machine.IE] = 0x81
-    rng = random.Random(0)
-    cfg = ExplorationConfig(cooldown_min=5, cooldown_max=9)
-    forks = schedule_interrupt(st, {"external0": 0x400}, cfg, rng,
-                               solver.Solver())
+    st.mem[Region.SFR][machine.IE] = 0x81
+    forks = ex._schedule_interrupts(st)
     assert len(forks) == 1
     f = forks[0]
     assert f.pc == 0x400 and f.active_isr == "external0"
-    assert f.iram[0x08] == 0x34 and f.iram[0x09] == 0x12
-    assert f.sfr[machine.SP] == 0x09
-    assert (Region.SFR, machine.SP) in f.isr_written
+    assert f.sid == ex.states_created == 1
+    # SP was never written: the push starts from its reset value 7
+    assert f.mem[Region.IRAM] == {0x08: 0x34, 0x09: 0x12}
+    assert f.mem[Region.SFR][machine.SP] == 0x09
+    assert f.isr_written == {(Region.IRAM, 0x08), (Region.IRAM, 0x09),
+                             (Region.SFR, machine.SP)}
     assert 5 <= f.cooldowns["external0"] <= 9
     assert 5 <= st.cooldowns["external0"] <= 9  # continuation redraws too
 
 
 def test_no_nested_interrupts():
-    st = ExecState()
-    st.sfr[machine.IE] = 0x81
+    ex, st = _scheduler(), ExecState()
+    st.mem[Region.SFR][machine.IE] = 0x81
     st.active_isr = "timer0"
-    forks = schedule_interrupt(st, {"external0": 0x400}, ExplorationConfig(),
-                               random.Random(0), solver.Solver())
-    assert forks == []
+    assert ex._schedule_interrupts(st) == []
 
 
 def test_cooldown_blocks_scheduling():
-    st = ExecState()
-    st.sfr[machine.IE] = 0x81
+    ex, st = _scheduler(), ExecState()
+    st.mem[Region.SFR][machine.IE] = 0x81
     st.cooldowns["external0"] = 3
-    forks = schedule_interrupt(st, {"external0": 0x400}, ExplorationConfig(),
-                               random.Random(0), solver.Solver())
-    assert forks == []
+    assert ex._schedule_interrupts(st) == []
+
+
+ISR_SRC = """
+.org 0x0000
+    ljmp main
+.org 0x0003
+    ljmp isr
+.org 0x000b
+    reti
+.org 0x0013
+    reti
+.org 0x001b
+    reti
+.org 0x0023
+    reti
+.org 0x002b
+    reti
+main:
+    {setup}
+idle:
+    sjmp idle
+isr:
+    mov 0x40, #1
+    reti
+"""
+
+
+def test_scheduler_reads_ie_and_sp_as_loads_do():
+    # A policy that designates IE or SP symbolic reaches interrupt entry as
+    # it reaches every load: a symbolic IE enables the handler under a path
+    # constraint, and a symbolic SP has no concrete slot for the return
+    # address, so the handler is never entered.
+    cfg = ExplorationConfig(block_repeat_threshold=8, seed=1, max_blocks=200,
+                            cooldown_min=1, cooldown_max=2)
+    ie = SymbolicPolicy()
+    ie.designate(Region.SFR, machine.IE)
+    image, syms = fwkit.assemble_with_symbols(ISR_SRC.format(setup="nop"))
+    res = execute(image, ie, cfg)
+    assert syms["isr"] in res.coverage
+    entries = {(solver.to_text(e), site, note)
+               for s in res.ended for e, site, note in s.path}
+    assert ("((sfr_00a8 & 0x81) == 0x81)", syms["idle"],
+            "isr-enable:external0") in entries
+
+    sp = SymbolicPolicy()
+    sp.designate(Region.SFR, machine.SP)
+    image, syms = fwkit.assemble_with_symbols(
+        ISR_SRC.format(setup="mov ie, #0x81"))
+    res = execute(image, sp, cfg)
+    assert syms["isr"] not in res.coverage
+    assert len(res.ended) == 1
 
 
 def test_executor_never_schedules_with_global_enable_clear():
