@@ -133,11 +133,12 @@ class AnalysisReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def emit_report(report: AnalysisReport, path: str):
-    """Write the report with stable key order for diffability."""
+def emit_report(text: str, path: str):
+    """Write a report's `to_json()` text, which has stable key order for
+    diffability."""
     try:
         with open(path, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     except OSError as e:
         raise IoError(f"cannot write report to {path!r}: {e}") from None
 
@@ -522,7 +523,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     text = report.to_json()
     if cfg.report_path:
-        emit_report(report, cfg.report_path)
+        try:
+            emit_report(text, cfg.report_path)
+        except IoError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
         v = report.verdict
         print(f"identity: {v['identity']}  behavior: {v['behavior']}  "
               f"-> {cfg.report_path}")

@@ -445,7 +445,7 @@ class _ConcreteFlowListener(Listener):
         elif not is_symbolic(value):
             v = value.value
         else:
-            v = self.sat.is_constant(state.path, value)
+            v = self.sat.is_constant(state.path, value, state.model)
             if v is NOT_UNIQUE:
                 return None
         key = (site, addr)

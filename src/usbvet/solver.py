@@ -20,6 +20,12 @@ therefore re-solves only the component that constraint touches. The tables
 live as long as their `Solver`; the symbolic executor makes one per
 exploration, so they are shared by the paths of one run and freed with it.
 
+A caller that already holds a model of a path (any assignment that
+satisfies it, as the symbolic executor keeps one per state) passes it to
+`values` and `is_constant`: one query that excludes the model's value
+decides whether it is the only one. When it is not, `values` enumerates as
+without a model, so the values it returns never depend on the model.
+
 Timeouts never report unsat: a timed-out query is treated as satisfiable
 with a diagnostic so reachability reporting stays sound, and it stores
 nothing in the tables.
@@ -555,7 +561,7 @@ class Solver:
     maps (constraint, variable, width) to the bitmask of satisfying values,
     and `components` maps a component's constraint tuple to its model, or
     None when unsat. `values` is the one loop that enumerates the feasible
-    values of an expression.
+    values of an expression; `query` is a single satisfiability query.
     """
 
     def __init__(self, timeout: float = 5.0):
@@ -569,11 +575,13 @@ class Solver:
             return pc.exprs()
         return list(pc)
 
-    def is_satisfiable(self, pc, extra=()) -> bool:
+    def query(self, pc, extra=()) -> SatResult:
+        """Satisfiability of pc and extra, with a model when satisfiable; a
+        timeout is reported and answers satisfiable with model None."""
         res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
         if res.timed_out:
             self.diagnostics.append("solver timeout: assumed satisfiable")
-        return res.sat
+        return res
 
     def model(self, pc, extra=()) -> dict:
         res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
@@ -584,34 +592,56 @@ class Solver:
             return {}
         return res.model
 
-    def values(self, pc, expr: SymExpr, limit: int
+    def _other_value(self, base: list, expr: SymExpr, v: int) -> SatResult:
+        """The query for a value of expr other than v under base."""
+        return check(base + [mk("ne", (expr, v), 1)], self.timeout, cache=self)
+
+    def values(self, pc, expr: SymExpr, limit: int, model: dict | None = None
                ) -> tuple[list[int], bool, bool]:
         """Up to `limit` distinct feasible values of expr under pc: take a
         model, exclude its value, ask again. Returns (values, more,
         timed_out). Once `limit` values are found, one more query sets
         `more`: another value is feasible, or that query timed out.
         `timed_out` says some query timed out; one before the limit ends the
-        list early."""
+        list early.
+
+        With a `model` of pc, one query first asks for a value other than the
+        model's. When there is none, that value is the answer; otherwise the
+        enumeration runs as without a model, so the values come in the same
+        order, at the cost of that one query."""
         base = self._exprs(pc)
+        timed_out = False
+        if model is not None:
+            v = eval_expr(expr, model)
+            res = self._other_value(base, expr, v)
+            if not res.sat:
+                return [v], False, False
+            timed_out = res.timed_out
         vals: list[int] = []
         extra: list[SymExpr] = []
         while len(vals) < limit:
             res = check(base + extra, self.timeout, cache=self)
             if res.timed_out or not res.sat:
-                return vals, False, res.timed_out
+                return vals, False, timed_out or res.timed_out
             v = eval_expr(expr, res.model)
             vals.append(v)
             extra.append(mk("ne", (expr, v), 1))
         res = check(base + extra, self.timeout, cache=self)
-        return vals, res.sat, res.timed_out
+        return vals, res.sat, timed_out or res.timed_out
 
-    def is_constant(self, pc, expr):
-        """The unique value of expr under pc, or NOT_UNIQUE."""
+    def is_constant(self, pc, expr, model: dict | None = None):
+        """The unique value of expr under pc, or NOT_UNIQUE. With a `model`
+        of pc, one query decides it."""
         if isinstance(expr, int):
             return expr
         if expr.is_const():
             return expr.value
-        vals, more, timed_out = self.values(pc, expr, 1)
+        if model is not None:
+            v = eval_expr(expr, model)
+            res = self._other_value(self._exprs(pc), expr, v)
+            more, timed_out, vals = res.sat, res.timed_out, [v]
+        else:
+            vals, more, timed_out = self.values(pc, expr, 1)
         if timed_out:
             self.diagnostics.append("solver timeout in is_constant: not-unique")
             return NOT_UNIQUE

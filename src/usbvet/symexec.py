@@ -10,6 +10,18 @@ concrete value, up to a configurable fanout).
 read or written, by the lifted code and by interrupt entry alike. A byte
 reads its last write, else the policy's variable, else its reset value.
 
+Each state carries a model of its path: an assignment that satisfies it,
+`{}` for the empty path, or None when unknown (after a solver timeout, or
+when a fork's value is not the model's). A symbolic branch whose side the
+model satisfies needs no query for that side, and the model's value of a
+symbolic address is checked for uniqueness with one query; with no model
+both fall back to querying each side, or enumerating, from scratch.
+
+The executor builds every symbolic expression (lifted `Assign`s, address
+and interrupt-enable constraints) through `Executor._mk`, which memoises
+`mk` per exploration: the paths of one run share equal expressions, and the
+table is freed with the run.
+
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
 return-address push, no nesting). Cooldowns are drawn per source per firing
@@ -27,7 +39,7 @@ from dataclasses import dataclass
 from . import isa, lifter, machine, solver
 from .lifter import (Assign, Boundary, CallMark, CJump, Jump, Load, Put,
                      Region, RetMark, Store, Tmp)
-from .solver import SymExpr, eval_op, mk
+from .solver import SymExpr, eval_expr, eval_op, mk
 
 # Reset values of unwritten bytes the policy leaves concrete; every byte not
 # listed reads 0.
@@ -103,8 +115,15 @@ class Listener:
         return None
 
 
+def _hooks(listeners, name: str) -> list:
+    """The bound `name` hooks of the listeners that override Listener's."""
+    default = getattr(Listener, name)
+    return [getattr(ln, name) for ln in listeners
+            if getattr(getattr(ln, name), "__func__", None) is not default]
+
+
 class ExecState:
-    __slots__ = ("pc", "mem", "path", "stale",
+    __slots__ = ("pc", "mem", "path", "model", "stale",
                  "cooldowns", "active_isr", "isr_written",
                  "last_cover_seq", "sid", "terminated", "cur_site",
                  "cur_block")
@@ -114,6 +133,7 @@ class ExecState:
         # written bytes, one dict per Region (CODE's stays empty)
         self.mem: list[dict[int, object]] = [{} for _ in Region]
         self.path = solver.PathCondition()
+        self.model: dict | None = {}  # satisfies path; None if unknown
         self.stale: dict[int, int] = {}
         self.cooldowns: dict[str, int] = {}
         self.active_isr: str | None = None
@@ -129,6 +149,7 @@ class ExecState:
         c.pc = self.pc
         c.mem = [m.copy() for m in self.mem]
         c.path = self.path.copy()
+        c.model = self.model
         c.stale = dict(self.stale)
         c.cooldowns = dict(self.cooldowns)
         c.active_isr = self.active_isr
@@ -228,13 +249,20 @@ class Executor:
         self.image = bytes(image)
         self.policy = policy
         self.config = config
-        self.listeners = list(listeners)
+        # the hooks each listener overrides, bound once
+        self._on_load = _hooks(listeners, "on_load")
+        self._on_store = _hooks(listeners, "on_store")
         self.program = lifter.lift_program(self.image)
         # Every query of this exploration goes through this Solver, so its
         # memo tables serve all paths of the run and are freed with it.
         self.solver = solver.Solver(config.solver_timeout)
         self.rng = random.Random(config.seed)
         self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
+        self._sources = [src for src in sorted(self.isr_map)
+                         if not config.only_interrupt_source
+                         or src == config.only_interrupt_source]
+        # (op, operands, width) -> the expression mk built for them
+        self._expr_memo: dict[tuple, SymExpr] = {}
         self.covered: set[int] = set()
         self.cover_seq = 0
         self.states_created = 0
@@ -284,7 +312,8 @@ class Executor:
         """Feasible concrete values of expr under the path, up to the fanout,
         that lie below bound."""
         limit = self.config.max_indirect_fanout
-        vals, more, timed_out = self.solver.values(s.path, expr, limit)
+        vals, more, timed_out = self.solver.values(s.path, expr, limit,
+                                                   s.model)
         if timed_out:
             self.diagnostics.append(f"solver timeout enumerating {what} "
                                     f"at 0x{s.cur_site:04x}")
@@ -299,6 +328,28 @@ class Executor:
                 f"(bound 0x{bound:x})")
         return inside
 
+    def _mk(self, op: str, args: tuple, width: int) -> SymExpr:
+        """mk, memoised for the exploration."""
+        key = (op, args, width)
+        e = self._expr_memo.get(key)
+        if e is None:
+            e = self._expr_memo[key] = mk(op, args, width)
+        return e
+
+    def _feasible(self, s: ExecState, expr: SymExpr):
+        """(whether s's path allows expr, a model of both or None): s's own
+        model when it satisfies expr, else one query's answer."""
+        m = s.model
+        if m is not None and eval_expr(expr, m):
+            return True, m
+        res = self.solver.query(s.path, (expr,))
+        return res.sat, res.model
+
+    @staticmethod
+    def _model_value(s: ExecState, expr: SymExpr):
+        """expr's value under s's model; None without a model."""
+        return None if s.model is None else eval_expr(expr, s.model)
+
     def _access(self, s: ExecState, st, region: Region, addr: int,
                 vals: list) -> bool:
         """One read (Load) or write (Store/Put) at a concrete address, seen
@@ -307,15 +358,14 @@ class Executor:
         if st.__class__ is Load:
             value = self._read(s, region, addr)
             vals[st.dst.i] = value
-            which = "load"
+            hooks = self._on_load
         else:
             v = st.src
             value = vals[v.i] if type(v) is Tmp else v
             self._write(s, region, addr, value)
-            which = "store"
+            hooks = self._on_store
         stop = False
-        for ln in self.listeners:
-            cb = ln.on_load if which == "load" else ln.on_store
+        for cb in hooks:
             if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
                 stop = True
         if stop:
@@ -332,10 +382,14 @@ class Executor:
                  else lifter.REGION_SIZE[region])
         what = "load address" if st.__class__ is Load else "store address"
         choices = self._enumerate(s, addr, bound, what)
+        model_value = self._model_value(s, addr)
         out = []
         for v in choices:
             child = self._fork(s)
-            child.path.append(mk("eq", (addr, v), 1), s.cur_site, "mem-index")
+            child.path.append(self._mk("eq", (addr, v), 1), s.cur_site,
+                              "mem-index")
+            if v != model_value:
+                child.model = None
             nv = list(vals)
             if not self._access(child, st, region, v, nv):
                 break
@@ -357,22 +411,24 @@ class Executor:
         """
         if s.active_isr is not None:
             return []
+        cooldowns = s.cooldowns
+        ready = [src for src in self._sources if cooldowns.get(src, 0) <= 0]
+        if not ready:
+            return []
         cfg = self.config
         ie = self._read(s, Region.SFR, machine.IE)
         forks: list[ExecState] = []
-        for source in sorted(self.isr_map):
-            if cfg.only_interrupt_source and source != cfg.only_interrupt_source:
-                continue
-            if s.cooldowns.get(source, 0) > 0:
-                continue
+        for source in ready:
             mask = machine.ie_mask(source)
             pred = None
             if type(ie) is int:
                 if ie & mask != mask:
                     continue
             else:
-                pred = mk("eq", (mk("and", (ie, mask), 8), mask), 1)
-                if not self.solver.is_satisfiable(s.path, (pred,)):
+                masked = self._mk("and", (ie, mask), 8)
+                pred = self._mk("eq", (masked, mask), 1)
+                ok, model = self._feasible(s, pred)
+                if not ok:
                     continue
             sp = self._read(s, Region.SFR, machine.SP)
             if type(sp) is not int:
@@ -380,6 +436,7 @@ class Executor:
             child = self._fork(s)
             if pred is not None:
                 child.path.append(pred, s.pc, f"isr-enable:{source}")
+                child.model = model
             child.active_isr = source
             self._write(child, Region.IRAM, (sp + 1) & 0xFF, s.pc & 0xFF)
             self._write(child, Region.IRAM, (sp + 2) & 0xFF, s.pc >> 8)
@@ -402,12 +459,18 @@ class Executor:
             st = stmts[i]
             cls = st.__class__
             if cls is Assign:
-                resolved = tuple(vals[a.i] if type(a) is Tmp else a
-                                 for a in st.args)
-                if all(type(v) is int for v in resolved):
-                    vals[st.dst.i] = eval_op(st.op, resolved, st.width)
+                resolved = []
+                symbolic = False
+                for a in st.args:
+                    if type(a) is Tmp:
+                        a = vals[a.i]
+                        if type(a) is not int:
+                            symbolic = True
+                    resolved.append(a)
+                if symbolic:
+                    vals[st.dst.i] = self._mk(st.op, tuple(resolved), st.width)
                 else:
-                    vals[st.dst.i] = mk(st.op, resolved, st.width)
+                    vals[st.dst.i] = eval_op(st.op, resolved, st.width)
             elif cls is Load or cls is Store or cls is Put:
                 if cls is Put:
                     region, a = Region.SFR, st.reg
@@ -434,22 +497,25 @@ class Executor:
                     s.pc = st.taken if cond else st.fall
                     return [s]
                 neg = solver.bool_not(cond)
-                base = s.path.exprs()
-                t_ok = self.solver.is_satisfiable(base, (cond,))
-                f_ok = self.solver.is_satisfiable(base, (neg,))
+                t_ok, t_model = self._feasible(s, cond)
+                f_ok, f_model = self._feasible(s, neg)
                 if t_ok and f_ok:
                     child = self._fork(s)
                     child.path.append(cond, site, "taken")
+                    child.model = t_model
                     child.pc = st.taken
                     s.path.append(neg, site, "fall")
+                    s.model = f_model
                     s.pc = st.fall
                     return [s, child]
                 if t_ok:
                     s.path.append(cond, site, "taken")
+                    s.model = t_model
                     s.pc = st.taken
                     return [s]
                 if f_ok:
                     s.path.append(neg, site, "fall")
+                    s.model = f_model
                     s.pc = st.fall
                     return [s]
                 self._terminate(s, "infeasible")
@@ -465,6 +531,7 @@ class Executor:
                     return [s]
                 choices = self._enumerate(s, target, len(self.image),
                                           "jump target")
+                model_value = self._model_value(s, target)
                 out = []
                 for v in choices:
                     try:
@@ -475,8 +542,10 @@ class Executor:
                             f"(site 0x{s.cur_site:04x})")
                         continue
                     child = self._fork(s)
-                    child.path.append(mk("eq", (target, v), 1), s.cur_site,
-                                      "indirect-target")
+                    child.path.append(self._mk("eq", (target, v), 1),
+                                      s.cur_site, "indirect-target")
+                    if v != model_value:
+                        child.model = None
                     if reti:
                         child.active_isr = None
                     child.pc = v
@@ -528,6 +597,8 @@ class Executor:
         s0 = ExecState()
         for expr, note in self.initial_constraints:
             s0.path.append(expr, -1, note)
+        if not all(eval_expr(e, {}) for e in s0.path.exprs()):
+            s0.model = None
         self.states_created = 1
         frontier = Frontier([s0])
         reason = "complete"

@@ -66,18 +66,24 @@ def test_emit_then_parse_roundtrip(tmp_path):
     path, _ = write_fixture(tmp_path, "straightline")
     report, _ = run_pipeline(small_config(path, query="identity"))
     out = tmp_path / "report.json"
-    cli.emit_report(report, str(out))
+    cli.emit_report(report.to_json(), str(out))
     parsed = json.loads(out.read_text())
     assert parsed == report.to_dict()
 
 
-def test_emit_report_missing_directory(tmp_path):
+def test_emit_report_missing_directory(tmp_path, capsys):
     path, _ = write_fixture(tmp_path, "straightline")
     report, _ = run_pipeline(small_config(path, query="identity"))
     bad = str(tmp_path / "nope" / "report.json")
     with pytest.raises(cli.IoError) as exc:
-        cli.emit_report(report, bad)
+        cli.emit_report(report.to_json(), bad)
     assert "nope" in str(exc.value)
+    # through the CLI: exit 3 with a one-line message, no traceback
+    code = cli.main(["analyze", path, "--query", "identity", "--report", bad])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report")
+    assert err.count("\n") == 1
 
 
 def test_no_descriptors_degrades_gracefully(tmp_path):

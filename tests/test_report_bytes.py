@@ -1,0 +1,68 @@
+"""Pin the exact bytes of `usbvet analyze` reports.
+
+Each case runs the CLI on one `fwkit` fixture written to
+`img/<fixture>.bin` under a temporary working directory (the report records
+that relative path) and compares the report's sha256 and the exit code with
+the pinned values. A change that alters report bytes on purpose updates the
+hashes here and says why in CHANGES.md; any other change must leave them
+alone."""
+
+import hashlib
+
+import pytest
+
+from usbvet import cli, fwkit
+
+FLAGS = {
+    "defaults": [],
+    "consistency": ["--query", "consistency"],
+    "full": ["--policy", "full", "--state-limit", "300"],
+    "seed3": ["--seed", "3", "--state-limit", "800"],
+    "identity-pre": ["--query", "identity",
+                     "--precondition", "XRAM:0x7fe9:==:6"],
+}
+
+PINNED = {
+    ("benign-hid", "defaults"): (
+        0, "6184917040bd80f465337d51b71261a9394f8790634eb466dd7947330092e658"),
+    ("benign-hid", "consistency"): (
+        0, "e63df2a03ea0252a25d634cf9dad5f9fcb76032c280642b907eba5d4d20693d4"),
+    ("benign-hid", "full"): (
+        0, "d7a9a529769188119f722c1dc450553ee170c71ae5d760ea8724e96488087c5f"),
+    ("benign-hid", "seed3"): (
+        0, "09b868b85b1d412b186ef3a01553022ad9c048617eac86599de56c8e49a6a84f"),
+    ("benign-hid", "identity-pre"): (
+        0, "4420fc12fb79089a11191969728618bfc8d4c56e1e07393553cffb1a2db098b3"),
+    ("injector-hid", "defaults"): (
+        1, "18125f1b4a93175d5942e4c3e9984f323ffb05bd11ed3232ffa96bdc7cb7cad6"),
+    ("injector-hid", "consistency"): (
+        1, "8d014692aec097127ccf8b52bf11157b88914b1004c7680c76ed215ef7d326f5"),
+    ("injector-hid", "full"): (
+        1, "9c020e6a304a1a0690e0abf0974562cf36ced8216431dadead76a1bc8a9c1ab0"),
+    ("injector-hid", "seed3"): (
+        1, "e45b5d986040fe53c2dbee1e7f2eded9a2f0d7daf596fcc210e173261b85f3d6"),
+    ("injector-hid", "identity-pre"): (
+        0, "1368ad1467e053529f9e7aa7392dbed9ad7e575bbe500b00b0990e9bcf767468"),
+    ("storage-claiming-hid", "defaults"): (
+        0, "d035165775e99a926e3023df39b482a67b5c1ab165b1d15fc2e595ae2210cdd6"),
+    ("storage-claiming-hid", "consistency"): (
+        0, "c9bb9e5ae3e07163166e78b847087444b92ac834c2cdc24b59dfa1cc42e9757b"),
+    ("storage-claiming-hid", "full"): (
+        0, "2a77cbceae4aea8079339b28441cc30bad88bb7d077419f20e285fb400d83d10"),
+    ("storage-claiming-hid", "seed3"): (
+        0, "9598c7f504b788c6c7351f5d7546637636dd467557f6321dda17c32d1d7ad475"),
+    ("storage-claiming-hid", "identity-pre"): (
+        0, "5f17809269c935c82c0b41729f83b673b9f41526cb844e0829bab965d6ca81d0"),
+}
+
+
+@pytest.mark.parametrize("fixture,flags", sorted(PINNED))
+def test_report_bytes_pinned(fixture, flags, tmp_path, monkeypatch):
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template=fixture))
+    (tmp_path / "img").mkdir()
+    (tmp_path / "img" / f"{fixture}.bin").write_bytes(image)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["analyze", f"img/{fixture}.bin", *FLAGS[flags],
+                     "--report", "report.json"])
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert (code, digest) == PINNED[fixture, flags]

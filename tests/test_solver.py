@@ -163,11 +163,15 @@ def test_values_and_is_constant_match_bruteforce():
         while not solver.is_symbolic(expr):  # is_constant answers constants
             expr = rand_nibble_expr(rng, 2, names)
         feasible = set()
+        solutions = []
         for point in itertools.product(range(16), repeat=len(names)):
             env = dict(zip(names, point))
             if all(eval_expr(e, env) for e in pc.exprs()):
                 feasible.add(eval_expr(expr, env))
+                solutions.append(env)
         counts.add(min(len(feasible), 2))
+        # a model of the path must not change any answer
+        models = [None] + rng.sample(solutions, min(3, len(solutions)))
         for limit in (1, 2, 3, 16):
             vals, more, timed_out = s.values(pc, expr, limit)
             assert not timed_out
@@ -175,13 +179,16 @@ def test_values_and_is_constant_match_bruteforce():
             assert set(vals) <= feasible
             assert len(vals) == min(limit, len(feasible))
             assert more == (len(feasible) > len(vals))
-        if not feasible:
-            with pytest.raises(solver.Unsat):
-                s.is_constant(pc, expr)
-        elif len(feasible) == 1:
-            assert s.is_constant(pc, expr) == feasible.pop()
-        else:
-            assert s.is_constant(pc, expr) is NOT_UNIQUE
+            for model in models[1:]:
+                assert s.values(pc, expr, limit, model) == (vals, more, False)
+        for model in models:
+            if not feasible:
+                with pytest.raises(solver.Unsat):
+                    s.is_constant(pc, expr, model)
+            elif len(feasible) == 1:
+                assert s.is_constant(pc, expr, model) == min(feasible)
+            else:
+                assert s.is_constant(pc, expr, model) is NOT_UNIQUE
     assert counts == {0, 1, 2}  # unsat, unique and many-valued cases all ran
     assert s.diagnostics == []
 
@@ -244,7 +251,8 @@ def test_timed_out_query_stores_nothing():
               for i in range(7)]
     exprs.append(mk("eq", (vs[0], 1), 1))
     s = Solver(timeout=0.0)
-    assert s.is_satisfiable(exprs) and s.diagnostics
+    res = s.query(exprs)
+    assert res.sat and res.model is None and s.diagnostics
     assert s.domains == {} and s.components == {}
     s.timeout = 30
     model = s.model(exprs)
@@ -276,8 +284,9 @@ def test_timeout_assumes_feasible():
     res = check(exprs, timeout=0.0)
     assert res.timed_out and res.sat
     s = Solver(timeout=0.0)
-    assert s.is_satisfiable(exprs)
-    assert s.diagnostics
+    res = s.query(exprs)
+    assert res.sat and res.timed_out and res.model is None
+    assert s.diagnostics == ["solver timeout: assumed satisfiable"]
 
 
 def test_pbits_is_superset_of_reachable_values():

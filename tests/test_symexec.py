@@ -127,7 +127,8 @@ def test_concrete_consistency_with_empty_policy():
             assert st.xram.get(addr, 0) == v
 
 
-def _symbolic_differential(seed: int, trials: int) -> tuple[int, int]:
+def _symbolic_differential(seed: int, trials: int,
+                           listeners=()) -> tuple[int, int]:
     """Run seeded straight-line sequences with some IRAM/XRAM bytes and two
     of ACC/B/DPL/DPH symbolic. A model of each path that reaches the final
     self-loop seeds the interpreter, and every byte the path wrote must
@@ -148,7 +149,7 @@ def _symbolic_differential(seed: int, trials: int) -> tuple[int, int]:
             pol.designate(Region.SFR, a)
         cfg = ExplorationConfig(block_repeat_threshold=2, seed=1,
                                 max_states=64, max_indirect_fanout=4)
-        res = execute(image, pol, cfg, isr_map={})
+        res = execute(image, pol, cfg, listeners=listeners, isr_map={})
         for end in res.ended:
             if end.terminated != "loop-pruned":
                 continue
@@ -191,6 +192,59 @@ def test_symbolic_executor_agrees_with_interpreter(seed):
     checked, mismatches = _symbolic_differential(seed, 150)
     assert checked >= 150
     assert mismatches == 0
+
+
+class ModelCheck(Listener):
+    """At every load and store, the state's model is None or satisfies every
+    constraint on its path. Counts the models checked on nonempty paths and
+    the states seen without a model."""
+
+    def __init__(self):
+        self.checked = 0
+        self.unknown = 0
+
+    def _check(self, state):
+        if state.model is None:
+            self.unknown += 1
+        elif state.path:
+            assert all(solver.eval_expr(e, state.model)
+                       for e in state.path.exprs()), state.path.exprs()
+            self.checked += 1
+
+    def on_load(self, site, state, region, addr, value):
+        self._check(state)
+
+    def on_store(self, site, state, region, addr, value):
+        self._check(state)
+
+
+def test_state_model_satisfies_path_on_differential():
+    check = ModelCheck()
+    for seed in (1, 2, 3):
+        _, mismatches = _symbolic_differential(seed, 150, [check])
+        assert mismatches == 0
+    assert check.checked > 1000
+
+
+@pytest.mark.parametrize("template", ["benign-hid", "injector-hid",
+                                      "storage-claiming-hid"])
+def test_state_model_satisfies_path_on_fixtures(template, tmp_path,
+                                                monkeypatch):
+    # every exploration of a default analysis (discovery, Query 1, Query 2)
+    # is watched, beside its own listeners
+    from usbvet import cli, queries
+    check = ModelCheck()
+    real = queries.execute
+
+    def watched(image, policy, config, listeners=(), **kw):
+        return real(image, policy, config, [*listeners, check], **kw)
+
+    monkeypatch.setattr(queries, "execute", watched)
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template=template))
+    path = tmp_path / "fw.bin"
+    path.write_bytes(image)
+    cli.run_pipeline(cli.RunConfig(image_path=str(path)))
+    assert check.checked > 1000
 
 
 def _scheduler() -> symexec.Executor:
