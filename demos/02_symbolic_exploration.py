@@ -28,8 +28,7 @@ for rec in found.log:
     print(f"  {rec.source} iteration {rec.iteration}: {where}")
 
 print("\n--- run 2: discovered set symbolic ---")
-policy = symexec.SymbolicPolicy()
-policy.designate_all(found.locations)
+policy = symexec.SymbolicPolicy(found.locations)
 res = symexec.execute(image, policy, cfg)
 hit = res.target_hits[target]
 print(f"coverage {len(res.coverage)} instructions, target reached: True")

@@ -6,6 +6,11 @@ claimed-model construction, driver matching / expected-model comparison,
 report. Partial failures (no descriptors, no targets, budget exhaustion)
 degrade into diagnostics instead of aborting.
 
+`run_pipeline` owns the two analysis-wide decisions: it builds the one
+`SymbolicPolicy` that both queries run under (`--policy full` designates
+every IRAM and XRAM byte, `auto`/`partial` the discovered set), and it turns
+`--time-limit` into one deadline shared by every exploration.
+
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
 requested.
@@ -17,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field, asdict
 
 from . import queries, symexec, usbdb, usbstatic
@@ -155,7 +161,7 @@ def _exploration_summary(rep) -> dict:
             "diagnostics": list(rep.diagnostics)}
 
 
-def _q1_dict(rep: queries.Query1Report) -> dict:
+def _q1_dict(rep: queries.Query1Report, policy_name: str) -> dict:
     targets = {}
     for t, r in rep.targets.items():
         targets[_hx(t)] = {
@@ -168,7 +174,7 @@ def _q1_dict(rep: queries.Query1Report) -> dict:
                                  "meaning": n.meaning}
                                 for n in r.usb_constraints],
         }
-    return {"policy": rep.policy_name, "targets": targets,
+    return {"policy": policy_name, "targets": targets,
             **_exploration_summary(rep)}
 
 
@@ -222,7 +228,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
 
     base_cfg = symexec.ExplorationConfig(
         max_states=config.state_limit,
-        time_limit=config.time_limit,
+        deadline=(None if config.time_limit is None
+                  else time.monotonic() + config.time_limit),
         seed=config.seed)
 
     # 1. signature scan + XREFs
@@ -260,13 +267,16 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         if cls == "hid":
             hid_targets.update(inf.target_sites)
 
-    # 3a. symbolic set (Alg. 3) for partial/auto policies
-    symset = queries.SymbolicLocationSet(set(), [])
-    policy_source = config.policy
-    if config.policy in ("auto", "partial"):
+    # 3a. the symbolic policy of both queries: every IRAM/XRAM byte, or the
+    # symbolic set (Alg. 3) for partial/auto
+    if config.policy == "full":
+        symset = queries.SymbolicLocationSet(set(), [])
+        policy_name, policy = "full", symexec.SymbolicPolicy.full()
+    else:
         symset = queries.find_symbolic_locations(image, tau=config.tau,
                                                  config=base_cfg)
-        policy_source = "partial"
+        policy_name = "partial"
+        policy = symexec.SymbolicPolicy(symset.locations)
     sym_dict = {
         "locations": [[r, _hx(a)] for r, a in symset.names()],
         "iterations": [{"source": rec.source, "iteration": rec.iteration,
@@ -281,10 +291,9 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     q1 = None
     q1_dict = None
     if config.query in ("identity", "both") and targets:
-        q1 = queries.query1(image, sorted(targets), policy_source,
-                            preconditions=preconditions, symbolic_set=symset,
-                            config=base_cfg)
-        q1_dict = _q1_dict(q1)
+        q1 = queries.query1(image, sorted(targets), policy,
+                            preconditions=preconditions, config=base_cfg)
+        q1_dict = _q1_dict(q1, policy_name)
     elif config.query in ("identity", "both"):
         diagnostics.append("no target instructions: identity query skipped")
 
@@ -292,7 +301,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     q2_dict = None
     rep4 = rep5 = None
     if config.query in ("consistency", "both"):
-        rep4, rep5 = queries.query2(image, ep0_union, symset,
+        rep4, rep5 = queries.query2(image, ep0_union, policy,
                                     max_ep=config.max_ep, config=base_cfg,
                                     instrs=instrs)
         q2_dict = {"inconsistent_flow": _q2_dict(rep5)}

@@ -8,6 +8,10 @@ buffers, either against predicted endpoint addresses or, when endpoints
 cannot be predicted, by mixed symbolic/concrete writers to one address from
 different blocks.
 
+Both queries run under the `SymbolicPolicy` their caller passes in; no
+query chooses a policy of its own. Query 2 explores under a copy of it that
+also designates the delay counters.
+
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
 the environment), and counter detection (delay counters guard injection
@@ -101,8 +105,7 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
     for source in sorted(isrs):
         for it in range(1, tau + 1):
             t0 = time.monotonic()
-            policy = SymbolicPolicy()
-            policy.designate_all(locations)
+            policy = SymbolicPolicy(locations)
             # Tight budgets: each run only has to reach the handler's next
             # fresh read, not saturate the whole program.
             cfg = replace(
@@ -204,7 +207,6 @@ class Query1Target:
 
 @dataclass
 class Query1Report:
-    policy_name: str
     targets: dict[int, Query1Target]
     states_explored: int
     blocks_executed: int
@@ -233,28 +235,10 @@ def _usb_notes(path: solver.PathCondition) -> list[UsbConstraintNote]:
     return notes
 
 
-def resolve_policy(policy_source, symbolic_set=None) -> tuple[str, SymbolicPolicy]:
-    if isinstance(policy_source, SymbolicPolicy):
-        return "custom", policy_source
-    if policy_source == "full":
-        return "full", SymbolicPolicy.full()
-    if policy_source == "partial":
-        pol = SymbolicPolicy()
-        if symbolic_set is not None:
-            locs = (symbolic_set.locations
-                    if isinstance(symbolic_set, SymbolicLocationSet)
-                    else symbolic_set)
-            pol.designate_all(locs)
-        return "partial", pol
-    raise ValueError(f"unknown policy source {policy_source!r}")
-
-
-def query1(image: bytes, targets, policy_source="full", preconditions=(),
-           symbolic_set=None, config: ExplorationConfig | None = None
-           ) -> Query1Report:
+def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
+           config: ExplorationConfig | None = None) -> Query1Report:
     if not targets:
         raise ValueError("query1 requires at least one target instruction")
-    name, policy = resolve_policy(policy_source, symbolic_set)
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
     init = _precondition_exprs(preconditions, policy) if preconditions else []
@@ -281,7 +265,7 @@ def query1(image: bytes, targets, policy_source="full", preconditions=(),
             witness={k: model[k] for k in sorted(model)},
             usb_constraints=_usb_notes(st.path))
     # read after the witnesses, so a timeout while building one is reported
-    return Query1Report(name, out, res.states_created, res.blocks_executed,
+    return Query1Report(out, res.states_created, res.blocks_executed,
                         len(res.coverage), res.reason,
                         res.diagnostics + res.solver.diagnostics,
                         res.wall_time)
@@ -533,8 +517,8 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
                    ), inconsistent
 
 
-def query2(image: bytes, ep0: set[int], symbolic_set, max_ep: int = 4,
-           config: ExplorationConfig | None = None,
+def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
+           max_ep: int = 4, config: ExplorationConfig | None = None,
            instrs: list[isa.Instruction] | None = None
            ) -> tuple[Query2Report | None, Query2Report]:
     """Both Query 2 detectors over one exploration. Returns the
@@ -542,9 +526,10 @@ def query2(image: bytes, ep0: set[int], symbolic_set, max_ep: int = 4,
     inconsistent-flow report.
 
     Endpoint buffers are predicted from EP0 by constant packet-size offsets;
-    stores whose tracked destination lands there are targets. Delay counters
-    are made symbolic in addition to the given set so threshold-guarded
-    payloads are explored without unrolling."""
+    stores whose tracked destination lands there are targets. The
+    exploration runs under a copy of `policy` that also designates the
+    delay counters, so threshold-guarded payloads are explored without
+    unrolling; `policy` itself is left as it was."""
     if instrs is None:
         instrs = usbstatic.reachable_instructions(image)
     targets = None
@@ -554,12 +539,13 @@ def query2(image: bytes, ep0: set[int], symbolic_set, max_ep: int = 4,
         targets = {ins.addr for ins in instrs
                    if M.get(ins.addr, "dst")[1] in other_eps}
     counters = find_counters(image, instrs)
-    _, policy = resolve_policy("partial", symbolic_set)
-    policy.designate_all(counters)
-    return _explore_query2(image, policy, config, targets, counters)
+    with_counters = SymbolicPolicy()
+    with_counters.vars = dict(policy.vars)
+    with_counters.designate_all(counters)
+    return _explore_query2(image, with_counters, config, targets, counters)
 
 
-def query2_unexpected(image: bytes, ep0: set[int], symbolic_set,
+def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                       max_ep: int = 4,
                       config: ExplorationConfig | None = None,
                       instrs: list[isa.Instruction] | None = None
@@ -567,7 +553,7 @@ def query2_unexpected(image: bytes, ep0: set[int], symbolic_set,
     """Concrete data flowing into predicted endpoint buffers (see query2)."""
     if not ep0:
         raise ValueError("query2_unexpected requires a nonempty EP0 set")
-    return query2(image, ep0, symbolic_set, max_ep, config, instrs)[0]
+    return query2(image, ep0, policy, max_ep, config, instrs)[0]
 
 
 def query2_inconsistent(image: bytes, policy: SymbolicPolicy,

@@ -53,8 +53,9 @@ class SymbolicPolicyError(Exception):
 class SymbolicPolicy:
     """Designated symbolic bytes; everything else reads its reset value."""
 
-    def __init__(self):
+    def __init__(self, locations=()):
         self.vars: dict[tuple[Region, int], SymExpr] = {}
+        self.designate_all(locations)
 
     @staticmethod
     def var_name(region: Region, addr: int) -> str:
@@ -92,7 +93,7 @@ class ExplorationConfig:
     block_repeat_threshold: int = 256
     cooldown_min: int = 20
     cooldown_max: int = 100
-    time_limit: float | None = None
+    deadline: float | None = None       # absolute time.monotonic() value
     max_blocks: int = 250_000
     max_indirect_fanout: int = 16
     only_interrupt_source: str | None = None
@@ -614,8 +615,8 @@ class Executor:
             if self.blocks_executed >= self.config.max_blocks:
                 reason = "block-limit"
                 break
-            if (self.config.time_limit is not None
-                    and time.monotonic() - self.t0 > self.config.time_limit):
+            if (self.config.deadline is not None
+                    and time.monotonic() > self.config.deadline):
                 reason = "time-limit"
                 break
             s = select_next(frontier, self.rng)

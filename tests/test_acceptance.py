@@ -154,8 +154,7 @@ def test_criterion_06_alg3_convergence():
     empty = symexec.execute(image, symexec.SymbolicPolicy(), run_cfg)
     assert target not in empty.target_hits
     discovered = queries.find_symbolic_locations(image, tau=3, config=cfg)
-    pol = symexec.SymbolicPolicy()
-    pol.designate_all(discovered.locations)
+    pol = symexec.SymbolicPolicy(discovered.locations)
     full = symexec.execute(image, pol, run_cfg)
     assert target in full.target_hits
     assert len(empty.coverage) < len(full.coverage)
@@ -171,8 +170,9 @@ def test_criterion_07_query1_reachability_and_constraints():
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg)
     for policy in ("partial", "full"):
         t0 = time.monotonic()
-        rep = queries.query1(image, [target], policy, symbolic_set=symset,
-                             config=cfg)
+        pol = (symexec.SymbolicPolicy(symset.locations) if policy == "partial"
+               else symexec.SymbolicPolicy.full())
+        rep = queries.query1(image, [target], pol, config=cfg)
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"{policy}: {elapsed:.1f}s"
         t = rep.targets[target]
@@ -190,11 +190,13 @@ def test_criterion_08_policy_precondition_speedup():
     cfg = symexec.ExplorationConfig(seed=3, block_repeat_threshold=24)
     t0 = time.monotonic()
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg)
-    full = queries.query1(image, [target], "full", config=cfg)
+    full = queries.query1(image, [target], symexec.SymbolicPolicy.full(),
+                          config=cfg)
     pre = [queries.Precondition("XRAM", man.setup_base + 1, "==", 6),
            queries.Precondition("XRAM", man.setup_base + 3, "==", 34)]
-    partial = queries.query1(image, [target], "partial", preconditions=pre,
-                             symbolic_set=symset, config=cfg)
+    partial = queries.query1(image, [target],
+                             symexec.SymbolicPolicy(symset.locations),
+                             preconditions=pre, config=cfg)
     elapsed = time.monotonic() - t0
     assert full.targets[target].reached and partial.targets[target].reached
     ratio = full.states_explored / partial.states_explored
@@ -217,8 +219,9 @@ def test_criterion_09_query2_detection():
     inf = usbstatic.find_devspec_to_ep0(image, "hid")
 
     t0 = time.monotonic()
-    rep4 = queries.query2_unexpected(image, inf.ep0, symset, max_ep=4,
-                                     config=cfg)
+    rep4 = queries.query2_unexpected(image, inf.ep0,
+                                     symexec.SymbolicPolicy(symset.locations),
+                                     max_ep=4, config=cfg)
     t4 = time.monotonic() - t0
     assert any(f.site == mal for f in rep4.flagged)
     assert ("IRAM", 0x35) in [tuple(c) for c in rep4.counters]
@@ -230,16 +233,14 @@ def test_criterion_09_query2_detection():
     M = usbstatic.prop_const_mem(instrs)
     target_sites = {i.addr for i in instrs
                     if M.get(i.addr, "dst")[1] in other}
-    pol_nc = symexec.SymbolicPolicy()
-    pol_nc.designate_all(symset.locations)
+    pol_nc = symexec.SymbolicPolicy(symset.locations)
     listener = queries._ConcreteFlowListener(target_sites, solver.Solver())
     symexec.execute(image, pol_nc, cfg, listeners=[listener])
     assert not any(f.site == mal for f in listener.flags.values())
 
     t0 = time.monotonic()
-    pol = symexec.SymbolicPolicy()
-    pol.designate_all(symset.locations)
-    pol.designate_all(queries.find_counters(image, instrs))
+    pol = symexec.SymbolicPolicy(symset.locations
+                                 | queries.find_counters(image, instrs))
     rep5 = queries.query2_inconsistent(image, pol, cfg)
     t5 = time.monotonic() - t0
     assert rep5.ranked, "no inconsistent writes found"
@@ -251,12 +252,11 @@ def test_criterion_09_query2_detection():
     # benign twin: zero rank-1 flags
     b_image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="benign-hid"))
     b_sym = queries.find_symbolic_locations(b_image, tau=8, config=cfg)
-    b_pol = symexec.SymbolicPolicy()
-    b_pol.designate_all(b_sym.locations)
+    b_pol = symexec.SymbolicPolicy(b_sym.locations)
     b_rep5 = queries.query2_inconsistent(b_image, b_pol, cfg)
     assert b_rep5.ranked == []
     b_inf = usbstatic.find_devspec_to_ep0(b_image, "hid")
-    b_rep4 = queries.query2_unexpected(b_image, b_inf.ep0, b_sym, max_ep=4,
+    b_rep4 = queries.query2_unexpected(b_image, b_inf.ep0, b_pol, max_ep=4,
                                        config=cfg)
     assert b_rep4.flagged == []
     _ok(9, f"Alg4 flags 0x{mal:04x} (missed without counter symbolication); "

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,15 +257,51 @@ def test_consistency_query_explores_once(tmp_path, monkeypatch):
     real = queries.execute
 
     def counting(image, policy, config, listeners=(), **kw):
-        calls.append([type(ln).__name__ for ln in listeners])
+        calls.append(([type(ln).__name__ for ln in listeners],
+                      set(policy.vars)))
         return real(image, policy, config, listeners, **kw)
 
+    passed = []
+    real_query2 = queries.query2
+
+    def query2(image, ep0, policy, **kw):
+        before = dict(policy.vars)
+        out = real_query2(image, ep0, policy, **kw)
+        passed.append((before, policy.vars))
+        return out
+
     monkeypatch.setattr(queries, "execute", counting)
+    monkeypatch.setattr(queries, "query2", query2)
     # the full policy skips symbolic-set discovery, so only Query 2 explores
     report, _ = run_pipeline(small_config(path, query="consistency",
                                           policy="full"))
-    assert calls == [["_ConcreteFlowListener", "_AccessRecorder"]]
+    assert [names for names, _ in calls] == [
+        ["_ConcreteFlowListener", "_AccessRecorder"]]
     assert set(report.query2) == {"unexpected_flow", "inconsistent_flow"}
+    everything = ({(Region.IRAM, a) for a in range(0x100)}
+                  | {(Region.XRAM, a) for a in range(0x10000)})
+    assert calls[0][1] == everything
+    [(before, after)] = passed
+    assert after == before and set(after) == everything
+
+    # auto: discovery runs, then Query 1 under the discovered set, then
+    # Query 2 under that set plus the delay counters
+    calls.clear()
+    passed.clear()
+    report, _ = run_pipeline(small_config(path, query="both", policy="auto"))
+    *discovery, (q1_names, q1_policy), (q2_names, q2_policy) = calls
+    assert all(names == ["_CheckLoads"] for names, _ in discovery)
+    assert q1_names == [] and q2_names == [
+        "_ConcreteFlowListener", "_AccessRecorder"]
+    found = {(Region[r], int(a, 16))
+             for r, a in report.symbolic_set["locations"]}
+    assert found and q1_policy == found
+    image = open(path, "rb").read()
+    counters = queries.find_counters(image)
+    assert counters - found
+    assert q2_policy == found | counters
+    [(before, after)] = passed
+    assert after == before and set(after) == found
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):
@@ -274,6 +311,29 @@ def test_time_limit_bounds_symbolic_set_discovery(tmp_path):
                                           policy="auto", time_limit=0.0))
     reasons = [it["reason"] for it in report.symbolic_set["iterations"]]
     assert reasons and set(reasons) == {"time-limit"}
+
+
+def test_time_limit_is_one_budget_for_the_whole_analysis(tmp_path,
+                                                        monkeypatch):
+    path, _ = write_fixture(tmp_path, "benign-hid")
+    # A fake clock that stands still while discovery runs and then jumps
+    # past the budget, as if discovery had spent all of it.
+    now = [100.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    real = queries.find_symbolic_locations
+
+    def discover(*a, **kw):
+        out = real(*a, **kw)
+        now[0] += 10.0
+        return out
+
+    monkeypatch.setattr(queries, "find_symbolic_locations", discover)
+    report, _ = run_pipeline(small_config(path, policy="auto",
+                                          time_limit=5.0))
+    reasons = {it["reason"] for it in report.symbolic_set["iterations"]}
+    assert reasons and "time-limit" not in reasons
+    assert report.query1["reason"] == "time-limit"
+    assert {q["reason"] for q in report.query2.values()} == {"time-limit"}
 
 
 @pytest.mark.parametrize("precondition, message", [

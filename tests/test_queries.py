@@ -140,8 +140,8 @@ def test_query1_unguarded_target_trivial():
         sjmp spin
     """
     image, syms = fwkit.assemble_with_symbols(src)
-    rep = queries.query1(image, [syms["tgt"]], "partial",
-                         symbolic_set=set(), config=cfg())
+    rep = queries.query1(image, [syms["tgt"]], SymbolicPolicy(),
+                         config=cfg())
     t = rep.targets[syms["tgt"]]
     assert t.reached
     assert t.usb_constraints == []
@@ -151,7 +151,7 @@ def test_query1_descriptor_request_constraints():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
     target = man.target_sites["hid_report_copy"]
-    rep = queries.query1(image, [target], "partial", symbolic_set=symset,
+    rep = queries.query1(image, [target], SymbolicPolicy(symset.locations),
                          config=cfg())
     t = rep.targets[target]
     assert t.reached
@@ -170,9 +170,9 @@ def test_query1_policy_dominance():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
     targets = sorted(man.target_sites.values())
-    partial = queries.query1(image, targets, "partial", symbolic_set=symset,
-                             config=cfg())
-    full = queries.query1(image, targets, "full", config=cfg())
+    partial = queries.query1(image, targets,
+                             SymbolicPolicy(symset.locations), config=cfg())
+    full = queries.query1(image, targets, SymbolicPolicy.full(), config=cfg())
     for t in targets:
         if partial.targets[t].reached:
             assert full.targets[t].reached
@@ -184,10 +184,10 @@ def test_query1_precondition_soundness():
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
     target = man.target_sites["hid_report_copy"]
     pre = [Precondition("XRAM", man.setup_base + 1, "==", 6)]
-    with_pre = queries.query1(image, [target], "partial", preconditions=pre,
-                              symbolic_set=symset, config=cfg())
-    without = queries.query1(image, [target], "partial", symbolic_set=symset,
-                             config=cfg())
+    pol = SymbolicPolicy(symset.locations)
+    with_pre = queries.query1(image, [target], pol, preconditions=pre,
+                              config=cfg())
+    without = queries.query1(image, [target], pol, config=cfg())
     assert with_pre.targets[target].reached
     assert without.targets[target].reached
     # and the precondition is part of the reported path
@@ -219,7 +219,7 @@ def test_query1_witness_timeout_reported():
 
 def test_query1_requires_targets():
     with pytest.raises(ValueError):
-        queries.query1(bytes(16), [], "full")
+        queries.query1(bytes(16), [], SymbolicPolicy())
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,9 @@ def test_query2_unexpected_flags_injector_and_not_benign():
         image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template=template))
         symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
         inf = usbstatic.find_devspec_to_ep0(image, "hid")
-        rep = queries.query2_unexpected(image, inf.ep0, symset, max_ep=4,
-                                        config=cfg(seed=5))
+        rep = queries.query2_unexpected(image, inf.ep0,
+                                        SymbolicPolicy(symset.locations),
+                                        max_ep=4, config=cfg(seed=5))
         if expect_flag:
             mal = man.malicious_store_sites[0]
             assert any(f.site == mal for f in rep.flagged)
@@ -331,8 +332,7 @@ def test_query2_unexpected_missed_without_counter_symbolication():
     other = queries.other_endpoint_addresses(inf.ep0, 4)
     M = usbstatic.prop_const_mem(instrs)
     targets = {i.addr for i in instrs if M.get(i.addr, "dst")[1] in other}
-    pol = SymbolicPolicy()
-    pol.designate_all(symset.locations)  # env bytes only, counters left out
+    pol = SymbolicPolicy(symset.locations)  # env bytes only, no counters
     sat = solver.Solver()
     listener = queries._ConcreteFlowListener(targets, sat)
     symexec.execute(image, pol, cfg(seed=5), listeners=[listener])
@@ -384,8 +384,8 @@ cdesc:
 .db 0x09, 0x04, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00
 """
     image, syms = fwkit.assemble_with_symbols(src)
-    rep = queries.query2_unexpected(image, {0x6100}, set(), max_ep=4,
-                                    config=cfg())
+    rep = queries.query2_unexpected(image, {0x6100}, SymbolicPolicy(),
+                                    max_ep=4, config=cfg())
     flags = [f for f in rep.flagged if f.write_addr == 0x6120]
     assert flags, rep.flagged
     assert flags[0].label == "known-protocol-constant"
@@ -395,9 +395,7 @@ cdesc:
 def test_query2_inconsistent_ranks_injector_top():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
-    pol = SymbolicPolicy()
-    pol.designate_all(symset.locations)
-    pol.designate_all(queries.find_counters(image))
+    pol = SymbolicPolicy(symset.locations | queries.find_counters(image))
     rep = queries.query2_inconsistent(image, pol, cfg(seed=5))
     assert rep.ranked
     top = rep.ranked[0]
@@ -490,12 +488,12 @@ def test_query2_one_exploration_matches_separate_runs(template):
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
     instrs = usbstatic.reachable_instructions(image)
     ep0 = usbstatic.find_devspec_to_ep0(image, "hid", instrs=instrs).ep0
-    both = queries.query2(image, ep0, symset, max_ep=4, config=cfg(seed=5),
+    env = SymbolicPolicy(symset.locations)
+    both = queries.query2(image, ep0, env, max_ep=4, config=cfg(seed=5),
                           instrs=instrs)
-    pol = SymbolicPolicy()
-    pol.designate_all(symset.locations)
-    pol.designate_all(queries.find_counters(image, instrs))
-    separate = (queries.query2_unexpected(image, ep0, symset, max_ep=4,
+    pol = SymbolicPolicy(symset.locations
+                         | queries.find_counters(image, instrs))
+    separate = (queries.query2_unexpected(image, ep0, env, max_ep=4,
                                           config=cfg(seed=5)),
                 queries.query2_inconsistent(image, pol, cfg(seed=5)))
     for one, alone in zip(both, separate):
@@ -518,9 +516,9 @@ def test_query2_one_exploration_matches_separate_runs(template):
 def test_query2_reports_keep_solver_timeouts():
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     ep0 = usbstatic.find_devspec_to_ep0(image, "hid").ep0
-    pol = SymbolicPolicy()
-    pol.designate_all(queries.find_counters(image))
+    pol = SymbolicPolicy(queries.find_counters(image))
     budget = cfg(solver_timeout=0.0, max_states=64)
-    for rep in (queries.query2_unexpected(image, ep0, set(), config=budget),
+    for rep in (queries.query2_unexpected(image, ep0, SymbolicPolicy(),
+                                          config=budget),
                 queries.query2_inconsistent(image, pol, budget)):
         assert "solver timeout: assumed satisfiable" in rep.diagnostics

@@ -28,7 +28,7 @@ PINNED = {
     ("benign-hid", "consistency"): (
         0, "e63df2a03ea0252a25d634cf9dad5f9fcb76032c280642b907eba5d4d20693d4"),
     ("benign-hid", "full"): (
-        0, "d7a9a529769188119f722c1dc450553ee170c71ae5d760ea8724e96488087c5f"),
+        0, "95aa288de602e48e803d2adc8465e76522aa53460a750231263f727865175850"),
     ("benign-hid", "seed3"): (
         0, "09b868b85b1d412b186ef3a01553022ad9c048617eac86599de56c8e49a6a84f"),
     ("benign-hid", "identity-pre"): (
@@ -38,7 +38,7 @@ PINNED = {
     ("injector-hid", "consistency"): (
         1, "8d014692aec097127ccf8b52bf11157b88914b1004c7680c76ed215ef7d326f5"),
     ("injector-hid", "full"): (
-        1, "9c020e6a304a1a0690e0abf0974562cf36ced8216431dadead76a1bc8a9c1ab0"),
+        1, "89b99e0406b0eb4c10eff86d3e070dc21a9c7ed870c712a20c9816391c215514"),
     ("injector-hid", "seed3"): (
         1, "e45b5d986040fe53c2dbee1e7f2eded9a2f0d7daf596fcc210e173261b85f3d6"),
     ("injector-hid", "identity-pre"): (
@@ -48,7 +48,7 @@ PINNED = {
     ("storage-claiming-hid", "consistency"): (
         0, "c9bb9e5ae3e07163166e78b847087444b92ac834c2cdc24b59dfa1cc42e9757b"),
     ("storage-claiming-hid", "full"): (
-        0, "2a77cbceae4aea8079339b28441cc30bad88bb7d077419f20e285fb400d83d10"),
+        0, "2b8597acf61542f7b51d302091032d6f8505f25abbd3b197791b552e7f9babe6"),
     ("storage-claiming-hid", "seed3"): (
         0, "9598c7f504b788c6c7351f5d7546637636dd467557f6321dda17c32d1d7ad475"),
     ("storage-claiming-hid", "identity-pre"): (
