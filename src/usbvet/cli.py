@@ -6,9 +6,11 @@ claimed-model construction, driver matching / expected-model comparison,
 report. Partial failures (no descriptors, no targets, budget exhaustion)
 degrade into diagnostics instead of aborting.
 
-`run_pipeline` owns the two analysis-wide decisions: it builds the one
+`run_pipeline` owns the analysis-wide decisions: it builds the image's
+static facts once (`usbstatic.prop_const_mem` over the reachable
+instructions), which EP0 inference and Query 2 share; it builds the one
 `SymbolicPolicy` that both queries run under (`--policy full` designates
-every IRAM and XRAM byte, `auto`/`partial` the discovered set), and it turns
+every IRAM and XRAM byte, `auto`/`partial` the discovered set); and it turns
 `--time-limit` into one deadline shared by every exploration.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
@@ -238,34 +240,34 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                  "bytes": h.matched.hex(),
                  "xrefs": [_hx(x) for x in h.xrefs]} for h in hits]
 
-    # 2. EP0 inference and target computation per hunted class
-    instrs = usbstatic.reachable_instructions(image)
-    ep0_info: dict = {"classes": {}}
+    # 2. the image's static facts, built once; EP0 votes and the target
+    # sites of every hunted class
+    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
+    classes: dict = {}
+    ep0_info: dict = {"classes": classes}
     targets: set[int] = set()
-    hid_targets: set[int] = set()
-    ep0_union: set[int] = set()
-    for cls in ("hid", "mass-storage"):
-        try:
-            inf = usbstatic.find_devspec_to_ep0(image, cls, instrs=instrs,
-                                                hits=hits)
-        except usbstatic.NoDescriptors as e:
+    hid_targets: list[int] = []
+    ep0: set[int] = set()
+    try:
+        inf = usbstatic.find_devspec_to_ep0(image, M, hits)
+    except usbstatic.NoDescriptors as e:
+        for cls in usbstatic.CLASS_FUNCSPEC:
             diagnostics.append(f"NoDescriptors[{cls}]: {e}")
-            ep0_info["classes"][cls] = {"error": "NoDescriptors"}
-            continue
-        ep0_info["classes"][cls] = {
-            "ep0": sorted(_hx(a) for a in inf.ep0),
-            "ep0_config_votes": sorted(_hx(a) for a in inf.ep0_1),
-            "ep0_device_votes": sorted(_hx(a) for a in inf.ep0_2),
-            "target_sites": [_hx(t) for t in inf.target_sites],
-        }
-        if cls == "mass-storage":
-            ep0_info["classes"][cls]["note"] = (
-                "mass-storage evidence uses the bulk-only CBW tag signature "
-                "as a stand-in for class-specific descriptor data")
-        targets.update(inf.target_sites)
-        ep0_union.update(inf.ep0)
-        if cls == "hid":
-            hid_targets.update(inf.target_sites)
+            classes[cls] = {"error": "NoDescriptors"}
+    else:
+        ep0 = inf.ep0
+        hid_targets = inf.target_sites["hid"]
+        for cls, sites in inf.target_sites.items():
+            classes[cls] = {
+                "ep0": sorted(_hx(a) for a in inf.ep0),
+                "ep0_config_votes": sorted(_hx(a) for a in inf.ep0_1),
+                "ep0_device_votes": sorted(_hx(a) for a in inf.ep0_2),
+                "target_sites": [_hx(t) for t in sites],
+            }
+            targets.update(sites)
+        classes["mass-storage"]["note"] = (
+            "mass-storage evidence uses the bulk-only CBW tag signature "
+            "as a stand-in for class-specific descriptor data")
 
     # 3a. the symbolic policy of both queries: every IRAM/XRAM byte, or the
     # symbolic set (Alg. 3) for partial/auto
@@ -301,9 +303,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     q2_dict = None
     rep4 = rep5 = None
     if config.query in ("consistency", "both"):
-        rep4, rep5 = queries.query2(image, ep0_union, policy,
-                                    max_ep=config.max_ep, config=base_cfg,
-                                    instrs=instrs)
+        rep4, rep5 = queries.query2(image, ep0, policy, M=M,
+                                    max_ep=config.max_ep, config=base_cfg)
         q2_dict = {"inconsistent_flow": _q2_dict(rep5)}
         if rep4 is not None:
             q2_dict["unexpected_flow"] = _q2_dict(rep4)
@@ -331,7 +332,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                 iface.bInterfaceClass, iface.bInterfaceSubClass,
                 iface.bInterfaceProtocol, confirmed=True,
                 evidence="configuration descriptor"))
-    hid_reached = [t for t in sorted(hid_targets)
+    hid_reached = [t for t in hid_targets
                    if q1 is not None and q1.targets[t].reached]
     hid_static = bool(hid_targets) and q1 is None
     claims_hid = any(i.cls == usbdb.USB_CLASS_HID for i in claimed_ifaces)
@@ -455,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--seed", type=int, default=None)
     an.add_argument("--time-limit", type=float, default=None)
     an.add_argument("--state-limit", type=int, default=None)
-    an.add_argument("--precondition", action="append", default=[],
+    an.add_argument("--precondition", action="append", dest="preconditions",
                     metavar="REGION:ADDR:REL:VAL")
     an.add_argument("--signatures", default=None, metavar="FILE")
     an.add_argument("--ruledb", default=None, metavar="FILE")
@@ -468,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# JSON key -> (RunConfig attribute, accepted JSON value types)
+# JSON key and flag dest -> (RunConfig attribute, accepted JSON value types)
 _CONFIG_KEYS = {
     "expected": ("expected", str), "query": ("query", str),
     "policy": ("policy", str), "tau": ("tau", int), "max_ep": ("max_ep", int),
@@ -505,18 +506,10 @@ def config_from_args(args) -> RunConfig:
                 raise ConfigInvalid(f"config file: {key!r} has the wrong "
                                     f"type: {json.dumps(value)}")
             setattr(cfg, attr, value)
-    overrides = {
-        "expected": args.expected, "query": args.query, "policy": args.policy,
-        "tau": args.tau, "max_ep": args.max_ep, "seed": args.seed,
-        "time_limit": args.time_limit, "state_limit": args.state_limit,
-        "signatures_path": args.signatures, "ruledb_path": args.ruledb,
-        "report_path": args.report,
-    }
-    for attr, value in overrides.items():
-        if value is not None:
+    for key, (attr, _types) in _CONFIG_KEYS.items():
+        value = getattr(args, key)
+        if value is not None:  # a flag overrides the file
             setattr(cfg, attr, value)
-    if args.precondition:
-        cfg.preconditions = list(args.precondition)
     cfg.include_timing = args.timing
     return cfg
 

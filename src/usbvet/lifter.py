@@ -129,14 +129,13 @@ class UnliftableInstruction(Exception):
 
 
 class IRBlock:
-    __slots__ = ("addr", "stmts", "n_temps", "instr_addrs", "successors")
+    __slots__ = ("addr", "stmts", "n_temps", "instr_addrs")
 
-    def __init__(self, addr, stmts, n_temps, instr_addrs, successors):
+    def __init__(self, addr, stmts, n_temps, instr_addrs):
         self.addr = addr
         self.stmts = stmts
         self.n_temps = n_temps
         self.instr_addrs = instr_addrs
-        self.successors = successors
 
 
 _PSW = machine.PSW
@@ -572,33 +571,24 @@ def lift_block(image: bytes, addr: int, max_instrs: int = MAX_BLOCK_INSTRS) -> I
     e = _Emit()
     instr_addrs: list[int] = []
     pos = addr
-    terminator = None
-    count = 0
+    ins = isa.decode(image, pos)  # first decode failure propagates to caller
     while True:
-        ins = isa.decode(image, pos)  # first decode failure propagates to caller
         e.stmts.append(Boundary(ins.addr, ins.length))
         instr_addrs.append(ins.addr)
         terminator = _lift_one(e, ins)
         pos = (pos + ins.length) & 0xFFFF
-        count += 1
         if terminator is not None:
             break
-        if pos >= len(image) or count >= max_instrs:
+        if pos >= len(image) or len(instr_addrs) >= max_instrs:
             terminator = Jump(pos)
             break
         try:
-            isa.decode(image, pos)
+            ins = isa.decode(image, pos)  # the next iteration lifts it
         except isa.IsaError:
             terminator = Jump(pos)  # runtime error surfaces if actually reached
             break
     e.stmts.append(terminator)
-    if isinstance(terminator, Jump) and isinstance(terminator.target, int):
-        succ = (terminator.target,)
-    elif isinstance(terminator, CJump):
-        succ = (terminator.taken, terminator.fall)
-    else:
-        succ = ()
-    return IRBlock(addr, e.stmts, e.n, instr_addrs, succ)
+    return IRBlock(addr, e.stmts, e.n, instr_addrs)
 
 
 class LiftedProgram:

@@ -225,7 +225,7 @@ class ConcreteState:
         return "\n".join(lines)
 
 
-def _operand_value(st: ConcreteState, image: bytes, op: isa.Operand) -> int:
+def _operand_value(st: ConcreteState, op: isa.Operand) -> int:
     k = op.kind
     if k is isa.OpKind.ACC:
         return st.acc
@@ -323,13 +323,13 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
             st.write_bit(ops[0].value, 0)
             st.pc = ops[1].value
     elif m == "CJNE":
-        a = _operand_value(st, image, ops[0])
-        b_val = _operand_value(st, image, ops[1])
+        a = _operand_value(st, ops[0])
+        b_val = _operand_value(st, ops[1])
         st.set_flag(PSW_CY, a < b_val)
         if a != b_val:
             st.pc = ops[2].value
     elif m == "DJNZ":
-        v = (_operand_value(st, image, ops[0]) - 1) & 0xFF
+        v = (_operand_value(st, ops[0]) - 1) & 0xFF
         _operand_store(st, ops[0], v)
         if v != 0:
             st.pc = ops[1].value
@@ -342,7 +342,7 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
         elif k0 is isa.OpKind.BIT:
             st.write_bit(ops[0].value, st.flag(PSW_CY))
         else:
-            _operand_store(st, ops[0], _operand_value(st, image, ops[1]))
+            _operand_store(st, ops[0], _operand_value(st, ops[1]))
     elif m == "MOVC":
         base = st.dptr if ops[1].kind is isa.OpKind.CODE_DPTR else next_pc
         addr = (st.acc + base) & 0xFFFF
@@ -357,19 +357,19 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
             addr = st.dptr if dst.kind is isa.OpKind.IND_DPTR else st.reg(dst.value)
             st.write_xram(addr, st.acc)
     elif m == "ADD":
-        _add(st, _operand_value(st, image, ops[1]), 0)
+        _add(st, _operand_value(st, ops[1]), 0)
     elif m == "ADDC":
-        _add(st, _operand_value(st, image, ops[1]), st.flag(PSW_CY))
+        _add(st, _operand_value(st, ops[1]), st.flag(PSW_CY))
     elif m == "SUBB":
-        _subb(st, _operand_value(st, image, ops[1]))
+        _subb(st, _operand_value(st, ops[1]))
     elif m == "INC":
         if ops[0].kind is isa.OpKind.DPTR:
             st.dptr = (st.dptr + 1) & 0xFFFF
         else:
             _operand_store(st, ops[0],
-                           (_operand_value(st, image, ops[0]) + 1) & 0xFF)
+                           (_operand_value(st, ops[0]) + 1) & 0xFF)
     elif m == "DEC":
-        _operand_store(st, ops[0], (_operand_value(st, image, ops[0]) - 1) & 0xFF)
+        _operand_store(st, ops[0], (_operand_value(st, ops[0]) - 1) & 0xFF)
     elif m in ("ANL", "ORL", "XRL"):
         if ops[0].kind is isa.OpKind.CARRY:
             bit_op = ops[1]
@@ -379,8 +379,8 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
             c = st.flag(PSW_CY)
             st.set_flag(PSW_CY, (c & bv) if m == "ANL" else (c | bv))
         else:
-            a = _operand_value(st, image, ops[0])
-            b_val = _operand_value(st, image, ops[1])
+            a = _operand_value(st, ops[0])
+            b_val = _operand_value(st, ops[1])
             r = a & b_val if m == "ANL" else a | b_val if m == "ORL" else a ^ b_val
             _operand_store(st, ops[0], r)
     elif m == "CLR":
@@ -422,12 +422,12 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
         a = st.acc
         st.acc = ((a << 4) | (a >> 4)) & 0xFF
     elif m == "XCH":
-        other = _operand_value(st, image, ops[1])
+        other = _operand_value(st, ops[1])
         a = st.acc
         st.acc = other
         _operand_store(st, ops[1], a)
     elif m == "XCHD":
-        other = _operand_value(st, image, ops[1])
+        other = _operand_value(st, ops[1])
         a = st.acc
         st.acc = (a & 0xF0) | (other & 0x0F)
         _operand_store(st, ops[1], (other & 0xF0) | (a & 0x0F))
@@ -475,11 +475,6 @@ def ie_mask(source: str) -> int:
     """IE bits that must all be set for source to interrupt: the global EA
     bit and the source's own enable bit."""
     return (1 << IE_EA_BIT) | (1 << INT_SOURCES[source][1])
-
-
-def interrupt_enabled(ie_value: int, source: str) -> bool:
-    mask = ie_mask(source)
-    return ie_value & mask == mask
 
 
 def discover_isrs(image: bytes) -> dict[str, int]:

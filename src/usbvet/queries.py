@@ -15,7 +15,8 @@ also designates the delay counters.
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
 the environment), and counter detection (delay counters guard injection
-payloads and must be symbolic for the payload to be explored).
+payloads and must be symbolic for the payload to be explored) over the
+static facts of `usbstatic.prop_const_mem`.
 """
 
 from __future__ import annotations
@@ -275,23 +276,19 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
 # Counter discovery
 # ---------------------------------------------------------------------------
 
-def find_counters(image: bytes,
-                  instrs: list[isa.Instruction] | None = None
-                  ) -> set[tuple[Region, int]]:
+def find_counters(M: usbstatic.PropMap) -> set[tuple[Region, int]]:
     """Addresses manipulated by add/sub-style instructions whose value never
-    feeds an address or index computation: candidate delay counters."""
-    if instrs is None:
-        instrs = usbstatic.reachable_instructions(image)
-    by_addr = {i.addr: i for i in instrs}
+    feeds an address or index computation, given an image's static facts
+    `M`: candidate delay counters."""
+    by_addr = M.by_addr
     counters: set[tuple[Region, int]] = set()
 
-    def value_feeds_address(start_addr: int, loc) -> bool:
+    def value_feeds_address(start: isa.Instruction, loc) -> bool:
         """Taint walk through copies: does loc's value reach an address or
         @A+DPTR/@A+PC index operand?"""
         seen = set()
-        start = by_addr[start_addr]
         queue = [(succ, frozenset((loc,)))
-                 for succ in usbstatic._successors(start, by_addr)]
+                 for succ in usbstatic._successors(start)]
         budget = 512
         while queue and budget:
             budget -= 1
@@ -300,7 +297,7 @@ def find_counters(image: bytes,
             if ins is None or (addr, live) in seen:
                 continue
             seen.add((addr, live))
-            sm = usbstatic._summarize(ins)
+            sm = M.summaries[addr]
             live_set = set(live)
             if live_set & set(sm.addr_load) or live_set & set(sm.addr_store):
                 return True
@@ -311,11 +308,11 @@ def find_counters(image: bytes,
                 if sm.value_dst_reg is not None:
                     new_live.add(sm.value_dst_reg)
             if new_live:
-                for succ in usbstatic._successors(ins, by_addr):
+                for succ in usbstatic._successors(ins):
                     queue.append((succ, frozenset(new_live)))
         return False
 
-    for ins in instrs:
+    for ins in M.instrs:
         if ins.mnemonic not in ("INC", "DEC", "ADD", "ADDC", "SUBB"):
             continue
         op0 = ins.operands[0] if ins.operands else None
@@ -331,20 +328,18 @@ def find_counters(image: bytes,
             continue
         if loc[0] == "sfr":
             continue  # hardware registers are not data counters
-        if value_feeds_address(ins.addr, loc):
+        if value_feeds_address(ins, loc):
             continue
         counters.add((Region.IRAM, loc[1]))
 
     # XRAM read-modify-write through a tracked DPTR constant
-    M = usbstatic.prop_const_mem(instrs)
-    ordered = sorted(instrs, key=lambda i: i.addr)
-    for idx, ins in enumerate(ordered):
+    for idx, ins in enumerate(M.instrs):
         if ins.mnemonic != "MOVX" or ins.operands[0].kind is not isa.OpKind.ACC:
             continue
         tracked = M.get(ins.addr, "src")[1]
         if tracked is None:
             continue
-        window = ordered[idx + 1: idx + 5]
+        window = M.instrs[idx + 1: idx + 5]
         bumped = any(w.mnemonic in ("INC", "DEC", "ADD", "ADDC", "SUBB")
                      and w.operands and w.operands[0].kind is isa.OpKind.ACC
                      for w in window)
@@ -518,27 +513,27 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
 
 
 def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
-           max_ep: int = 4, config: ExplorationConfig | None = None,
-           instrs: list[isa.Instruction] | None = None
+           M: usbstatic.PropMap, max_ep: int = 4,
+           config: ExplorationConfig | None = None
            ) -> tuple[Query2Report | None, Query2Report]:
     """Both Query 2 detectors over one exploration. Returns the
     unexpected-flow report, None when EP0 is unknown, and the
     inconsistent-flow report.
 
-    Endpoint buffers are predicted from EP0 by constant packet-size offsets;
-    stores whose tracked destination lands there are targets. The
-    exploration runs under a copy of `policy` that also designates the
-    delay counters, so threshold-guarded payloads are explored without
-    unrolling; `policy` itself is left as it was."""
-    if instrs is None:
-        instrs = usbstatic.reachable_instructions(image)
+    Both the endpoint targets and the delay counters come from the image's
+    static facts `M` (see usbstatic.prop_const_mem), which the caller builds
+    once per image; Query 2 runs no propagation of its own. Endpoint buffers
+    are predicted from EP0 by constant packet-size offsets; stores whose
+    tracked destination lands there are targets. The exploration runs under
+    a copy of `policy` that also designates the delay counters, so
+    threshold-guarded payloads are explored without unrolling; `policy`
+    itself is left as it was."""
     targets = None
     if ep0:
         other_eps = other_endpoint_addresses(ep0, max_ep)
-        M = usbstatic.prop_const_mem(instrs)
-        targets = {ins.addr for ins in instrs
+        targets = {ins.addr for ins in M.instrs
                    if M.get(ins.addr, "dst")[1] in other_eps}
-    counters = find_counters(image, instrs)
+    counters = find_counters(M)
     with_counters = SymbolicPolicy()
     with_counters.vars = dict(policy.vars)
     with_counters.designate_all(counters)
@@ -547,13 +542,14 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
 
 def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                       max_ep: int = 4,
-                      config: ExplorationConfig | None = None,
-                      instrs: list[isa.Instruction] | None = None
+                      config: ExplorationConfig | None = None
                       ) -> Query2Report:
-    """Concrete data flowing into predicted endpoint buffers (see query2)."""
+    """Concrete data flowing into predicted endpoint buffers (see query2),
+    with the static facts built from `image`."""
     if not ep0:
         raise ValueError("query2_unexpected requires a nonempty EP0 set")
-    return query2(image, ep0, policy, max_ep, config, instrs)[0]
+    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
+    return query2(image, ep0, policy, M, max_ep, config)[0]
 
 
 def query2_inconsistent(image: bytes, policy: SymbolicPolicy,

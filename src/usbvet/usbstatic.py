@@ -6,7 +6,14 @@ constant-address propagation over the disassembly (worklist, each site
 updated at most twice), and the EP0/target inference built on top of it:
 device- and configuration-descriptor copies vote for the EP0 buffer, and a
 store that moves function-specific data (e.g. an HID report descriptor) into
-that buffer is a target instruction.
+that buffer is a target instruction. EP0 votes are cast once, and target
+stores are found for every claimed class from the same votes.
+
+`prop_const_mem` returns the image's static facts as one `PropMap`: the
+instructions in address order, the read/write summary of each, and the
+propagated tuples M. An analysis builds it once from the reachable
+instructions; EP0 inference, Query 2's endpoint targets and its counter
+detection all read that one map.
 
 The propagation runs at the instruction level. Arithmetic does not
 propagate tuples, register banking is assumed to stay on bank 0, and calls
@@ -184,7 +191,7 @@ def reachable_instructions(image: bytes,
         except isa.IsaError:
             continue
         seen[addr] = ins
-        work.extend(_successors(ins, seen))
+        work.extend(_successors(ins))
     return [seen[a] for a in sorted(seen)]
 
 
@@ -358,7 +365,7 @@ def _summarize(ins: isa.Instruction) -> _Summary:
     return s
 
 
-def _successors(ins: isa.Instruction, by_addr) -> list[int]:
+def _successors(ins: isa.Instruction) -> list[int]:
     m = ins.mnemonic
     nxt = ins.addr + ins.length
     if m in ("LJMP", "AJMP", "SJMP"):
@@ -375,9 +382,14 @@ def _successors(ins: isa.Instruction, by_addr) -> list[int]:
 
 
 class PropMap:
-    """M: (site, 'src'|'dst') -> (value, tracked address); absent means (bot,bot)."""
+    """The static facts of one instruction set: the instructions in address
+    order, `by_addr`, the `_Summary` of each, and M: (site, 'src'|'dst') ->
+    (value, tracked address); absent means (bot,bot)."""
 
-    def __init__(self):
+    def __init__(self, instrs: list[isa.Instruction]):
+        self.instrs = sorted(instrs, key=lambda i: i.addr)
+        self.by_addr = {i.addr: i for i in self.instrs}
+        self.summaries = {a: _summarize(i) for a, i in self.by_addr.items()}
         self.m: dict[tuple[int, str], tuple] = {}
 
     def get(self, site: int, role: str) -> tuple:
@@ -396,12 +408,10 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
     non-register memory record roles but stop propagation. The defined-role
     guard bounds updates to at most two per site.
     """
-    by_addr: dict[int, isa.Instruction] = {i.addr: i for i in instrs}
-    summaries: dict[int, _Summary] = {a: _summarize(i)
-                                      for a, i in by_addr.items()}
-    M = PropMap()
+    M = PropMap(instrs)
+    by_addr, summaries = M.by_addr, M.summaries
     wl: deque[int] = deque()
-    for ins in sorted(instrs, key=lambda i: i.addr):
+    for ins in M.instrs:
         sm = summaries[ins.addr]
         if sm.seed is not None:
             M.set(ins.addr, "dst", (sm.seed[0], None))
@@ -414,7 +424,7 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
         uses: list[_Use] = []
         seen = {site: frozenset(tracked)}
         queue = deque((succ, frozenset(tracked))
-                      for succ in _successors(by_addr[site], by_addr))
+                      for succ in _successors(by_addr[site]))
         while queue:
             addr, live = queue.popleft()
             ins = by_addr.get(addr)
@@ -433,7 +443,7 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
                 uses.append(_Use(addr, "addr-store"))
             live = live - set(sm.writes)
             if live:
-                for succ in _successors(ins, by_addr):
+                for succ in _successors(ins):
                     queue.append((succ, live))
         return uses
 
@@ -488,7 +498,7 @@ class Ep0Inference:
     ep0_1: set[int]
     ep0_2: set[int]
     ep0: set[int]
-    target_sites: list[int]
+    target_sites: dict[str, list[int]]  # per CLASS_FUNCSPEC class
 
 
 def _in_ranges(value, image, hits) -> bool:
@@ -500,29 +510,20 @@ def _in_ranges(value, image, hits) -> bool:
     return False
 
 
-def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
-                        instrs: list[isa.Instruction] | None = None,
-                        hits=None) -> Ep0Inference:
-    """Candidate EP0 buffer addresses and the stores that copy
-    function-specific data into them, given the image's signature `hits`
-    (by default, a scan for the default signatures)."""
-    hits = scan_signatures(image) if hits is None else hits
+def find_devspec_to_ep0(image: bytes, M: PropMap, hits) -> Ep0Inference:
+    """Candidate EP0 buffer addresses, voted once from the image's signature
+    `hits` and static facts `M`, and per CLASS_FUNCSPEC class the stores
+    that copy that class's function-specific data into them."""
     cand_dd = [h for h in hits if h.name == "DEVICE_DESC"]
     cand_cd = [h for h in hits if h.name == "CONFIG_DESC"]
-    func_names = CLASS_FUNCSPEC.get(claimed_class, ("HID_REPORT",))
-    cand_fs = [h for h in hits if h.name in func_names]
     if not cand_dd or not cand_cd:
         raise NoDescriptors(
             f"device={len(cand_dd)} config={len(cand_cd)} candidates")
-    if instrs is None:
-        instrs = reachable_instructions(image)
-    M = prop_const_mem(instrs)
-    stores = [ins for ins in instrs if _summarize(ins).store_class]
+    stores = [(ins.addr, M.get(ins.addr, "src")[1], M.get(ins.addr, "dst")[1])
+              for ins in M.instrs if M.summaries[ins.addr].store_class]
     ep0_1: set[int] = set()
     ep0_2: set[int] = set()
-    for ins in stores:
-        src_tracked = M.get(ins.addr, "src")[1]
-        dst_tracked = M.get(ins.addr, "dst")[1]
+    for _site, src_tracked, dst_tracked in stores:
         if dst_tracked is None:
             continue
         if _in_ranges(src_tracked, image, cand_cd):
@@ -530,10 +531,10 @@ def find_devspec_to_ep0(image: bytes, claimed_class: str = "hid",
         if _in_ranges(src_tracked, image, cand_dd):
             ep0_2.add(dst_tracked)
     ep0 = ep0_1 & ep0_2
-    targets = []
-    for ins in stores:
-        src_tracked = M.get(ins.addr, "src")[1]
-        dst_tracked = M.get(ins.addr, "dst")[1]
-        if dst_tracked in ep0 and _in_ranges(src_tracked, image, cand_fs):
-            targets.append(ins.addr)
-    return Ep0Inference(ep0_1, ep0_2, ep0, sorted(targets))
+    targets = {}
+    for cls, func_names in CLASS_FUNCSPEC.items():
+        cand_fs = [h for h in hits if h.name in func_names]
+        targets[cls] = [site for site, src_tracked, dst_tracked in stores
+                        if dst_tracked in ep0
+                        and _in_ranges(src_tracked, image, cand_fs)]
+    return Ep0Inference(ep0_1, ep0_2, ep0, targets)

@@ -12,6 +12,7 @@ from usbvet import cli, fwkit, isa, queries, solver, symexec, usbdb, usbstatic
 from usbvet.lifter import Region
 
 import diffutil
+from static_facts import static_facts
 
 
 def _ok(n, msg):
@@ -128,9 +129,10 @@ def test_criterion_04_signature_scan():
 def test_criterion_05_ep0_inference():
     image, man = fwkit.generate_fixture(
         fwkit.FixtureSpec(template="storage-claiming-hid"))
-    inf = usbstatic.find_devspec_to_ep0(image, "hid")
+    inf = usbstatic.find_devspec_to_ep0(image, static_facts(image),
+                                        usbstatic.scan_signatures(image))
     assert inf.ep0 == {man.ep0} == {0xF1DC}
-    assert inf.target_sites == [man.target_sites["hid_report_copy"]]
+    assert inf.target_sites["hid"] == [man.target_sites["hid_report_copy"]]
     _ok(5, f"EP0 singleton {{0xf1dc}}; flagged store = manifest copy site "
            f"0x{man.target_sites['hid_report_copy']:04x}")
 
@@ -216,7 +218,9 @@ def test_criterion_09_query2_detection():
     cfg = symexec.ExplorationConfig(seed=5, block_repeat_threshold=24,
                                     max_states=1500)
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg)
-    inf = usbstatic.find_devspec_to_ep0(image, "hid")
+    M = static_facts(image)
+    inf = usbstatic.find_devspec_to_ep0(image, M,
+                                        usbstatic.scan_signatures(image))
 
     t0 = time.monotonic()
     rep4 = queries.query2_unexpected(image, inf.ep0,
@@ -228,10 +232,8 @@ def test_criterion_09_query2_detection():
     assert t4 < 120.0
 
     # without the counter the flag is missed (the required-symbolication half)
-    instrs = usbstatic.reachable_instructions(image)
     other = queries.other_endpoint_addresses(inf.ep0, 4)
-    M = usbstatic.prop_const_mem(instrs)
-    target_sites = {i.addr for i in instrs
+    target_sites = {i.addr for i in M.instrs
                     if M.get(i.addr, "dst")[1] in other}
     pol_nc = symexec.SymbolicPolicy(symset.locations)
     listener = queries._ConcreteFlowListener(target_sites, solver.Solver())
@@ -240,7 +242,7 @@ def test_criterion_09_query2_detection():
 
     t0 = time.monotonic()
     pol = symexec.SymbolicPolicy(symset.locations
-                                 | queries.find_counters(image, instrs))
+                                 | queries.find_counters(M))
     rep5 = queries.query2_inconsistent(image, pol, cfg)
     t5 = time.monotonic() - t0
     assert rep5.ranked, "no inconsistent writes found"
@@ -255,7 +257,8 @@ def test_criterion_09_query2_detection():
     b_pol = symexec.SymbolicPolicy(b_sym.locations)
     b_rep5 = queries.query2_inconsistent(b_image, b_pol, cfg)
     assert b_rep5.ranked == []
-    b_inf = usbstatic.find_devspec_to_ep0(b_image, "hid")
+    b_inf = usbstatic.find_devspec_to_ep0(b_image, static_facts(b_image),
+                                          usbstatic.scan_signatures(b_image))
     b_rep4 = queries.query2_unexpected(b_image, b_inf.ep0, b_pol, max_ep=4,
                                        config=cfg)
     assert b_rep4.flagged == []

@@ -5,9 +5,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usbvet import cli, fwkit, queries, symexec
+from usbvet import cli, fwkit, queries, symexec, usbstatic
 from usbvet.cli import RunConfig, run_pipeline
 from usbvet.lifter import Region
+
+from static_facts import static_facts
 
 
 def write_fixture(tmp_path, template, **spec_kw):
@@ -92,7 +94,12 @@ def test_no_descriptors_degrades_gracefully(tmp_path):
     path.write_bytes(bytes(64))
     report, code = run_pipeline(small_config(str(path), query="both"))
     assert report.status == "completed-with-findings-none"
-    assert any("NoDescriptors" in d for d in report.diagnostics)
+    assert report.ep0_inference == {"classes": {
+        "hid": {"error": "NoDescriptors"},
+        "mass-storage": {"error": "NoDescriptors"}}}
+    assert [d for d in report.diagnostics if "NoDescriptors" in d] == [
+        "NoDescriptors[hid]: device=0 config=0 candidates",
+        "NoDescriptors[mass-storage]: device=0 config=0 candidates"]
     assert report.claimed_model["interfaces"] == []
     assert code == cli.EXIT_CONSISTENT
 
@@ -132,15 +139,24 @@ def test_main_config_file_with_flag_override(tmp_path, capsys):
     path, _ = write_fixture(tmp_path, "straightline")
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
-        "expected": "hid", "query": "identity", "seed": 7, "tau": 4,
-        "state_limit": 400,
+        "expected": "hid", "query": "identity", "policy": "full", "seed": 7,
+        "tau": 4, "state_limit": 400, "preconditions": ["XRAM:0x10:==:1"],
     }))
     out = tmp_path / "r.json"
     code = cli.main(["analyze", path, "--config", str(cfg_file),
-                     "--seed", "9", "--report", str(out)])
+                     "--seed", "9", "--state-limit", "300",
+                     "--precondition", "XRAM:0x20:==:2",
+                     "--report", str(out)])
     data = json.loads(out.read_text())
-    assert data["config"]["seed"] == 9         # flag overrides file
-    assert data["config"]["expected"] == "hid"  # file value survives
+    # flags override the file
+    assert data["config"]["seed"] == 9
+    assert data["config"]["state_limit"] == 300
+    assert data["config"]["preconditions"] == ["XRAM:0x20:==:2"]
+    # file values survive where no flag is given
+    assert data["config"]["expected"] == "hid"
+    assert data["config"]["query"] == "identity"
+    assert data["config"]["policy"] == "full"
+    assert data["config"]["tau"] == 4
     assert code in (cli.EXIT_CONSISTENT, cli.EXIT_INCOMPLETE)
 
 
@@ -297,11 +313,32 @@ def test_consistency_query_explores_once(tmp_path, monkeypatch):
              for r, a in report.symbolic_set["locations"]}
     assert found and q1_policy == found
     image = open(path, "rb").read()
-    counters = queries.find_counters(image)
+    counters = queries.find_counters(static_facts(image))
     assert counters - found
     assert q2_policy == found | counters
     [(before, after)] = passed
     assert after == before and set(after) == found
+
+
+def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
+    path, _ = write_fixture(tmp_path, "injector-hid")
+    calls = {}
+
+    def counting(name):
+        real = getattr(usbstatic, name)
+
+        def wrapper(*a, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*a, **kw)
+        return wrapper
+
+    for name in ("reachable_instructions", "prop_const_mem",
+                 "find_devspec_to_ep0"):
+        monkeypatch.setattr(usbstatic, name, counting(name))
+    report, _ = run_pipeline(RunConfig(image_path=path, query="both"))
+    assert report.query1 is not None and report.query2 is not None
+    assert calls == {"reachable_instructions": 1, "prop_const_mem": 1,
+                     "find_devspec_to_ep0": 1}
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):

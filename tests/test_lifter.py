@@ -40,14 +40,13 @@ def test_block_ends_at_first_control_flow_inclusive():
     blk = lifter.lift_block(bytes([0x74, 0x01, 0x02, 0x00, 0x00, 0x00]), 0)
     assert blk.instr_addrs == [0, 2]
     assert isinstance(blk.stmts[-1], Jump) and blk.stmts[-1].target == 0
-    assert blk.successors == (0,)
 
 
 def test_cjump_successors():
     blk = lifter.lift_block(bytes([0x60, 0x02, 0x00, 0x00, 0x00]), 0)  # jz +2
     term = blk.stmts[-1]
     assert isinstance(term, CJump)
-    assert set(blk.successors) == {4, 2}
+    assert {term.taken, term.fall} == {4, 2}
 
 
 def test_ret_terminator_is_retmark():
@@ -175,8 +174,12 @@ def test_lifted_blocks_cover_interpreter_trace():
             except isa.IsaError:
                 continue
             covered.update(blk.instr_addrs)
-            work.extend(blk.successors)
-            # follow fallthrough of call blocks via RetMark? static succs only
+            # static successors only: no call fall-through, no indirect target
+            term = blk.stmts[-1]
+            if isinstance(term, CJump):
+                work.extend((term.taken, term.fall))
+            elif isinstance(term, Jump) and isinstance(term.target, int):
+                work.append(term.target)
         # static reachability cannot see indirect targets; compare only the
         # instructions the trace reached through static flow
         missing = {a for a in visited if a not in covered}

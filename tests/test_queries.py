@@ -5,6 +5,8 @@ from usbvet.lifter import Region
 from usbvet.queries import Precondition
 from usbvet.symexec import ExplorationConfig, SymbolicPolicy
 
+from static_facts import static_facts
+
 
 def cfg(**kw):
     base = dict(seed=3, block_repeat_threshold=24, max_states=1500)
@@ -238,7 +240,7 @@ def test_counter_found_for_threshold_loop():
         sjmp spin
     """
     image, _ = fwkit.assemble_with_symbols(src)
-    ctrs = queries.find_counters(image)
+    ctrs = queries.find_counters(static_facts(image))
     assert (Region.IRAM, 0x35) in ctrs
 
 
@@ -253,7 +255,7 @@ def test_add_feeding_index_is_not_counter():
         sjmp spin
     """
     image, _ = fwkit.assemble_with_symbols(src)
-    assert queries.find_counters(image) == set()
+    assert queries.find_counters(static_facts(image)) == set()
 
 
 def test_inc_feeding_indirect_address_is_not_counter():
@@ -266,7 +268,8 @@ def test_inc_feeding_indirect_address_is_not_counter():
         sjmp loop
     """
     image, _ = fwkit.assemble_with_symbols(src)
-    assert (Region.IRAM, 0x35) not in queries.find_counters(image)
+    ctrs = queries.find_counters(static_facts(image))
+    assert (Region.IRAM, 0x35) not in ctrs
 
 
 def test_xram_counter_via_tracked_dptr():
@@ -280,17 +283,17 @@ def test_xram_counter_via_tracked_dptr():
         sjmp loop
     """
     image, _ = fwkit.assemble_with_symbols(src)
-    assert (Region.XRAM, 0x7C40) in queries.find_counters(image)
+    assert (Region.XRAM, 0x7C40) in queries.find_counters(static_facts(image))
 
 
 def test_benign_fixture_has_no_counters():
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="benign-hid"))
-    assert queries.find_counters(image) == set()
+    assert queries.find_counters(static_facts(image)) == set()
 
 
 def test_injector_counter_matches_manifest():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
-    ctrs = queries.find_counters(image)
+    ctrs = queries.find_counters(static_facts(image))
     assert {(Region.IRAM, a) for a in man.counter_addrs} == ctrs
 
 
@@ -310,7 +313,8 @@ def test_query2_unexpected_flags_injector_and_not_benign():
     for template, expect_flag in (("injector-hid", True), ("benign-hid", False)):
         image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template=template))
         symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
-        inf = usbstatic.find_devspec_to_ep0(image, "hid")
+        inf = usbstatic.find_devspec_to_ep0(image, static_facts(image),
+                                            usbstatic.scan_signatures(image))
         rep = queries.query2_unexpected(image, inf.ep0,
                                         SymbolicPolicy(symset.locations),
                                         max_ep=4, config=cfg(seed=5))
@@ -327,11 +331,11 @@ def test_query2_unexpected_missed_without_counter_symbolication():
     # only once the counter byte is symbolic
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
-    inf = usbstatic.find_devspec_to_ep0(image, "hid")
-    instrs = usbstatic.reachable_instructions(image)
+    M = static_facts(image)
+    inf = usbstatic.find_devspec_to_ep0(image, M,
+                                        usbstatic.scan_signatures(image))
     other = queries.other_endpoint_addresses(inf.ep0, 4)
-    M = usbstatic.prop_const_mem(instrs)
-    targets = {i.addr for i in instrs if M.get(i.addr, "dst")[1] in other}
+    targets = {i.addr for i in M.instrs if M.get(i.addr, "dst")[1] in other}
     pol = SymbolicPolicy(symset.locations)  # env bytes only, no counters
     sat = solver.Solver()
     listener = queries._ConcreteFlowListener(targets, sat)
@@ -395,7 +399,8 @@ cdesc:
 def test_query2_inconsistent_ranks_injector_top():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
-    pol = SymbolicPolicy(symset.locations | queries.find_counters(image))
+    ctrs = queries.find_counters(static_facts(image))
+    pol = SymbolicPolicy(symset.locations | ctrs)
     rep = queries.query2_inconsistent(image, pol, cfg(seed=5))
     assert rep.ranked
     top = rep.ranked[0]
@@ -486,13 +491,12 @@ def test_query2_single_value_writer_low_rank():
 def test_query2_one_exploration_matches_separate_runs(template):
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template=template))
     symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
-    instrs = usbstatic.reachable_instructions(image)
-    ep0 = usbstatic.find_devspec_to_ep0(image, "hid", instrs=instrs).ep0
+    M = static_facts(image)
+    ep0 = usbstatic.find_devspec_to_ep0(image, M,
+                                        usbstatic.scan_signatures(image)).ep0
     env = SymbolicPolicy(symset.locations)
-    both = queries.query2(image, ep0, env, max_ep=4, config=cfg(seed=5),
-                          instrs=instrs)
-    pol = SymbolicPolicy(symset.locations
-                         | queries.find_counters(image, instrs))
+    both = queries.query2(image, ep0, env, M=M, max_ep=4, config=cfg(seed=5))
+    pol = SymbolicPolicy(symset.locations | queries.find_counters(M))
     separate = (queries.query2_unexpected(image, ep0, env, max_ep=4,
                                           config=cfg(seed=5)),
                 queries.query2_inconsistent(image, pol, cfg(seed=5)))
@@ -503,8 +507,7 @@ def test_query2_one_exploration_matches_separate_runs(template):
             assert getattr(one, name) == getattr(alone, name), name
     # the unexpected-flow listener alone on its own run flags the same stores
     other = queries.other_endpoint_addresses(ep0, 4)
-    M = usbstatic.prop_const_mem(instrs)
-    targets = {i.addr for i in instrs if M.get(i.addr, "dst")[1] in other}
+    targets = {i.addr for i in M.instrs if M.get(i.addr, "dst")[1] in other}
     flow = queries._ConcreteFlowListener(targets, solver.Solver())
     res = symexec.execute(image, pol, cfg(seed=5), listeners=[flow])
     assert res.states_created == both[0].states_explored
@@ -515,8 +518,10 @@ def test_query2_one_exploration_matches_separate_runs(template):
 
 def test_query2_reports_keep_solver_timeouts():
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
-    ep0 = usbstatic.find_devspec_to_ep0(image, "hid").ep0
-    pol = SymbolicPolicy(queries.find_counters(image))
+    M = static_facts(image)
+    ep0 = usbstatic.find_devspec_to_ep0(image, M,
+                                        usbstatic.scan_signatures(image)).ep0
+    pol = SymbolicPolicy(queries.find_counters(M))
     budget = cfg(solver_timeout=0.0, max_states=64)
     for rep in (queries.query2_unexpected(image, ep0, SymbolicPolicy(),
                                           config=budget),

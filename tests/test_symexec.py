@@ -698,7 +698,7 @@ def _run_hand_block(stmts, n_temps, fanout=16, listeners=(),
                                             max_indirect_fanout=fanout,
                                             solver_timeout=solver_timeout),
                           listeners=listeners, isr_map={})
-    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0], ())
+    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
     return ex.run()
 
 

@@ -6,6 +6,8 @@ from usbvet import fwkit, isa, usbstatic
 from usbvet.usbstatic import (CONFIG_DESC, DEFAULT_SIGNATURES, DEVICE_DESC,
                               HID_REPORT, prop_const_mem, scan_signatures)
 
+from static_facts import static_facts
+
 
 def naive_match(image, pattern):
     """O(n*m) oracle matcher (overlapping matches)."""
@@ -233,9 +235,11 @@ def test_prop_fact_witnessed_by_concrete_execution():
 def test_ep0_inference_on_storage_fixture():
     image, man = fwkit.generate_fixture(
         fwkit.FixtureSpec(template="storage-claiming-hid"))
-    inf = usbstatic.find_devspec_to_ep0(image, "hid")
+    inf = usbstatic.find_devspec_to_ep0(image, static_facts(image),
+                                        scan_signatures(image))
     assert inf.ep0 == {0xF1DC}
-    assert inf.target_sites == [man.target_sites["hid_report_copy"]]
+    assert inf.target_sites == {"hid": [man.target_sites["hid_report_copy"]],
+                                "mass-storage": []}
 
 
 def test_ep0_disjoint_buffers_yield_no_targets():
@@ -283,15 +287,18 @@ rep:
 .db 0x05, 0x01, 0x09, 0x06, 0xa1, 0x01, 0xc0, 0x00
 """
     image, syms = fwkit.assemble_with_symbols(src)
-    inf = usbstatic.find_devspec_to_ep0(image, "hid")
+    inf = usbstatic.find_devspec_to_ep0(image, static_facts(image),
+                                        scan_signatures(image))
     assert 0x6100 in inf.ep0_1 and 0x6000 in inf.ep0_2
     assert inf.ep0 == set()
-    assert inf.target_sites == []
+    assert inf.target_sites == {"hid": [], "mass-storage": []}
 
 
 def test_ep0_requires_candidates():
     with pytest.raises(usbstatic.NoDescriptors):
-        usbstatic.find_devspec_to_ep0(bytes(0x100), "hid")
+        image = bytes(0x100)
+        usbstatic.find_devspec_to_ep0(image, static_facts(image),
+                                      scan_signatures(image))
 
 
 def test_reachable_instructions_skip_data():
