@@ -9,9 +9,9 @@ degrade into diagnostics instead of aborting.
 `run_pipeline` owns the analysis-wide decisions: it builds the image's
 static facts once (`usbstatic.prop_const_mem` over the reachable
 instructions), which EP0 inference and Query 2 share; it builds the one
-`SymbolicPolicy` that both queries run under (`--policy full` designates
-every IRAM and XRAM byte, `auto`/`partial` the discovered set); and it turns
-`--time-limit` into one deadline shared by every exploration.
+`SymbolicPolicy` that both queries run under (`--policy full` covers the
+whole IRAM and XRAM regions, `auto`/`partial` the discovered set); and it
+turns `--time-limit` into one deadline shared by every exploration.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -82,7 +81,10 @@ class RunConfig:
         if self.max_ep > MAX_EP:
             raise ConfigInvalid(f"max-ep {self.max_ep} over {MAX_EP} (USB "
                                 f"numbers non-control endpoints 1-{MAX_EP})")
-        if self.time_limit is not None and not 0 <= self.time_limit < math.inf:
+        # the largest float, not inf: a larger JSON integer cannot become
+        # a deadline
+        if (self.time_limit is not None
+                and not 0 <= self.time_limit <= sys.float_info.max):
             raise ConfigInvalid(f"time-limit {self.time_limit} (want a finite "
                                 f"number of seconds >= 0)")
 
@@ -269,8 +271,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
             "mass-storage evidence uses the bulk-only CBW tag signature "
             "as a stand-in for class-specific descriptor data")
 
-    # 3a. the symbolic policy of both queries: every IRAM/XRAM byte, or the
-    # symbolic set (Alg. 3) for partial/auto
+    # 3a. the symbolic policy of both queries: the whole IRAM and XRAM
+    # regions, or the symbolic set (Alg. 3) for partial/auto
     if config.policy == "full":
         symset = queries.SymbolicLocationSet(set(), [])
         policy_name, policy = "full", symexec.SymbolicPolicy.full()
@@ -490,7 +492,7 @@ def config_from_args(args) -> RunConfig:
                 data = json.load(fh)
         except OSError as e:
             raise IoError(f"cannot read config: {e}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # bad JSON or UTF-8, or an overlong integer
             raise ConfigInvalid(f"config file: {e}") from None
         if not isinstance(data, dict):
             raise ConfigInvalid("config file: want a JSON object, not "

@@ -9,8 +9,8 @@ cannot be predicted, by mixed symbolic/concrete writers to one address from
 different blocks.
 
 Both queries run under the `SymbolicPolicy` their caller passes in; no
-query chooses a policy of its own. Query 2 explores under a copy of it that
-also designates the delay counters.
+query chooses a policy of its own. Query 2 explores under a policy with
+its locations plus the delay counters, and its regions.
 
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
@@ -525,18 +525,15 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
     once per image; Query 2 runs no propagation of its own. Endpoint buffers
     are predicted from EP0 by constant packet-size offsets; stores whose
     tracked destination lands there are targets. The exploration runs under
-    a copy of `policy` that also designates the delay counters, so
-    threshold-guarded payloads are explored without unrolling; `policy`
-    itself is left as it was."""
+    `policy`'s regions and its locations plus the delay counters, so
+    threshold-guarded payloads are explored without unrolling."""
     targets = None
     if ep0:
         other_eps = other_endpoint_addresses(ep0, max_ep)
         targets = {ins.addr for ins in M.instrs
                    if M.get(ins.addr, "dst")[1] in other_eps}
     counters = find_counters(M)
-    with_counters = SymbolicPolicy()
-    with_counters.vars = dict(policy.vars)
-    with_counters.designate_all(counters)
+    with_counters = SymbolicPolicy(policy.locations | counters, policy.regions)
     return _explore_query2(image, with_counters, config, targets, counters)
 
 

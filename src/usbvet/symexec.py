@@ -9,6 +9,8 @@ concrete value, up to a configurable fanout).
 `Executor._read` and `Executor._write` are the only way machine state is
 read or written, by the lifted code and by interrupt entry alike. A byte
 reads its last write, else the policy's variable, else its reset value.
+The policy makes a byte's variable at its first read, so a whole symbolic
+region (`--policy full`) costs only the bytes a run reads.
 
 Each state carries a model of its path: an assignment that satisfies it,
 `{}` for the empty path, or None when unknown (after a solver timeout, or
@@ -46,45 +48,34 @@ from .solver import SymExpr, eval_expr, eval_op, mk
 _RESET = {(Region.SFR, machine.SP): machine.RESET_SP}
 
 
-class SymbolicPolicyError(Exception):
-    pass
-
-
 class SymbolicPolicy:
-    """Designated symbolic bytes; everything else reads its reset value."""
+    """The symbolic bytes of an exploration: explicit `(Region, addr)`
+    locations and whole regions. Every other byte reads its reset value.
 
-    def __init__(self, locations=()):
-        self.vars: dict[tuple[Region, int], SymExpr] = {}
-        self.designate_all(locations)
+    A policy is a value; nothing changes what it covers. `lookup` makes a
+    covered byte's variable at its first read and memoises it, so a whole
+    region costs nothing until its bytes are read."""
+
+    def __init__(self, locations=(), regions=()):
+        self.locations = frozenset((Region(r), a) for r, a in locations)
+        self.regions = frozenset(Region(r) for r in regions)
+        self._vars: dict[tuple[Region, int], SymExpr] = {}
 
     @staticmethod
     def var_name(region: Region, addr: int) -> str:
         return f"{Region(region).name.lower()}_{addr:04x}"
 
-    def designate(self, region: Region, addr: int):
-        key = (Region(region), addr)
-        if key in self.vars:
-            raise SymbolicPolicyError(f"overlapping designation {key}")
-        self.vars[key] = solver.var(self.var_name(*key), 8)
-
-    def designate_all(self, locations):
-        for region, addr in locations:
-            if (Region(region), addr) not in self.vars:
-                self.designate(region, addr)
-
     def lookup(self, region: Region, addr: int):
-        return self.vars.get((region, addr))
+        key = (region, addr)
+        v = self._vars.get(key)
+        if v is None and (region in self.regions or key in self.locations):
+            v = self._vars[key] = solver.var(self.var_name(region, addr), 8)
+        return v
 
     @staticmethod
     def full() -> "SymbolicPolicy":
         """All IRAM and XRAM bytes symbolic (SFRs stay concrete)."""
-        p = SymbolicPolicy()
-        for a in range(256):
-            p.designate(Region.IRAM, a)
-        for a in range(0x10000):
-            p.vars[(Region.XRAM, a)] = solver.var(
-                SymbolicPolicy.var_name(Region.XRAM, a), 8)
-        return p
+        return SymbolicPolicy(regions=(Region.IRAM, Region.XRAM))
 
 
 @dataclass
@@ -562,7 +553,7 @@ class Executor:
     def _run_block(self, s: ExecState) -> list[ExecState]:
         try:
             blk = self.program.block(s.pc)
-        except Exception as e:
+        except isa.IsaError as e:
             self._terminate(s, f"decode-error:{e}")
             return []
         s.cur_block = blk.addr

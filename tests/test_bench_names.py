@@ -77,8 +77,7 @@ def test_every_solver_query_reaches_module_check(monkeypatch):
         spin:
             sjmp spin
         """)
-        policy = symexec.SymbolicPolicy()
-        policy.designate(Region.XRAM, 0x7F00)
+        policy = symexec.SymbolicPolicy([(Region.XRAM, 0x7F00)])
         del calls[:]
         return symexec.execute(image, policy, symexec.ExplorationConfig(
             block_repeat_threshold=4), isr_map={})

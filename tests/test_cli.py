@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from usbvet import cli, fwkit, queries, symexec, usbstatic
+from usbvet import cli, fwkit, machine, queries, solver, symexec, usbstatic
 from usbvet.cli import RunConfig, run_pipeline
 from usbvet.lifter import Region
 
@@ -168,6 +171,9 @@ def test_main_config_file_with_flag_override(tmp_path, capsys):
     (b'{"preconditions": [5]}', "'preconditions' has the wrong type"),
     (b'{"seed": true}', "'seed' has the wrong type"),
     (b"\xff{}", "config file"),
+    # json refuses an integer over 4300 digits with a plain ValueError
+    pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit",
+                 id="overlong-integer"),
 ])
 def test_main_bad_config_file_exit_code(tmp_path, capsys, content, message):
     path, _ = write_fixture(tmp_path, "straightline")
@@ -269,36 +275,37 @@ def test_timing_flag_adds_timing_section(tmp_path):
 
 def test_consistency_query_explores_once(tmp_path, monkeypatch):
     path, _ = write_fixture(tmp_path, "injector-hid")
+    image = open(path, "rb").read()
+    counters = queries.find_counters(static_facts(image))
     calls = []
     real = queries.execute
 
     def counting(image, policy, config, listeners=(), **kw):
-        calls.append(([type(ln).__name__ for ln in listeners],
-                      set(policy.vars)))
+        calls.append(([type(ln).__name__ for ln in listeners], policy))
         return real(image, policy, config, listeners, **kw)
 
     passed = []
     real_query2 = queries.query2
 
     def query2(image, ep0, policy, **kw):
-        before = dict(policy.vars)
-        out = real_query2(image, ep0, policy, **kw)
-        passed.append((before, policy.vars))
-        return out
+        passed.append(policy)
+        return real_query2(image, ep0, policy, **kw)
 
     monkeypatch.setattr(queries, "execute", counting)
     monkeypatch.setattr(queries, "query2", query2)
     # the full policy skips symbolic-set discovery, so only Query 2 explores
     report, _ = run_pipeline(small_config(path, query="consistency",
                                           policy="full"))
-    assert [names for names, _ in calls] == [
-        ["_ConcreteFlowListener", "_AccessRecorder"]]
+    [(names, q2_policy)] = calls
+    assert names == ["_ConcreteFlowListener", "_AccessRecorder"]
     assert set(report.query2) == {"unexpected_flow", "inconsistent_flow"}
-    everything = ({(Region.IRAM, a) for a in range(0x100)}
-                  | {(Region.XRAM, a) for a in range(0x10000)})
-    assert calls[0][1] == everything
-    [(before, after)] = passed
-    assert after == before and set(after) == everything
+    assert q2_policy.regions == {Region.IRAM, Region.XRAM}
+    assert counters and q2_policy.locations == counters
+    assert q2_policy.lookup(Region.IRAM, 0x00) is not None
+    assert q2_policy.lookup(Region.XRAM, 0xFFFF) is not None
+    assert q2_policy.lookup(Region.SFR, machine.ACC) is None
+    [full] = passed
+    assert full.regions == q2_policy.regions and full.locations == set()
 
     # auto: discovery runs, then Query 1 under the discovered set, then
     # Query 2 under that set plus the delay counters
@@ -311,13 +318,28 @@ def test_consistency_query_explores_once(tmp_path, monkeypatch):
         "_ConcreteFlowListener", "_AccessRecorder"]
     found = {(Region[r], int(a, 16))
              for r, a in report.symbolic_set["locations"]}
-    assert found and q1_policy == found
-    image = open(path, "rb").read()
-    counters = queries.find_counters(static_facts(image))
+    assert found and q1_policy.locations == found
     assert counters - found
-    assert q2_policy == found | counters
-    [(before, after)] = passed
-    assert after == before and set(after) == found
+    assert q2_policy.locations == found | counters
+    assert not q1_policy.regions and not q2_policy.regions
+    assert passed == [q1_policy]
+
+
+def test_full_policy_makes_only_the_variables_it_reads(tmp_path,
+                                                       monkeypatch):
+    path, _ = write_fixture(tmp_path, "benign-hid")
+    made = []
+    real_var = solver.var
+    monkeypatch.setattr(solver, "var",
+                        lambda name, width=8: made.append(name)
+                        or real_var(name, width))
+    report, _ = run_pipeline(small_config(path, query="identity",
+                                          policy="full"))
+    assert report.query1["policy"] == "full"
+    # one variable per byte read, each made once, none for an SFR; the
+    # whole IRAM and XRAM would be 65,792
+    assert 0 < len(made) == len(set(made)) < 1000
+    assert all(name.startswith(("iram_", "xram_")) for name in made)
 
 
 def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
@@ -415,8 +437,7 @@ def test_precondition_value_is_kept_or_rejected(region, addr, relation,
         p = cli.parse_precondition(f"{region}:{addr}:{relation}:{value}")
     except cli.ConfigInvalid:
         return
-    pol = symexec.SymbolicPolicy()
-    pol.designate(Region[region], addr)
+    pol = symexec.SymbolicPolicy([(Region[region], addr)])
     [(expr, _)] = queries._precondition_exprs([p], pol)
     if relation in ("bit-set", "bit-clear"):
         mask = expr.args[0].args[1]
@@ -424,3 +445,96 @@ def test_precondition_value_is_kept_or_rejected(region, addr, relation,
     else:
         const = expr.args[1]
         assert const.op == "const" and const.value == value
+
+
+# -- robustness over the flag and config space -------------------------------
+
+_PRECONDITIONS = st.lists(st.sampled_from([
+    "IRAM:0x10:==:6", "IRAM:0xff:bit-set:3", "XRAM:0x7c00:==:16",
+    "XRAM:0xffff:!=:255", "XRAM:0x7c00:<:0", "SFR:0xe0:>:1", "CODE:0:==:0",
+    "XRAM:0x10000:==:6", "IRAM:0x10:==:300", "IRAM:0x10"]), max_size=2)
+_PATHS = st.sampled_from(["r.json", "missing/r.json"])
+# Values of the right JSON type. `--tau` and `--state-limit` are always
+# given, so the file's values of these two only meet the type check.
+_CONFIG_VALUES = {
+    "expected": st.sampled_from(["mass-storage", "hid", "composite",
+                                 "unknown", "bogus"]),
+    "query": st.sampled_from(["identity", "consistency", "both"]),
+    "policy": st.sampled_from(["full", "partial", "auto"]),
+    "tau": st.integers(), "state_limit": st.integers(),
+    "max_ep": st.integers(0, 16), "seed": st.integers(),
+    "time_limit": st.none() | st.integers(-1, 60) | st.floats(-1, 60),
+    "preconditions": _PRECONDITIONS,
+    "signatures": st.sampled_from([None, "missing.txt"]),
+    "ruledb": st.sampled_from([None, "missing.txt"]),
+    "report": st.none() | _PATHS,
+}
+_JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.text(max_size=4),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.lists(st.integers(0, 3), max_size=2))
+_CONFIGS = (st.none() | st.fixed_dictionaries({}, optional=_CONFIG_VALUES)
+            | st.fixed_dictionaries({}, optional={
+                k: v | _JSON_JUNK for k, v in _CONFIG_VALUES.items()}))
+
+
+@pytest.fixture(scope="module")
+def branchy_dir(tmp_path_factory):
+    image, _ = fwkit.generate_fixture(
+        fwkit.FixtureSpec(template="branchy", guard_count=1))
+    path = tmp_path_factory.mktemp("robust")
+    (path / "branchy.bin").write_bytes(image)
+    return path
+
+
+_SMALL_FULL = {"--policy": "full", "--query": "both", "--state-limit": "16",
+               "--tau": "1"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(flags=st.fixed_dictionaries({
+    "--state-limit": st.integers(1, 48).map(str),
+    "--tau": st.integers(1, 3).map(str),
+}, optional={
+    "--expected": st.sampled_from(["mass-storage", "hid", "composite",
+                                   "unknown"]),
+    "--query": st.sampled_from(["identity", "consistency", "both"]),
+    "--policy": st.sampled_from(["full", "partial", "auto"]),
+    "--max-ep": st.integers(1, 16).map(str),
+    "--seed": st.integers(-2**70, 2**70).map(str),
+    "--time-limit": st.sampled_from(["0", "0.5", "60", "1e308", "-1", "inf",
+                                     "nan"]),
+    "--report": _PATHS,
+}), preconditions=_PRECONDITIONS, timing=st.booleans(), config=_CONFIGS)
+@example(flags=_SMALL_FULL, timing=False, config=None,
+         preconditions=["IRAM:0x10:==:6", "XRAM:0x7c00:==:16"])
+@example(flags=_SMALL_FULL, preconditions=[], timing=False,
+         config={"time_limit": math.inf})
+@example(flags=_SMALL_FULL, preconditions=[], timing=False,
+         config={"time_limit": math.nan})
+@example(flags=_SMALL_FULL, preconditions=[], timing=False,
+         config={"time_limit": 10**400})
+def test_main_exit_code_over_flags_and_config(branchy_dir, flags,
+                                              preconditions, timing, config):
+    """Any flag value argparse accepts and any JSON config value: `main`
+    returns an exit code, raises nothing, and a usage error is one line.
+    Relative paths resolve in a scratch directory."""
+    argv = ["analyze", "branchy.bin", *(x for kv in flags.items() for x in kv)]
+    for pre in preconditions:
+        argv += ["--precondition", pre]
+    if timing:
+        argv.append("--timing")
+    if config is not None:
+        (branchy_dir / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    err = io.StringIO()
+    with contextlib.chdir(branchy_dir), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_CONSISTENT, cli.EXIT_FLAGGED,
+                    cli.EXIT_INCOMPLETE, cli.EXIT_USAGE)
+    if code == cli.EXIT_USAGE:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+

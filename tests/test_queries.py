@@ -88,10 +88,7 @@ def test_injector_env_bytes_discovered():
 
 
 def make_policy(*xram_addrs):
-    pol = SymbolicPolicy()
-    for a in xram_addrs:
-        pol.designate(Region.XRAM, a)
-    return pol
+    return SymbolicPolicy([(Region.XRAM, a) for a in xram_addrs])
 
 
 def test_precondition_exprs_empty():
@@ -477,8 +474,7 @@ def test_query2_single_value_writer_low_rank():
         reti
     """
     image, _ = fwkit.assemble_with_symbols(src)
-    pol = SymbolicPolicy()
-    pol.designate(Region.XRAM, 0x7F00)
+    pol = SymbolicPolicy([(Region.XRAM, 0x7F00)])
     rep = queries.query2_inconsistent(image, pol, cfg(seed=6))
     by_addr = {r.write_addr: r for r in rep.ranked}
     assert 0x6000 in by_addr and 0x6001 in by_addr

@@ -16,10 +16,7 @@ FORK_TARGET = 0x0007  # the nop on the ==6 arm
 
 
 def xram_policy(*addrs):
-    pol = SymbolicPolicy()
-    for a in addrs:
-        pol.designate(Region.XRAM, a)
-    return pol
+    return SymbolicPolicy([(Region.XRAM, a) for a in addrs])
 
 
 def test_straightline_pruned_with_full_coverage():
@@ -139,31 +136,31 @@ def _symbolic_differential(seed: int, trials: int,
     for _ in range(trials):
         seq = diffutil.random_straight_sequence(rng, 12)
         image = seq + bytes([0x80, 0xFE])
-        pol = SymbolicPolicy()
-        for a in rng.sample(range(0x30), 6):
-            pol.designate(Region.IRAM, a)
-        for a in rng.sample(range(0x10), 2):
-            pol.designate(Region.XRAM, a)
-        for a in rng.sample((machine.ACC, machine.B, machine.DPL,
-                             machine.DPH), 2):
-            pol.designate(Region.SFR, a)
+        # a list, not the policy's set: the draws below follow this order
+        locs = ([(Region.IRAM, a) for a in rng.sample(range(0x30), 6)]
+                + [(Region.XRAM, a) for a in rng.sample(range(0x10), 2)]
+                + [(Region.SFR, a) for a in rng.sample(
+                    (machine.ACC, machine.B, machine.DPL, machine.DPH), 2)])
+        pol = SymbolicPolicy(locs)
         cfg = ExplorationConfig(block_repeat_threshold=2, seed=1,
                                 max_states=64, max_indirect_fanout=4)
         res = execute(image, pol, cfg, listeners=listeners, isr_map={})
         for end in res.ended:
             if end.terminated != "loop-pruned":
                 continue
-            env = {v.args[0]: rng.randrange(256) for v in pol.vars.values()}
+            env = {pol.lookup(*loc).args[0]: rng.randrange(256)
+                   for loc in locs}
             env.update(res.solver.model(end.path))
             assert all(solver.eval_expr(e, env) for e in end.path.exprs())
             st = machine.ConcreteState()
-            for (region, addr), v in pol.vars.items():
+            for region, addr in locs:
+                byte = env[pol.lookup(region, addr).args[0]]
                 if region == Region.IRAM:
-                    st.iram[addr] = env[v.args[0]]
+                    st.iram[addr] = byte
                 elif region == Region.SFR:
-                    st.sfr[addr - 0x80] = env[v.args[0]]
+                    st.sfr[addr - 0x80] = byte
                 else:
-                    st.xram[addr] = env[v.args[0]]
+                    st.xram[addr] = byte
             try:
                 while st.pc < len(seq):
                     machine.step_concrete(st, image)
@@ -321,14 +318,13 @@ isr:
 
 
 def test_scheduler_reads_ie_and_sp_as_loads_do():
-    # A policy that designates IE or SP symbolic reaches interrupt entry as
+    # A policy that makes IE or SP symbolic reaches interrupt entry as
     # it reaches every load: a symbolic IE enables the handler under a path
     # constraint, and a symbolic SP has no concrete slot for the return
     # address, so the handler is never entered.
     cfg = ExplorationConfig(block_repeat_threshold=8, seed=1, max_blocks=200,
                             cooldown_min=1, cooldown_max=2)
-    ie = SymbolicPolicy()
-    ie.designate(Region.SFR, machine.IE)
+    ie = SymbolicPolicy([(Region.SFR, machine.IE)])
     image, syms = fwkit.assemble_with_symbols(ISR_SRC.format(setup="nop"))
     res = execute(image, ie, cfg)
     assert syms["isr"] in res.coverage
@@ -337,8 +333,7 @@ def test_scheduler_reads_ie_and_sp_as_loads_do():
     assert ("((sfr_00a8 & 0x81) == 0x81)", syms["idle"],
             "isr-enable:external0") in entries
 
-    sp = SymbolicPolicy()
-    sp.designate(Region.SFR, machine.SP)
+    sp = SymbolicPolicy([(Region.SFR, machine.SP)])
     image, syms = fwkit.assemble_with_symbols(
         ISR_SRC.format(setup="mov ie, #0x81"))
     res = execute(image, sp, cfg)
@@ -554,12 +549,39 @@ def test_state_limit_graceful():
     assert any("state budget" in d for d in res.diagnostics)
 
 
-def test_overlapping_designation_rejected():
-    pol = SymbolicPolicy()
-    for a in range(0x100, 0x104):
-        pol.designate(Region.XRAM, a)
-    with pytest.raises(symexec.SymbolicPolicyError):
-        pol.designate(Region.XRAM, 0x102)
+def test_policy_covers_whole_regions_and_explicit_locations():
+    full = SymbolicPolicy.full()
+    assert full.regions == {Region.IRAM, Region.XRAM} and not full.locations
+    assert solver.to_text(full.lookup(Region.IRAM, 0x00)) == "iram_0000"
+    assert solver.to_text(full.lookup(Region.XRAM, 0xFFFF)) == "xram_ffff"
+    assert full.lookup(Region.SFR, machine.ACC) is None
+    # a covered byte's variable is made once, at its first read
+    assert full.lookup(Region.XRAM, 0x10) is full.lookup(Region.XRAM, 0x10)
+
+    # repeated locations collapse, whether the region is a Region or an int
+    pol = SymbolicPolicy([(Region.XRAM, 0x102), (int(Region.XRAM), 0x102),
+                          (Region.SFR, machine.IE)])
+    assert pol.locations == {(Region.XRAM, 0x102), (Region.SFR, machine.IE)}
+    assert not pol.regions
+    assert solver.to_text(pol.lookup(Region.SFR, machine.IE)) == "sfr_00a8"
+    assert pol.lookup(Region.XRAM, 0x103) is None
+    assert pol.lookup(Region.IRAM, 0x02) is None
+
+
+def test_illegal_opcode_ends_its_state_as_decode_error(monkeypatch):
+    # nop; then the reserved 0xa5, lifted as the next block
+    cfg = ExplorationConfig(seed=1)
+    res = execute(bytes([0x00, 0xA5]), SymbolicPolicy(), cfg, isr_map={})
+    assert [s.terminated for s in res.ended] == [
+        "decode-error:illegal opcode 0xa5 at 0x0001"]
+
+    # any other error of the lifter is a bug, and escapes the run
+    def broken(image, addr):
+        raise RuntimeError("lifter bug")
+
+    monkeypatch.setattr(lifter, "lift_block", broken)
+    with pytest.raises(RuntimeError, match="lifter bug"):
+        execute(bytes([0x00]), SymbolicPolicy(), cfg, isr_map={})
 
 
 # -- fan-out at a symbolic load/store address ---------------------------------
