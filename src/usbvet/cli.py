@@ -362,7 +362,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     model = usbdb.ClaimedModel(
         device.bDeviceClass if device else None,
         device.bDeviceProtocol if device else None,
-        claimed_ifaces, endpoints, drivers)
+        claimed_ifaces, endpoints)
 
     # 5. comparison against the expected model
     verdict = usbdb.compare_models(model, config.expected)
@@ -440,8 +440,16 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     return report, exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigInvalid on a malformed command line, where argparse
+    would print the usage and exit 2, the code of EXIT_INCOMPLETE."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="usbvet",
         description="Semantic queries over raw 8051 USB controller firmware")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -517,9 +525,8 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(_build_parser().parse_args(argv))
         report, code = run_pipeline(cfg)
     except (ConfigInvalid, IoError, ImageTooLarge,
             queries.PreconditionError) as e:

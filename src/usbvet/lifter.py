@@ -10,6 +10,11 @@ the DPH:DPL pair, so direct writes to 0x82/0x83 stay coherent.
 Value convention: IR temps hold unsigned integers masked to the statement's
 result width; a condition is true when nonzero. PSW bit 0 is the live parity
 of ACC, so full-byte reads of PSW substitute it explicitly in the IR.
+
+A block is a list of seven statement kinds: a `Boundary` before each
+instruction, `Assign`, `Load` and `Store`, and one terminator (`CJump`,
+`Jump` or `RetMark`). A register write is a `Store` to its SFR address;
+`format_block` prints one to a named register as `put NAME`.
 """
 
 from __future__ import annotations
@@ -53,24 +58,13 @@ class Boundary:
         self.length = length
 
 
-class Put:
-    """Store to a named machine register (an SFR address)."""
-    __slots__ = ("reg", "name", "src")
-
-    def __init__(self, reg, name, src):
-        self.reg = reg
-        self.name = name
-        self.src = src
-
-
 class Load:
-    __slots__ = ("dst", "region", "addr", "width")
+    __slots__ = ("dst", "region", "addr")
 
-    def __init__(self, dst, region, addr, width=8):
+    def __init__(self, dst, region, addr):
         self.dst = dst
         self.region = region
         self.addr = addr
-        self.width = width
 
 
 class Store:
@@ -106,13 +100,6 @@ class Jump:
 
     def __init__(self, target):
         self.target = target
-
-
-class CallMark:
-    __slots__ = ("ret_addr",)
-
-    def __init__(self, ret_addr):
-        self.ret_addr = ret_addr
 
 
 class RetMark:
@@ -167,17 +154,17 @@ class _Emit:
         self.stmts.append(Assign(t, op, args, width))
         return t
 
-    def load(self, region, addr, width=8) -> Tmp:
+    def load(self, region, addr) -> Tmp:
         t = Tmp(self.n)
         self.n += 1
-        self.stmts.append(Load(t, region, addr, width))
+        self.stmts.append(Load(t, region, addr))
         return t
 
     def store(self, region, addr, src):
         self.stmts.append(Store(region, addr, src))
 
     def put(self, reg, src):
-        self.stmts.append(Put(reg, _REG_NAMES.get(reg, f"SFR_{reg:02x}"), src))
+        self.stmts.append(Store(Region.SFR, reg, src))
 
     # -- register file helpers ------------------------------------------
 
@@ -264,13 +251,8 @@ class _Emit:
         elif k is isa.OpKind.REG:
             self.reg_write(op.value, v)
         elif k is isa.OpKind.DIRECT:
-            if op.value >= 0x80:
-                if op.value in _REG_NAMES:
-                    self.put(op.value, v)
-                else:
-                    self.store(Region.SFR, op.value, v)
-            else:
-                self.store(Region.IRAM, op.value, v)
+            region = Region.IRAM if op.value < 0x80 else Region.SFR
+            self.store(region, op.value, v)
         elif k is isa.OpKind.INDIRECT:
             self.store(Region.IRAM, self.reg_read(op.value), v)
         else:
@@ -296,10 +278,7 @@ class _Emit:
         byte = self.psw_norm() if addr == _PSW else self.load(region, addr)
         cleared = self.tmp("and", (byte, (~(1 << idx)) & 0xFF), 8)
         newb = self.tmp("or", (cleared, self.tmp("shl", (v, idx), 8)), 8)
-        if addr in _REG_NAMES:
-            self.put(addr, newb)
-        else:
-            self.store(region, addr, newb)
+        self.store(region, addr, newb)
 
     def push(self, v):
         sp = self.sfr(_SP)
@@ -338,7 +317,6 @@ def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
         t = e.tmp("add", (e.acc(), e.dptr()), 16)
         return Jump(t)
     if m in ("LCALL", "ACALL"):
-        e.stmts.append(CallMark(next_pc))
         e.push(next_pc & 0xFF)
         e.push(next_pc >> 8)
         return Jump(ops[0].value)
@@ -372,10 +350,7 @@ def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
         # dead parity bit), so reload raw for the else value
         old = e.psw_raw() if addr == _PSW else byte
         newb = e.tmp("ite", (bit, cleared, old), 8)
-        if addr in _REG_NAMES:
-            e.put(addr, newb)
-        else:
-            e.store(region, addr, newb)
+        e.store(region, addr, newb)
         return CJump(bit, ops[1].value, next_pc)
     if m == "CJNE":
         a = e.read_operand(ops[0])
@@ -664,17 +639,14 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
                 v = stmt.src
                 v = vals[v.i] if type(v) is Tmp else v
                 r = stmt.region
-                if r == Region.IRAM:
-                    iram[addr & 0xFF] = v
-                elif r == Region.SFR:
+                if r == Region.SFR:  # first: every register write is one
                     sfr[(addr - 0x80) & 0x7F] = v
+                elif r == Region.IRAM:
+                    iram[addr & 0xFF] = v
                 elif r == Region.XRAM:
                     xram[addr & 0xFFFF] = v
                 else:
                     raise AssertionError("store to CODE")
-            elif cls is Put:
-                v = stmt.src
-                sfr[stmt.reg - 0x80] = vals[v.i] if type(v) is Tmp else v
             elif cls is Boundary:
                 if executed >= max_instrs:
                     st.pc = stmt.addr
@@ -693,7 +665,6 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
                 next_pc = vals[t.i] if type(t) is Tmp else t
                 if stmt.reti:
                     st.in_interrupt = False
-            # CallMark: bookkeeping only
         st.pc = next_pc & 0xFFFF
     return executed
 
@@ -727,17 +698,16 @@ def format_block(blk: IRBlock) -> str:
             lines.append(f"  t{s.dst.i} = load.{Region(s.region).name}"
                          f"[{_atom_text(s.addr)}]")
         elif cls is Store:
-            lines.append(f"  store.{Region(s.region).name}[{_atom_text(s.addr)}]"
-                         f" = {_atom_text(s.src)}")
-        elif cls is Put:
-            lines.append(f"  put {s.name} = {_atom_text(s.src)}")
+            if s.region == Region.SFR and s.addr in _REG_NAMES:
+                dst = f"put {_REG_NAMES[s.addr]}"
+            else:
+                dst = f"store.{Region(s.region).name}[{_atom_text(s.addr)}]"
+            lines.append(f"  {dst} = {_atom_text(s.src)}")
         elif cls is CJump:
             lines.append(f"  cjump {_atom_text(s.cond)} ? 0x{s.taken:04x}"
                          f" : 0x{s.fall:04x}")
         elif cls is Jump:
             lines.append(f"  jump {_target_text(s.target)}")
-        elif cls is CallMark:
-            lines.append(f"  call-mark ret=0x{s.ret_addr:04x}")
         elif cls is RetMark:
             kind = "reti" if s.reti else "ret"
             lines.append(f"  {kind} {_target_text(s.target)}")

@@ -39,8 +39,8 @@ import time
 from dataclasses import dataclass
 
 from . import isa, lifter, machine, solver
-from .lifter import (Assign, Boundary, CallMark, CJump, Jump, Load, Put,
-                     Region, RetMark, Store, Tmp)
+from .lifter import (Assign, Boundary, CJump, Jump, Load, Region, RetMark,
+                     Store, Tmp)
 from .solver import SymExpr, eval_expr, eval_op, mk
 
 # Reset values of unwritten bytes the policy leaves concrete; every byte not
@@ -156,7 +156,6 @@ class ExecState:
 
 @dataclass
 class TargetHit:
-    target: int
     state: ExecState
     states_created: int
     coverage: int
@@ -337,16 +336,21 @@ class Executor:
         res = self.solver.query(s.path, (expr,))
         return res.sat, res.model
 
-    @staticmethod
-    def _model_value(s: ExecState, expr: SymExpr):
-        """expr's value under s's model; None without a model."""
-        return None if s.model is None else eval_expr(expr, s.model)
+    def _pin(self, s: ExecState, expr: SymExpr, v: int,
+             note: str) -> ExecState:
+        """A fork of s whose path adds expr == v. It keeps s's model only
+        when that model gives expr the value v."""
+        child = self._fork(s)
+        child.path.append(self._mk("eq", (expr, v), 1), s.cur_site, note)
+        if child.model is not None and eval_expr(expr, child.model) != v:
+            child.model = None
+        return child
 
-    def _access(self, s: ExecState, st, region: Region, addr: int,
-                vals: list) -> bool:
-        """One read (Load) or write (Store/Put) at a concrete address, seen
+    def _access(self, s: ExecState, st, addr: int, vals: list) -> bool:
+        """One read (Load) or write (Store) at a concrete address, seen
         by every listener; False when one of them stopped the run, which
         ends s."""
+        region = st.region
         if st.__class__ is Load:
             value = self._read(s, region, addr)
             vals[st.dst.i] = value
@@ -365,25 +369,26 @@ class Executor:
             self._terminate(s, "listener-stop")
         return not stop
 
-    def _fork_access(self, s: ExecState, blk, i: int, st, region: Region,
-                     addr: SymExpr, vals: list) -> list[ExecState]:
+    def _fork_access(self, s: ExecState, blk, i: int, st, addr: SymExpr,
+                     vals: list) -> list[ExecState]:
         """Make a symbolic address concrete: one child per feasible value in
         the region, each constrained to it, accessed and run on to the end
-        of the block. A stop verdict drops the remaining values."""
-        bound = (len(self.image) if region == Region.CODE
-                 else lifter.REGION_SIZE[region])
+        of the block. A stop verdict drops the remaining values. Past the
+        deadline, s ends unfinished and the run stops."""
+        deadline = self.config.deadline
+        if deadline is not None and time.monotonic() > deadline:
+            self.stop_reason = "time-limit"
+            self._terminate(s, "unfinished")
+            return []
+        bound = (len(self.image) if st.region == Region.CODE
+                 else lifter.REGION_SIZE[st.region])
         what = "load address" if st.__class__ is Load else "store address"
         choices = self._enumerate(s, addr, bound, what)
-        model_value = self._model_value(s, addr)
         out = []
         for v in choices:
-            child = self._fork(s)
-            child.path.append(self._mk("eq", (addr, v), 1), s.cur_site,
-                              "mem-index")
-            if v != model_value:
-                child.model = None
+            child = self._pin(s, addr, v, "mem-index")
             nv = list(vals)
-            if not self._access(child, st, region, v, nv):
+            if not self._access(child, st, v, nv):
                 break
             out.extend(self._exec_from(child, blk, i + 1, nv))
         if not choices:
@@ -463,21 +468,18 @@ class Executor:
                     vals[st.dst.i] = self._mk(st.op, tuple(resolved), st.width)
                 else:
                     vals[st.dst.i] = eval_op(st.op, resolved, st.width)
-            elif cls is Load or cls is Store or cls is Put:
-                if cls is Put:
-                    region, a = Region.SFR, st.reg
-                else:
-                    region, a = st.region, st.addr
+            elif cls is Load or cls is Store:
+                a = st.addr
                 addr = vals[a.i] if type(a) is Tmp else a
                 if type(addr) is not int:
-                    return self._fork_access(s, blk, i, st, region, addr, vals)
-                if not self._access(s, st, region, addr, vals):
+                    return self._fork_access(s, blk, i, st, addr, vals)
+                if not self._access(s, st, addr, vals):
                     return []
             elif cls is Boundary:
                 s.cur_site = st.addr
                 if st.addr in self.config.targets and st.addr not in self.target_hits:
                     self.target_hits[st.addr] = TargetHit(
-                        st.addr, s, self.states_created, len(self.covered),
+                        s, self.states_created, len(self.covered),
                         time.monotonic() - self.t0)
                     self._terminate(s, f"target:0x{st.addr:04x}")
                     return []
@@ -523,7 +525,6 @@ class Executor:
                     return [s]
                 choices = self._enumerate(s, target, len(self.image),
                                           "jump target")
-                model_value = self._model_value(s, target)
                 out = []
                 for v in choices:
                     try:
@@ -533,11 +534,7 @@ class Executor:
                             f"indirect target 0x{v:04x} undecodable "
                             f"(site 0x{s.cur_site:04x})")
                         continue
-                    child = self._fork(s)
-                    child.path.append(self._mk("eq", (target, v), 1),
-                                      s.cur_site, "indirect-target")
-                    if v != model_value:
-                        child.model = None
+                    child = self._pin(s, target, v, "indirect-target")
                     if reti:
                         child.active_isr = None
                     child.pc = v
@@ -547,7 +544,6 @@ class Executor:
                 elif not out:
                     self._terminate(s, "indirect-undecodable")
                 return out
-            # CallMark: marker only
             i += 1
 
     def _run_block(self, s: ExecState) -> list[ExecState]:

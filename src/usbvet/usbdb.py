@@ -354,7 +354,6 @@ class ClaimedModel:
     device_protocol: int | None
     interfaces: list[ClaimedInterface]
     endpoints: list[dict]
-    drivers: list[tuple[str, str]]
 
 
 @dataclass

@@ -214,6 +214,32 @@ def test_main_bad_limit_exit_code(tmp_path, capsys, monkeypatch, flags,
     assert explored == []  # rejected before any exploration
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "img.bin", "--tau", "x"],
+     "argument --tau: invalid int value: 'x'"),
+    (["analyze", "img.bin", "--no-such-flag"],
+     "unrecognized arguments: --no-such-flag"),
+    (["analyze", "img.bin", "--policy", "most"],
+     "argument --policy: invalid choice: 'most'"),
+    (["analyze"], "the following arguments are required: image"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "unknown-flag", "bad-choice", "no-image", "empty"])
+def test_main_malformed_command_line_exit_code(capsys, argv, message):
+    # a malformed command line is a usage error, not EXIT_INCOMPLETE (2)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_main_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: usbvet")
+
+
 def test_main_prints_report_without_outfile(tmp_path, capsys):
     path, _ = write_fixture(tmp_path, "straightline")
     code = cli.main(["analyze", path, "--query", "identity", "--seed", "1",

@@ -1,7 +1,9 @@
+import inspect
 import random
+import re
 
-from usbvet import isa, lifter, machine
-from usbvet.lifter import Boundary, CJump, Jump, Load, Put, Region, RetMark, Store
+from usbvet import isa, lifter, machine, symexec
+from usbvet.lifter import Boundary, CJump, Jump, Load, Region, RetMark, Store
 
 import diffutil
 
@@ -18,8 +20,9 @@ def test_movc_lifts_to_code_load_and_acc_put():
     blk = lifter.lift_block(bytes([0x93, 0x80, 0xFE]), 0)
     loads = [s for s in blk.stmts if isinstance(s, Load)]
     assert any(s.region == Region.CODE for s in loads)
-    puts = [s for s in blk.stmts if isinstance(s, Put)]
-    assert any(p.name == "ACC" for p in puts)
+    stores = [s for s in blk.stmts if isinstance(s, Store)]
+    assert any(s.region == Region.SFR and s.addr == machine.ACC
+               for s in stores)
 
 
 def test_movx_store_region():
@@ -69,6 +72,27 @@ def test_all_opcodes_liftable():
         image = bytes([op, 0x10, 0x02]) + bytes([0x80, 0xFE])
         blk = lifter.lift_block(image, 0)
         assert blk.instr_addrs[0] == 0
+
+
+def _branched_on(fn) -> set[str]:
+    """Names of the statement classes that fn tests with `cls is NAME`."""
+    return set(re.findall(r"\bcls is (\w+)", inspect.getsource(fn)))
+
+
+def test_ir_statement_set_is_closed():
+    # Every statement kind the lifter emits, at every legal opcode, has a
+    # branch in each IR consumer; a consumer skips an unknown kind silently.
+    kinds = set()
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        blk = lifter.lift_block(bytes([op, 0x10, 0x02, 0x80, 0xFE]), 0)
+        kinds.update(type(s).__name__ for s in blk.stmts)
+    assert kinds == {"Boundary", "Assign", "Load", "Store", "CJump", "Jump",
+                     "RetMark"}
+    for consumer in (symexec.Executor._exec_from, lifter.run_lifted,
+                     lifter.format_block):
+        assert kinds <= _branched_on(consumer), consumer.__name__
 
 
 def test_pretty_printer_stable():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -722,6 +723,35 @@ def _run_hand_block(stmts, n_temps, fanout=16, listeners=(),
                           listeners=listeners, isr_map={})
     ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
     return ex.run()
+
+
+def test_deadline_stops_fan_out_inside_one_block(monkeypatch):
+    # Two symbolic stores in one block. The deadline passes during the first
+    # enumeration, so each of its children ends unfinished at the second
+    # store without enumerating again, and the run reports the time limit.
+    enumerations = []
+    enumerate_values = symexec.Executor._enumerate
+
+    def enumerate_then_expire(ex, *args):
+        enumerations.append(args[-1])
+        out = enumerate_values(ex, *args)
+        ex.config.deadline = time.monotonic() - 1.0
+        return out
+
+    monkeypatch.setattr(symexec.Executor, "_enumerate", enumerate_then_expire)
+    t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
+    res = _run_hand_block([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "and", (t0, 0x03), 8),
+        lifter.Store(Region.XRAM, t1, 0x55),
+        lifter.Store(Region.XRAM, t1, 0x66),
+        lifter.Jump(1),
+    ], 2)
+    assert enumerations == ["store address"]
+    assert res.reason == "time-limit"
+    assert [s.terminated for s in res.ended] == ["unfinished"] * 4
+    assert res.states_created == 5
 
 
 def test_symbolic_store_out_of_region_ends_path():

@@ -250,7 +250,7 @@ def test_match_drivers_reports_all_matches():
 
 def test_compare_models_consistent():
     m = ClaimedModel(0, 0, [ClaimedInterface(8, 6, 0x50, True, "config")],
-                     [], [])
+                     [])
     v = compare_models(m, "mass-storage")
     assert v.consistent and not v.reasons
 
@@ -259,7 +259,7 @@ def test_compare_models_anomalous_cites_evidence():
     m = ClaimedModel(0, 0, [
         ClaimedInterface(8, 6, 0x50, True, "config"),
         ClaimedInterface(3, 0, 0, True, "HID report copy at 0x0097 reached"),
-    ], [], [])
+    ], [])
     v = compare_models(m, "mass-storage")
     assert not v.consistent
     assert "0x0097" in v.reasons[0]
@@ -268,11 +268,11 @@ def test_compare_models_anomalous_cites_evidence():
 def test_compare_models_orthogonal_to_behavior():
     # identity consistent even when Query 2 flagged something: the verdicts
     # are orthogonal (pipeline combines them)
-    m = ClaimedModel(0, 0, [ClaimedInterface(3, 1, 1, True, "config")], [], [])
+    m = ClaimedModel(0, 0, [ClaimedInterface(3, 1, 1, True, "config")], [])
     assert compare_models(m, "hid").consistent
 
 
 def test_compare_models_unknown_expected_skips():
-    m = ClaimedModel(0, 0, [ClaimedInterface(3, 1, 1, True, "config")], [], [])
+    m = ClaimedModel(0, 0, [ClaimedInterface(3, 1, 1, True, "config")], [])
     v = compare_models(m, "unknown")
     assert v.consistent and v.warnings
