@@ -1,15 +1,17 @@
 """8051/8052 instruction set: 256-entry decode table and linear-sweep disassembler.
 
 The table covers all 44 mnemonics across 255 legal opcodes; 0xA5 is the one
-reserved encoding and always raises. Operands are normalized to destination-first
-order at decode time (opcode 0x85, MOV direct,direct, is the only instruction
-whose byte stream is [op, src, dst]).
+reserved encoding and always raises. One decode plan per opcode is built with the
+table, so decoding parses no spec strings. Operands are normalized to
+destination-first order in the plan (0x85, MOV direct,direct, is the only
+instruction whose byte stream is [op, src, dst]). Records are named tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class OpKind(Enum):
@@ -56,8 +58,7 @@ class TruncatedInstruction(IsaError):
         self.opcode = opcode
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     kind: OpKind
     value: int | None = None
 
@@ -96,8 +97,7 @@ class Operand:
         raise AssertionError(k)
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     addr: int
     opcode: int
     mnemonic: str
@@ -269,71 +269,77 @@ CONTROL_FLOW = frozenset({
 })
 
 
-def _decode_spec(spec: str, image: bytes, addr: int, pos: int, opcode: int,
-                 next_addr: int) -> tuple[Operand, int]:
-    """Build one operand from spec token; returns (operand, bytes consumed)."""
-    if spec == "A":
-        return Operand(OpKind.ACC), 0
-    if spec == "DPTR":
-        return Operand(OpKind.DPTR), 0
-    if spec == "@DPTR":
-        return Operand(OpKind.IND_DPTR), 0
-    if spec == "@A+DPTR":
-        return Operand(OpKind.CODE_DPTR), 0
-    if spec == "@A+PC":
-        return Operand(OpKind.CODE_PC), 0
-    if spec == "C":
-        return Operand(OpKind.CARRY), 0
-    if spec == "AB":
-        return Operand(OpKind.AB), 0
-    if spec.startswith("@R"):
-        return Operand(OpKind.INDIRECT, int(spec[2])), 0
-    if spec.startswith("R"):
-        return Operand(OpKind.REG, int(spec[1])), 0
-    if spec == "dir":
-        return Operand(OpKind.DIRECT, image[pos]), 1
-    if spec == "#i8":
-        return Operand(OpKind.IMM8, image[pos]), 1
-    if spec == "#i16":
-        return Operand(OpKind.IMM16, (image[pos] << 8) | image[pos + 1]), 2
-    if spec == "bit":
-        return Operand(OpKind.BIT, image[pos]), 1
-    if spec == "/bit":
-        return Operand(OpKind.NOT_BIT, image[pos]), 1
-    if spec == "rel":
-        off = image[pos]
-        if off > 127:
-            off -= 256
-        return Operand(OpKind.REL, (next_addr + off) & 0xFFFF), 1
-    if spec == "a11":
-        target = (next_addr & 0xF800) | ((opcode & 0xE0) << 3) | image[pos]
-        return Operand(OpKind.ADDR11, target), 1
-    if spec == "a16":
-        return Operand(OpKind.ADDR16, (image[pos] << 8) | image[pos + 1]), 2
-    raise AssertionError(spec)
+# How decode makes each spec token's operand: an Operand ready-made when it
+# reads no image bytes, a 256-entry table indexed by the byte for a one-byte
+# operand, else the OpKind whose value decode computes from the bytes.
+_HOW = {
+    "A": Operand(OpKind.ACC), "DPTR": Operand(OpKind.DPTR),
+    "@DPTR": Operand(OpKind.IND_DPTR), "@A+DPTR": Operand(OpKind.CODE_DPTR),
+    "@A+PC": Operand(OpKind.CODE_PC), "C": Operand(OpKind.CARRY),
+    "AB": Operand(OpKind.AB),
+    **{f"R{n}": Operand(OpKind.REG, n) for n in range(8)},
+    **{f"@R{i}": Operand(OpKind.INDIRECT, i) for i in range(2)},
+    "dir": tuple(Operand(OpKind.DIRECT, v) for v in range(256)),
+    "#i8": tuple(Operand(OpKind.IMM8, v) for v in range(256)),
+    "bit": tuple(Operand(OpKind.BIT, v) for v in range(256)),
+    "/bit": tuple(Operand(OpKind.NOT_BIT, v) for v in range(256)),
+    "rel": OpKind.REL, "a11": OpKind.ADDR11, "a16": OpKind.ADDR16,
+    "#i16": OpKind.IMM16,
+}
+
+
+def _plan(opcode: int, info: OpcodeInfo) -> tuple:
+    """(mnemonic, length, operands, steps): `operands` is the whole tuple when
+    no operand reads image bytes, else None, and `steps` lists each operand's
+    (byte offset, how) in canonical order."""
+    steps = []
+    offset = 1
+    for spec in info.specs:
+        steps.append((offset, _HOW[spec]))
+        offset += _SPEC_BYTES[spec]
+    if opcode == 0x85:
+        steps.reverse()  # byte stream is src,dst; canonical order is dst,src
+    if all(how.__class__ is Operand for _, how in steps):
+        return info.mnemonic, info.length, tuple(how for _, how in steps), ()
+    return info.mnemonic, info.length, None, tuple(steps)
+
+
+# One decode plan per opcode, None for the reserved one.
+_PLANS = [_plan(op, TABLE[op]) if op in TABLE else None for op in range(256)]
 
 
 def decode(image: bytes, addr: int) -> Instruction:
     """Decode the instruction at addr. Raises IllegalOpcode / TruncatedInstruction."""
-    if addr >= len(image):
-        raise TruncatedInstruction(addr, 0, 1, len(image) - addr)
+    n = len(image)
+    if addr >= n:
+        raise TruncatedInstruction(addr, 0, 1, n - addr)
     opcode = image[addr]
-    if opcode == RESERVED_OPCODE:
+    plan = _PLANS[opcode]
+    if plan is None:
         raise IllegalOpcode(addr, opcode)
-    info = TABLE[opcode]
-    if addr + info.length > len(image):
-        raise TruncatedInstruction(addr, opcode, info.length, len(image) - addr)
-    next_addr = addr + info.length
-    operands = []
-    pos = addr + 1
-    for spec in info.specs:
-        op, consumed = _decode_spec(spec, image, addr, pos, opcode, next_addr)
-        operands.append(op)
-        pos += consumed
-    if opcode == 0x85:
-        operands.reverse()  # byte stream is src,dst; canonical order is dst,src
-    return Instruction(addr, opcode, info.mnemonic, tuple(operands), info.length,
-                       bytes(image[addr:next_addr]))
+    mnemonic, length, operands, steps = plan
+    end = addr + length
+    if end > n:
+        raise TruncatedInstruction(addr, opcode, length, n - addr)
+    if operands is None:
+        ops = []
+        for offset, how in steps:
+            cls = how.__class__
+            if cls is Operand:
+                ops.append(how)
+                continue
+            b = image[addr + offset]
+            if cls is tuple:
+                ops.append(how[b])
+            elif how is OpKind.REL:
+                ops.append(Operand(how, (end + (b ^ 0x80) - 0x80) & 0xFFFF))
+            elif how is OpKind.ADDR11:
+                ops.append(Operand(how, (end & 0xF800) | (opcode & 0xE0) << 3 | b))
+            else:  # ADDR16, IMM16
+                ops.append(Operand(how, b << 8 | image[addr + offset + 1]))
+        operands = tuple(ops)
+    return Instruction(addr, opcode, mnemonic, operands, length,
+                       bytes(image[addr:end]))
 
 
 @dataclass(frozen=True)

@@ -618,8 +618,7 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
         for stmt in blk.stmts:
             cls = stmt.__class__
             if cls is Assign:
-                a = stmt.args
-                resolved = tuple(vals[x.i] if type(x) is Tmp else x for x in a)
+                resolved = [vals[x.i] if type(x) is Tmp else x for x in stmt.args]
                 vals[stmt.dst.i] = eval_op(stmt.op, resolved, stmt.width)
             elif cls is Load:
                 a = stmt.addr

@@ -243,7 +243,8 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
     init = _precondition_exprs(preconditions, policy) if preconditions else []
-    if init and not solver.check([e for e, _ in init], cfg.solver_timeout).sat:
+    if init and not solver.check([e for e, _ in init], cfg.solver_timeout,
+                                 deadline=cfg.deadline).sat:
         raise UnsatisfiablePreconditions(
             "unsatisfiable: " + "; ".join(note for _, note in init))
     res = execute(image, policy, cfg, initial_constraints=init)
@@ -482,7 +483,7 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
     rec = _AccessRecorder()
     flow = None
     if targets is not None:
-        sat = solver.Solver(cfg.solver_timeout)
+        sat = solver.Solver(cfg.solver_timeout, cfg.deadline)
         flow = _ConcreteFlowListener(targets, sat)
     res = execute(image, policy, cfg,
                   listeners=[ln for ln in (flow, rec) if ln is not None])

@@ -50,7 +50,7 @@ def _parity(v: int) -> int:
     return v & 1
 
 
-def eval_op(op: str, args: tuple, width: int) -> int:
+def eval_op(op: str, args: tuple | list, width: int) -> int:
     """Concrete semantics of every expression / IR operator."""
     mask = (1 << width) - 1
     if op == "add":
@@ -519,15 +519,18 @@ class SatResult:
 _MISS = object()
 
 
-def check(exprs, timeout: float = 5.0, cache: Solver | None = None
-          ) -> SatResult:
+def check(exprs, timeout: float = 5.0, cache: Solver | None = None,
+          deadline: float | None = None) -> SatResult:
     """Decide satisfiability of a conjunction. Timeout biases to satisfiable.
 
-    With `cache`, domains and component results are read from and stored in
-    that Solver's tables. A timed-out query stores nothing.
+    The search stops at `timeout` s from now or at the absolute `deadline`,
+    whichever is first. With `cache`, domains and component results are read
+    from and stored in that Solver's tables. A timed-out query stores nothing.
     """
     exprs = [e for e in exprs if isinstance(e, SymExpr)]
-    deadline = time.monotonic() + timeout
+    limit = time.monotonic() + timeout
+    if deadline is not None and deadline < limit:
+        limit = deadline
     domains = cache.domains if cache is not None else {}
     components = cache.components if cache is not None else {}
     fresh_domains: dict = {}
@@ -540,7 +543,7 @@ def check(exprs, timeout: float = 5.0, cache: Solver | None = None
             m = components.get(key, _MISS)
             if m is _MISS:
                 m = fresh_components[key] = _solve_component(
-                    comp, deadline, domains, fresh_domains)
+                    comp, limit, domains, fresh_domains)
             if m is None:
                 sat = False
                 break
@@ -557,18 +560,23 @@ class Solver:
 
     Collects timeout diagnostics rather than failing: a timed-out query
     over-approximates (path kept alive / value treated as not-unique).
-    Every query goes through `check` with this Solver's tables: `domains`
-    maps (constraint, variable, width) to the bitmask of satisfying values,
-    and `components` maps a component's constraint tuple to its model, or
-    None when unsat. `values` is the one loop that enumerates the feasible
-    values of an expression; `query` is a single satisfiability query.
+    Every query goes through `check` with this Solver's `deadline` and
+    tables: `domains` maps (constraint, variable, width) to the bitmask of
+    satisfying values, and `components` maps a component's constraint tuple
+    to its model, or None when unsat. `values` is the one loop that
+    enumerates the feasible values of an expression; `query` is a single
+    satisfiability query.
     """
 
-    def __init__(self, timeout: float = 5.0):
+    def __init__(self, timeout: float = 5.0, deadline: float | None = None):
         self.timeout = timeout
+        self.deadline = deadline
         self.diagnostics: list[str] = []
         self.domains: dict[tuple, int] = {}
         self.components: dict[tuple, dict | None] = {}
+
+    def _check(self, exprs: list) -> SatResult:
+        return check(exprs, self.timeout, cache=self, deadline=self.deadline)
 
     def _exprs(self, pc) -> list[SymExpr]:
         if isinstance(pc, PathCondition):
@@ -578,13 +586,13 @@ class Solver:
     def query(self, pc, extra=()) -> SatResult:
         """Satisfiability of pc and extra, with a model when satisfiable; a
         timeout is reported and answers satisfiable with model None."""
-        res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
+        res = self._check(self._exprs(pc) + list(extra))
         if res.timed_out:
             self.diagnostics.append("solver timeout: assumed satisfiable")
         return res
 
     def model(self, pc, extra=()) -> dict:
-        res = check(self._exprs(pc) + list(extra), self.timeout, cache=self)
+        res = self._check(self._exprs(pc) + list(extra))
         if not res.sat:
             raise Unsat()
         if res.model is None:
@@ -594,7 +602,7 @@ class Solver:
 
     def _other_value(self, base: list, expr: SymExpr, v: int) -> SatResult:
         """The query for a value of expr other than v under base."""
-        return check(base + [mk("ne", (expr, v), 1)], self.timeout, cache=self)
+        return self._check(base + [mk("ne", (expr, v), 1)])
 
     def values(self, pc, expr: SymExpr, limit: int, model: dict | None = None
                ) -> tuple[list[int], bool, bool]:
@@ -620,13 +628,13 @@ class Solver:
         vals: list[int] = []
         extra: list[SymExpr] = []
         while len(vals) < limit:
-            res = check(base + extra, self.timeout, cache=self)
+            res = self._check(base + extra)
             if res.timed_out or not res.sat:
                 return vals, False, timed_out or res.timed_out
             v = eval_expr(expr, res.model)
             vals.append(v)
             extra.append(mk("ne", (expr, v), 1))
-        res = check(base + extra, self.timeout, cache=self)
+        res = self._check(base + extra)
         return vals, res.sat, timed_out or res.timed_out
 
     def is_constant(self, pc, expr, model: dict | None = None):

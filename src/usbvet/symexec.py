@@ -246,7 +246,7 @@ class Executor:
         self.program = lifter.lift_program(self.image)
         # Every query of this exploration goes through this Solver, so its
         # memo tables serve all paths of the run and are freed with it.
-        self.solver = solver.Solver(config.solver_timeout)
+        self.solver = solver.Solver(config.solver_timeout, config.deadline)
         self.rng = random.Random(config.seed)
         self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
         self._sources = [src for src in sorted(self.isr_map)

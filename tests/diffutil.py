@@ -11,13 +11,26 @@ STRAIGHT_OPS = [op for op in range(256)
 ALL_OPS = [op for op in range(256) if op != isa.RESERVED_OPCODE]
 
 
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """n bytes drawn exactly as n calls of rng.randrange(256) would draw them:
+    CPython's randrange(256) takes getrandbits(9) until a value is below 256.
+    Calling getrandbits directly skips randrange's per-call overhead."""
+    out = bytearray(n)
+    getrandbits = rng.getrandbits
+    for i in range(n):
+        r = getrandbits(9)
+        while r >= 256:
+            r = getrandbits(9)
+        out[i] = r
+    return bytes(out)
+
+
 def random_straight_sequence(rng: random.Random, max_len: int = 32) -> bytes:
     out = bytearray()
     for _ in range(rng.randrange(1, max_len + 1)):
         op = rng.choice(STRAIGHT_OPS)
         out.append(op)
-        for _ in range(isa.TABLE[op].length - 1):
-            out.append(rng.randrange(256))
+        out += random_bytes(rng, isa.TABLE[op].length - 1)
     return bytes(out)
 
 
@@ -30,8 +43,7 @@ def random_branchy_image(rng: random.Random, size: int = 0x400) -> bytes:
         op = rng.choice(ALL_OPS)
         bounds.append(len(body))
         body.append(op)
-        for _ in range(isa.TABLE[op].length - 1):
-            body.append(rng.randrange(256))
+        body += random_bytes(rng, isa.TABLE[op].length - 1)
     img = bytearray(body)
     while len(img) < size:
         img += bytes([0x80, 0xFE])
@@ -56,8 +68,8 @@ def random_branchy_image(rng: random.Random, size: int = 0x400) -> bytes:
 
 def random_state(rng: random.Random) -> machine.ConcreteState:
     st = machine.ConcreteState()
-    st.iram[:] = bytes(rng.randrange(256) for _ in range(256))
-    st.sfr[:] = bytes(rng.randrange(256) for _ in range(128))
+    st.iram[:] = random_bytes(rng, 256)
+    st.sfr[:] = random_bytes(rng, 128)
     st.sfr[machine.SP - 0x80] = rng.randrange(0x07, 0x60)
     return st
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -174,3 +175,48 @@ def test_totality_every_legal_opcode_decodes():
         else:
             ins = isa.decode(image, 0)
             assert ins.length == isa.TABLE[op].length
+
+
+def _decode_line(image, addr):
+    """One decode as text that names no record type, or the error it raised."""
+    try:
+        ins = isa.decode(image, addr)
+    except isa.IsaError as e:
+        return f"{addr:04x} {type(e).__name__}: {e}"
+    ops = ",".join(f"({op.kind.name},{op.value})" for op in ins.operands)
+    return (f"{ins.addr:04x} {ins.opcode:02x} {ins.mnemonic} [{ops}] "
+            f"{ins.length} {ins.raw.hex()}")
+
+
+def test_decode_results_pinned():
+    # Every address of a seeded 8 KiB random image, one past its end, and
+    # every legal opcode in the last 1 and 2 bytes of a 2 KiB image (so
+    # truncation, and an AJMP whose next address is on the next page).
+    image = random.Random(8051).randbytes(0x2000)
+    lines = [_decode_line(image, a) for a in range(len(image) + 1)]
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        for tail in (bytes([op]), bytes([op, 0x9C])):
+            lines.append(_decode_line(bytes(0x800 - len(tail)) + tail,
+                                      0x800 - len(tail)))
+    assert len(lines) == 8703
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("baf65a3bdea916a6f05713dfcddcfede"
+                      "3b9dbcbfa3aaf21ff135735fe876746f")
+
+
+def test_decoded_records_are_values():
+    image = bytes([0x85, 0x30, 0x40, 0xE8])
+    a, b = isa.decode(image, 0), isa.decode(bytes(image), 0)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {a} and a != isa.decode(image, 3)
+    with pytest.raises(AttributeError):
+        a.addr = 1
+    with pytest.raises(AttributeError):
+        a.operands[0].value = 1
+    assert isa.Operand(isa.OpKind.ACC).value is None
+    assert repr(isa.decode(image, 3)) == (
+        "Instruction(addr=3, opcode=232, mnemonic='MOV', operands=("
+        "Operand(kind=<OpKind.ACC: 1>, value=None), "
+        "Operand(kind=<OpKind.REG: 2>, value=0)), length=1, raw=b'\\xe8')")

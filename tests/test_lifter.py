@@ -1,6 +1,9 @@
+import hashlib
 import inspect
 import random
 import re
+
+import pytest
 
 from usbvet import isa, lifter, machine, symexec
 from usbvet.lifter import Boundary, CJump, Jump, Load, Region, RetMark, Store
@@ -213,3 +216,28 @@ def test_lifted_blocks_cover_interpreter_trace():
                 isa.decode(image, a).mnemonic in ("JMP", "RET", "RETI")
                 for a in visited if a < len(image))
             assert has_indirect, (sorted(hex(m) for m in missing))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+def test_random_bytes_draws_as_randrange(seed):
+    fast, oracle = random.Random(seed), random.Random(seed)
+    for n in (0, 1, 2, 128, 256, 1000):
+        want = bytes(oracle.randrange(256) for _ in range(n))
+        assert diffutil.random_bytes(fast, n) == want
+        assert fast.getstate() == oracle.getstate()
+
+
+def test_differential_helpers_draw_pinned_data():
+    # The digest of what the helpers drew when they called randrange(256)
+    # once per byte: their inputs, and where they leave the generator.
+    h = hashlib.sha256()
+    for seed in (0, 1, 12345):
+        rng = random.Random(seed)
+        for _ in range(25):
+            h.update(diffutil.random_straight_sequence(rng))
+            st = diffutil.random_state(rng)
+            h.update(st.iram + st.sfr)
+            h.update(diffutil.random_branchy_image(rng))
+        h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == ("65f1e9d9df11ede8b26b006d791721ed"
+                             "76f01bc9cfe875aa80228b0dbd178497")

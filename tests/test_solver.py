@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -287,6 +288,25 @@ def test_timeout_assumes_feasible():
     res = s.query(exprs)
     assert res.sat and res.timed_out and res.model is None
     assert s.diagnostics == ["solver timeout: assumed satisfiable"]
+
+
+def test_past_deadline_ends_query_before_its_timeout():
+    # A single-variable constraint needs a domain walk, which looks at the
+    # clock first; a passed deadline ends it although the timeout is long.
+    exprs = [mk("eq", (mk("mul", (var("x", 8), 3), 8), 9), 1)]
+    past = time.monotonic() - 1.0
+    t0 = time.monotonic()
+    res = check(exprs, timeout=60.0, deadline=past)
+    assert res.timed_out and res.sat and res.model is None
+    s = Solver(timeout=60.0, deadline=past)
+    res = s.query(exprs)
+    assert res.timed_out and res.sat and res.model is None
+    assert s.diagnostics == ["solver timeout: assumed satisfiable"]
+    assert s.domains == {} and s.components == {}
+    assert time.monotonic() - t0 < 30.0
+    # a deadline later than the timeout leaves the query to the timeout
+    later = check(exprs, timeout=60.0, deadline=time.monotonic() + 3600.0)
+    assert later.model == {"x": 3} and not later.timed_out
 
 
 def test_pbits_is_superset_of_reachable_values():

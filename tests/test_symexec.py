@@ -754,6 +754,12 @@ def test_deadline_stops_fan_out_inside_one_block(monkeypatch):
     assert res.states_created == 5
 
 
+def test_exploration_solver_stops_at_the_exploration_deadline():
+    cfg = ExplorationConfig(seed=1, deadline=time.monotonic() + 60.0)
+    ex = symexec.Executor(b"\x00", xram_policy(0x7F00), cfg, isr_map={})
+    assert ex.solver.deadline == cfg.deadline
+
+
 def test_symbolic_store_out_of_region_ends_path():
     # IRAM has 256 bytes; the address 0x100 | selector never falls inside
     t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
