@@ -348,25 +348,45 @@ class DecodeDiagnostic:
     reason: str
 
 
-def disassemble_sweep(
-    image: bytes, start: int = 0
-) -> tuple[list[Instruction], list[DecodeDiagnostic]]:
-    """Linear sweep from start to image end.
+# Byte length of each opcode's instruction, 0 for the reserved one.
+_LENGTHS = bytes(plan[1] if plan else 0 for plan in _PLANS)
 
-    Undecodable bytes produce a diagnostic and the sweep resynchronizes at
-    the next byte, so data tables embedded in code do not abort scanning.
+
+def sweep_alignment(image: bytes, start: int = 0) -> tuple[list[int], list[int]]:
+    """The linear sweep's alignment from start to image end, read from opcode
+    lengths alone: (instruction starts, skipped bytes), each ascending.
+
+    A reserved opcode or a truncated tail instruction is skipped one byte at
+    a time, so data tables embedded in code do not abort scanning. Every
+    start decodes; every skipped byte raises in `decode`.
     """
-    instrs: list[Instruction] = []
-    diags: list[DecodeDiagnostic] = []
+    starts: list[int] = []
+    skipped: list[int] = []
+    lengths = _LENGTHS
     pos = start
     n = len(image)
     while pos < n:
+        end = pos + lengths[image[pos]]
+        if pos < end <= n:
+            starts.append(pos)
+            pos = end
+        else:
+            skipped.append(pos)
+            pos += 1
+    return starts, skipped
+
+
+def disassemble_sweep(
+    image: bytes, start: int = 0
+) -> tuple[list[Instruction], list[DecodeDiagnostic]]:
+    """Linear sweep from start to image end: the instructions at each
+    `sweep_alignment` start, and a diagnostic at each skipped byte."""
+    starts, skipped = sweep_alignment(image, start)
+    instrs = [decode(image, pos) for pos in starts]
+    diags: list[DecodeDiagnostic] = []
+    for pos in skipped:
         try:
-            ins = decode(image, pos)
+            decode(image, pos)
         except IsaError as e:
             diags.append(DecodeDiagnostic(pos, str(e)))
-            pos += 1
-            continue
-        instrs.append(ins)
-        pos += ins.length
     return instrs, diags

@@ -613,10 +613,14 @@ class Solver:
         `timed_out` says some query timed out; one before the limit ends the
         list early.
 
-        With a `model` of pc, one query first asks for a value other than the
-        model's. When there is none, that value is the answer; otherwise the
-        enumeration runs as without a model, so the values come in the same
-        order, at the cost of that one query."""
+        With a `model` of pc, a `const` expr is its own answer with no
+        query, since the model proves pc feasible. Otherwise one query first
+        asks for a value other than the model's. When there is none, that
+        value is the answer; otherwise the enumeration runs as without a
+        model, so the values come in the same order, at the cost of that one
+        query."""
+        if model is not None and expr.op == "const":
+            return [expr.value], False, False
         base = self._exprs(pc)
         timed_out = False
         if model is not None:

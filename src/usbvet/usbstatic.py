@@ -28,6 +28,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from . import isa, machine
 
@@ -123,50 +124,57 @@ def descriptor_extent(image: bytes, hit: DescriptorHit) -> int:
 # ---------------------------------------------------------------------------
 
 _XREF_SCAN_LIMIT = 32  # instructions examined after a DPTR load
+_MOV_DPTR_IMM = 0x90   # MOV DPTR,#imm16, the only constant load of DPTR
+
+
+def _feeds_code_read(load: isa.Instruction, following) -> bool:
+    """Whether the DPTR load `load` is an XREF, given the linear-sweep
+    instructions after it (read lazily, at most _XREF_SCAN_LIMIT): a CODE
+    read comes before any control flow or DPTR re-target in the same block.
+    Accepts when the sweep loses alignment or the look-ahead runs out
+    (conservative linear-sweep behavior)."""
+    expect = load.addr + load.length
+    for nxt in islice(following, _XREF_SCAN_LIMIT):
+        if nxt.addr != expect:
+            return True  # sweep lost alignment: be conservative
+        if nxt.mnemonic == "MOVC" or nxt.mnemonic == "JMP":
+            return True
+        if nxt.mnemonic in isa.CONTROL_FLOW:
+            return False
+        if nxt.opcode == _MOV_DPTR_IMM:
+            return False  # DPTR re-targeted before any CODE read
+        expect = nxt.addr + nxt.length
+    return True
 
 
 def find_xrefs(instrs: list[isa.Instruction], target: int,
                range_len: int = 1) -> list[int]:
     """Addresses of linear-sweep instructions loading DPTR with a constant
     inside [target, target+range_len) that feed a CODE read downstream in the
-    same block. Falls back to accepting the DPTR load alone when the block
-    cannot be decoded further (conservative linear-sweep behavior)."""
-    out = []
-    for idx, ins in enumerate(instrs):
-        if ins.mnemonic != "MOV" or not ins.operands:
-            continue
-        if ins.operands[0].kind is not isa.OpKind.DPTR:
-            continue
-        imm = ins.operands[1].value
-        if not target <= imm < target + range_len:
-            continue
-        accept = False
-        expect = ins.addr + ins.length
-        for nxt in instrs[idx + 1: idx + 1 + _XREF_SCAN_LIMIT]:
-            if nxt.addr != expect:
-                accept = True  # sweep lost alignment: be conservative
-                break
-            if nxt.mnemonic == "MOVC" or nxt.mnemonic == "JMP":
-                accept = True
-                break
-            if nxt.mnemonic in isa.CONTROL_FLOW:
-                break
-            if (nxt.mnemonic == "MOV" and nxt.operands
-                    and nxt.operands[0].kind is isa.OpKind.DPTR):
-                break  # DPTR re-targeted before any CODE read
-            expect = nxt.addr + nxt.length
-        else:
-            accept = True
-        if accept:
-            out.append(ins.addr)
-    return sorted(set(out))
+    same block (`_feeds_code_read`)."""
+    return [ins.addr for idx, ins in enumerate(instrs)
+            if ins.opcode == _MOV_DPTR_IMM
+            and target <= ins.operands[1].value < target + range_len
+            and _feeds_code_read(ins, islice(instrs, idx + 1, None))]
 
 
 def scan_with_xrefs(image: bytes, patterns=DEFAULT_SIGNATURES) -> list[DescriptorHit]:
+    """Signature hits, each with its XREFs. One alignment walk finds the
+    sweep's DPTR loads; only those aimed into some hit's extent, and the
+    instructions the XREF rule reads after them, are decoded."""
     hits = scan_signatures(image, patterns)
-    instrs, _ = isa.disassemble_sweep(image, 0)
+    starts, _ = isa.sweep_alignment(image, 0)
+    loads = [(idx, image[pos + 1] << 8 | image[pos + 2])
+             for idx, pos in enumerate(starts) if image[pos] == _MOV_DPTR_IMM]
     for h in hits:
-        h.xrefs = find_xrefs(instrs, h.addr, descriptor_extent(image, h))
+        lo = h.addr
+        hi = lo + descriptor_extent(image, h)
+        for idx, imm in loads:
+            if lo <= imm < hi:
+                following = (isa.decode(image, pos)
+                             for pos in islice(starts, idx + 1, None))
+                if _feeds_code_read(isa.decode(image, starts[idx]), following):
+                    h.xrefs.append(starts[idx])
     return hits
 
 

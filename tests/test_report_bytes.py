@@ -66,3 +66,39 @@ def test_report_bytes_pinned(fixture, flags, tmp_path, monkeypatch):
                      "--report", "report.json"])
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert (code, digest) == PINNED[fixture, flags]
+
+
+# Fixture variants with the EP0 FIFO, the SETUP packet and the descriptor
+# block moved off the defaults, each analysed for identity only with the
+# precondition that the SETUP packet's bRequest is GET_DESCRIPTOR (6).
+VARIANTS = {
+    "benign-hid-moved": (fwkit.FixtureSpec(
+        template="benign-hid", ep0_fifo=0x7600, ep1_buffer=0x7680,
+        setup_base=0x7FD0, device_desc_addr=0x0A00,
+        config_desc_addr=0x0A12, hid_report_addr=0x0A34),
+        0, "64ed42a2fbf69310998f357adc01ed61a0d5346f4a0909642f98e5aa7a3dc575"),
+    "injector-hid-moved": (fwkit.FixtureSpec(
+        template="injector-hid", ep0_fifo=0x7A00, ep1_buffer=0x7A80,
+        setup_base=0x7FC8, device_desc_addr=0x0C40,
+        config_desc_addr=0x0C52, hid_report_addr=0x0C74),
+        0, "f0ea8b65cb2882f090789583c1eac6893f8c2a02c2af40ef4507e083e5ef05c3"),
+    "storage-claiming-hid-moved": (fwkit.FixtureSpec(
+        template="storage-claiming-hid", ep0_fifo=0x7500, ep1_buffer=0x7580,
+        setup_base=0x7FF0, device_desc_addr=0x2A00,
+        config_desc_addr=0x2A12, hid_report_addr=0x2A59),
+        0, "6b6d1b607ade2e113981c65dd813bd5d184bb99ea4486f579adaf30fdcf7eede"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_report_bytes_pinned(name, tmp_path, monkeypatch):
+    spec, pinned_code, pinned_digest = VARIANTS[name]
+    image, _ = fwkit.generate_fixture(spec)
+    (tmp_path / "img").mkdir()
+    (tmp_path / "img" / f"{name}.bin").write_bytes(image)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["analyze", f"img/{name}.bin", "--query", "identity",
+                     "--precondition", f"XRAM:0x{spec.setup_base + 1:04x}:==:6",
+                     "--report", "report.json"])
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert (code, digest) == (pinned_code, pinned_digest)

@@ -413,3 +413,27 @@ def test_one_walk_domain_matches_per_value_evaluation():
         checked += 1
     ops = set(re.findall(r'op == "(\w+)"', inspect.getsource(eval_op)))
     assert ops <= seen, ops - seen
+
+
+def test_values_of_a_constant_with_a_model_makes_no_query(monkeypatch):
+    calls = []
+    real = solver.check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "check", counting)
+    k = var("k", 8)
+    pc = PathCondition()
+    pc.append(mk("ult", (k, 9), 1), 0, "t")
+    addr = mk("or", (mk("and", (k, 0), 8), 0x42), 8)  # folds to a constant
+    assert addr.op == "const"
+    s = Solver()
+    assert s.values(pc, addr, 4, {"k": 3}) == ([0x42], False, False)
+    assert calls == []
+    # without a model the path may be infeasible, so the query stays
+    assert s.values(pc, addr, 4) == ([0x42], False, False)
+    assert calls
+    pc.append(mk("ugt", (k, 9), 1), 0, "f")
+    assert s.values(pc, addr, 4) == ([], False, False)

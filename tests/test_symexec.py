@@ -830,3 +830,91 @@ def test_solver_timeout_while_enumerating_reported():
     assert res.diagnostics == [
         "solver timeout enumerating store address at 0x0000"]
     assert res.states_created == 2  # the one value found is still forked
+
+
+def _const_address_runs(stmts, n_temps, monkeypatch, listeners=()):
+    """The hand block run twice: as is, and with every enumeration made by
+    solver queries, without the state's model. Returns, per run, the ended
+    states' facts and the number of solver checks."""
+    runs = []
+    real_check, real_values = solver.check, solver.Solver.values
+    for queried in (False, True):
+        checks = []
+
+        def counting(*args, **kwargs):
+            checks.append(args)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "check", counting)
+        if queried:
+            monkeypatch.setattr(
+                solver.Solver, "values",
+                lambda self, pc, expr, limit, model=None:
+                    real_values(self, pc, expr, limit, None))
+        res = _run_hand_block(stmts, n_temps, fanout=4, listeners=listeners)
+        runs.append((res.states_created, res.reason, res.diagnostics,
+                     [(s.sid, s.pc, s.terminated, s.path.entries, s.model)
+                      for s in res.ended]))
+        runs.append(len(checks))
+    return runs
+
+
+def _const_address_block(tail, base):
+    # t2 folds to the constant base once t0 is symbolic: and(t0, 0) | base
+    t0, t1, t2 = lifter.Tmp(0), lifter.Tmp(1), lifter.Tmp(2)
+    return [
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "and", (t0, 0x00), 8),
+        lifter.Assign(t2, "or", (t1, base), 16),
+        *tail(t2),
+    ], 3
+
+
+def test_constant_address_forks_the_same_child_without_a_query(monkeypatch):
+    seen = []
+
+    class Stores(Listener):
+        def on_store(self, site, state, region, addr, value):
+            seen.append((state.sid, region, addr, value))
+            return None
+
+    stmts, n = _const_address_block(
+        lambda a: [lifter.Store(Region.XRAM, a, 0x55), lifter.Jump(1)], 0x42)
+    fast, fast_checks, queried, queried_checks = _const_address_runs(
+        stmts, n, monkeypatch, [Stores()])
+    assert fast == queried
+    assert fast_checks == 0 and queried_checks > 0
+    assert seen == [(2, Region.XRAM, 0x42, 0x55)] * 2
+    states_created, _, _, ended = fast
+    assert states_created == 2
+    # the pin folds to true, so the path stays empty and the model stays
+    assert [(sid, pc, entries, model) for sid, pc, _, entries, model
+            in ended] == [(2, 1, [], {})]
+
+
+@pytest.mark.parametrize("kind", ["store", "jump"])
+def test_constant_address_out_of_region_ends_the_state(kind, monkeypatch):
+    if kind == "store":
+        stmts, n = _const_address_block(
+            lambda a: [lifter.Store(Region.IRAM, a, 0x55), lifter.Jump(1)],
+            0x100)
+        diag = "symbolic store address out of region at 0x0000 (bound 0x100)"
+    else:  # the image is one byte long
+        stmts, n = _const_address_block(lambda a: [lifter.Jump(a)], 0x10)
+        diag = "symbolic jump target out of region at 0x0000 (bound 0x1)"
+    fast, fast_checks, queried, _ = _const_address_runs(stmts, n, monkeypatch)
+    assert fast == queried and fast_checks == 0
+    states_created, _, diagnostics, ended = fast
+    assert states_created == 1
+    assert [t for _, _, t, _, _ in ended] == ["mem-index-out-of-region"]
+    assert diagnostics == [diag]
+
+
+def test_constant_jump_target_pins_one_child_without_a_query(monkeypatch):
+    stmts, n = _const_address_block(lambda a: [lifter.Jump(a)], 0)
+    fast, fast_checks, queried, queried_checks = _const_address_runs(
+        stmts, n, monkeypatch)
+    assert fast == queried
+    assert fast_checks == 0 and queried_checks > 0
+    assert fast[0] == 2

@@ -120,18 +120,108 @@ def test_fixture_xrefs_found_for_all_descriptors():
         assert by_name[name].xrefs, name
 
 
-def test_scan_with_xrefs_sweeps_once(monkeypatch):
+def test_scan_with_xrefs_walks_once_and_decodes_candidates(monkeypatch):
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
-    sweeps = []
-    real = isa.disassemble_sweep
+    walks, decodes = [], []
+    real_walk, real_decode = isa.sweep_alignment, isa.decode
 
-    def counting(*args):
-        sweeps.append(args)
-        return real(*args)
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
 
-    monkeypatch.setattr(isa, "disassemble_sweep", counting)
+    def decode(*args):
+        decodes.append(args)
+        return real_decode(*args)
+
+    monkeypatch.setattr(isa, "sweep_alignment", walk)
+    monkeypatch.setattr(isa, "decode", decode)
     hits = usbstatic.scan_with_xrefs(image)
-    assert len(hits) >= 2 and len(sweeps) == 1
+    assert len(hits) >= 2 and len(walks) == 1
+    starts, _ = real_walk(image, 0)
+    extents = [(h.addr, h.addr + usbstatic.descriptor_extent(image, h))
+               for h in hits]
+    candidates = [a for a in starts if image[a] == 0x90
+                  and any(lo <= (image[a + 1] << 8 | image[a + 2]) < hi
+                          for lo, hi in extents)]
+    assert candidates
+    assert 0 < len(decodes) <= len(candidates) * (1 + 32)
+
+
+def _record_sweep(image):
+    """The linear sweep as a decode-and-resync loop over records."""
+    instrs, skipped = [], []
+    pos = 0
+    while pos < len(image):
+        try:
+            ins = isa.decode(image, pos)
+        except isa.IsaError:
+            skipped.append(pos)
+            pos += 1
+            continue
+        instrs.append(ins)
+        pos += ins.length
+    return instrs, skipped
+
+
+def _xref_image(rng):
+    """Random code over every opcode, 0xA5 included, with the default
+    descriptors planted and MOV DPTR loads aimed into them, some followed by
+    a CODE read; it often ends in a truncated instruction."""
+    descs = [bytes([0x12, 0x01, 0x00, 0x02, 0x00]) + bytes(13),
+             bytes([0x09, 0x02, 0x22, 0x00, 0x01, 0x01, 0x00]) + bytes(2),
+             bytes([0x05, 0x01, 0x09, 0x06, 0xA1, 0x01])]
+    base = rng.randrange(0x300, 0x700)
+    addrs = []
+    pos = base
+    for d in descs:
+        addrs.append((pos, len(d)))
+        pos += len(d) + rng.randrange(0, 8)
+    code = bytearray()
+    while len(code) < base - 8:
+        if rng.random() < 0.1:
+            a, n = rng.choice(addrs)
+            imm = a + rng.randrange(-2, n + 2)
+            code += bytes([0x90, imm >> 8 & 0xFF, imm & 0xFF])
+            for _ in range(rng.randrange(0, 4)):
+                code.append(rng.choice((0x00, 0x04, 0xA3, 0xE4, 0xA5, 0x90)))
+            if rng.random() < 0.6:
+                code.append(rng.choice((0x93, 0x83, 0x73)))
+        else:
+            op = rng.randrange(256)
+            length = isa.TABLE[op].length if op in isa.TABLE else 1
+            code += bytes([op]) + rng.randbytes(length - 1)
+    image = bytearray(code[:base]) + bytes(max(0, base - len(code)))
+    for (a, _), d in zip(addrs, descs):
+        image[len(image):a] = rng.randbytes(a - len(image))
+        image += d
+    if rng.random() < 0.7:
+        op = rng.choice([o for o in isa.TABLE if isa.TABLE[o].length > 1])
+        image += bytes([op]) + rng.randbytes(rng.randrange(isa.TABLE[op].length - 1))
+    return bytes(image)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "random"])
+def test_scan_with_xrefs_matches_record_path(source):
+    if source == "fixtures":
+        images = [fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
+                  for t in ("benign-hid", "injector-hid",
+                            "storage-claiming-hid")]
+    else:
+        rng = random.Random(2024)
+        images = [_xref_image(rng) for _ in range(60)]
+    with_xrefs = 0
+    for image in images:
+        instrs, skipped = _record_sweep(image)
+        swept, diags = isa.disassemble_sweep(image, 0)
+        assert swept == instrs
+        assert [d.addr for d in diags] == skipped
+        hits = usbstatic.scan_with_xrefs(image)
+        assert len(hits) >= 3
+        for h in hits:
+            extent = usbstatic.descriptor_extent(image, h)
+            assert h.xrefs == usbstatic.find_xrefs(instrs, h.addr, extent)
+            with_xrefs += bool(h.xrefs)
+    assert with_xrefs >= len(images)
 
 
 # ---------------------------------------------------------------------------
