@@ -535,6 +535,14 @@ def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
     raise UnliftableInstruction(f"{m} at 0x{ins.addr:04x}")
 
 
+def lift_instruction(ins: isa.Instruction) -> list:
+    """The `Assign`, `Load` and `Store` statements of one instruction, in
+    order; no `Boundary` and no terminator."""
+    e = _Emit()
+    _lift_one(e, ins)
+    return e.stmts
+
+
 # A block ends at the first control-flow instruction, a decode failure, the
 # image end, or this many instructions (keeps NOP seas from producing one
 # giant block).

@@ -278,58 +278,47 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
 # ---------------------------------------------------------------------------
 
 def find_counters(M: usbstatic.PropMap) -> set[tuple[Region, int]]:
-    """Addresses manipulated by add/sub-style instructions whose value never
-    feeds an address or index computation, given an image's static facts
-    `M`: candidate delay counters."""
-    by_addr = M.by_addr
+    """IRAM bytes that INC/DEC update and whose value never feeds an address
+    or index computation, given an image's static facts `M`: candidate
+    delay counters."""
     counters: set[tuple[Region, int]] = set()
 
-    def value_feeds_address(start: isa.Instruction, loc) -> bool:
+    def value_feeds_address(start: int, loc) -> bool:
         """Taint walk through copies: does loc's value reach an address or
         @A+DPTR/@A+PC index operand?"""
         seen = set()
-        queue = [(succ, frozenset((loc,)))
-                 for succ in usbstatic._successors(start)]
+        queue = [(succ, frozenset((loc,))) for succ in M.summaries[start].succ]
         budget = 512
         while queue and budget:
             budget -= 1
             addr, live = queue.pop()
-            ins = by_addr.get(addr)
-            if ins is None or (addr, live) in seen:
+            sm = M.summaries.get(addr)
+            if sm is None or (addr, live) in seen:
                 continue
             seen.add((addr, live))
-            sm = M.summaries[addr]
-            live_set = set(live)
-            if live_set & set(sm.addr_load) or live_set & set(sm.addr_store):
+            if live & sm.addr_load or live & sm.addr_store:
                 return True
-            if ins.mnemonic in ("MOVC", "JMP") and usbstatic.ACC in live_set:
+            if (usbstatic.ACC in live
+                    and M.by_addr[addr].mnemonic in ("MOVC", "JMP")):
                 return True  # @A+... index use
-            new_live = live_set - set(sm.writes)
-            if sm.copy and (live_set & set(sm.reads_value)):
-                if sm.value_dst_reg is not None:
-                    new_live.add(sm.value_dst_reg)
+            new_live = live - sm.writes
+            if live & sm.reads_value and sm.value_dst_reg is not None:
+                new_live |= {sm.value_dst_reg}
             if new_live:
-                for succ in usbstatic._successors(ins):
-                    queue.append((succ, frozenset(new_live)))
+                for succ in sm.succ:
+                    queue.append((succ, new_live))
         return False
 
     for ins in M.instrs:
-        if ins.mnemonic not in ("INC", "DEC", "ADD", "ADDC", "SUBB"):
+        if ins.mnemonic not in ("INC", "DEC"):
             continue
-        op0 = ins.operands[0] if ins.operands else None
-        if op0 is None:
+        writes = M.summaries[ins.addr].writes
+        if len(writes) != 1:
             continue
-        if op0.kind is isa.OpKind.DIRECT:
-            loc = usbstatic._direct_loc(op0.value)
-        elif op0.kind is isa.OpKind.REG:
-            loc = usbstatic._reg_loc(op0.value)
-        elif op0.kind is isa.OpKind.ACC:
-            loc = usbstatic.ACC
-        else:
-            continue
+        (loc,) = writes
         if loc[0] == "sfr":
             continue  # hardware registers are not data counters
-        if value_feeds_address(ins, loc):
+        if value_feeds_address(ins.addr, loc):
             continue
         counters.add((Region.IRAM, loc[1]))
 

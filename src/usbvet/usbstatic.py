@@ -15,11 +15,17 @@ propagated tuples M. An analysis builds it once from the reachable
 instructions; EP0 inference, Query 2's endpoint targets and its counter
 detection all read that one map.
 
+Each instruction's summary is read off its lifted IR
+(`lifter.lift_instruction`), so the static pass and the symbolic executor
+share one instruction semantics. Only successors come from the decoded
+instruction (`_successors`): the reachability walk needs them before
+anything is lifted, and the call-returns fall-through is not in the IR.
+
 The propagation runs at the instruction level. Arithmetic does not
-propagate tuples, register banking is assumed to stay on bank 0, and calls
-are followed both into the callee and across (call-returns assumption); all
-three keep the analysis an under-approximation, which is the contract the
-emitting queries rely on.
+propagate tuples, register banking is assumed to stay on bank 0, the stack
+is not modelled, and calls are followed both into the callee and across
+(call-returns assumption); all four keep the analysis an
+under-approximation, which is the contract the emitting queries rely on.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from . import isa, machine
+from .lifter import Assign, Load, Region, Store, Tmp, lift_instruction
 
 # ---------------------------------------------------------------------------
 # Signature patterns
@@ -209,12 +217,12 @@ def reachable_instructions(image: bytes,
 
 # Locations are ('sfr', a) / ('iram', a); register bank 0 is assumed.
 ACC = ("sfr", 0xE0)
-B_REG = ("sfr", 0xF0)
 PSW = ("sfr", 0xD0)
 SP = ("sfr", 0x81)
 DPL = ("sfr", 0x82)
 DPH = ("sfr", 0x83)
-DPTR_LOCS = (DPL, DPH)
+DPTR_LOCS = frozenset((DPL, DPH))
+_NONE = frozenset()  # shared: each frozenset() call makes a new object
 
 
 def is_register(loc) -> bool:
@@ -223,14 +231,6 @@ def is_register(loc) -> bool:
     if space == "sfr":
         return True
     return addr < 0x20
-
-
-def _direct_loc(addr: int):
-    return ("sfr", addr) if addr >= 0x80 else ("iram", addr)
-
-
-def _reg_loc(n: int):
-    return ("iram", n)
 
 
 BOT = (None, None)
@@ -242,135 +242,112 @@ class _Use:
     kind: str  # 'value' | 'addr-load' | 'addr-store'
 
 
-class _Summary:
+class _Summary(NamedTuple):
     """Static read/write/flow facts for one instruction."""
+    reads_value: frozenset   # a copy's source location
+    addr_load: frozenset     # locations used as a load address
+    addr_store: frozenset    # locations used as a store address
+    writes: frozenset        # locations stored to
+    seed: tuple | None       # (value, width) for const-to-register
+    value_dst_reg: tuple | None  # register location a copy stores to
+    store_class: bool        # writes non-register memory
+    succ: tuple              # successor addresses (`_successors`)
 
-    __slots__ = ("reads_value", "addr_load", "addr_store", "writes",
-                 "seed", "copy", "value_dst_reg", "store_class")
 
-    def __init__(self):
-        self.reads_value: tuple = ()
-        self.addr_load: tuple = ()    # locations used as a load address
-        self.addr_store: tuple = ()   # locations used as a store address
-        self.writes: tuple = ()
-        self.seed = None              # (value, width) for const-to-register
-        self.copy = False             # value flows src -> dst unchanged
-        self.value_dst_reg = None     # register location receiving the value
-        self.store_class = False      # writes non-register memory
+# What a temp of one instruction's IR holds, besides a location's value (the
+# location itself): a byte loaded from elsewhere, or a mark on the
+# computations the lifter builds addresses from.
+_MEMORY = "memory"
+_BANK = "bank"          # PSW & 0x18, the register-bank base (taken as 0)
+_DPH_HIGH = "dph<<8"
+_DPTR = "dptr"          # DPH:DPL, also as the base of @A+DPTR
+_MARKS = {("and", PSW, 0x18): _BANK, ("shl", DPH, 8): _DPH_HIGH,
+          ("or", _DPH_HIGH, DPL): _DPTR, ("add", ACC, _DPTR): _DPTR}
 
 
 def _summarize(ins: isa.Instruction) -> _Summary:
-    s = _Summary()
-    m = ins.mnemonic
-    ops = ins.operands
-    K = isa.OpKind
+    """Read the facts of `ins` off its lifted IR.
 
-    def loc_of(op):
-        if op.kind is K.ACC:
-            return ACC
-        if op.kind is K.REG:
-            return _reg_loc(op.value)
-        if op.kind is K.DIRECT:
-            return _direct_loc(op.value)
+    A location is a constant SFR or low-IRAM address, or register slot n
+    (bank base + n, the base folded to 0). A `Store` at a location writes
+    it, and a constant stored to a register seeds it. An address held by a
+    location other than SP, or by DPTR, is tracked. A store to non-register
+    memory or through a tracked address is store-class; a store through any
+    other address is a stack slot, which is not modelled. An instruction
+    that stores exactly one loaded value is a copy."""
+    facts: dict[int, object] = {}   # temp -> location, _MEMORY or a mark
+    slots: dict[int, tuple] = {}    # temp -> the register slot it addresses
+    writes, addr_load, addr_store = set(), set(), set()
+    consts: dict[tuple, int] = {}   # register -> constant stored to it
+    copies = []                     # (source, destination) of loaded values
+    store_class = False
+
+    def location(region, addr):
+        if type(addr) is Tmp:
+            return slots.get(addr.i)
+        if region == Region.SFR:
+            return ("sfr", addr)
+        if region == Region.IRAM and addr < 0x80:
+            return ("iram", addr)
         return None
 
-    if m == "MOV":
-        k0 = ops[0].kind
-        if k0 is K.DPTR:
-            s.writes = DPTR_LOCS
-            s.seed = (ops[1].value, 16)
-            return s
-        if k0 in (K.CARRY, K.BIT):
-            s.writes = (PSW,) if k0 is K.CARRY else ()
-            return s
-        dst = loc_of(ops[0])
-        src_op = ops[1]
-        if src_op.kind in (K.IMM8, K.IMM16):
-            if dst is not None:
-                s.writes = (dst,)
-                if is_register(dst):
-                    s.seed = (src_op.value, 8)
-                else:
-                    s.store_class = True
-            elif ops[0].kind is K.INDIRECT:
-                s.addr_store = (_reg_loc(ops[0].value),)
-                s.store_class = True
-            return s
-        # register/memory move
-        s.copy = True
-        if src_op.kind is K.INDIRECT:
-            s.addr_load = (_reg_loc(src_op.value),)
-        else:
-            src = loc_of(src_op)
-            if src is not None:
-                s.reads_value = (src,)
-        if ops[0].kind is K.INDIRECT:
-            s.addr_store = (_reg_loc(ops[0].value),)
-            s.store_class = True
-        elif dst is not None:
-            s.writes = (dst,)
-            if is_register(dst):
-                s.value_dst_reg = dst
+    def tracked(addr) -> frozenset:
+        held = facts.get(addr.i) if type(addr) is Tmp else None
+        if held == _DPTR:
+            return DPTR_LOCS
+        if type(held) is tuple and held != SP:
+            return frozenset((held,))
+        return _NONE
+
+    for stmt in lift_instruction(ins):
+        cls = stmt.__class__
+        if cls is Assign:
+            args = [facts.get(a.i) if type(a) is Tmp else a for a in stmt.args]
+            if stmt.op == "add" and args[0] is _BANK:
+                slots[stmt.dst.i] = ("iram", args[1])
             else:
-                s.store_class = True
-        return s
-    if m == "MOVC":
-        s.copy = True
-        s.writes = (ACC,)
-        s.value_dst_reg = ACC
-        if ops[1].kind is K.CODE_DPTR:
-            s.addr_load = DPTR_LOCS  # ACC is the index, DPTR the base
-        return s
-    if m == "MOVX":
-        s.copy = True
-        if ops[0].kind is K.ACC:
-            s.writes = (ACC,)
-            s.value_dst_reg = ACC
-            src = ops[1]
-            s.addr_load = DPTR_LOCS if src.kind is K.IND_DPTR else (
-                _reg_loc(src.value),)
-        else:
-            dst = ops[0]
-            s.addr_store = DPTR_LOCS if dst.kind is K.IND_DPTR else (
-                _reg_loc(dst.value),)
-            s.reads_value = (ACC,)
-            s.store_class = True
-        return s
-    # arithmetic and the rest: record writes (kills) only, no propagation
-    if m in ("ADD", "ADDC", "SUBB", "RL", "RLC", "RR", "RRC", "SWAP", "CPL",
-             "CLR", "DA"):
-        if ops and ops[0].kind is K.ACC:
-            s.writes = (ACC, PSW)
-        return s
-    if m in ("ANL", "ORL", "XRL"):
-        dst = loc_of(ops[0]) if ops else None
-        s.writes = (dst, PSW) if dst else (PSW,)
-        return s
-    if m in ("INC", "DEC", "DJNZ"):
-        dst = loc_of(ops[0]) if ops else None
-        if ops and ops[0].kind is K.DPTR:
-            s.writes = DPTR_LOCS
-        elif dst:
-            s.writes = (dst,)
-        return s
-    if m in ("MUL", "DIV"):
-        s.writes = (ACC, B_REG, PSW)
-        return s
-    if m in ("XCH", "XCHD"):
-        other = loc_of(ops[1]) if len(ops) > 1 else None
-        s.writes = (ACC, other) if other else (ACC,)
-        return s
-    if m == "POP":
-        dst = loc_of(ops[0])
-        s.writes = (dst, SP) if dst else (SP,)
-        return s
-    if m == "PUSH":
-        s.writes = (SP,)
-        return s
-    if m in ("LCALL", "ACALL"):
-        s.writes = (SP,)
-        return s
-    return s
+                mark = _MARKS.get((stmt.op, *args))
+                if mark is not None:
+                    facts[stmt.dst.i] = mark
+        elif cls is Load:
+            loc = location(stmt.region, stmt.addr)
+            if loc is None:
+                addr_load |= tracked(stmt.addr)
+                loc = _MEMORY
+            facts[stmt.dst.i] = loc
+        elif cls is Store:
+            loc = location(stmt.region, stmt.addr)
+            if loc is not None:
+                writes.add(loc)
+                if not is_register(loc):
+                    store_class = True
+                elif type(stmt.src) is int:
+                    consts[loc] = stmt.src
+            else:
+                through = tracked(stmt.addr)
+                if not through:
+                    continue  # a stack slot
+                addr_store |= through
+                store_class = True
+            src = facts.get(stmt.src.i) if type(stmt.src) is Tmp else None
+            if src is _MEMORY or type(src) is tuple:
+                copies.append((src, loc))
+    reads_value, value_dst_reg = _NONE, None
+    if len(copies) == 1:
+        src, dst = copies[0]
+        if src is not _MEMORY:
+            reads_value = frozenset((src,))
+        if dst is not None and is_register(dst):
+            value_dst_reg = dst
+    seed = None
+    if consts.keys() == DPTR_LOCS:
+        seed = ((consts[DPH] << 8) | consts[DPL], 16)
+    elif consts:
+        (value,) = consts.values()
+        seed = (value, 8)
+    return _Summary(reads_value, frozenset(addr_load) or _NONE,
+                    frozenset(addr_store) or _NONE, frozenset(writes) or _NONE,
+                    seed, value_dst_reg, store_class, tuple(_successors(ins)))
 
 
 def _successors(ins: isa.Instruction) -> list[int]:
@@ -417,7 +394,7 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
     guard bounds updates to at most two per site.
     """
     M = PropMap(instrs)
-    by_addr, summaries = M.by_addr, M.summaries
+    summaries = M.summaries
     wl: deque[int] = deque()
     for ins in M.instrs:
         sm = summaries[ins.addr]
@@ -426,32 +403,30 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
             wl.append(ins.addr)
 
     def uses_of(site: int) -> list[_Use]:
-        tracked = set(summaries[site].writes)
+        tracked = summaries[site].writes
         if not tracked:
             return []
         uses: list[_Use] = []
-        seen = {site: frozenset(tracked)}
-        queue = deque((succ, frozenset(tracked))
-                      for succ in _successors(by_addr[site]))
+        seen = {site: tracked}
+        queue = deque((succ, tracked) for succ in summaries[site].succ)
         while queue:
             addr, live = queue.popleft()
-            ins = by_addr.get(addr)
-            if ins is None:
+            sm = summaries.get(addr)
+            if sm is None:
                 continue
             prev = seen.get(addr)
             if prev is not None and live <= prev:
                 continue
             seen[addr] = (prev or frozenset()) | live
-            sm = summaries[addr]
-            if live & set(sm.reads_value):
+            if live & sm.reads_value:
                 uses.append(_Use(addr, "value"))
-            if live & set(sm.addr_load):
+            if live & sm.addr_load:
                 uses.append(_Use(addr, "addr-load"))
-            if live & set(sm.addr_store):
+            if live & sm.addr_store:
                 uses.append(_Use(addr, "addr-store"))
-            live = live - set(sm.writes)
+            live = live - sm.writes
             if live:
-                for succ in _successors(ins):
+                for succ in sm.succ:
                     queue.append((succ, live))
         return uses
 

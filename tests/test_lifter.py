@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from usbvet import isa, lifter, machine, symexec
+from usbvet import isa, lifter, machine, symexec, usbstatic
 from usbvet.lifter import Boundary, CJump, Jump, Load, Region, RetMark, Store
 
 import diffutil
@@ -96,6 +96,13 @@ def test_ir_statement_set_is_closed():
     for consumer in (symexec.Executor._exec_from, lifter.run_lifted,
                      lifter.format_block):
         assert kinds <= _branched_on(consumer), consumer.__name__
+    # the static pass reads one instruction's statements at a time
+    one = set()
+    for op in range(256):
+        if op != isa.RESERVED_OPCODE:
+            ins = isa.decode(bytes([op, 0x10, 0x02]), 0)
+            one.update(type(s).__name__ for s in lifter.lift_instruction(ins))
+    assert one <= _branched_on(usbstatic._summarize)
 
 
 def test_pretty_printer_stable():

@@ -1,12 +1,16 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from usbvet import fwkit, isa, usbstatic
+from usbvet import fwkit, isa, machine, queries, usbstatic
+from usbvet.lifter import Region
 from usbvet.usbstatic import (CONFIG_DESC, DEFAULT_SIGNATURES, DEVICE_DESC,
                               HID_REPORT, prop_const_mem, scan_signatures)
 
 from static_facts import static_facts
+from test_report_bytes import VARIANTS
 
 
 def naive_match(image, pattern):
@@ -306,7 +310,6 @@ def test_prop_arithmetic_stops_propagation():
 def test_prop_fact_witnessed_by_concrete_execution():
     # under-approximation: the reported L5 flow is witnessed by actually
     # running the straight-line chain
-    from usbvet import machine
     image, syms = fwkit.assemble_with_symbols(TABLE1_SRC)
     padded = bytes(image) + bytes(0x280 * 16)
     img = bytearray(padded)
@@ -315,6 +318,110 @@ def test_prop_fact_witnessed_by_concrete_execution():
     for _ in range(5):
         machine.step_concrete(st, bytes(img))
     assert st.xram[0xF1DC] == 0xAB
+
+
+# Each program stores through R0 after a write the old per-mnemonic table
+# missed: a bit write to B (twice), CJNE's carry write to PSW, and a PSW read
+# that substitutes the parity bit. No constant may be tracked to the store.
+STALE_ADDRESS_PROGRAMS = {
+    "setb-bit": "mov 0xf0, #0x40\nsetb 0xf0\nmov r0, 0xf0\nw: movx @r0, a",
+    "mov-bit-c": "mov 0xf0, #0x40\nsetb c\nmov 0xf0, c\nmov r0, 0xf0\n"
+                 "w: movx @r0, a",
+    "cjne-carry": "mov psw, #0\ncjne a, #3, n\nn: mov r0, psw\nw: movx @r0, a",
+    "psw-parity": "mov a, #1\nmov psw, #0\nmov r0, psw\nw: movx @r0, a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_ADDRESS_PROGRAMS))
+def test_prop_tracks_no_stale_store_address(name):
+    image, syms = fwkit.assemble_with_symbols(
+        STALE_ADDRESS_PROGRAMS[name] + "\nret")
+    instrs, _ = isa.disassemble_sweep(image, 0)
+    M = prop_const_mem(instrs)
+    assert M.get(syms["w"], "dst") == (None, None)
+
+
+def test_prop_tracks_no_stack_address():
+    # the stack is not modelled: a constant SP is no load address for POP
+    # or RET
+    image, syms = fwkit.assemble_with_symbols(
+        "mov sp, #0x60\np: pop 0x30\nr: ret")
+    M = prop_const_mem(isa.disassemble_sweep(image, 0)[0])
+    assert M.get(syms["p"], "src") == M.get(syms["r"], "src") == (None, None)
+
+
+def _oracle_state(rng) -> machine.ConcreteState:
+    """Random IRAM, SFR and XRAM on register bank 0, with room on the stack
+    for a call's two pushes."""
+    st = machine.ConcreteState(iram=bytearray(rng.randbytes(256)),
+                               sfr=bytearray(rng.randbytes(128)))
+    st.sfr[machine.PSW - 0x80] &= 0xE7
+    st.sp = rng.randrange(0x08, 0xF0)
+    st.xram = {a: rng.randrange(256) for a in rng.sample(range(0x10000), 8)}
+    st.xram[st.dptr] = rng.randrange(256)
+    return st
+
+
+def _byte(st, loc) -> int:
+    space, addr = loc
+    return st.sfr[addr - 0x80] if space == "sfr" else st.iram[addr]
+
+
+def _changed(before, after):
+    """(space, address) of every IRAM, SFR and XRAM byte the step changed."""
+    out = {("iram", a) for a in range(256) if before.iram[a] != after.iram[a]}
+    out |= {("sfr", a + 0x80) for a in range(128)
+            if before.sfr[a] != after.sfr[a]}
+    out |= {("xram", a) for a in set(before.xram) | set(after.xram)
+            if before.xram.get(a, 0) != after.xram.get(a, 0)}
+    return out
+
+
+def _held(st, locs) -> int:
+    """The address a set of `addr_store` locations holds: DPTR or @Ri."""
+    if set(locs) == set(usbstatic.DPTR_LOCS):
+        return st.dptr
+    (loc,) = locs
+    return _byte(st, loc)
+
+
+def test_summaries_are_sound_against_the_interpreter():
+    # Every byte one step changes is a write, sits at a tracked store
+    # address, or is a stack slot of PUSH/ACALL/LCALL; a copy's destination
+    # ends up holding its source's old value.
+    rng = random.Random(16)
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        for _ in range(6):
+            image = bytes([op]) + rng.randbytes(2)
+            ins = isa.decode(image, 0)
+            sm = usbstatic._summarize(ins)
+            for _ in range(4):
+                before = _oracle_state(rng)
+                after = machine.step_concrete(before.clone(), image)
+                allowed = set(sm.writes)
+                if sm.addr_store:
+                    a = _held(before, sm.addr_store)
+                    allowed |= {("iram", a & 0xFF), ("xram", a)}
+                if ins.mnemonic in ("PUSH", "ACALL", "LCALL"):
+                    allowed |= {("iram", (before.sp + k) & 0xFF)
+                                for k in (1, 2)}
+                stray = _changed(before, after) - allowed
+                assert not stray, (ins, sorted(stray))
+                if not sm.reads_value:
+                    continue
+                (src,) = sm.reads_value
+                if sm.value_dst_reg is not None:
+                    got = _byte(after, sm.value_dst_reg)
+                elif sm.writes:
+                    (dst,) = sm.writes
+                    got = _byte(after, dst)
+                elif ins.mnemonic == "MOVX":
+                    got = after.xram[_held(before, sm.addr_store)]
+                else:
+                    got = after.iram[_held(before, sm.addr_store)]
+                assert got == _byte(before, src), ins
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +507,44 @@ def test_reachable_instructions_skip_data():
     assert man.target_sites["hid_report_copy"] in addrs
     # descriptor data is not code
     assert man.descriptors["HID_REPORT"] not in addrs
+
+
+def _static_facts_text(image: bytes) -> str:
+    """The facts the analysis takes from the static pass: reachable
+    addresses, M, the EP0 inference and the delay counters."""
+    M = static_facts(image)
+    inf = usbstatic.find_devspec_to_ep0(image, M, scan_signatures(image))
+    return json.dumps({
+        "reachable": [ins.addr for ins in M.instrs],
+        "m": sorted(M.m.items()),
+        "ep0": [sorted(inf.ep0_1), sorted(inf.ep0_2), sorted(inf.ep0)],
+        "target_sites": inf.target_sites,
+        "counters": sorted((Region(r).name, a)
+                           for r, a in queries.find_counters(M)),
+    }, sort_keys=True)
+
+
+# sha256 of `_static_facts_text` per fixture and moved-layout variant
+STATIC_FACTS_PINNED = {
+    "benign-hid":
+        "6f26d285acc97200764acd7962605499cfed1169126e535757cc7b2fe8f5c2d0",
+    "benign-hid-moved":
+        "8bba61fef464db17b1aeb1256ad77cfb81c7b04337c72683d6e9491df22313da",
+    "injector-hid":
+        "a83ad63c546d06940922223b2d87d4385ca1b860e4b462d9c5fb669e768eeaba",
+    "injector-hid-moved":
+        "f15fd87126decf72c9a8ac48505dd52cd9504767f1932d612cbe7e70041e8874",
+    "storage-claiming-hid":
+        "2d86e1d37b83e937cfcf3f79f8cc8525d39a71aa25f017ba8eb34c624e75d480",
+    "storage-claiming-hid-moved":
+        "4c0269d9c8217ea0f2cf4faa555b02d049c53e6499f2d72dcad984951e2889be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATIC_FACTS_PINNED))
+def test_static_facts_pinned(name):
+    spec = (VARIANTS[name][0] if name in VARIANTS
+            else fwkit.FixtureSpec(template=name))
+    image, _ = fwkit.generate_fixture(spec)
+    digest = hashlib.sha256(_static_facts_text(image).encode()).hexdigest()
+    assert digest == STATIC_FACTS_PINNED[name]
