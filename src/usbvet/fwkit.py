@@ -363,9 +363,9 @@ class FixtureManifest:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _device_descriptor_db(vid=0x1234, pid=0x5678, dev_class=0) -> str:
+def _device_descriptor_db(vid=0x1234, pid=0x5678) -> str:
     # bLength bType bcdUSB(2.00) class sub proto maxpkt vid pid bcdDev iM iP iS nCfg
-    b = [0x12, 0x01, 0x00, 0x02, dev_class, 0x00, 0x00, 0x40,
+    b = [0x12, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x40,
          vid & 0xFF, vid >> 8, pid & 0xFF, pid >> 8, 0x00, 0x01,
          0x01, 0x02, 0x00, 0x01]
     return ".db " + ", ".join(f"0x{x:02x}" for x in b)
@@ -387,11 +387,12 @@ def _storage_config_db() -> str:
     return ".db " + ", ".join(f"0x{x:02x}" for x in cfg + iface + ep_in + ep_out)
 
 
-def _hid_report_db(length=0x3F) -> str:
+def _hid_report_db() -> str:
     head = [0x05, 0x01, 0x09, 0x06, 0xA1, 0x01, 0x05, 0x07]
     body = head + [0x19, 0x00, 0x29, 0x65, 0x15, 0x00, 0x25, 0x65]
     body += [0x75, 0x08, 0x95, 0x08, 0x81, 0x00, 0xC0]
-    body += [0x00] * (length - len(body))
+    # pad to the wDescriptorLength that _hid_config_db declares
+    body += [0x00] * (0x3F - len(body))
     return ".db " + ", ".join(f"0x{x:02x}" for x in body)
 
 

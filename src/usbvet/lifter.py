@@ -549,7 +549,7 @@ def lift_instruction(ins: isa.Instruction) -> list:
 MAX_BLOCK_INSTRS = 128
 
 
-def lift_block(image: bytes, addr: int, max_instrs: int = MAX_BLOCK_INSTRS) -> IRBlock:
+def lift_block(image: bytes, addr: int) -> IRBlock:
     """Lift the basic block starting at addr (terminator included)."""
     e = _Emit()
     instr_addrs: list[int] = []
@@ -562,7 +562,7 @@ def lift_block(image: bytes, addr: int, max_instrs: int = MAX_BLOCK_INSTRS) -> I
         pos = (pos + ins.length) & 0xFFFF
         if terminator is not None:
             break
-        if pos >= len(image) or len(instr_addrs) >= max_instrs:
+        if pos >= len(image) or len(instr_addrs) >= MAX_BLOCK_INSTRS:
             terminator = Jump(pos)
             break
         try:

@@ -93,14 +93,13 @@ class _CheckLoads(Listener):
 
 
 def find_symbolic_locations(image: bytes, tau: int = 16,
-                            config: ExplorationConfig | None = None,
-                            isr_map: dict[str, int] | None = None
+                            config: ExplorationConfig | None = None
                             ) -> SymbolicLocationSet:
     """Up to tau runs per ISR, each restricted to that single interrupt
     source; every run either grows the symbolic set by one location and
     restarts cold, or proves the handler free of fresh environment reads."""
     base = config or ExplorationConfig()
-    isrs = machine.discover_isrs(image) if isr_map is None else isr_map
+    isrs = machine.discover_isrs(image)
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):
@@ -113,11 +112,10 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 base, max_states=min(base.max_states, 192),
                 block_repeat_threshold=min(base.block_repeat_threshold, 32),
                 cooldown_min=2, cooldown_max=8,
-                max_blocks=min(base.max_blocks, 4_000),
-                only_interrupt_source=source, targets=frozenset())
+                max_blocks=min(base.max_blocks, 4_000), targets=frozenset())
             checker = _CheckLoads(locations)
             reason = execute(image, policy, cfg, listeners=[checker],
-                             isr_map=isrs).reason
+                             isr_map={source: isrs[source]}).reason
             dt = time.monotonic() - t0
             if checker.found is not None:
                 locations.add(checker.found)
@@ -198,7 +196,6 @@ class UsbConstraintNote:
 class Query1Target:
     target: int
     reached: bool
-    wall_time: float
     states_explored: int
     coverage_at_hit: int
     path: list[dict] = field(default_factory=list)
@@ -252,8 +249,8 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
     for t in sorted(targets):
         hit = res.target_hits.get(t)
         if hit is None:
-            out[t] = Query1Target(t, False, res.wall_time,
-                                  res.states_created, len(res.coverage))
+            out[t] = Query1Target(t, False, res.states_created,
+                                  len(res.coverage))
             continue
         st = hit.state
         model = res.solver.model(st.path)
@@ -262,7 +259,7 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
                       "note": note}
                      for e, site, note in st.path]
         out[t] = Query1Target(
-            t, True, hit.wall_time, hit.states_created, hit.coverage,
+            t, True, hit.states_created, hit.coverage,
             path=path_rows,
             witness={k: model[k] for k in sorted(model)},
             usb_constraints=_usb_notes(st.path))
@@ -316,11 +313,11 @@ def find_counters(M: usbstatic.PropMap) -> set[tuple[Region, int]]:
         if len(writes) != 1:
             continue
         (loc,) = writes
-        if loc[0] == "sfr":
+        if loc[0] == Region.SFR:
             continue  # hardware registers are not data counters
         if value_feeds_address(ins.addr, loc):
             continue
-        counters.add((Region.IRAM, loc[1]))
+        counters.add(loc)
 
     # XRAM read-modify-write through a tracked DPTR constant
     for idx, ins in enumerate(M.instrs):
@@ -359,7 +356,6 @@ _KNOWN_PROTOCOL_BYTES = frozenset((0x55, 0x53, 0x42, 0x43))  # "USBC" CBW tag
 class FlaggedAccess:
     site: int
     write_addr: int
-    block: int
     values: list[int]
     label: str | None = None
 
@@ -409,21 +405,15 @@ class _ConcreteFlowListener(Listener):
     def on_store(self, site, state, region, addr, value):
         if site not in self.targets or region != Region.XRAM:
             return None
-        if isinstance(value, int):
-            v = value
-        elif not is_symbolic(value):
-            v = value.value
-        else:
-            v = self.sat.is_constant(state.path, value, state.model)
-            if v is NOT_UNIQUE:
-                return None
+        v = self.sat.is_constant(state.path, value, state.model)
+        if v is NOT_UNIQUE:
+            return None
         key = (site, addr)
         fa = self.flags.get(key)
         if fa is None:
             label = ("known-protocol-constant"
                      if v in _KNOWN_PROTOCOL_BYTES else None)
-            self.flags[key] = FlaggedAccess(site, addr, state.cur_block,
-                                            [v], label)
+            self.flags[key] = FlaggedAccess(site, addr, [v], label)
         elif v not in fa.values:
             fa.values.append(v)
         return None
@@ -487,7 +477,7 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
         if not other_blocks:
             continue
         for site, values in sorted(sites.items()):
-            flagged.append(FlaggedAccess(site, addr, block, sorted(values)))
+            flagged.append(FlaggedAccess(site, addr, sorted(values)))
     inconsistent = Query2Report(
         "inconsistent-flow", flagged, [], _rank(flagged, sym_sources),
         res.states_created, res.blocks_executed, len(res.coverage), res.reason,

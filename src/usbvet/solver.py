@@ -591,8 +591,8 @@ class Solver:
             self.diagnostics.append("solver timeout: assumed satisfiable")
         return res
 
-    def model(self, pc, extra=()) -> dict:
-        res = self._check(self._exprs(pc) + list(extra))
+    def model(self, pc) -> dict:
+        res = self._check(self._exprs(pc))
         if not res.sat:
             raise Unsat()
         if res.model is None:

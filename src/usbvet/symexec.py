@@ -87,7 +87,6 @@ class ExplorationConfig:
     deadline: float | None = None       # absolute time.monotonic() value
     max_blocks: int = 250_000
     max_indirect_fanout: int = 16
-    only_interrupt_source: str | None = None
     targets: frozenset = frozenset()
     seed: int = 0
     solver_timeout: float = 5.0
@@ -159,7 +158,6 @@ class TargetHit:
     state: ExecState
     states_created: int
     coverage: int
-    wall_time: float
 
 
 @dataclass
@@ -249,9 +247,7 @@ class Executor:
         self.solver = solver.Solver(config.solver_timeout, config.deadline)
         self.rng = random.Random(config.seed)
         self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
-        self._sources = [src for src in sorted(self.isr_map)
-                         if not config.only_interrupt_source
-                         or src == config.only_interrupt_source]
+        self._sources = sorted(self.isr_map)
         # (op, operands, width) -> the expression mk built for them
         self._expr_memo: dict[tuple, SymExpr] = {}
         self.covered: set[int] = set()
@@ -479,8 +475,7 @@ class Executor:
                 s.cur_site = st.addr
                 if st.addr in self.config.targets and st.addr not in self.target_hits:
                     self.target_hits[st.addr] = TargetHit(
-                        s, self.states_created, len(self.covered),
-                        time.monotonic() - self.t0)
+                        s, self.states_created, len(self.covered))
                     self._terminate(s, f"target:0x{st.addr:04x}")
                     return []
             elif cls is CJump:

@@ -35,6 +35,7 @@ MATCH_DEVICE = MATCH_VENDOR | MATCH_PRODUCT
 MATCH_DEV_RANGE = MATCH_DEV_LO | MATCH_DEV_HI
 MATCH_DEV_INFO = MATCH_DEV_CLASS | MATCH_DEV_SUBCLASS | MATCH_DEV_PROTOCOL
 MATCH_INT_INFO = MATCH_INT_CLASS | MATCH_INT_SUBCLASS | MATCH_INT_PROTOCOL
+MATCH_INT_ANY = MATCH_INT_INFO | MATCH_INT_NUMBER
 
 
 class MalformedDescriptor(Exception):
@@ -163,8 +164,8 @@ def parse_configuration(data: bytes) -> ConfigurationDescriptor:
 
     while pos < wTotal:
         blen = data[pos]
-        if blen == 0:
-            raise MalformedDescriptor(f"zero bLength at offset {pos}")
+        if blen < 2:  # a descriptor holds at least bLength and its type
+            raise MalformedDescriptor(f"bLength {blen} at offset {pos}")
         if pos + blen > wTotal:
             raise MalformedDescriptor(
                 f"descriptor at offset {pos} overruns wTotalLength")
@@ -239,8 +240,7 @@ class MatchRule:
             return False
         if f & MATCH_DEV_PROTOCOL and device.bDeviceProtocol != self.bDeviceProtocol:
             return False
-        if f & (MATCH_INT_CLASS | MATCH_INT_SUBCLASS | MATCH_INT_PROTOCOL
-                | MATCH_INT_NUMBER):
+        if f & MATCH_INT_ANY:
             if interface is None:
                 return False
             if f & MATCH_INT_CLASS and interface.bInterfaceClass != self.bInterfaceClass:
@@ -266,11 +266,9 @@ def _rule_from_parts(form: str, driver: str, kv: dict[str, int]) -> MatchRule:
         raise ValueError(f"unknown rule form {form}")
     flags = RULE_FORMS[form]
     fields: dict[str, int] = {}
-    # class/subclass/protocol bind to the device or interface side by form
-    int_side = form in ("USB_INTERFACE_INFO", "USB_DEVICE_AND_INTERFACE_INFO",
-                        "USB_VENDOR_AND_INTERFACE_INFO", "USUAL_DEV",
-                        "USB_DEVICE_INTERFACE_CLASS",
-                        "USB_DEVICE_INTERFACE_PROTOCOL")
+    # class/subclass/protocol bind to the interface when the form matches
+    # any interface info field, else to the device
+    int_side = bool(flags & MATCH_INT_INFO)
     for key, value in kv.items():
         if key == "class":
             fields["bInterfaceClass" if int_side else "bDeviceClass"] = value
@@ -324,9 +322,7 @@ def match_drivers(device: DeviceDescriptor, interfaces,
     out: list[tuple[str, str]] = []
     seen = set()
     for rule in rules:
-        needs_iface = bool(rule.match_flags
-                           & (MATCH_INT_CLASS | MATCH_INT_SUBCLASS
-                              | MATCH_INT_PROTOCOL | MATCH_INT_NUMBER))
+        needs_iface = bool(rule.match_flags & MATCH_INT_ANY)
         candidates = list(interfaces) if needs_iface else [None]
         for iface in candidates:
             if rule.matches(device, iface) and (rule.form, rule.driver) not in seen:

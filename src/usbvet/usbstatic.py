@@ -20,6 +20,8 @@ Each instruction's summary is read off its lifted IR
 share one instruction semantics. Only successors come from the decoded
 instruction (`_successors`): the reachability walk needs them before
 anything is lifted, and the call-returns fall-through is not in the IR.
+A summary names a location `(Region, addr)`, as the executor does, so
+Query 2's counter detection takes a summary's write as it is.
 
 The propagation runs at the instruction level. Arithmetic does not
 propagate tuples, register banking is assumed to stay on bank 0, the stack
@@ -186,18 +188,13 @@ def scan_with_xrefs(image: bytes, patterns=DEFAULT_SIGNATURES) -> list[Descripto
     return hits
 
 
-def reachable_instructions(image: bytes,
-                           entries=None) -> list[isa.Instruction]:
+def reachable_instructions(image: bytes) -> list[isa.Instruction]:
     """Recursive-descent decoding from the reset vector and interrupt
     vectors: the instructions static control flow can actually reach.
     Keeps data tables from decoding into phantom code the flow analyses
     would otherwise chew on."""
-    if entries is None:
-        entries = [0] + [vec for vec, _bit in
-                         (machine.INT_SOURCES[s] for s in machine.INT_SOURCES)
-                         if vec < len(image)]
     seen: dict[int, isa.Instruction] = {}
-    work = list(entries)
+    work = [0] + [vec for vec, _bit in machine.INT_SOURCES.values()]
     while work:
         addr = work.pop()
         if addr in seen or addr >= len(image):
@@ -215,22 +212,21 @@ def reachable_instructions(image: bytes,
 # Constant-address propagation (worklist, visit bound of two per site)
 # ---------------------------------------------------------------------------
 
-# Locations are ('sfr', a) / ('iram', a); register bank 0 is assumed.
-ACC = ("sfr", 0xE0)
-PSW = ("sfr", 0xD0)
-SP = ("sfr", 0x81)
-DPL = ("sfr", 0x82)
-DPH = ("sfr", 0x83)
+# Locations are (Region.SFR, a) / (Region.IRAM, a), as in every other
+# layer; register bank 0 is assumed.
+ACC = (Region.SFR, machine.ACC)
+PSW = (Region.SFR, machine.PSW)
+SP = (Region.SFR, machine.SP)
+DPL = (Region.SFR, machine.DPL)
+DPH = (Region.SFR, machine.DPH)
 DPTR_LOCS = frozenset((DPL, DPH))
 _NONE = frozenset()  # shared: each frozenset() call makes a new object
 
 
 def is_register(loc) -> bool:
     """Memory-mapped registers: every SFR plus the four register banks."""
-    space, addr = loc
-    if space == "sfr":
-        return True
-    return addr < 0x20
+    region, addr = loc
+    return region == Region.SFR or addr < 0x20
 
 
 BOT = (None, None)
@@ -285,10 +281,8 @@ def _summarize(ins: isa.Instruction) -> _Summary:
     def location(region, addr):
         if type(addr) is Tmp:
             return slots.get(addr.i)
-        if region == Region.SFR:
-            return ("sfr", addr)
-        if region == Region.IRAM and addr < 0x80:
-            return ("iram", addr)
+        if region == Region.SFR or (region == Region.IRAM and addr < 0x80):
+            return (region, addr)
         return None
 
     def tracked(addr) -> frozenset:
@@ -304,7 +298,7 @@ def _summarize(ins: isa.Instruction) -> _Summary:
         if cls is Assign:
             args = [facts.get(a.i) if type(a) is Tmp else a for a in stmt.args]
             if stmt.op == "add" and args[0] is _BANK:
-                slots[stmt.dst.i] = ("iram", args[1])
+                slots[stmt.dst.i] = (Region.IRAM, args[1])
             else:
                 mark = _MARKS.get((stmt.op, *args))
                 if mark is not None:

@@ -107,6 +107,21 @@ def test_no_descriptors_degrades_gracefully(tmp_path):
     assert code == cli.EXIT_CONSISTENT
 
 
+def test_one_byte_sub_descriptor_is_a_diagnostic(tmp_path, capsys):
+    # a spin loop, then a device descriptor and a configuration header whose
+    # first sub-descriptor is one byte long, the image's last byte
+    device = bytes([0x12, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x40, 0x34,
+                    0x12, 0x78, 0x56, 0x00, 0x01, 0x01, 0x02, 0x00, 0x01])
+    path = tmp_path / "desc.bin"
+    path.write_bytes(bytes([0x80, 0xFE]) + bytes(30) + device
+                     + bytes.fromhex("09020a00010100803201"))
+    code = cli.main(["analyze", str(path), "--query", "identity"])
+    report = json.loads(capsys.readouterr().out)
+    assert "config descriptor at 0x0032: bLength 1 at offset 9" in (
+        report["diagnostics"])
+    assert code == cli.EXIT_CONSISTENT
+
+
 def test_image_too_large(tmp_path):
     path = tmp_path / "big.bin"
     path.write_bytes(bytes(0x10001))

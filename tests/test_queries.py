@@ -52,6 +52,43 @@ def test_self_satisfied_isr_adds_nothing():
     assert out.locations == set()
 
 
+def test_discovery_runs_fire_only_their_own_source():
+    # Both handlers are enabled, but external0's runs must not enter timer0,
+    # so timer0's environment read is found only in timer0's own runs.
+    src = """
+    .org 0x0000
+        ljmp main
+    .org 0x0003
+        ljmp quiet
+    .org 0x000b
+        ljmp poll
+    .org 0x0013
+        reti
+    .org 0x001b
+        reti
+    .org 0x0023
+        reti
+    .org 0x002b
+        reti
+    main:
+        mov sp, #0x47
+        mov ie, #0x83
+    idle:
+        sjmp idle
+    quiet:
+        reti
+    poll:
+        mov dptr, #0x7100
+        movx a, @dptr
+        reti
+    """
+    image, _ = fwkit.assemble_with_symbols(src)
+    out = queries.find_symbolic_locations(
+        image, tau=4, config=ExplorationConfig(seed=1))
+    assert [(rec.source, rec.added) for rec in out.log] == [
+        ("external0", None), ("timer0", ("XRAM", 0x7100)), ("timer0", None)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_branchy_converges_to_exactly_k_bytes(k):
     image, man = fwkit.generate_fixture(

@@ -77,6 +77,13 @@ def test_parse_configuration_zero_blength():
         parse_configuration(bytes(blob))
 
 
+def test_parse_configuration_one_byte_blength_at_the_end():
+    # a bLength of 1 as the last byte: the type byte would lie past the blob
+    with pytest.raises(usbdb.MalformedDescriptor,
+                       match="^bLength 1 at offset 9$"):
+        parse_configuration(bytes.fromhex("09020a00020100803201"))
+
+
 def test_parse_configuration_overrun():
     with pytest.raises(usbdb.MalformedDescriptor):
         parse_configuration(CONFIG_BLOB[:12])

@@ -363,16 +363,17 @@ def _oracle_state(rng) -> machine.ConcreteState:
 
 
 def _byte(st, loc) -> int:
-    space, addr = loc
-    return st.sfr[addr - 0x80] if space == "sfr" else st.iram[addr]
+    region, addr = loc
+    return st.sfr[addr - 0x80] if region == Region.SFR else st.iram[addr]
 
 
 def _changed(before, after):
-    """(space, address) of every IRAM, SFR and XRAM byte the step changed."""
-    out = {("iram", a) for a in range(256) if before.iram[a] != after.iram[a]}
-    out |= {("sfr", a + 0x80) for a in range(128)
+    """(Region, address) of every IRAM, SFR and XRAM byte the step changed."""
+    out = {(Region.IRAM, a) for a in range(256)
+           if before.iram[a] != after.iram[a]}
+    out |= {(Region.SFR, a + 0x80) for a in range(128)
             if before.sfr[a] != after.sfr[a]}
-    out |= {("xram", a) for a in set(before.xram) | set(after.xram)
+    out |= {(Region.XRAM, a) for a in set(before.xram) | set(after.xram)
             if before.xram.get(a, 0) != after.xram.get(a, 0)}
     return out
 
@@ -403,9 +404,9 @@ def test_summaries_are_sound_against_the_interpreter():
                 allowed = set(sm.writes)
                 if sm.addr_store:
                     a = _held(before, sm.addr_store)
-                    allowed |= {("iram", a & 0xFF), ("xram", a)}
+                    allowed |= {(Region.IRAM, a & 0xFF), (Region.XRAM, a)}
                 if ins.mnemonic in ("PUSH", "ACALL", "LCALL"):
-                    allowed |= {("iram", (before.sp + k) & 0xFF)
+                    allowed |= {(Region.IRAM, (before.sp + k) & 0xFF)
                                 for k in (1, 2)}
                 stray = _changed(before, after) - allowed
                 assert not stray, (ins, sorted(stray))
