@@ -4,14 +4,19 @@ synthetic benign/malicious firmware images.
 The assembler covers the subset fixtures need (full instruction set, labels,
 .org/.db/.equ); it is a test tool, not a product. Every generated fixture
 comes with a ground-truth manifest recording the addresses the test suites
-assert against, so no magic numbers live in tests.
+assert against, so no magic numbers live in tests. The same generators build
+the inputs of the benchmark workloads (bench/workloads.py).
+
+The USB templates are written from shared pieces: one vector table, one
+`.db` renderer and one EP0 descriptor-copy routine (`_copy_to_ep0`), which
+each SETUP handler instantiates once per descriptor under its own labels.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import isa, machine
 
@@ -44,7 +49,6 @@ _SFR_BY_NAME = {name.lower(): addr for addr, name in machine.SFR_NAMES.items()}
 class _Operand:
     shape: str          # 'exact' | 'imm' | 'plain' | 'notbit'
     token: str          # normalized text (exact) or value expression
-    value: object = None
 
 
 @dataclass
@@ -92,20 +96,17 @@ def _compatible(parsed: _Operand, spec: str) -> bool:
 
 
 def _match_signature(mnemonic: str, parsed: list[_Operand]):
-    candidates = []
-    for (mnem, specs), opcodes in _ENCODER.items():
-        if mnem != mnemonic or len(specs) != len(parsed):
-            continue
-        if all(_compatible(p, s) for p, s in zip(parsed, specs)):
-            candidates.append((specs, opcodes))
+    # no two encodings of a mnemonic accept the same operand shapes, so at
+    # most one candidate matches
+    candidates = [(specs, opcodes)
+                  for (mnem, specs), opcodes in _ENCODER.items()
+                  if mnem == mnemonic and len(specs) == len(parsed)
+                  and all(_compatible(p, s) for p, s in zip(parsed, specs))]
     if not candidates:
         raise AsmError(f"no encoding for {mnemonic} "
                        f"{[p.token for p in parsed]}")
-    if len(candidates) > 1:
-        # prefer the non-bit interpretation for plain numbers (never happens
-        # with the real table, kept as a guard)
-        candidates.sort(key=lambda c: c[0])
-    return candidates[0]
+    (match,) = candidates
+    return match
 
 
 _TOKEN_SPLIT = re.compile(r",(?![^(]*\))")
@@ -296,18 +297,16 @@ class Assembler:
         return bytes(out)
 
 
-def assemble(source) -> bytes:
-    """Assemble source text (or a parsed AsmProgram) into a flat image."""
-    asm = Assembler()
-    if isinstance(source, AsmProgram):
-        return asm.encode(source)
-    return asm.encode(asm.parse(source))
-
-
 def assemble_with_symbols(source: str) -> tuple[bytes, dict[str, int]]:
+    """Assemble source text into a flat image and its label addresses."""
     asm = Assembler()
     program = asm.parse(source)
     return asm.encode(program), program.symbols
+
+
+def assemble(source: str) -> bytes:
+    """Assemble source text into a flat image."""
+    return assemble_with_symbols(source)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +315,11 @@ def assemble_with_symbols(source: str) -> tuple[bytes, dict[str, int]]:
 
 @dataclass
 class FixtureSpec:
+    """What to generate. The EzHID-shaped addresses are the defaults; the
+    storage template swaps in its Phison-shaped layout when
+    `device_desc_addr` is left at the default, which sets four fields
+    (`device_desc_addr`, `config_desc_addr`, `hid_report_addr`, `ep0_fifo`)
+    and keeps the rest of the spec."""
     template: str                     # benign-hid | injector-hid |
                                       # storage-claiming-hid | straightline |
                                       # branchy
@@ -339,20 +343,23 @@ class FixtureSpec:
 
 @dataclass
 class FixtureManifest:
+    """Ground truth of one fixture; a field a template does not set keeps its
+    empty default."""
     template: str
     image_size: int
     labels: dict[str, int]
-    descriptors: dict[str, int]
-    ep0: int | None
-    ep_buffers: list[int]
-    setup_base: int | None
-    env_bytes: list[tuple[str, int]]       # expected symbolic set (region, addr)
-    counter_addrs: list[int]
-    target_sites: dict[str, int]
-    malicious_store_sites: list[int]
-    isr_entries: dict[str, int]
-    scancodes: list[int]
-    inject_threshold: int
+    descriptors: dict[str, int] = field(default_factory=dict)
+    ep0: int | None = None
+    ep_buffers: list[int] = field(default_factory=list)
+    setup_base: int | None = None
+    # expected symbolic set (region, addr)
+    env_bytes: list[tuple[str, int]] = field(default_factory=list)
+    counter_addrs: list[int] = field(default_factory=list)
+    target_sites: dict[str, int] = field(default_factory=dict)
+    malicious_store_sites: list[int] = field(default_factory=list)
+    isr_entries: dict[str, int] = field(default_factory=dict)
+    scancodes: list[int] = field(default_factory=list)
+    inject_threshold: int = 0
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -363,12 +370,15 @@ class FixtureManifest:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _db(data) -> str:
+    return ".db " + ", ".join(f"0x{x:02x}" for x in data)
+
+
 def _device_descriptor_db(vid=0x1234, pid=0x5678) -> str:
     # bLength bType bcdUSB(2.00) class sub proto maxpkt vid pid bcdDev iM iP iS nCfg
-    b = [0x12, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x40,
-         vid & 0xFF, vid >> 8, pid & 0xFF, pid >> 8, 0x00, 0x01,
-         0x01, 0x02, 0x00, 0x01]
-    return ".db " + ", ".join(f"0x{x:02x}" for x in b)
+    return _db([0x12, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x40,
+                vid & 0xFF, vid >> 8, pid & 0xFF, pid >> 8, 0x00, 0x01,
+                0x01, 0x02, 0x00, 0x01])
 
 
 def _hid_config_db() -> str:
@@ -376,7 +386,7 @@ def _hid_config_db() -> str:
     iface = [0x09, 0x04, 0x00, 0x00, 0x01, 0x03, 0x01, 0x01, 0x00]
     hid = [0x09, 0x21, 0x11, 0x01, 0x00, 0x01, 0x22, 0x3F, 0x00]
     ep = [0x07, 0x05, 0x81, 0x03, 0x08, 0x00, 0x0A]
-    return ".db " + ", ".join(f"0x{x:02x}" for x in cfg + iface + hid + ep)
+    return _db(cfg + iface + hid + ep)
 
 
 def _storage_config_db() -> str:
@@ -384,7 +394,7 @@ def _storage_config_db() -> str:
     iface = [0x09, 0x04, 0x00, 0x00, 0x02, 0x08, 0x06, 0x50, 0x00]
     ep_in = [0x07, 0x05, 0x81, 0x02, 0x40, 0x00, 0x00]
     ep_out = [0x07, 0x05, 0x02, 0x02, 0x40, 0x00, 0x00]
-    return ".db " + ", ".join(f"0x{x:02x}" for x in cfg + iface + ep_in + ep_out)
+    return _db(cfg + iface + ep_in + ep_out)
 
 
 def _hid_report_db() -> str:
@@ -392,8 +402,7 @@ def _hid_report_db() -> str:
     body = head + [0x19, 0x00, 0x29, 0x65, 0x15, 0x00, 0x25, 0x65]
     body += [0x75, 0x08, 0x95, 0x08, 0x81, 0x00, 0xC0]
     # pad to the wDescriptorLength that _hid_config_db declares
-    body += [0x00] * (0x3F - len(body))
-    return ".db " + ", ".join(f"0x{x:02x}" for x in body)
+    return _db(body + [0x00] * (0x3F - len(body)))
 
 
 def _vector_table(ext0: str | None, timer0: str | None) -> str:
@@ -408,6 +417,23 @@ def _vector_table(ext0: str | None, timer0: str | None) -> str:
         else:
             lines.append("    reti")
     return "\n".join(lines)
+
+
+def _copy_to_ep0(loop: str, table: str, count: int, store: str,
+                 fifo: int) -> str:
+    """Copy `count` bytes of the code-space `table` to the EP0 FIFO; `store`
+    labels the FIFO write."""
+    return f"""    mov r0, #0
+    mov r7, #{count}
+{loop}:
+    mov a, r0
+    mov dptr, #{table}
+    movc a, @a+dptr
+    mov dptr, #{fifo}
+{store}:
+    movx @dptr, a
+    inc r0
+    djnz r7, {loop}"""
 
 
 def _hid_firmware_asm(spec: FixtureSpec, inject: bool) -> str:
@@ -488,46 +514,16 @@ handle_setup:
     cjne a, #6, hs_done  ; GET_DESCRIPTOR only
     mov a, 0x31          ; wValueH: descriptor type
     cjne a, #1, hs_cfg
-    mov r0, #0
-    mov r7, #18
-sd_loop:
-    mov a, r0
-    mov dptr, #dev_desc
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-dev_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, sd_loop
+{_copy_to_ep0("sd_loop", "dev_desc", 18, "dev_store", s.ep0_fifo)}
     sjmp hs_done
 hs_cfg:
     cjne a, #2, hs_rep
-    mov r0, #0
-    mov r7, #34
-sc_loop:
-    mov a, r0
-    mov dptr, #cfg_desc
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-cfg_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, sc_loop
+{_copy_to_ep0("sc_loop", "cfg_desc", 34, "cfg_store", s.ep0_fifo)}
     sjmp hs_done
 hs_rep:
     cjne a, #34, hs_done ; HID report descriptor request (wValueH == 0x22)
 hid_target:
-    mov r0, #0
-    mov r7, #0x3f
-hr_loop:
-    mov a, r0
-    mov dptr, #hid_report
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-hid_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, hr_loop
+{_copy_to_ep0("hr_loop", "hid_report", 0x3F, "hid_store", s.ep0_fifo)}
 hs_done:
     ret
 {counter_routine}
@@ -579,7 +575,7 @@ cfg_desc:
 hid_report:
 {_hid_report_db()}
 script:
-{".db " + ", ".join(f"0x{x:02x}" for x in spec.scancodes)}
+{_db(spec.scancodes)}
 """
 
 
@@ -606,47 +602,17 @@ handle_setup:
     cjne a, #6, hs_done
     mov a, 0x31
     cjne a, #1, hs_cfg
-    mov r0, #0
-    mov r7, #18
-sd_loop:
-    mov a, r0
-    mov dptr, #dev_desc
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-dev_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, sd_loop
+{_copy_to_ep0("sd_loop", "dev_desc", 18, "dev_store", s.ep0_fifo)}
     sjmp hs_done
 hs_cfg:
     cjne a, #2, hs_mode
-    mov r0, #0
-    mov r7, #32
-sc_loop:
-    mov a, r0
-    mov dptr, #cfg_desc
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-cfg_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, sc_loop
+{_copy_to_ep0("sc_loop", "cfg_desc", 32, "cfg_store", s.ep0_fifo)}
     sjmp hs_done
 hs_mode:
     mov a, 0x33          ; hidden re-enumeration trigger
     cjne a, #{s.mode_magic}, hs_done
 hid_target:
-    mov r0, #0
-    mov r7, #0x3f
-hr_loop:
-    mov a, r0
-    mov dptr, #hid_report
-    movc a, @a+dptr
-    mov dptr, #{s.ep0_fifo}
-hid_store:
-    movx @dptr, a
-    inc r0
-    djnz r7, hr_loop
+{_copy_to_ep0("hr_loop", "hid_report", 0x3F, "hid_store", s.ep0_fifo)}
 hs_done:
     ret
 
@@ -732,79 +698,46 @@ def generate_fixture(spec: FixtureSpec) -> tuple[bytes, FixtureManifest]:
     t = spec.template
     if t == "straightline":
         image, labels = assemble_with_symbols(_STRAIGHTLINE_ASM)
-        manifest = FixtureManifest(
-            template=t, image_size=len(image), labels=labels, descriptors={},
-            ep0=None, ep_buffers=[], setup_base=None, env_bytes=[],
-            counter_addrs=[], target_sites={}, malicious_store_sites=[],
-            isr_entries={}, scancodes=[], inject_threshold=0)
-        return image, manifest
+        return image, FixtureManifest(t, len(image), labels)
 
     if t == "branchy":
         image, labels = assemble_with_symbols(_branchy_asm(spec))
         env = [("XRAM", spec.guard_base + i) for i in range(spec.guard_count)]
-        manifest = FixtureManifest(
-            template=t, image_size=len(image), labels=labels, descriptors={},
-            ep0=None, ep_buffers=[], setup_base=None, env_bytes=env,
-            counter_addrs=[], target_sites={"guarded": labels["g_target"]},
-            malicious_store_sites=[], isr_entries={"external0": labels["g_isr"]},
-            scancodes=[], inject_threshold=0)
-        return image, manifest
+        return image, FixtureManifest(
+            t, len(image), labels, env_bytes=env,
+            target_sites={"guarded": labels["g_target"]},
+            isr_entries={"external0": labels["g_isr"]})
 
     if t in ("benign-hid", "injector-hid"):
         inject = t == "injector-hid"
         image, labels = assemble_with_symbols(_hid_firmware_asm(spec, inject))
-        env = [("XRAM", spec.usb_irq_addr),
-               ("XRAM", spec.setup_base + 1),
-               ("XRAM", spec.setup_base + 3),
-               ("XRAM", spec.setup_base + 4),
-               ("XRAM", spec.kbd_stat_addr),
-               ("XRAM", spec.kbd_data_addr)]
-        manifest = FixtureManifest(
-            template=t, image_size=len(image), labels=labels,
-            descriptors={"DEVICE_DESC": labels["dev_desc"],
-                         "CONFIG_DESC": labels["cfg_desc"],
-                         "HID_REPORT": labels["hid_report"]},
-            ep0=spec.ep0_fifo,
-            ep_buffers=[spec.ep1_buffer],
-            setup_base=spec.setup_base,
-            env_bytes=env,
-            counter_addrs=[0x35] if inject else [],
-            target_sites={"hid_report_copy": labels["hid_store"],
-                          "hid_dispatch": labels["hid_target"]},
-            malicious_store_sites=[labels["inject_store"]] if inject else [],
-            isr_entries={"external0": labels["usb_isr"],
-                         "timer0": labels["t0_isr"]},
-            scancodes=list(spec.scancodes) if inject else [],
-            inject_threshold=spec.inject_threshold if inject else 0)
-        return image, manifest
-
-    if t == "storage-claiming-hid":
-        spec2 = spec
+        env = [spec.setup_base + 4, spec.kbd_stat_addr, spec.kbd_data_addr]
+        extra = {"ep_buffers": [spec.ep1_buffer],
+                 "isr_entries": {"external0": labels["usb_isr"],
+                                 "timer0": labels["t0_isr"]}}
+        if inject:
+            extra.update(counter_addrs=[0x35],
+                         malicious_store_sites=[labels["inject_store"]],
+                         scancodes=list(spec.scancodes),
+                         inject_threshold=spec.inject_threshold)
+    elif t == "storage-claiming-hid":
         if spec.device_desc_addr == 0xB8A:  # default to the Phison-shaped map
-            spec2 = FixtureSpec(template=t, device_desc_addr=0x302B,
-                                config_desc_addr=0x303D, hid_report_addr=0x3084,
-                                ep0_fifo=0xF1DC, mode_addr=spec.mode_addr,
-                                mode_magic=spec.mode_magic)
-        image, labels = assemble_with_symbols(_storage_firmware_asm(spec2))
-        env = [("XRAM", spec2.usb_irq_addr),
-               ("XRAM", spec2.setup_base + 1),
-               ("XRAM", spec2.setup_base + 3),
-               ("XRAM", spec2.mode_addr)]
-        manifest = FixtureManifest(
-            template=t, image_size=len(image), labels=labels,
-            descriptors={"DEVICE_DESC": labels["dev_desc"],
-                         "CONFIG_DESC": labels["cfg_desc"],
-                         "HID_REPORT": labels["hid_report"]},
-            ep0=spec2.ep0_fifo,
-            ep_buffers=[],
-            setup_base=spec2.setup_base,
-            env_bytes=env,
-            counter_addrs=[],
-            target_sites={"hid_report_copy": labels["hid_store"],
-                          "hid_dispatch": labels["hid_target"]},
-            malicious_store_sites=[],
-            isr_entries={"external0": labels["usb_isr"]},
-            scancodes=[], inject_threshold=0)
-        return image, manifest
-
-    raise AsmError(f"unknown template {t}")
+            spec = replace(spec, device_desc_addr=0x302B,
+                           config_desc_addr=0x303D, hid_report_addr=0x3084,
+                           ep0_fifo=0xF1DC)
+        image, labels = assemble_with_symbols(_storage_firmware_asm(spec))
+        env = [spec.mode_addr]
+        extra = {"isr_entries": {"external0": labels["usb_isr"]}}
+    else:
+        raise AsmError(f"unknown template {t}")
+    env = [spec.usb_irq_addr, spec.setup_base + 1, spec.setup_base + 3] + env
+    return image, FixtureManifest(
+        t, len(image), labels,
+        descriptors={"DEVICE_DESC": labels["dev_desc"],
+                     "CONFIG_DESC": labels["cfg_desc"],
+                     "HID_REPORT": labels["hid_report"]},
+        ep0=spec.ep0_fifo, setup_base=spec.setup_base,
+        env_bytes=[("XRAM", a) for a in env],
+        target_sites={"hid_report_copy": labels["hid_store"],
+                      "hid_dispatch": labels["hid_target"]},
+        **extra)

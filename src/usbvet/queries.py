@@ -453,18 +453,33 @@ def _rank(flagged: list[FlaggedAccess],
     return rows
 
 
-def _explore_query2(image: bytes, policy: SymbolicPolicy,
-                    config: ExplorationConfig | None, targets: set[int] | None,
-                    counters: set) -> tuple[Query2Report | None, Query2Report]:
-    """One exploration watched by the inconsistent-flow recorder and, given
-    target sites, the unexpected-flow listener."""
+def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
+           M: usbstatic.PropMap, max_ep: int = 4,
+           config: ExplorationConfig | None = None
+           ) -> tuple[Query2Report | None, Query2Report]:
+    """Both Query 2 detectors over one exploration. Returns the
+    unexpected-flow report, None when EP0 is unknown, and the
+    inconsistent-flow report.
+
+    Both the endpoint targets and the delay counters come from the image's
+    static facts `M` (see usbstatic.prop_const_mem), which the caller builds
+    once per image; Query 2 runs no propagation of its own. Endpoint buffers
+    are predicted from EP0 by constant packet-size offsets; stores whose
+    tracked destination lands there are targets. The exploration runs under
+    `policy`'s regions and its locations plus the delay counters, so
+    threshold-guarded payloads are explored without unrolling."""
     cfg = config or ExplorationConfig()
     rec = _AccessRecorder()
     flow = None
-    if targets is not None:
-        sat = solver.Solver(cfg.solver_timeout, cfg.deadline)
-        flow = _ConcreteFlowListener(targets, sat)
-    res = execute(image, policy, cfg,
+    if ep0:
+        other_eps = other_endpoint_addresses(ep0, max_ep)
+        targets = {ins.addr for ins in M.instrs
+                   if M.get(ins.addr, "dst")[1] in other_eps}
+        flow = _ConcreteFlowListener(
+            targets, solver.Solver(cfg.solver_timeout, cfg.deadline))
+    counters = find_counters(M)
+    with_counters = SymbolicPolicy(policy.locations | counters, policy.regions)
+    res = execute(image, with_counters, cfg,
                   listeners=[ln for ln in (flow, rec) if ln is not None])
     sym_addrs: dict[int, set] = {}
     sym_sources: dict[int, set] = {}
@@ -492,31 +507,6 @@ def _explore_query2(image: bytes, policy: SymbolicPolicy,
                    ), inconsistent
 
 
-def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
-           M: usbstatic.PropMap, max_ep: int = 4,
-           config: ExplorationConfig | None = None
-           ) -> tuple[Query2Report | None, Query2Report]:
-    """Both Query 2 detectors over one exploration. Returns the
-    unexpected-flow report, None when EP0 is unknown, and the
-    inconsistent-flow report.
-
-    Both the endpoint targets and the delay counters come from the image's
-    static facts `M` (see usbstatic.prop_const_mem), which the caller builds
-    once per image; Query 2 runs no propagation of its own. Endpoint buffers
-    are predicted from EP0 by constant packet-size offsets; stores whose
-    tracked destination lands there are targets. The exploration runs under
-    `policy`'s regions and its locations plus the delay counters, so
-    threshold-guarded payloads are explored without unrolling."""
-    targets = None
-    if ep0:
-        other_eps = other_endpoint_addresses(ep0, max_ep)
-        targets = {ins.addr for ins in M.instrs
-                   if M.get(ins.addr, "dst")[1] in other_eps}
-    counters = find_counters(M)
-    with_counters = SymbolicPolicy(policy.locations | counters, policy.regions)
-    return _explore_query2(image, with_counters, config, targets, counters)
-
-
 def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                       max_ep: int = 4,
                       config: ExplorationConfig | None = None
@@ -535,5 +525,7 @@ def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
     """Inconsistent data flow: an address written concretely in one block and
     symbolically in another. Write addresses are ranked by the number of
     distinct concrete values involved (single-value writers rank low; they
-    are the documented false-positive shape)."""
-    return _explore_query2(image, policy, config, None, set())[1]
+    are the documented false-positive shape). Like query2, it explores with
+    the image's delay counters added to `policy`."""
+    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
+    return query2(image, set(), policy, M, config=config)[1]

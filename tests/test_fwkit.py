@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from usbvet import fwkit, isa, machine
 from usbvet.fwkit import FixtureSpec, assemble, generate_fixture
+
+from test_report_bytes import VARIANTS
 
 TEMPLATES = ("benign-hid", "injector-hid", "storage-claiming-hid",
              "straightline", "branchy")
@@ -114,6 +117,52 @@ def test_storage_manifest_ep0_is_shared_buffer():
     assert man.ep0 == 0xF1DC
     assert man.descriptors == {"DEVICE_DESC": 0x302B, "CONFIG_DESC": 0x303D,
                                "HID_REPORT": 0x3084}
+
+
+def test_storage_default_layout_keeps_the_callers_spec():
+    # the Phison-shaped layout replaces the descriptor block and EP0 only;
+    # the SETUP packet and the IRQ status byte stay where the caller put them
+    spec = FixtureSpec(template="storage-claiming-hid", setup_base=0x7FC0,
+                       usb_irq_addr=0x7F91)
+    image, man = generate_fixture(spec)
+    assert man.setup_base == 0x7FC0 and man.ep0 == 0xF1DC
+    assert man.env_bytes[:3] == [("XRAM", 0x7F91), ("XRAM", 0x7FC1),
+                                 ("XRAM", 0x7FC3)]
+    mov_dptr = bytes([0x90])
+    assert mov_dptr + bytes([0x7F, 0xC1]) in image     # MOV DPTR,#0x7FC1
+    assert mov_dptr + bytes([0x7F, 0x91]) in image     # MOV DPTR,#0x7F91
+    assert mov_dptr + bytes([0x7F, 0xE9]) not in image
+
+
+# sha256 of image + manifest.to_json(), pinned before the generators were
+# rewritten around shared routines
+PINNED_FIXTURES = {
+    "benign-hid":
+        "b56c26427dc3eeac9601ba63e9af429ff9bd904adde9947b06fa9813151eebf3",
+    "injector-hid":
+        "696572a046973d15b8e5fd8222d148ca7ec266872c37870c44296086cbda534e",
+    "storage-claiming-hid":
+        "7f14beb277221fdd6afc74d63ef676a1920d82226afe7ea29b2ae9986c3cabb5",
+    "straightline":
+        "6ac295ce47415ff8f2df8b1cbaed414c1a52f71e0313961e125b61c8fa58cdff",
+    "branchy":
+        "0a06f868dc0efc09111577243224b06bca8b2cdfb0bccb229a617dfa7a4a8b4c",
+    "benign-hid-moved":
+        "29b86dc6c0a1d30a58d30a895af3528a339be00c726ac1424de4878e63336cbd",
+    "injector-hid-moved":
+        "3215a9eb5b0f40141cc15a1bf4e6bf11695c4f9736b4f9039cd82f384913750e",
+    "storage-claiming-hid-moved":
+        "4e5ae968e01ca9a2c191e31990ddcfbcb8806e3fe4a9121fec2efa3b7c88f3ca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIXTURES))
+def test_fixture_images_pinned(name):
+    spec = (VARIANTS[name][0] if name in VARIANTS
+            else FixtureSpec(template=name))
+    image, man = generate_fixture(spec)
+    digest = hashlib.sha256(image + man.to_json().encode()).hexdigest()
+    assert digest == PINNED_FIXTURES[name]
 
 
 def test_injector_writes_configured_scancodes():

@@ -1,7 +1,9 @@
-"""No module of usbvet imports a name it never uses. No linter is a
-dependency, and deleting code tends to leave orphan imports behind, so this
-reads each module with ``ast``: every name an import statement binds must
-appear as a name somewhere else in that module."""
+"""No module of usbvet imports a name it never uses, and no module defines a
+private name that nothing uses. No linter is a dependency, and deleting code
+tends to leave orphan imports and helpers behind, so this reads each module
+with ``ast``: every name an import statement binds must appear as a name
+somewhere else in that module, and every module-level ``_name`` must be read
+somewhere in the package, as a name or as an attribute (``isa._SPEC_BYTES``)."""
 
 import ast
 import pathlib
@@ -26,6 +28,47 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}"
             for line, name in sorted((ln, n) for n, ln in bound.items())
             if name not in used]
+
+
+def orphan_private_names(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each module-level `_name` of `sources` (module name
+    -> source text) that no module reads."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                            ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_orphan_private_names_are_found():
+    sources = {"a": "_X = 1\n_Y: int = 2\ndef _f(): pass\nclass _C: pass\n"
+                    "def g(): return _f()\n",
+               "b": "from . import a\nprint(a._Y, _C)\n__all__ = []\n"}
+    assert orphan_private_names(sources) == ["a: _X"]
+
+
+def test_no_module_defines_a_private_name_nothing_reads():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert orphan_private_names(sources) == []
 
 
 def test_unused_imports_are_found():
