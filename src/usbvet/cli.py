@@ -271,6 +271,11 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
             "mass-storage evidence uses the bulk-only CBW tag signature "
             "as a stand-in for class-specific descriptor data")
 
+    # 3. every exploration of this analysis shares one memo of the image's
+    # pure work: its lifted blocks and the solver's tables. It is dropped
+    # when the analysis returns.
+    memo = symexec.ImageMemo(image)
+
     # 3a. the symbolic policy of both queries: the whole IRAM and XRAM
     # regions, or the symbolic set (Alg. 3) for partial/auto
     if config.policy == "full":
@@ -278,7 +283,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         policy_name, policy = "full", symexec.SymbolicPolicy.full()
     else:
         symset = queries.find_symbolic_locations(image, tau=config.tau,
-                                                 config=base_cfg)
+                                                 config=base_cfg, memo=memo)
         policy_name = "partial"
         policy = symexec.SymbolicPolicy(symset.locations)
     sym_dict = {
@@ -296,7 +301,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     q1_dict = None
     if config.query in ("identity", "both") and targets:
         q1 = queries.query1(image, sorted(targets), policy,
-                            preconditions=preconditions, config=base_cfg)
+                            preconditions=preconditions, config=base_cfg,
+                            memo=memo)
         q1_dict = _q1_dict(q1, policy_name)
     elif config.query in ("identity", "both"):
         diagnostics.append("no target instructions: identity query skipped")
@@ -306,7 +312,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     rep4 = rep5 = None
     if config.query in ("consistency", "both"):
         rep4, rep5 = queries.query2(image, ep0, policy, M=M,
-                                    max_ep=config.max_ep, config=base_cfg)
+                                    max_ep=config.max_ep, config=base_cfg,
+                                    memo=memo)
         q2_dict = {"inconsistent_flow": _q2_dict(rep5)}
         if rep4 is not None:
             q2_dict["unexpected_flow"] = _q2_dict(rep4)

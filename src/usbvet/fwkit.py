@@ -71,41 +71,38 @@ class AsmProgram:
     size: int
 
 
+# table spec token -> the parsed shape of a written operand that fills it;
+# an exact operand fills only its own spec (`_EXACT`)
+_SHAPE_OF_SPEC = {"#i8": "imm", "#i16": "imm", "/bit": "notbit",
+                  "dir": "plain", "bit": "plain", "rel": "plain",
+                  "a11": "plain", "a16": "plain"}
+
+
 def _build_encoder_index():
-    index: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+    """(mnemonic, operand shapes) -> (specs, opcodes). A shape is an exact
+    operand's spec, or a written operand's parsed shape. No two encodings
+    of a mnemonic accept the same shapes, so each key has one encoding."""
+    by_specs: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for op, info in isa.TABLE.items():
-        index.setdefault((info.mnemonic, info.specs), []).append(op)
-    for ops in index.values():
-        ops.sort()
+        by_specs.setdefault((info.mnemonic, info.specs), []).append(op)
+    index: dict[tuple[str, tuple[str, ...]], tuple] = {}
+    for (mnemonic, specs), opcodes in by_specs.items():
+        key = (mnemonic, tuple(_SHAPE_OF_SPEC.get(s, s) for s in specs))
+        if key in index:
+            raise AssertionError(f"two encodings accept {key}")
+        index[key] = (specs, sorted(opcodes))
     return index
 
 
 _ENCODER = _build_encoder_index()
 
 
-def _compatible(parsed: _Operand, spec: str) -> bool:
-    if parsed.shape == "exact":
-        return _EXACT.get(parsed.token) == spec
-    if parsed.shape == "imm":
-        return spec in ("#i8", "#i16")
-    if parsed.shape == "notbit":
-        return spec == "/bit"
-    if parsed.shape == "plain":
-        return spec in ("dir", "bit", "rel", "a11", "a16")
-    return False
-
-
 def _match_signature(mnemonic: str, parsed: list[_Operand]):
-    # no two encodings of a mnemonic accept the same operand shapes, so at
-    # most one candidate matches
-    candidates = [(specs, opcodes)
-                  for (mnem, specs), opcodes in _ENCODER.items()
-                  if mnem == mnemonic and len(specs) == len(parsed)
-                  and all(_compatible(p, s) for p, s in zip(parsed, specs))]
-    if not candidates:
+    match = _ENCODER.get((mnemonic, tuple(
+        _EXACT[p.token] if p.shape == "exact" else p.shape for p in parsed)))
+    if match is None:
         raise AsmError(f"no encoding for {mnemonic} "
                        f"{[p.token for p in parsed]}")
-    (match,) = candidates
     return match
 
 
@@ -317,9 +314,10 @@ def assemble(source: str) -> bytes:
 class FixtureSpec:
     """What to generate. The EzHID-shaped addresses are the defaults; the
     storage template swaps in its Phison-shaped layout when
-    `device_desc_addr` is left at the default, which sets four fields
-    (`device_desc_addr`, `config_desc_addr`, `hid_report_addr`, `ep0_fifo`)
-    and keeps the rest of the spec."""
+    `device_desc_addr` is left at the default, which sets three fields
+    (`device_desc_addr`, `config_desc_addr`, `hid_report_addr`), and
+    `ep0_fifo` too when it is left at its default, and keeps the rest of
+    the spec."""
     template: str                     # benign-hid | injector-hid |
                                       # storage-claiming-hid | straightline |
                                       # branchy
@@ -724,7 +722,8 @@ def generate_fixture(spec: FixtureSpec) -> tuple[bytes, FixtureManifest]:
         if spec.device_desc_addr == 0xB8A:  # default to the Phison-shaped map
             spec = replace(spec, device_desc_addr=0x302B,
                            config_desc_addr=0x303D, hid_report_addr=0x3084,
-                           ep0_fifo=0xF1DC)
+                           ep0_fifo=(0xF1DC if spec.ep0_fifo == 0x7E00
+                                     else spec.ep0_fifo))
         image, labels = assemble_with_symbols(_storage_firmware_asm(spec))
         env = [spec.mode_addr]
         extra = {"isr_entries": {"external0": labels["usb_isr"]}}

@@ -600,7 +600,7 @@ def lift_program(image: bytes) -> LiftedProgram:
 
 # Operator semantics are owned by the expression module so the concrete and
 # symbolic evaluations of the same IR can never drift apart.
-from .solver import eval_op  # noqa: E402
+from .solver import OPS  # noqa: E402
 
 
 def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
@@ -626,8 +626,9 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
         for stmt in blk.stmts:
             cls = stmt.__class__
             if cls is Assign:
-                resolved = [vals[x.i] if type(x) is Tmp else x for x in stmt.args]
-                vals[stmt.dst.i] = eval_op(stmt.op, resolved, stmt.width)
+                vals[stmt.dst.i] = OPS[stmt.op](
+                    (1 << stmt.width) - 1,
+                    [vals[x.i] if type(x) is Tmp else x for x in stmt.args])
             elif cls is Load:
                 a = stmt.addr
                 addr = vals[a.i] if type(a) is Tmp else a

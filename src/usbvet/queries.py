@@ -12,6 +12,11 @@ Both queries run under the `SymbolicPolicy` their caller passes in; no
 query chooses a policy of its own. Query 2 explores under a policy with
 its locations plus the delay counters, and its regions.
 
+Discovery and both queries take the caller's `symexec.ImageMemo` and hand
+it to every exploration they run, so the explorations of one analysis lift
+each block once and share the solver's tables. Without one, each
+exploration makes its own.
+
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
 the environment), and counter detection (delay counters guard injection
@@ -27,8 +32,8 @@ from dataclasses import dataclass, field, replace
 from . import isa, machine, solver, usbstatic
 from .lifter import Region
 from .solver import NOT_UNIQUE, is_symbolic, mk
-from .symexec import (ExplorationConfig, Listener, STOP_ALL, SymbolicPolicy,
-                      execute)
+from .symexec import (ExplorationConfig, ImageMemo, Listener, STOP_ALL,
+                      SymbolicPolicy, execute)
 
 # USB constants surfaced when annotating path conditions. Names are hints for
 # the analyst; values are from the USB 2.0 / HID class tables.
@@ -93,7 +98,8 @@ class _CheckLoads(Listener):
 
 
 def find_symbolic_locations(image: bytes, tau: int = 16,
-                            config: ExplorationConfig | None = None
+                            config: ExplorationConfig | None = None,
+                            memo: ImageMemo | None = None
                             ) -> SymbolicLocationSet:
     """Up to tau runs per ISR, each restricted to that single interrupt
     source; every run either grows the symbolic set by one location and
@@ -115,7 +121,8 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 max_blocks=min(base.max_blocks, 4_000), targets=frozenset())
             checker = _CheckLoads(locations)
             reason = execute(image, policy, cfg, listeners=[checker],
-                             isr_map={source: isrs[source]}).reason
+                             isr_map={source: isrs[source]},
+                             memo=memo).reason
             dt = time.monotonic() - t0
             if checker.found is not None:
                 locations.add(checker.found)
@@ -234,7 +241,8 @@ def _usb_notes(path: solver.PathCondition) -> list[UsbConstraintNote]:
 
 
 def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
-           config: ExplorationConfig | None = None) -> Query1Report:
+           config: ExplorationConfig | None = None,
+           memo: ImageMemo | None = None) -> Query1Report:
     if not targets:
         raise ValueError("query1 requires at least one target instruction")
     base = config or ExplorationConfig()
@@ -244,7 +252,7 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
                                  deadline=cfg.deadline).sat:
         raise UnsatisfiablePreconditions(
             "unsatisfiable: " + "; ".join(note for _, note in init))
-    res = execute(image, policy, cfg, initial_constraints=init)
+    res = execute(image, policy, cfg, initial_constraints=init, memo=memo)
     out: dict[int, Query1Target] = {}
     for t in sorted(targets):
         hit = res.target_hits.get(t)
@@ -455,7 +463,8 @@ def _rank(flagged: list[FlaggedAccess],
 
 def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
            M: usbstatic.PropMap, max_ep: int = 4,
-           config: ExplorationConfig | None = None
+           config: ExplorationConfig | None = None,
+           memo: ImageMemo | None = None
            ) -> tuple[Query2Report | None, Query2Report]:
     """Both Query 2 detectors over one exploration. Returns the
     unexpected-flow report, None when EP0 is unknown, and the
@@ -476,11 +485,12 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
         targets = {ins.addr for ins in M.instrs
                    if M.get(ins.addr, "dst")[1] in other_eps}
         flow = _ConcreteFlowListener(
-            targets, solver.Solver(cfg.solver_timeout, cfg.deadline))
+            targets, solver.Solver(cfg.solver_timeout, cfg.deadline, memo))
     counters = find_counters(M)
     with_counters = SymbolicPolicy(policy.locations | counters, policy.regions)
     res = execute(image, with_counters, cfg,
-                  listeners=[ln for ln in (flow, rec) if ln is not None])
+                  listeners=[ln for ln in (flow, rec) if ln is not None],
+                  memo=memo)
     sym_addrs: dict[int, set] = {}
     sym_sources: dict[int, set] = {}
     for (addr, block), names in rec.sym.items():

@@ -16,9 +16,11 @@ Each `Solver` memoises two pure functions for the queries it is given: the
 satisfying values of a single-variable constraint (a domain, kept as an int
 bitmask so intersecting domains is one `&`), and the model or unsat result
 of a whole component. A query that extends an earlier one by a constraint
-therefore re-solves only the component that constraint touches. The tables
-live as long as their `Solver`; the symbolic executor makes one per
-exploration, so they are shared by the paths of one run and freed with it.
+therefore re-solves only the component that constraint touches. A `Solver`
+keeps the tables of the `memo` it is given, or private ones: the symbolic
+executor passes the memo of its analysis (`symexec.ImageMemo`), so every
+exploration of one image shares them, and they are freed with the memo.
+Since both functions are pure, sharing changes no answer.
 
 A caller that already holds a model of a path (any assignment that
 satisfies it, as the symbolic executor keeps one per state) passes it to
@@ -37,65 +39,53 @@ import time
 from itertools import repeat
 
 
-def _rotl(v: int, k: int, width: int) -> int:
-    mask = (1 << width) - 1
-    k %= width
-    return ((v << k) | (v >> (width - k))) & mask
+def _rotl(m: int, a) -> int:
+    width = m.bit_length()
+    v, k = a[0], a[1] % width
+    return ((v << k) | (v >> (width - k))) & m
 
 
-def _parity(v: int) -> int:
+def _parity(m: int, a) -> int:
+    v = a[0]
     v ^= v >> 4
     v ^= v >> 2
     v ^= v >> 1
     return v & 1
 
 
+# The concrete semantics of every expression / IR operator, and their only
+# home: OPS[op](mask, operands) is op's value on a tuple or list of operand
+# values, at the width whose mask is `mask`. A comparison's 0/1 is an int,
+# never a bool. Operands come as one sequence, not unpacked, because a call
+# that unpacks them costs more than the rule itself.
+OPS = {
+    "add": lambda m, a: (a[0] + a[1]) & m,
+    "sub": lambda m, a: (a[0] - a[1]) & m,
+    "and": lambda m, a: a[0] & a[1] & m,
+    "or": lambda m, a: (a[0] | a[1]) & m,
+    "xor": lambda m, a: (a[0] ^ a[1]) & m,
+    "shl": lambda m, a: (a[0] << a[1]) & m,
+    "shr": lambda m, a: (a[0] >> a[1]) & m,
+    "mul": lambda m, a: (a[0] * a[1]) & m,
+    "udiv": lambda m, a: (a[0] // a[1]) & m if a[1] else 0,
+    "umod": lambda m, a: (a[0] % a[1]) & m if a[1] else 0,
+    "eq": lambda m, a: 1 if a[0] == a[1] else 0,
+    "ne": lambda m, a: 1 if a[0] != a[1] else 0,
+    "ult": lambda m, a: 1 if a[0] < a[1] else 0,
+    "ugt": lambda m, a: 1 if a[0] > a[1] else 0,
+    "ule": lambda m, a: 1 if a[0] <= a[1] else 0,
+    "uge": lambda m, a: 1 if a[0] >= a[1] else 0,
+    "ite": lambda m, a: (a[1] if a[0] else a[2]) & m,
+    "not": lambda m, a: ~a[0] & m,
+    "rotl": _rotl,
+    "par": _parity,
+    "resize": lambda m, a: a[0] & m,
+}
+
+
 def eval_op(op: str, args: tuple | list, width: int) -> int:
-    """Concrete semantics of every expression / IR operator."""
-    mask = (1 << width) - 1
-    if op == "add":
-        return (args[0] + args[1]) & mask
-    if op == "sub":
-        return (args[0] - args[1]) & mask
-    if op == "and":
-        return (args[0] & args[1]) & mask
-    if op == "or":
-        return (args[0] | args[1]) & mask
-    if op == "xor":
-        return (args[0] ^ args[1]) & mask
-    if op == "shl":
-        return (args[0] << args[1]) & mask
-    if op == "shr":
-        return (args[0] >> args[1]) & mask
-    if op == "mul":
-        return (args[0] * args[1]) & mask
-    if op == "udiv":
-        return (args[0] // args[1]) & mask if args[1] else 0
-    if op == "umod":
-        return (args[0] % args[1]) & mask if args[1] else 0
-    if op == "eq":
-        return 1 if args[0] == args[1] else 0
-    if op == "ne":
-        return 1 if args[0] != args[1] else 0
-    if op == "ult":
-        return 1 if args[0] < args[1] else 0
-    if op == "ugt":
-        return 1 if args[0] > args[1] else 0
-    if op == "ule":
-        return 1 if args[0] <= args[1] else 0
-    if op == "uge":
-        return 1 if args[0] >= args[1] else 0
-    if op == "ite":
-        return (args[1] if args[0] else args[2]) & mask
-    if op == "not":
-        return (~args[0]) & mask
-    if op == "rotl":
-        return _rotl(args[0], args[1], width)
-    if op == "par":
-        return _parity(args[0])
-    if op == "resize":
-        return args[0] & mask
-    raise AssertionError(op)
+    """Concrete semantics of every expression / IR operator (see OPS)."""
+    return OPS[op]((1 << width) - 1, args)
 
 
 def _possible_bits(op: str, args: tuple, width: int) -> int:
@@ -282,9 +272,9 @@ def _walk(e: SymExpr, env: dict, name: str | None = None,
     """Post-order evaluation of e; unbound variables read 0.
 
     With a `column`, the variable `name` is bound to all of its values at
-    once: every node that mentions it evaluates, pointwise through
-    `eval_op`, to a list with one value per point of the column, and every
-    other node to one int."""
+    once: every node that mentions it evaluates, pointwise through its
+    `OPS` rule in one `map`, to a list with one value per point of the
+    column, and every other node to one int."""
     memo: dict[int, object] = {}
     stack = [(e, False)]
     while stack:
@@ -306,14 +296,14 @@ def _walk(e: SymExpr, env: dict, name: str | None = None,
                 if isinstance(a, SymExpr) and id(a) not in memo:
                     stack.append((a, False))
         else:
-            vals = tuple(memo[id(a)] if isinstance(a, SymExpr) else a
-                         for a in node.args)
+            vals = [memo[id(a)] if isinstance(a, SymExpr) else a
+                    for a in node.args]
+            rule, mask = OPS[node.op], (1 << node.width) - 1
             if name is not None and name in node.vars():
-                op, width = node.op, node.width
-                memo[key] = [eval_op(op, point, width) for point in zip(
-                    *(v if isinstance(v, list) else repeat(v) for v in vals))]
+                memo[key] = list(map(rule, repeat(mask), zip(*(
+                    v if isinstance(v, list) else repeat(v) for v in vals))))
             else:
-                memo[key] = eval_op(node.op, vals, node.width)
+                memo[key] = rule(mask, vals)
     return memo[id(e)]
 
 
@@ -568,12 +558,16 @@ class Solver:
     satisfiability query.
     """
 
-    def __init__(self, timeout: float = 5.0, deadline: float | None = None):
+    def __init__(self, timeout: float = 5.0, deadline: float | None = None,
+                 memo=None):
         self.timeout = timeout
         self.deadline = deadline
         self.diagnostics: list[str] = []
-        self.domains: dict[tuple, int] = {}
-        self.components: dict[tuple, dict | None] = {}
+        # the tables of `memo` (any object with `domains` and `components`
+        # dicts), shared with every other Solver given it; else private
+        self.domains: dict[tuple, int] = {} if memo is None else memo.domains
+        self.components: dict[tuple, dict | None] = (
+            {} if memo is None else memo.components)
 
     def _check(self, exprs: list) -> SatResult:
         return check(exprs, self.timeout, cache=self, deadline=self.deadline)

@@ -6,11 +6,12 @@ is always concrete; symbolic load/store addresses and indirect jump targets
 are resolved by solver-bounded enumeration (forking one state per feasible
 concrete value, up to a configurable fanout).
 
-`Executor._read` and `Executor._write` are the only way machine state is
-read or written, by the lifted code and by interrupt entry alike. A byte
-reads its last write, else the policy's variable, else its reset value.
-The policy makes a byte's variable at its first read, so a whole symbolic
-region (`--policy full`) costs only the bytes a run reads.
+A byte reads its last write, else the policy's variable, else its reset
+value. `Executor._read` and `Executor._write` apply that rule for interrupt
+entry and for an access whose address was forked; a lifted `Load` or
+`Store` at a concrete address applies it inline in `_exec_from`, the hot
+loop. The policy makes a byte's variable at its first read, so a whole
+symbolic region (`--policy full`) costs only the bytes a run reads.
 
 Each state carries a model of its path: an assignment that satisfies it,
 `{}` for the empty path, or None when unknown (after a solver timeout, or
@@ -22,7 +23,15 @@ both fall back to querying each side, or enumerating, from scratch.
 The executor builds every symbolic expression (lifted `Assign`s, address
 and interrupt-enable constraints) through `Executor._mk`, which memoises
 `mk` per exploration: the paths of one run share equal expressions, and the
-table is freed with the run.
+table is freed with the run. A concrete `Assign` calls its `solver.OPS`
+rule directly.
+
+The pure work on an image is shared by every exploration given the same
+`ImageMemo`: its lifted blocks and the solver's domain and component
+tables. An analysis makes one memo per image and drops it when it returns;
+`execute` without one makes a private memo, so nothing outlives the run.
+Each exploration still has its own `Solver` diagnostics, RNG and `mk` memo,
+so sharing changes no result.
 
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
@@ -41,7 +50,9 @@ from dataclasses import dataclass
 from . import isa, lifter, machine, solver
 from .lifter import (Assign, Boundary, CJump, Jump, Load, Region, RetMark,
                      Store, Tmp)
-from .solver import SymExpr, eval_expr, eval_op, mk
+from .solver import OPS, SymExpr, eval_expr, mk
+
+_CODE = Region.CODE  # read by the statement loop without an enum lookup
 
 # Reset values of unwritten bytes the policy leaves concrete; every byte not
 # listed reads 0.
@@ -76,6 +87,17 @@ class SymbolicPolicy:
     def full() -> "SymbolicPolicy":
         """All IRAM and XRAM bytes symbolic (SFRs stay concrete)."""
         return SymbolicPolicy(regions=(Region.IRAM, Region.XRAM))
+
+
+class ImageMemo:
+    """The pure work on one image, shared by the explorations given this
+    memo: the lifted program, and the `domains` and `components` tables of
+    their Solvers (see solver.Solver). It lives as long as its holder."""
+
+    def __init__(self, image: bytes):
+        self.program = lifter.lift_program(image)
+        self.domains: dict[tuple, int] = {}
+        self.components: dict[tuple, dict | None] = {}
 
 
 @dataclass
@@ -233,7 +255,7 @@ class Executor:
     def __init__(self, image: bytes, policy: SymbolicPolicy,
                  config: ExplorationConfig, listeners=(),
                  isr_map: dict[str, int] | None = None,
-                 initial_constraints=()):
+                 initial_constraints=(), memo: ImageMemo | None = None):
         self.initial_constraints = list(initial_constraints)
         self.image = bytes(image)
         self.policy = policy
@@ -241,10 +263,15 @@ class Executor:
         # the hooks each listener overrides, bound once
         self._on_load = _hooks(listeners, "on_load")
         self._on_store = _hooks(listeners, "on_store")
-        self.program = lifter.lift_program(self.image)
-        # Every query of this exploration goes through this Solver, so its
-        # memo tables serve all paths of the run and are freed with it.
-        self.solver = solver.Solver(config.solver_timeout, config.deadline)
+        if memo is None:
+            memo = ImageMemo(self.image)
+        elif memo.program.image != self.image:
+            raise ValueError("the memo is of another image")
+        self.program = memo.program
+        # Every query of this exploration goes through this Solver, whose
+        # tables are the memo's.
+        self.solver = solver.Solver(config.solver_timeout, config.deadline,
+                                    memo)
         self.rng = random.Random(config.seed)
         self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
         self._sources = sorted(self.isr_map)
@@ -365,6 +392,28 @@ class Executor:
             self._terminate(s, "listener-stop")
         return not stop
 
+    def _bound(self, region: Region) -> int:
+        """One past the last address of region."""
+        return (len(self.image) if region == Region.CODE
+                else lifter.REGION_SIZE[region])
+
+    def _same_child(self, s: ExecState, st, addr: SymExpr) -> int | None:
+        """The value of a `const` address inside st's region, when s has a
+        model. A fork there has one child, and it equals s: its pin folds to
+        true and the model gives the address that value. So s becomes that
+        child in place, with a new sid. None sends the access to
+        `_fork_access`: no model, out of the region, or past the deadline."""
+        if addr.op != "const" or s.model is None:
+            return None
+        v = addr.args[0]
+        deadline = self.config.deadline
+        if v >= self._bound(st.region) or (
+                deadline is not None and time.monotonic() > deadline):
+            return None
+        self.states_created += 1
+        s.sid = self.states_created
+        return v
+
     def _fork_access(self, s: ExecState, blk, i: int, st, addr: SymExpr,
                      vals: list) -> list[ExecState]:
         """Make a symbolic address concrete: one child per feasible value in
@@ -376,10 +425,8 @@ class Executor:
             self.stop_reason = "time-limit"
             self._terminate(s, "unfinished")
             return []
-        bound = (len(self.image) if st.region == Region.CODE
-                 else lifter.REGION_SIZE[st.region])
         what = "load address" if st.__class__ is Load else "store address"
-        choices = self._enumerate(s, addr, bound, what)
+        choices = self._enumerate(s, addr, self._bound(st.region), what)
         out = []
         for v in choices:
             child = self._pin(s, addr, v, "mem-index")
@@ -445,8 +492,16 @@ class Executor:
     # -- block execution ---------------------------------------------------
 
     def _exec_from(self, s: ExecState, blk, idx: int, vals: list) -> list[ExecState]:
-        """Run statements from idx; returns continuation states (PC advanced)."""
+        """Run statements from idx; returns continuation states (PC advanced).
+
+        A Load or Store at a concrete address runs inline, by the rule of
+        `_read`/`_write`, with the listener hooks of `_access`."""
         stmts = blk.stmts
+        mem = s.mem
+        image = self.image
+        lookup = self.policy.lookup
+        on_load, on_store = self._on_load, self._on_store
+        targets = self.config.targets
         i = idx
         while True:
             st = stmts[i]
@@ -463,17 +518,48 @@ class Executor:
                 if symbolic:
                     vals[st.dst.i] = self._mk(st.op, tuple(resolved), st.width)
                 else:
-                    vals[st.dst.i] = eval_op(st.op, resolved, st.width)
+                    vals[st.dst.i] = OPS[st.op]((1 << st.width) - 1,
+                                                resolved)
             elif cls is Load or cls is Store:
                 a = st.addr
                 addr = vals[a.i] if type(a) is Tmp else a
                 if type(addr) is not int:
-                    return self._fork_access(s, blk, i, st, addr, vals)
-                if not self._access(s, st, addr, vals):
+                    v = self._same_child(s, st, addr)
+                    if v is None:
+                        return self._fork_access(s, blk, i, st, addr, vals)
+                    addr = v
+                region = st.region
+                if cls is Load:
+                    if region == _CODE:
+                        value = image[addr] if addr < len(image) else 0
+                    else:
+                        value = mem[region].get(addr)
+                        if value is None:
+                            value = lookup(region, addr)
+                            if value is None:
+                                value = _RESET.get((region, addr), 0)
+                    vals[st.dst.i] = value
+                    hooks = on_load
+                else:
+                    if region == _CODE:
+                        raise AssertionError("store to CODE")
+                    src = st.src
+                    value = vals[src.i] if type(src) is Tmp else src
+                    mem[region][addr] = value
+                    if s.active_isr is not None:
+                        s.isr_written.add((region, addr))
+                    hooks = on_store
+                stop = False
+                for cb in hooks:
+                    if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
+                        stop = True
+                if stop:
+                    self.stop_reason = "listener-stop"
+                    self._terminate(s, "listener-stop")
                     return []
             elif cls is Boundary:
                 s.cur_site = st.addr
-                if st.addr in self.config.targets and st.addr not in self.target_hits:
+                if st.addr in targets and st.addr not in self.target_hits:
                     self.target_hits[st.addr] = TargetHit(
                         s, self.states_created, len(self.covered))
                     self._terminate(s, f"target:0x{st.addr:04x}")
@@ -551,12 +637,9 @@ class Executor:
         outs = self._exec_from(s, blk, 0, [None] * blk.n_temps)
         self.blocks_executed += 1
         entry = blk.addr
-        new_cover = False
-        for a in blk.instr_addrs:
-            if a not in self.covered:
-                self.covered.add(a)
-                new_cover = True
+        new_cover = not self.covered.issuperset(blk.instr_addrs)
         if new_cover:
+            self.covered.update(blk.instr_addrs)
             self.cover_seq += 1
         survivors = []
         for o in outs:
@@ -629,6 +712,7 @@ class Executor:
 
 def execute(image: bytes, policy: SymbolicPolicy, config: ExplorationConfig,
             listeners=(), isr_map: dict[str, int] | None = None,
-            initial_constraints=()) -> ExplorationResult:
+            initial_constraints=(), memo: ImageMemo | None = None
+            ) -> ExplorationResult:
     return Executor(image, policy, config, listeners, isr_map,
-                    initial_constraints).run()
+                    initial_constraints, memo).run()

@@ -8,11 +8,13 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from usbvet import cli, fwkit, machine, queries, solver, symexec, usbstatic
+from usbvet import (cli, fwkit, lifter, machine, queries, solver, symexec,
+                    usbstatic)
 from usbvet.cli import RunConfig, run_pipeline
 from usbvet.lifter import Region
 
 from static_facts import static_facts
+from test_report_bytes import VARIANTS
 
 
 def write_fixture(tmp_path, template, **spec_kw):
@@ -402,6 +404,66 @@ def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
     assert report.query1 is not None and report.query2 is not None
     assert calls == {"reachable_instructions": 1, "prop_const_mem": 1,
                      "find_devspec_to_ep0": 1}
+
+
+SHARING_SPECS = {t: fwkit.FixtureSpec(template=t)
+                 for t in ("benign-hid", "injector-hid",
+                           "storage-claiming-hid")}
+SHARING_SPECS.update((name, spec) for name, (spec, _, _) in VARIANTS.items())
+
+
+def _identity_explorations(monkeypatch, path, spec, share):
+    """The report and the facts of every exploration of one identity
+    analysis (discovery runs, then Query 1). With `share` False, each
+    exploration gets a private memo in place of the analysis's."""
+    runs = []
+
+    def recording(*args, memo=None, **kw):
+        assert memo is not None  # the pipeline hands every run its memo
+        res = symexec.execute(*args, memo=memo if share else None, **kw)
+        runs.append((res.states_created, res.blocks_executed, res.reason,
+                     [(s.sid, s.terminated) for s in res.ended],
+                     {t: (h.state.sid, h.states_created, h.coverage)
+                      for t, h in res.target_hits.items()},
+                     res.diagnostics, res.solver.diagnostics))
+        return res
+
+    monkeypatch.setattr(queries, "execute", recording)
+    report, _ = run_pipeline(RunConfig(
+        image_path=path, query="identity",
+        preconditions=[f"XRAM:0x{spec.setup_base + 1:04x}:==:6"]))
+    return report.to_json(), runs
+
+
+@pytest.mark.parametrize("name", sorted(SHARING_SPECS))
+def test_shared_memo_changes_no_exploration(name, tmp_path, monkeypatch):
+    spec = SHARING_SPECS[name]
+    image, man = fwkit.generate_fixture(spec)
+    path = tmp_path / f"{name}.bin"
+    path.write_bytes(image)
+    shared = _identity_explorations(monkeypatch, str(path), spec, True)
+    private = _identity_explorations(monkeypatch, str(path), spec, False)
+    assert shared == private
+    runs = shared[1]
+    assert len(runs) > 2  # discovery ran, then Query 1
+    assert man.target_sites["hid_report_copy"] in runs[-1][4]
+
+
+def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
+    path, _ = write_fixture(tmp_path, "injector-hid")
+    lifted = []
+    real = lifter.lift_block
+
+    def counting(image, addr):
+        lifted.append(addr)
+        return real(image, addr)
+
+    monkeypatch.setattr(lifter, "lift_block", counting)
+    report, _ = run_pipeline(small_config(path, query="both"))
+    # discovery, Query 1 and Query 2 all ran, and no block was lifted twice
+    assert len(report.symbolic_set["iterations"]) > 1
+    assert report.query1 is not None and report.query2 is not None
+    assert lifted and len(lifted) == len(set(lifted))
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):

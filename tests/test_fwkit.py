@@ -134,6 +134,17 @@ def test_storage_default_layout_keeps_the_callers_spec():
     assert mov_dptr + bytes([0x7F, 0xE9]) not in image
 
 
+def test_storage_default_layout_keeps_a_moved_ep0():
+    # moving only EP0 keeps it there, in the image and in the manifest
+    image, man = generate_fixture(FixtureSpec(
+        template="storage-claiming-hid", ep0_fifo=0x7500))
+    assert man.ep0 == 0x7500
+    assert man.descriptors["DEVICE_DESC"] == 0x302B
+    mov_dptr = bytes([0x90])
+    assert mov_dptr + bytes([0x75, 0x00]) in image     # MOV DPTR,#0x7500
+    assert mov_dptr + bytes([0xF1, 0xDC]) not in image
+
+
 # sha256 of image + manifest.to_json(), pinned before the generators were
 # rewritten around shared routines
 PINNED_FIXTURES = {

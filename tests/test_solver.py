@@ -1,10 +1,9 @@
-import inspect
 import itertools
 import random
-import re
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from usbvet import solver
 from usbvet.solver import (NOT_UNIQUE, PathCondition, Solver, SymExpr,
@@ -411,8 +410,99 @@ def test_one_walk_domain_matches_per_value_evaluation():
         assert got == want, solver.to_text(e)
         assert fresh == {(e, "x", 8): want}
         checked += 1
-    ops = set(re.findall(r'op == "(\w+)"', inspect.getsource(eval_op)))
-    assert ops <= seen, ops - seen
+    assert set(solver.OPS) <= seen, set(solver.OPS) - seen
+
+
+@st.composite
+def column_trees(draw, width, depth=4):
+    """A random expression over the one 8-bit variable x whose value has
+    `width` bits, built with SymExpr so no operator is folded away. Every
+    operator of the table is drawn, with operands of 1, 4, 8 and 16 bits."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            x = var("x", 8)
+            return x if width == 8 else SymExpr("resize", (x,), width)
+        return const(draw(st.integers(0, (1 << width) - 1)), width)
+    op = draw(st.sampled_from(sorted(solver.OPS)))
+
+    def sub(w=width):
+        return draw(column_trees(w, depth - 1))
+
+    def any_width():
+        return draw(st.sampled_from([1, 4, 8, 16]))
+
+    if op in CMP_OPS:
+        w = any_width()
+        return SymExpr(op, (sub(w), sub(w)), 1)
+    if op == "par":
+        return SymExpr(op, (sub(8),), 1)
+    if op == "resize":
+        return SymExpr(op, (sub(any_width()),), width)
+    if op == "not":
+        return SymExpr(op, (sub(),), width)
+    if op == "ite":
+        return SymExpr(op, (sub(any_width()), sub(), sub()), width)
+    if op in ("udiv", "umod") and draw(st.booleans()):
+        return SymExpr(op, (sub(), const(0, width)), width)
+    return SymExpr(op, (sub(), sub()), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.sampled_from([1, 8, 16]).flatmap(column_trees))
+def test_column_walk_equals_pointwise_evaluation(e):
+    assume("x" in e.vars())
+    column = solver._walk(e, {}, "x", range(256))
+    assert column == [eval_expr(e, {"x": v}) for v in range(256)]
+    want = sum(1 << v for v in range(256) if column[v])
+    assert solver._domain(e, "x", 8, float("inf"), {}, {}) == want
+
+
+# eval_op's result on fixed operands for every operator, computed before
+# the operators moved into one table
+EVAL_OP_CASES = [
+    ("add", (240, 32), 8, 0x10), ("add", (240, 32), 16, 0x110),
+    ("add", (65535, 1), 16, 0x0), ("add", (1, 1), 1, 0x0),
+    ("sub", (3, 5), 8, 0xfe), ("sub", (5, 3), 8, 0x2),
+    ("sub", (0, 1), 16, 0xffff),
+    ("and", (240, 60), 8, 0x30), ("and", (511, 511), 8, 0xff),
+    ("or", (240, 15), 8, 0xff), ("or", (256, 1), 8, 0x1),
+    ("xor", (255, 15), 8, 0xf0), ("xor", (4660, 65535), 16, 0xedcb),
+    ("shl", (129, 1), 8, 0x2), ("shl", (129, 1), 16, 0x102),
+    ("shl", (1, 9), 8, 0x0), ("shl", (255, 0), 8, 0xff),
+    ("shr", (129, 1), 8, 0x40), ("shr", (4660, 8), 8, 0x12),
+    ("shr", (128, 9), 8, 0x0),
+    ("mul", (16, 16), 8, 0x0), ("mul", (16, 16), 16, 0x100),
+    ("mul", (255, 255), 16, 0xfe01), ("mul", (7, 0), 8, 0x0),
+    ("udiv", (200, 7), 8, 0x1c), ("udiv", (200, 0), 8, 0x0),
+    ("udiv", (65535, 16), 8, 0xff), ("udiv", (0, 0), 16, 0x0),
+    ("umod", (200, 7), 8, 0x4), ("umod", (200, 0), 8, 0x0),
+    ("umod", (65535, 256), 16, 0xff), ("umod", (5, 5), 8, 0x0),
+    ("eq", (3, 3), 1, 0x1), ("eq", (3, 4), 1, 0x0), ("eq", (256, 0), 1, 0x0),
+    ("ne", (3, 3), 1, 0x0), ("ne", (3, 4), 1, 0x1),
+    ("ult", (3, 4), 1, 0x1), ("ult", (4, 4), 1, 0x0),
+    ("ult", (256, 255), 1, 0x0),
+    ("ugt", (5, 4), 1, 0x1), ("ugt", (4, 4), 1, 0x0),
+    ("ule", (4, 4), 1, 0x1), ("ule", (5, 4), 1, 0x0),
+    ("uge", (4, 4), 1, 0x1), ("uge", (3, 4), 1, 0x0),
+    ("ite", (1, 18, 52), 8, 0x12), ("ite", (0, 18, 52), 8, 0x34),
+    ("ite", (2, 511, 0), 8, 0xff), ("ite", (0, 0, 4660), 16, 0x1234),
+    ("not", (15,), 8, 0xf0), ("not", (0,), 1, 0x1),
+    ("not", (4660,), 16, 0xedcb), ("not", (511,), 8, 0x0),
+    ("rotl", (129, 1), 8, 0x3), ("rotl", (129, 0), 8, 0x81),
+    ("rotl", (129, 9), 8, 0x3), ("rotl", (32769, 4), 16, 0x18),
+    ("rotl", (5, 3), 4, 0xa),
+    ("par", (0,), 1, 0x0), ("par", (1,), 1, 0x1), ("par", (255,), 1, 0x0),
+    ("par", (128,), 1, 0x1), ("par", (127,), 1, 0x1),
+    ("resize", (4660,), 8, 0x34), ("resize", (4660,), 16, 0x1234),
+    ("resize", (255,), 1, 0x1), ("resize", (171,), 4, 0xb),
+]
+
+
+def test_eval_op_pinned_for_every_operator():
+    assert {op for op, _, _, _ in EVAL_OP_CASES} == set(solver.OPS)
+    for op, args, width, want in EVAL_OP_CASES:
+        got = eval_op(op, args, width)
+        assert type(got) is int and got == want, (op, args, width)
 
 
 def test_values_of_a_constant_with_a_model_makes_no_query(monkeypatch):

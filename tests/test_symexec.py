@@ -760,6 +760,35 @@ def test_exploration_solver_stops_at_the_exploration_deadline():
     assert ex.solver.deadline == cfg.deadline
 
 
+def test_shared_memo_keeps_no_timed_out_answer():
+    # The first exploration has no time to solve: its branch query times
+    # out and stores nothing in the memo. The next exploration given the
+    # memo solves it afresh, with none of the first one's diagnostics, and
+    # ends as one with a private memo.
+    memo = symexec.ImageMemo(FORK_IMAGE)
+
+    def run(memo, timeout):
+        res = execute(FORK_IMAGE, xram_policy(0x7FE9),
+                      ExplorationConfig(block_repeat_threshold=8, seed=1,
+                                        solver_timeout=timeout), memo=memo)
+        return (res.states_created, res.reason,
+                [(s.sid, s.terminated, s.path.entries) for s in res.ended],
+                res.diagnostics + res.solver.diagnostics)
+
+    starved = run(memo, 0.0)
+    assert starved[3] == ["solver timeout: assumed satisfiable"]
+    assert memo.domains == {} and memo.components == {}
+    after = run(memo, 5.0)
+    assert after == run(None, 5.0) and after[3] == []
+    assert memo.domains and memo.components
+
+
+def test_memo_of_another_image_is_refused():
+    with pytest.raises(ValueError):
+        symexec.Executor(b"\x00", SymbolicPolicy(), ExplorationConfig(),
+                         memo=symexec.ImageMemo(FORK_IMAGE))
+
+
 def test_symbolic_store_out_of_region_ends_path():
     # IRAM has 256 bytes; the address 0x100 | selector never falls inside
     t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
@@ -833,9 +862,10 @@ def test_solver_timeout_while_enumerating_reported():
 
 
 def _const_address_runs(stmts, n_temps, monkeypatch, listeners=()):
-    """The hand block run twice: as is, and with every enumeration made by
-    solver queries, without the state's model. Returns, per run, the ended
-    states' facts and the number of solver checks."""
+    """The hand block run twice: as is, and with every symbolic address
+    forked through `_fork_access` (none run in place) and every enumeration
+    made by solver queries, without the state's model. Returns, per run, the
+    ended states' facts and the number of solver checks."""
     runs = []
     real_check, real_values = solver.check, solver.Solver.values
     for queried in (False, True):
@@ -847,6 +877,8 @@ def _const_address_runs(stmts, n_temps, monkeypatch, listeners=()):
 
         monkeypatch.setattr(solver, "check", counting)
         if queried:
+            monkeypatch.setattr(symexec.Executor, "_same_child",
+                                lambda self, s, st, addr: None)
             monkeypatch.setattr(
                 solver.Solver, "values",
                 lambda self, pc, expr, limit, model=None:
