@@ -317,23 +317,34 @@ def eval_expr(e: SymExpr, env: dict) -> int:
 # ---------------------------------------------------------------------------
 
 class PathCondition:
-    """Ordered conjunction of constraints with provenance (site, note)."""
+    """Ordered conjunction of constraints with provenance (site, note).
 
-    __slots__ = ("entries",)
+    `entries` keeps every appended constraint, repeats included, with its
+    provenance. A polling loop appends the same constraint again on every
+    pass, so the set of distinct constraints, in first-seen order, is kept
+    beside it; `exprs()` hands only those to the solver."""
 
-    def __init__(self, entries=None):
-        self.entries: list[tuple[SymExpr, int, str]] = entries if entries is not None else []
+    __slots__ = ("entries", "_distinct")
+
+    def __init__(self):
+        self.entries: list[tuple[SymExpr, int, str]] = []
+        self._distinct: dict[SymExpr, None] = {}
 
     def copy(self) -> "PathCondition":
-        return PathCondition(list(self.entries))
+        c = PathCondition.__new__(PathCondition)
+        c.entries = list(self.entries)
+        c._distinct = self._distinct.copy()
+        return c
 
     def append(self, expr: SymExpr, site: int, note: str):
         if expr.op == "const" and expr.value:
             return  # constant-true adds no information
         self.entries.append((expr, site, note))
+        self._distinct[expr] = None
 
     def exprs(self) -> list[SymExpr]:
-        return [e for e, _, _ in self.entries]
+        """The distinct constraints, in the order first appended."""
+        return list(self._distinct)
 
     def __len__(self):
         return len(self.entries)

@@ -8,30 +8,38 @@ concrete value, up to a configurable fanout).
 
 A byte reads its last write, else the policy's variable, else its reset
 value. `Executor._read` and `Executor._write` apply that rule for interrupt
-entry and for an access whose address was forked; a lifted `Load` or
-`Store` at a concrete address applies it inline in `_exec_from`, the hot
-loop. The policy makes a byte's variable at its first read, so a whole
-symbolic region (`--policy full`) costs only the bytes a run reads.
+entry and for an access whose address was forked; a load or store at a
+concrete address applies it inline in `_exec_from`, the hot loop. The
+policy makes a byte's variable at its first read, so a whole symbolic
+region (`--policy full`) costs only the bytes a run reads.
 
 Each state carries a model of its path: an assignment that satisfies it,
 `{}` for the empty path, or None when unknown (after a solver timeout, or
-when a fork's value is not the model's). A symbolic branch whose side the
-model satisfies needs no query for that side, and the model's value of a
-symbolic address is checked for uniqueness with one query; with no model
+when a fork's value is not the model's). A symbolic branch evaluates the
+model once, and the side it satisfies needs no query; the model's value of
+a symbolic address is checked for uniqueness with one query. With no model
 both fall back to querying each side, or enumerating, from scratch.
 
-The executor builds every symbolic expression (lifted `Assign`s, address
-and interrupt-enable constraints) through `Executor._mk`, which memoises
-`mk` per exploration: the paths of one run share equal expressions, and the
-table is freed with the run. A concrete `Assign` calls its `solver.OPS`
-rule directly.
+`_exec_from` runs a block's prepared form (`prepare_block`), made once from
+its lifted statements: a tuple per step over a per-block value list, whose
+constants are preloaded and whose Assigns have their `solver.OPS` rule and
+mask bound. A load of a constant address that the block already read or
+wrote becomes a step that only calls the load hooks with the byte a slot
+holds (`forward_loads`); an Assign over constants is folded, and an Assign
+of the same operator over the same slots as an earlier one reuses its slot.
+Every other step runs where its statement stood, so every listener still
+sees every load and store, with the same site, state, region, address and
+value, and may stop the run at any of them. A symbolic Assign builds its
+expression through `Executor._mk`, which memoises `mk` per exploration, as
+do address and interrupt-enable constraints: the paths of one run share
+equal expressions, and the table is freed with the run.
 
 The pure work on an image is shared by every exploration given the same
-`ImageMemo`: its lifted blocks and the solver's domain and component
-tables. An analysis makes one memo per image and drops it when it returns;
-`execute` without one makes a private memo, so nothing outlives the run.
-Each exploration still has its own `Solver` diagnostics, RNG and `mk` memo,
-so sharing changes no result.
+`ImageMemo`: its lifted blocks, their prepared forms and the solver's
+domain and component tables. An analysis makes one memo per image and
+drops it when it returns; `execute` without one makes a private memo, so
+nothing outlives the run. Each exploration still has its own `Solver`
+diagnostics, RNG and `mk` memo, so sharing changes no result.
 
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
@@ -52,7 +60,7 @@ from .lifter import (Assign, Boundary, CJump, Jump, Load, Region, RetMark,
                      Store, Tmp)
 from .solver import OPS, SymExpr, eval_expr, mk
 
-_CODE = Region.CODE  # read by the statement loop without an enum lookup
+_CODE = Region.CODE  # read by the step loop without an enum lookup
 
 # Reset values of unwritten bytes the policy leaves concrete; every byte not
 # listed reads 0.
@@ -89,15 +97,176 @@ class SymbolicPolicy:
         return SymbolicPolicy(regions=(Region.IRAM, Region.XRAM))
 
 
+class Reload:
+    """A Load of a constant address whose byte an earlier Load or Store of
+    the same block read or wrote: the atom `src` holds that byte. Made by
+    `forward_loads`; a prepared block runs it as its load hooks only."""
+    __slots__ = ("dst", "region", "addr", "src")
+
+    def __init__(self, dst, region, addr, src):
+        self.dst = dst
+        self.region = region
+        self.addr = addr
+        self.src = src
+
+
+def forward_loads(stmts: list) -> list:
+    """The block's statements, with each Load of a constant address that an
+    earlier Load or Store of the block read or wrote replaced by a Reload.
+    A Store to a computed address may write any byte of its region, so it
+    forgets what the block knows there."""
+    known: dict[tuple, object] = {}  # (region, addr) -> atom holding the byte
+    out = []
+    for st in stmts:
+        cls = st.__class__
+        if cls is Load and type(st.addr) is int:
+            key = (st.region, st.addr)
+            if key in known:
+                st = Reload(st.dst, st.region, st.addr, known[key])
+            else:
+                known[key] = st.dst
+        elif cls is Store:
+            if type(st.addr) is int:
+                known[(st.region, st.addr)] = st.src
+            else:
+                known = {k: v for k, v in known.items() if k[0] != st.region}
+        out.append(st)
+    return out
+
+
+# The kinds of a prepared step. A step is a tuple whose first item is its
+# kind; every other item is a slot of the block's value list or a constant.
+class Site:
+    """(Site, addr): the instruction at addr starts (a Boundary)."""
+
+
+class Compute:
+    """(Compute, dst, rule, mask, op, width, a, b): slot dst is `op` over
+    slots a and b; rule is `OPS[op]`, mask the width's."""
+
+
+class ComputeN:
+    """(ComputeN, dst, rule, mask, op, width, args): Compute over the slots
+    of args, one or three of them."""
+
+
+class Read:
+    """(Read, region, addr, dst): slot dst is the byte at slot addr."""
+
+
+class Write:
+    """(Write, region, addr, src): the byte at slot addr is slot src."""
+
+
+class Reread:
+    """(Reread, region, addr, src): a forwarded load of constant addr, whose
+    byte slot src holds; the load hooks see it."""
+
+
+class Branch:
+    """(Branch, cond, taken, fall): a CJump on slot cond."""
+
+
+class Goto:
+    """(Goto, target, reti): a Jump or RetMark to slot target; reti is True
+    for a RETI."""
+
+
+class PreparedBlock:
+    """A lifted block in the form `Executor._exec_from` runs: its steps, and
+    `init`, the start of its value list. Each constant has a preloaded slot,
+    and each value a step makes a slot that is None until the step runs."""
+    __slots__ = ("addr", "steps", "init", "instr_addrs")
+
+    def __init__(self, addr, steps, init, instr_addrs):
+        self.addr = addr
+        self.steps = steps
+        self.init = init
+        self.instr_addrs = instr_addrs
+
+
+def prepare_block(blk) -> PreparedBlock:
+    """The prepared form of blk. Its loads are forwarded by `forward_loads`;
+    an Assign over constants is folded into a constant; an Assign of the
+    same operator over the same slots as an earlier one reuses its slot.
+    Every operand is a slot, and every Assign's rule is bound. A step runs
+    exactly where its statement stood, so the listeners see every load and
+    store as before."""
+    init: list = []
+    consts: dict[int, int] = {}          # constant -> its slot
+    slot: dict[int, int] = {}            # Tmp index -> slot
+    made: dict[tuple, int] = {}          # (op, slots, width) -> slot
+
+    def atom(a) -> int:
+        if type(a) is Tmp:
+            return slot[a.i]
+        k = consts.get(a)
+        if k is None:
+            k = consts[a] = len(init)
+            init.append(a)
+        return k
+
+    def fresh(t: Tmp) -> int:
+        k = slot[t.i] = len(init)
+        init.append(None)
+        return k
+
+    steps: list[tuple] = []
+    for st in forward_loads(blk.stmts):
+        cls = st.__class__
+        if cls is Assign:
+            args = tuple(atom(a) for a in st.args)
+            mask = (1 << st.width) - 1
+            key = (st.op, args, st.width)
+            if all(init[k] is not None for k in args):
+                value = OPS[st.op](mask, [init[k] for k in args])
+                slot[st.dst.i] = atom(value)
+            elif key in made:
+                slot[st.dst.i] = made[key]
+            else:
+                d = made[key] = fresh(st.dst)
+                if len(args) == 2:
+                    steps.append((Compute, d, OPS[st.op], mask, st.op,
+                                  st.width, *args))
+                else:
+                    steps.append((ComputeN, d, OPS[st.op], mask, st.op,
+                                  st.width, args))
+        elif cls is Load:
+            steps.append((Read, st.region, atom(st.addr), fresh(st.dst)))
+        elif cls is Reload:
+            k = slot[st.dst.i] = atom(st.src)
+            steps.append((Reread, st.region, st.addr, k))
+        elif cls is Store:
+            steps.append((Write, st.region, atom(st.addr), atom(st.src)))
+        elif cls is Boundary:
+            steps.append((Site, st.addr))
+        elif cls is CJump:
+            steps.append((Branch, atom(st.cond), st.taken, st.fall))
+        elif cls is Jump:
+            steps.append((Goto, atom(st.target), False))
+        elif cls is RetMark:
+            steps.append((Goto, atom(st.target), st.reti))
+    return PreparedBlock(blk.addr, steps, init, blk.instr_addrs)
+
+
 class ImageMemo:
     """The pure work on one image, shared by the explorations given this
-    memo: the lifted program, and the `domains` and `components` tables of
-    their Solvers (see solver.Solver). It lives as long as its holder."""
+    memo: the lifted program, each block's prepared form (made from
+    `program.block` at its first run), and the `domains` and `components`
+    tables of their Solvers (see solver.Solver). It lives as long as its
+    holder."""
 
     def __init__(self, image: bytes):
         self.program = lifter.lift_program(image)
+        self.prepared: dict[int, PreparedBlock] = {}
         self.domains: dict[tuple, int] = {}
         self.components: dict[tuple, dict | None] = {}
+
+    def block(self, addr: int) -> PreparedBlock:
+        pb = self.prepared.get(addr)
+        if pb is None:
+            pb = self.prepared[addr] = prepare_block(self.program.block(addr))
+        return pb
 
 
 @dataclass
@@ -115,6 +284,9 @@ class ExplorationConfig:
 
 
 STOP_ALL = "stop-all"
+
+# The diagnostic of a run that stopped at `max_states`.
+_OUT_OF_STATES = "out of state budget: partial result"
 
 
 class Listener:
@@ -244,10 +416,11 @@ def select_next(frontier: Frontier, rng: random.Random) -> ExecState:
     """Remove and return the next state: an even split between a
     uniform-random choice and the state that most recently grew the global
     coverage set."""
-    if len(frontier) == 1:
+    n = len(frontier.states)
+    if n == 1:
         return frontier.pop_at(0)
     if rng.random() < 0.5:
-        return frontier.pop_at(rng.randrange(len(frontier)))
+        return frontier.pop_at(rng.randrange(n))
     return frontier.pop_latest_cover()
 
 
@@ -267,6 +440,7 @@ class Executor:
             memo = ImageMemo(self.image)
         elif memo.program.image != self.image:
             raise ValueError("the memo is of another image")
+        self.memo = memo
         self.program = memo.program
         # Every query of this exploration goes through this Solver, whose
         # tables are the memo's.
@@ -369,18 +543,15 @@ class Executor:
             child.model = None
         return child
 
-    def _access(self, s: ExecState, st, addr: int, vals: list) -> bool:
-        """One read (Load) or write (Store) at a concrete address, seen
-        by every listener; False when one of them stopped the run, which
-        ends s."""
-        region = st.region
-        if st.__class__ is Load:
-            value = self._read(s, region, addr)
-            vals[st.dst.i] = value
+    def _access(self, s: ExecState, st: tuple, addr: int, vals: list) -> bool:
+        """The Read or Write step st at a concrete address, seen by every
+        listener; False when one of them stopped the run, which ends s."""
+        kind, region, _, k = st
+        if kind is Read:
+            value = vals[k] = self._read(s, region, addr)
             hooks = self._on_load
         else:
-            v = st.src
-            value = vals[v.i] if type(v) is Tmp else v
+            value = vals[k]
             self._write(s, region, addr, value)
             hooks = self._on_store
         stop = False
@@ -397,8 +568,9 @@ class Executor:
         return (len(self.image) if region == Region.CODE
                 else lifter.REGION_SIZE[region])
 
-    def _same_child(self, s: ExecState, st, addr: SymExpr) -> int | None:
-        """The value of a `const` address inside st's region, when s has a
+    def _same_child(self, s: ExecState, region: Region,
+                    addr: SymExpr) -> int | None:
+        """The value of a `const` address inside region, when s has a
         model. A fork there has one child, and it equals s: its pin folds to
         true and the model gives the address that value. So s becomes that
         child in place, with a new sid. None sends the access to
@@ -407,35 +579,111 @@ class Executor:
             return None
         v = addr.args[0]
         deadline = self.config.deadline
-        if v >= self._bound(st.region) or (
+        if v >= self._bound(region) or (
                 deadline is not None and time.monotonic() > deadline):
             return None
         self.states_created += 1
         s.sid = self.states_created
         return v
 
-    def _fork_access(self, s: ExecState, blk, i: int, st, addr: SymExpr,
-                     vals: list) -> list[ExecState]:
-        """Make a symbolic address concrete: one child per feasible value in
-        the region, each constrained to it, accessed and run on to the end
-        of the block. A stop verdict drops the remaining values. Past the
-        deadline, s ends unfinished and the run stops."""
-        deadline = self.config.deadline
-        if deadline is not None and time.monotonic() > deadline:
+    def _fork_access(self, s: ExecState, pb: PreparedBlock, i: int, st: tuple,
+                     addr: SymExpr, vals: list) -> list[ExecState]:
+        """Make the symbolic address of the Read or Write step st concrete:
+        one child per feasible value in the region, each constrained to it,
+        accessed and run on to the end of the block. A listener's stop
+        verdict, at the access or later in the block, drops the remaining
+        values. Past the deadline or the state budget, s ends unfinished and
+        the run stops."""
+        cfg = self.config
+        if cfg.deadline is not None and time.monotonic() > cfg.deadline:
             self.stop_reason = "time-limit"
             self._terminate(s, "unfinished")
             return []
-        what = "load address" if st.__class__ is Load else "store address"
-        choices = self._enumerate(s, addr, self._bound(st.region), what)
+        if self.states_created >= cfg.max_states:
+            if self.stop_reason != "state-limit":
+                self.diagnostics.append(_OUT_OF_STATES)
+            self.stop_reason = "state-limit"
+            self._terminate(s, "unfinished")
+            return []
+        what = "load address" if st[0] is Read else "store address"
+        choices = self._enumerate(s, addr, self._bound(st[1]), what)
         out = []
         for v in choices:
             child = self._pin(s, addr, v, "mem-index")
             nv = list(vals)
             if not self._access(child, st, v, nv):
                 break
-            out.extend(self._exec_from(child, blk, i + 1, nv))
+            out.extend(self._exec_from(child, pb, i + 1, nv))
+            if self.stop_reason == "listener-stop":
+                break
         if not choices:
             self._terminate(s, "mem-index-out-of-region")
+        return out
+
+    def _branch(self, s: ExecState, cond: SymExpr, taken: int,
+                fall: int) -> list[ExecState]:
+        """A CJump on a symbolic condition: each side the path allows goes
+        on, the taken side in a fork. The model of s is evaluated once; a
+        side it satisfies needs no query."""
+        site = s.cur_site
+        neg = solver.bool_not(cond)
+        m = s.model
+        by_model = None if m is None else eval_expr(cond, m) != 0
+        if by_model:
+            t_ok, t_model = True, m
+        else:
+            res = self.solver.query(s.path, (cond,))
+            t_ok, t_model = res.sat, res.model
+        if by_model is False:
+            f_ok, f_model = True, m
+        else:
+            res = self.solver.query(s.path, (neg,))
+            f_ok, f_model = res.sat, res.model
+        if t_ok and f_ok:
+            child = self._fork(s)
+            child.path.append(cond, site, "taken")
+            child.model = t_model
+            child.pc = taken
+            s.path.append(neg, site, "fall")
+            s.model = f_model
+            s.pc = fall
+            return [s, child]
+        if t_ok:
+            s.path.append(cond, site, "taken")
+            s.model = t_model
+            s.pc = taken
+            return [s]
+        if f_ok:
+            s.path.append(neg, site, "fall")
+            s.model = f_model
+            s.pc = fall
+            return [s]
+        self._terminate(s, "infeasible")
+        return []
+
+    def _indirect(self, s: ExecState, target: SymExpr,
+                  reti: bool) -> list[ExecState]:
+        """A jump to a symbolic target: one child per feasible, decodable
+        target in the image."""
+        choices = self._enumerate(s, target, len(self.image), "jump target")
+        out = []
+        for v in choices:
+            try:
+                isa.decode(self.image, v)
+            except isa.IsaError:
+                self.diagnostics.append(
+                    f"indirect target 0x{v:04x} undecodable "
+                    f"(site 0x{s.cur_site:04x})")
+                continue
+            child = self._pin(s, target, v, "indirect-target")
+            if reti:
+                child.active_isr = None
+            child.pc = v
+            out.append(child)
+        if not choices:
+            self._terminate(s, "mem-index-out-of-region")
+        elif not out:
+            self._terminate(s, "indirect-undecodable")
         return out
 
     # -- interrupts --------------------------------------------------------
@@ -491,64 +739,107 @@ class Executor:
 
     # -- block execution ---------------------------------------------------
 
-    def _exec_from(self, s: ExecState, blk, idx: int, vals: list) -> list[ExecState]:
-        """Run statements from idx; returns continuation states (PC advanced).
+    def _exec_from(self, s: ExecState, pb: PreparedBlock, i: int,
+                   vals: list) -> list[ExecState]:
+        """Run pb's steps from i; returns continuation states (PC advanced).
 
-        A Load or Store at a concrete address runs inline, by the rule of
-        `_read`/`_write`, with the listener hooks of `_access`."""
-        stmts = blk.stmts
+        A Read or Write at a concrete address runs inline, by the rule of
+        `_read`/`_write`, and calls its hooks as `_access` does; at a
+        symbolic address it runs in place (`_same_child`) or forks
+        (`_fork_access`). A Reread calls its load hooks only. The kinds are
+        tested in the order of how often they run."""
+        steps = pb.steps
         mem = s.mem
         image = self.image
         lookup = self.policy.lookup
         on_load, on_store = self._on_load, self._on_store
         targets = self.config.targets
-        i = idx
+        mk_memo = self._mk
         while True:
-            st = stmts[i]
-            cls = st.__class__
-            if cls is Assign:
-                resolved = []
-                symbolic = False
-                for a in st.args:
-                    if type(a) is Tmp:
-                        a = vals[a.i]
-                        if type(a) is not int:
-                            symbolic = True
-                    resolved.append(a)
-                if symbolic:
-                    vals[st.dst.i] = self._mk(st.op, tuple(resolved), st.width)
-                else:
-                    vals[st.dst.i] = OPS[st.op]((1 << st.width) - 1,
-                                                resolved)
-            elif cls is Load or cls is Store:
-                a = st.addr
-                addr = vals[a.i] if type(a) is Tmp else a
+            st = steps[i]
+            i += 1
+            cls = st[0]
+            if cls is Site:
+                addr = st[1]
+                s.cur_site = addr
+                if addr in targets and addr not in self.target_hits:
+                    self.target_hits[addr] = TargetHit(
+                        s, self.states_created, len(self.covered))
+                    self._terminate(s, f"target:0x{addr:04x}")
+                    return []
+                continue
+            elif cls is Write:
+                _, region, a, k = st
+                addr = vals[a]
                 if type(addr) is not int:
-                    v = self._same_child(s, st, addr)
+                    v = self._same_child(s, region, addr)
                     if v is None:
-                        return self._fork_access(s, blk, i, st, addr, vals)
+                        return self._fork_access(s, pb, i - 1, st, addr, vals)
                     addr = v
-                region = st.region
-                if cls is Load:
-                    if region == _CODE:
-                        value = image[addr] if addr < len(image) else 0
-                    else:
-                        value = mem[region].get(addr)
-                        if value is None:
-                            value = lookup(region, addr)
-                            if value is None:
-                                value = _RESET.get((region, addr), 0)
-                    vals[st.dst.i] = value
-                    hooks = on_load
+                if region == _CODE:
+                    raise AssertionError("store to CODE")
+                value = vals[k]
+                mem[region][addr] = value
+                if s.active_isr is not None:
+                    s.isr_written.add((region, addr))
+                hooks = on_store
+            elif cls is Compute:
+                _, d, rule, mask, op, width, a, b = st
+                x = vals[a]
+                y = vals[b]
+                if type(x) is int and type(y) is int:
+                    vals[d] = rule(mask, (x, y))
                 else:
-                    if region == _CODE:
-                        raise AssertionError("store to CODE")
-                    src = st.src
-                    value = vals[src.i] if type(src) is Tmp else src
-                    mem[region][addr] = value
-                    if s.active_isr is not None:
-                        s.isr_written.add((region, addr))
-                    hooks = on_store
+                    vals[d] = mk_memo(op, (x, y), width)
+                continue
+            elif cls is Reread:
+                _, region, addr, k = st
+                value = vals[k]
+                hooks = on_load
+            elif cls is Read:
+                _, region, a, d = st
+                addr = vals[a]
+                if type(addr) is not int:
+                    v = self._same_child(s, region, addr)
+                    if v is None:
+                        return self._fork_access(s, pb, i - 1, st, addr, vals)
+                    addr = v
+                if region == _CODE:
+                    value = image[addr] if addr < len(image) else 0
+                else:
+                    value = mem[region].get(addr)
+                    if value is None:
+                        value = lookup(region, addr)
+                        if value is None:
+                            value = _RESET.get((region, addr), 0)
+                vals[d] = value
+                hooks = on_load
+            elif cls is Branch:
+                cond = vals[st[1]]
+                if type(cond) is not int:
+                    return self._branch(s, cond, st[2], st[3])
+                s.pc = st[2] if cond else st[3]
+                return [s]
+            elif cls is Goto:
+                target = vals[st[1]]
+                if type(target) is not int:
+                    return self._indirect(s, target, st[2])
+                if st[2]:
+                    s.active_isr = None
+                s.pc = target & 0xFFFF
+                return [s]
+            elif cls is ComputeN:
+                _, d, rule, mask, op, width, args = st
+                operands = tuple([vals[k] for k in args])
+                for x in operands:
+                    if type(x) is not int:
+                        vals[d] = mk_memo(op, operands, width)
+                        break
+                else:
+                    vals[d] = rule(mask, operands)
+                continue
+            # the hooks of the Read, Write or Reread st
+            if hooks:
                 stop = False
                 for cb in hooks:
                     if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
@@ -557,102 +848,35 @@ class Executor:
                     self.stop_reason = "listener-stop"
                     self._terminate(s, "listener-stop")
                     return []
-            elif cls is Boundary:
-                s.cur_site = st.addr
-                if st.addr in targets and st.addr not in self.target_hits:
-                    self.target_hits[st.addr] = TargetHit(
-                        s, self.states_created, len(self.covered))
-                    self._terminate(s, f"target:0x{st.addr:04x}")
-                    return []
-            elif cls is CJump:
-                c = st.cond
-                cond = vals[c.i] if type(c) is Tmp else c
-                site = s.cur_site
-                if type(cond) is int:
-                    s.pc = st.taken if cond else st.fall
-                    return [s]
-                neg = solver.bool_not(cond)
-                t_ok, t_model = self._feasible(s, cond)
-                f_ok, f_model = self._feasible(s, neg)
-                if t_ok and f_ok:
-                    child = self._fork(s)
-                    child.path.append(cond, site, "taken")
-                    child.model = t_model
-                    child.pc = st.taken
-                    s.path.append(neg, site, "fall")
-                    s.model = f_model
-                    s.pc = st.fall
-                    return [s, child]
-                if t_ok:
-                    s.path.append(cond, site, "taken")
-                    s.model = t_model
-                    s.pc = st.taken
-                    return [s]
-                if f_ok:
-                    s.path.append(neg, site, "fall")
-                    s.model = f_model
-                    s.pc = st.fall
-                    return [s]
-                self._terminate(s, "infeasible")
-                return []
-            elif cls is Jump or cls is RetMark:
-                t = st.target
-                target = vals[t.i] if type(t) is Tmp else t
-                reti = cls is RetMark and st.reti
-                if type(target) is int:
-                    if reti:
-                        s.active_isr = None
-                    s.pc = target & 0xFFFF
-                    return [s]
-                choices = self._enumerate(s, target, len(self.image),
-                                          "jump target")
-                out = []
-                for v in choices:
-                    try:
-                        isa.decode(self.image, v)
-                    except isa.IsaError:
-                        self.diagnostics.append(
-                            f"indirect target 0x{v:04x} undecodable "
-                            f"(site 0x{s.cur_site:04x})")
-                        continue
-                    child = self._pin(s, target, v, "indirect-target")
-                    if reti:
-                        child.active_isr = None
-                    child.pc = v
-                    out.append(child)
-                if not choices:
-                    self._terminate(s, "mem-index-out-of-region")
-                elif not out:
-                    self._terminate(s, "indirect-undecodable")
-                return out
-            i += 1
 
     def _run_block(self, s: ExecState) -> list[ExecState]:
         try:
-            blk = self.program.block(s.pc)
+            pb = self.memo.block(s.pc)
         except isa.IsaError as e:
             self._terminate(s, f"decode-error:{e}")
             return []
-        s.cur_block = blk.addr
-        outs = self._exec_from(s, blk, 0, [None] * blk.n_temps)
+        s.cur_block = pb.addr
+        outs = self._exec_from(s, pb, 0, pb.init[:])
         self.blocks_executed += 1
-        entry = blk.addr
-        new_cover = not self.covered.issuperset(blk.instr_addrs)
+        entry = pb.addr
+        new_cover = not self.covered.issuperset(pb.instr_addrs)
         if new_cover:
-            self.covered.update(blk.instr_addrs)
+            self.covered.update(pb.instr_addrs)
             self.cover_seq += 1
+        threshold = self.config.block_repeat_threshold
         survivors = []
         for o in outs:
-            for k in o.cooldowns:
-                if o.cooldowns[k] > 0:
-                    o.cooldowns[k] -= 1
+            cooldowns = o.cooldowns
+            for k, left in cooldowns.items():
+                if left > 0:
+                    cooldowns[k] = left - 1
             if new_cover:
                 o.last_cover_seq = self.cover_seq
                 o.stale.clear()
             else:
                 n = o.stale.get(entry, 0) + 1
                 o.stale[entry] = n
-                if n > self.config.block_repeat_threshold:
+                if n > threshold:
                     self._terminate(o, "loop-pruned")
                     continue
             survivors.append(o)
@@ -668,28 +892,31 @@ class Executor:
         self.states_created = 1
         frontier = Frontier([s0])
         reason = "complete"
+        cfg = self.config
+        targets, deadline = cfg.targets, cfg.deadline
+        max_states, max_blocks = cfg.max_states, cfg.max_blocks
+        target_hits = self.target_hits
+        rng = self.rng
+        image_end = len(self.image)
         while frontier and not self.stop_reason:
-            if (self.config.targets
-                    and all(t in self.target_hits for t in self.config.targets)):
+            if targets and target_hits.keys() >= targets:
                 reason = "targets-hit"
                 break
-            if self.states_created >= self.config.max_states:
+            if self.states_created >= max_states:
                 reason = "state-limit"
-                self.diagnostics.append("out of state budget: partial result")
+                self.diagnostics.append(_OUT_OF_STATES)
                 break
-            if self.blocks_executed >= self.config.max_blocks:
+            if self.blocks_executed >= max_blocks:
                 reason = "block-limit"
                 break
-            if (self.config.deadline is not None
-                    and time.monotonic() > self.config.deadline):
+            if deadline is not None and time.monotonic() > deadline:
                 reason = "time-limit"
                 break
-            s = select_next(frontier, self.rng)
-            if s.pc >= len(self.image):
+            s = select_next(frontier, rng)
+            if s.pc >= image_end:
                 self._terminate(s, "exit-image")
                 continue
-            survivors = self._run_block(s)
-            for o in survivors:
+            for o in self._run_block(s):
                 for f in self._schedule_interrupts(o):
                     frontier.push(f)
                 frontier.push(o)

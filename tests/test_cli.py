@@ -15,6 +15,7 @@ from usbvet.lifter import Region
 
 from static_facts import static_facts
 from test_report_bytes import VARIANTS
+from test_symexec import Accesses
 
 
 def write_fixture(tmp_path, template, **spec_kw):
@@ -464,6 +465,62 @@ def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
     assert len(report.symbolic_set["iterations"]) > 1
     assert report.query1 is not None and report.query2 is not None
     assert lifted and len(lifted) == len(set(lifted))
+
+
+def _hooked_analysis(monkeypatch, path, spec, forward):
+    """The report, every hook call (as `Accesses` records it) and the result
+    of every exploration of a `--query both` analysis (discovery, Query 1,
+    Query 2), and the address and number of reloads of each block the
+    analysis prepared. With `forward` False, `symexec.forward_loads` is the
+    identity."""
+    rec, runs, prepared = Accesses(), [], []
+    real_execute, real_prepare = symexec.execute, symexec.prepare_block
+
+    def recording(image, policy, config, listeners=(), **kw):
+        res = real_execute(image, policy, config, [*listeners, rec], **kw)
+        runs.append((res.states_created, res.blocks_executed, res.reason,
+                     sorted(res.coverage), res.diagnostics,
+                     res.solver.diagnostics,
+                     [(s.sid, s.pc, s.terminated, s.path.entries, s.model,
+                       s.mem, s.isr_written) for s in res.ended],
+                     {t: (h.state.sid, h.states_created, h.coverage)
+                      for t, h in res.target_hits.items()}))
+        return res
+
+    def counting(blk):
+        pb = real_prepare(blk)
+        prepared.append((blk.addr, sum(st[0] is symexec.Reread
+                                       for st in pb.steps)))
+        return pb
+
+    monkeypatch.setattr(queries, "execute", recording)
+    monkeypatch.setattr(symexec, "prepare_block", counting)
+    if not forward:
+        monkeypatch.setattr(symexec, "forward_loads", lambda stmts: stmts)
+    report, _ = run_pipeline(small_config(
+        path, query="both",
+        preconditions=[f"XRAM:0x{spec.setup_base + 1:04x}:==:6"]))
+    monkeypatch.undo()
+    return report.to_json(), rec.seen, runs, prepared
+
+
+@pytest.mark.parametrize("name", sorted(SHARING_SPECS))
+def test_forwarded_loads_change_no_hook_call(name, tmp_path, monkeypatch):
+    spec = SHARING_SPECS[name]
+    image, _ = fwkit.generate_fixture(spec)
+    path = tmp_path / f"{name}.bin"
+    path.write_bytes(image)
+    forwarded = _hooked_analysis(monkeypatch, str(path), spec, True)
+    plain = _hooked_analysis(monkeypatch, str(path), spec, False)
+    assert forwarded[:3] == plain[:3]
+    report = json.loads(forwarded[0])
+    assert report["query1"] is not None and report["query2"] is not None
+    assert len(forwarded[2]) > 2  # discovery ran, then both queries
+    # each block is prepared once per analysis; only forwarding reloads
+    blocks = [addr for addr, _ in forwarded[3]]
+    assert blocks and len(blocks) == len(set(blocks))
+    assert sum(n for _, n in forwarded[3]) > 0
+    assert sum(n for _, n in plain[3]) == 0
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):

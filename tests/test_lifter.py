@@ -93,7 +93,7 @@ def test_ir_statement_set_is_closed():
         kinds.update(type(s).__name__ for s in blk.stmts)
     assert kinds == {"Boundary", "Assign", "Load", "Store", "CJump", "Jump",
                      "RetMark"}
-    for consumer in (symexec.Executor._exec_from, lifter.run_lifted,
+    for consumer in (symexec.prepare_block, lifter.run_lifted,
                      lifter.format_block):
         assert kinds <= _branched_on(consumer), consumer.__name__
     # the static pass reads one instruction's statements at a time
@@ -103,6 +103,20 @@ def test_ir_statement_set_is_closed():
             ins = isa.decode(bytes([op, 0x10, 0x02]), 0)
             one.update(type(s).__name__ for s in lifter.lift_instruction(ins))
     assert one <= _branched_on(usbstatic._summarize)
+
+
+def test_prepared_step_set_is_closed():
+    # Every step kind a prepared block holds, at every legal opcode, has a
+    # branch in the executor's step loop.
+    kinds = set()
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        blk = lifter.lift_block(bytes([op, 0x10, 0x02, 0x80, 0xFE]), 0)
+        kinds.update(st[0].__name__ for st in symexec.prepare_block(blk).steps)
+    assert kinds == {"Site", "Compute", "ComputeN", "Read", "Write", "Reread",
+                     "Branch", "Goto"}
+    assert kinds <= _branched_on(symexec.Executor._exec_from)
 
 
 def test_pretty_printer_stable():

@@ -335,6 +335,26 @@ def test_path_condition_only_grows():
     assert len(pc) == 2
 
 
+def test_path_condition_hands_each_distinct_constraint_once():
+    x = var("x", 8)
+    lt, ne = mk("ult", (x, 9), 1), mk("ne", (x, 3), 1)
+    pc = PathCondition()
+    for site, e in enumerate((lt, ne, lt, mk("ult", (x, 9), 1), ne)):
+        pc.append(e, site, "taken")
+    pc.append(const(1, 1), 9, "true")  # constant-true is never kept
+    # every appended constraint keeps its row; the solver sees each once,
+    # in first-seen order
+    assert [site for _, site, _ in pc.entries] == [0, 1, 2, 3, 4]
+    assert pc.exprs() == [lt, ne]
+    child = pc.copy()
+    eq = mk("eq", (x, 7), 1)
+    child.append(eq, 5, "fall")
+    child.append(lt, 6, "taken")
+    assert child.exprs() == [lt, ne, eq] and len(child) == 7
+    assert pc.exprs() == [lt, ne] and len(pc) == 5
+    assert Solver().model(child) == {"x": 7}
+
+
 def test_structural_equality_and_hash():
     a = mk("add", (var("x", 8), 3), 8)
     b = mk("add", (var("x", 8), 3), 8)

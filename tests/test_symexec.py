@@ -950,3 +950,214 @@ def test_constant_jump_target_pins_one_child_without_a_query(monkeypatch):
     assert fast == queried
     assert fast_checks == 0 and queried_checks > 0
     assert fast[0] == 2
+
+
+def test_stop_after_the_fork_drops_the_remaining_siblings():
+    # The fan-out's first child stops the run at a later load of the block:
+    # no sibling is forked after it, and one state ends listener-stop.
+    seen = []
+
+    class StopAtIram10(Listener):
+        def on_load(self, site, state, region, addr, value):
+            if region == Region.IRAM and addr == 0x10:
+                seen.append(state.sid)
+                return symexec.STOP_ALL
+            return None
+
+    t0, t1, t2 = lifter.Tmp(0), lifter.Tmp(1), lifter.Tmp(2)
+    res = _run_hand_block([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "and", (t0, 0x03), 8),
+        lifter.Store(Region.XRAM, t1, 0x55),
+        lifter.Load(t2, Region.IRAM, 0x10),
+        lifter.Jump(1),
+    ], 3, listeners=[StopAtIram10()])
+    assert res.reason == "listener-stop"
+    assert res.states_created == 2
+    assert seen == [2]
+    assert [(s.sid, s.terminated) for s in res.ended] == [(2, "listener-stop")]
+
+
+def _limited_hand_run(stmts, n_temps, max_states):
+    ex = symexec.Executor(b"\x00", xram_policy(0x7F00),
+                          ExplorationConfig(seed=1, max_blocks=1,
+                                            max_states=max_states),
+                          isr_map={})
+    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
+    return ex.run()
+
+
+def test_state_limit_stops_fan_out_inside_one_block():
+    # The constant address runs in place and takes the last state of the
+    # budget, so the fan-out at the symbolic store starts at the limit: the
+    # state ends unfinished and the run stops at the state limit.
+    t0, t1, t2, t3 = (lifter.Tmp(i) for i in range(4))
+    res = _limited_hand_run([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "and", (t0, 0x00), 8),
+        lifter.Assign(t2, "or", (t1, 0x42), 16),
+        lifter.Store(Region.XRAM, t2, 0x11),
+        lifter.Assign(t3, "and", (t0, 0x03), 8),
+        lifter.Store(Region.XRAM, t3, 0x55),
+        lifter.Jump(1),
+    ], 4, max_states=2)
+    assert res.reason == "state-limit"
+    assert res.states_created == 2
+    assert [s.terminated for s in res.ended] == ["unfinished"]
+    assert res.diagnostics == ["out of state budget: partial result"]
+
+
+def test_state_limit_inside_one_block_ends_each_child_once():
+    # The first fan-out starts below the limit and forks its four children;
+    # each of them ends unfinished at the second fan-out, with one
+    # diagnostic for the run.
+    t0, t1 = lifter.Tmp(0), lifter.Tmp(1)
+    res = _limited_hand_run([
+        lifter.Boundary(0, 1),
+        lifter.Load(t0, Region.XRAM, 0x7F00),
+        lifter.Assign(t1, "and", (t0, 0x03), 8),
+        lifter.Store(Region.XRAM, t1, 0x55),
+        lifter.Store(Region.XRAM, t1, 0x66),
+        lifter.Jump(1),
+    ], 2, max_states=2)
+    assert res.reason == "state-limit"
+    assert res.states_created == 5
+    assert [s.terminated for s in res.ended] == ["unfinished"] * 4
+    assert res.diagnostics == ["out of state budget: partial result"]
+
+
+def _prepared(stmts, n_temps):
+    return symexec.prepare_block(lifter.IRBlock(0, stmts, n_temps, [0]))
+
+
+def _kinds(pb):
+    return [st[0].__name__ for st in pb.steps]
+
+
+class Accesses(Listener):
+    """Every hook call, as (kind, sid, site, region, addr, value)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_load(self, site, state, region, addr, value):
+        self.seen.append(("load", state.sid, site, region, addr, value))
+
+    def on_store(self, site, state, region, addr, value):
+        self.seen.append(("store", state.sid, site, region, addr, value))
+
+
+def _forwarded_and_not(stmts, n_temps, monkeypatch):
+    """The hook calls and ended states of the hand block, run with its loads
+    forwarded and with `forward_loads` the identity."""
+    runs = []
+    for forward in (True, False):
+        if not forward:
+            monkeypatch.setattr(symexec, "forward_loads", lambda stmts: stmts)
+        rec = Accesses()
+        res = _run_hand_block(stmts, n_temps, fanout=4, listeners=[rec])
+        runs.append((rec.seen, res.states_created, res.reason,
+                     [(s.sid, s.pc, s.terminated, s.path.entries,
+                       s.mem[Region.IRAM], s.mem[Region.XRAM])
+                      for s in res.ended]))
+    return runs
+
+
+def test_reload_after_a_load_runs_its_hooks_only(monkeypatch):
+    t = [lifter.Tmp(i) for i in range(3)]
+    stmts = [
+        lifter.Boundary(0, 1),
+        lifter.Load(t[0], Region.XRAM, 0x7F00),
+        lifter.Load(t[1], Region.XRAM, 0x7F00),
+        lifter.Assign(t[2], "add", (t[1], 1), 8),
+        lifter.Store(Region.XRAM, 0x10, t[2]),
+        lifter.Jump(1),
+    ]
+    pb = _prepared(stmts, 3)
+    assert _kinds(pb) == ["Site", "Read", "Reread", "Compute", "Write",
+                          "Goto"]
+    # the reload reads the first load's slot
+    assert pb.steps[2][3] == pb.steps[1][3]
+    forwarded, plain = _forwarded_and_not(stmts, 3, monkeypatch)
+    assert forwarded == plain
+    var = symexec.SymbolicPolicy.var_name(Region.XRAM, 0x7F00)
+    assert [(k, r, a, solver.to_text(v)) for k, _, _, r, a, v
+            in forwarded[0]] == [("load", Region.XRAM, 0x7F00, var),
+                                 ("load", Region.XRAM, 0x7F00, var),
+                                 ("store", Region.XRAM, 0x10,
+                                  f"({var} + 1)")]
+
+
+def test_reload_after_a_constant_store_folds_its_uses(monkeypatch):
+    t = [lifter.Tmp(i) for i in range(2)]
+    stmts = [
+        lifter.Boundary(0, 1),
+        lifter.Store(Region.IRAM, 0x30, 0x42),
+        lifter.Load(t[0], Region.IRAM, 0x30),
+        lifter.Assign(t[1], "add", (t[0], 1), 8),
+        lifter.Store(Region.XRAM, 0x10, t[1]),
+        lifter.Jump(1),
+    ]
+    pb = _prepared(stmts, 2)
+    # the add over the stored constant is folded away
+    assert _kinds(pb) == ["Site", "Write", "Reread", "Write", "Goto"]
+    forwarded, plain = _forwarded_and_not(stmts, 2, monkeypatch)
+    assert forwarded == plain
+    assert [(k, r, a, v) for k, _, _, r, a, v in forwarded[0]] == [
+        ("store", Region.IRAM, 0x30, 0x42), ("load", Region.IRAM, 0x30, 0x42),
+        ("store", Region.XRAM, 0x10, 0x43)]
+
+
+def test_no_reload_across_a_store_to_a_computed_address(monkeypatch):
+    # The store's address is symbolic and may be 0x30, so the second load of
+    # IRAM 0x30 reads memory; a store to a constant SFR leaves that alone.
+    t = [lifter.Tmp(i) for i in range(6)]
+    stmts = [
+        lifter.Boundary(0, 1),
+        lifter.Load(t[0], Region.IRAM, 0x30),
+        lifter.Load(t[1], Region.SFR, machine.ACC),
+        lifter.Load(t[2], Region.XRAM, 0x7F00),
+        lifter.Assign(t[3], "or", (t[2], 0x30), 8),
+        lifter.Store(Region.IRAM, t[3], 0x77),
+        lifter.Load(t[4], Region.IRAM, 0x30),
+        lifter.Load(t[5], Region.SFR, machine.ACC),
+        lifter.Jump(1),
+    ]
+    pb = _prepared(stmts, 6)
+    assert _kinds(pb) == ["Site", "Read", "Read", "Read", "Compute", "Write",
+                          "Read", "Reread", "Goto"]
+    forwarded, plain = _forwarded_and_not(stmts, 6, monkeypatch)
+    assert forwarded == plain
+    # each of the four children (sids 2-5) stores to 0x30-0x33; only the
+    # one whose store hit 0x30 reads the stored byte back
+    assert [(k, sid, a, v) for k, sid, _, r, a, v in forwarded[0]
+            if r == Region.IRAM] == [
+        ("load", 0, 0x30, 0),
+        ("store", 2, 0x30, 0x77), ("load", 2, 0x30, 0x77),
+        ("store", 3, 0x31, 0x77), ("load", 3, 0x30, 0),
+        ("store", 4, 0x32, 0x77), ("load", 4, 0x30, 0),
+        ("store", 5, 0x33, 0x77), ("load", 5, 0x30, 0)]
+
+
+def test_same_operator_over_the_same_slots_is_computed_once(monkeypatch):
+    t = [lifter.Tmp(i) for i in range(5)]
+    stmts = [
+        lifter.Boundary(0, 1),
+        lifter.Load(t[0], Region.XRAM, 0x7F00),
+        lifter.Assign(t[1], "and", (t[0], 0x0F), 8),
+        lifter.Assign(t[2], "and", (t[0], 0x0F), 8),
+        lifter.Assign(t[3], "and", (t[0], 0x0F), 16),
+        lifter.Assign(t[4], "xor", (t[1], t[2]), 8),
+        lifter.Store(Region.XRAM, 0x10, t[4]),
+        lifter.Store(Region.XRAM, 0x11, t[3]),
+        lifter.Jump(1),
+    ]
+    pb = _prepared(stmts, 5)
+    computes = [st for st in pb.steps if st[0] is symexec.Compute]
+    # t2 is t1; the 16-bit and is its own value; the xor reads one slot twice
+    assert len(computes) == 3
+    assert computes[2][6] == computes[2][7] == computes[0][1]
+    forwarded, plain = _forwarded_and_not(stmts, 5, monkeypatch)
+    assert forwarded == plain
