@@ -106,10 +106,12 @@ def parse_precondition(text: str) -> queries.Precondition:
         addr, value = int(addr_s, 0), int(val_s, 0)
     except ValueError as e:
         raise ConfigInvalid(f"precondition {text!r}: {e}") from None
+    # a direct address below 0x80 is IRAM, so SFRs start at 0x80
+    low = 0x80 if region == "SFR" else 0
     size = REGION_SIZE[Region[region]]
-    if not 0 <= addr < size:
+    if not low <= addr < size:
         raise ConfigInvalid(f"precondition address {addr_s} outside {region} "
-                            f"(0-0x{size - 1:x})")
+                            f"({hex(low) if low else 0}-0x{size - 1:x})")
     top = 7 if rel in ("bit-set", "bit-clear") else 0xFF
     if not 0 <= value <= top:
         raise ConfigInvalid(f"precondition value {val_s} outside 0-{top} "

@@ -103,7 +103,10 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                             ) -> SymbolicLocationSet:
     """Up to tau runs per ISR, each restricted to that single interrupt
     source; every run either grows the symbolic set by one location and
-    restarts cold, or proves the handler free of fresh environment reads."""
+    restarts cold, or finds none and ends that handler's discovery, since a
+    rerun would be identical. Such a run proves the handler free of fresh
+    environment reads only if it explored everything: its
+    `IterationRecord.reason` says whether it was `complete`."""
     base = config or ExplorationConfig()
     isrs = machine.discover_isrs(image)
     locations: set = set()
@@ -132,7 +135,9 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                                            reason))
             else:
                 log.append(IterationRecord(source, it, None, dt, reason))
-                break  # fixpoint for this handler; later runs are identical
+                # no find: a rerun would be identical, so this handler's
+                # discovery ends (complete only if reason says so)
+                break
     return SymbolicLocationSet(locations, log)
 
 

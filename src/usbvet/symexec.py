@@ -7,11 +7,13 @@ are resolved by solver-bounded enumeration (forking one state per feasible
 concrete value, up to a configurable fanout).
 
 A byte reads its last write, else the policy's variable, else its reset
-value. `Executor._read` and `Executor._write` apply that rule for interrupt
-entry and for an access whose address was forked; a load or store at a
-concrete address applies it inline in `_exec_from`, the hot loop. The
-policy makes a byte's variable at its first read, so a whole symbolic
-region (`--policy full`) costs only the bytes a run reads.
+value. Every load and store of a block applies that rule inline in
+`_exec_from`, the hot loop, and calls its hooks there; a forked access
+re-enters that loop at the access with its address pinned. `Executor._read`
+and `Executor._write` apply the rule only for interrupt entry (IE, SP and
+the return-address push). The policy makes a byte's variable at its first
+read, so a whole symbolic region (`--policy full`) costs only the bytes a
+run reads.
 
 Each state carries a model of its path: an assignment that satisfies it,
 `{}` for the empty path, or None when unknown (after a solver timeout, or
@@ -285,9 +287,6 @@ class ExplorationConfig:
 
 STOP_ALL = "stop-all"
 
-# The diagnostic of a run that stopped at `max_states`.
-_OUT_OF_STATES = "out of state budget: partial result"
-
 
 class Listener:
     """Hooks on every load and store at a concrete address. Returning
@@ -464,10 +463,6 @@ class Executor:
     # -- state memory ------------------------------------------------------
 
     def _read(self, s: ExecState, region: Region, addr: int):
-        if region == Region.CODE:
-            # Harvard space, read-only image; mirror the interpreter's
-            # read-zero past the end
-            return self.image[addr] if addr < len(self.image) else 0
         v = s.mem[region].get(addr)
         if v is None:
             v = self.policy.lookup(region, addr)
@@ -477,8 +472,6 @@ class Executor:
 
     @staticmethod
     def _write(s: ExecState, region: Region, addr: int, value):
-        if region == Region.CODE:
-            raise AssertionError("store to CODE")
         s.mem[region][addr] = value
         if s.active_isr is not None:
             s.isr_written.add((region, addr))
@@ -543,77 +536,62 @@ class Executor:
             child.model = None
         return child
 
-    def _access(self, s: ExecState, st: tuple, addr: int, vals: list) -> bool:
-        """The Read or Write step st at a concrete address, seen by every
-        listener; False when one of them stopped the run, which ends s."""
-        kind, region, _, k = st
-        if kind is Read:
-            value = vals[k] = self._read(s, region, addr)
-            hooks = self._on_load
-        else:
-            value = vals[k]
-            self._write(s, region, addr, value)
-            hooks = self._on_store
-        stop = False
-        for cb in hooks:
-            if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
-                stop = True
-        if stop:
-            self.stop_reason = "listener-stop"
-            self._terminate(s, "listener-stop")
-        return not stop
-
     def _bound(self, region: Region) -> int:
         """One past the last address of region."""
         return (len(self.image) if region == Region.CODE
                 else lifter.REGION_SIZE[region])
+
+    def _out_of_budget(self) -> bool:
+        """Whether the run has used its states or passed its deadline. If
+        so, `stop_reason` says which, and the state limit's diagnostic is
+        added once per run."""
+        cfg = self.config
+        if self.states_created >= cfg.max_states:
+            if self.stop_reason != "state-limit":
+                self.diagnostics.append("out of state budget: partial result")
+            self.stop_reason = "state-limit"
+            return True
+        if cfg.deadline is not None and time.monotonic() > cfg.deadline:
+            self.stop_reason = "time-limit"
+            return True
+        return False
 
     def _same_child(self, s: ExecState, region: Region,
                     addr: SymExpr) -> int | None:
         """The value of a `const` address inside region, when s has a
         model. A fork there has one child, and it equals s: its pin folds to
         true and the model gives the address that value. So s becomes that
-        child in place, with a new sid. None sends the access to
-        `_fork_access`: no model, out of the region, or past the deadline."""
+        child in place, with a new sid, and the access is a concrete one: a
+        budget stops the run at its next fork or block. None sends the
+        access to `_fork_access`: no model, or out of the region."""
         if addr.op != "const" or s.model is None:
             return None
         v = addr.args[0]
-        deadline = self.config.deadline
-        if v >= self._bound(region) or (
-                deadline is not None and time.monotonic() > deadline):
+        if v >= self._bound(region):
             return None
         self.states_created += 1
         s.sid = self.states_created
         return v
 
-    def _fork_access(self, s: ExecState, pb: PreparedBlock, i: int, st: tuple,
+    def _fork_access(self, s: ExecState, pb: PreparedBlock, i: int,
                      addr: SymExpr, vals: list) -> list[ExecState]:
-        """Make the symbolic address of the Read or Write step st concrete:
-        one child per feasible value in the region, each constrained to it,
-        accessed and run on to the end of the block. A listener's stop
-        verdict, at the access or later in the block, drops the remaining
-        values. Past the deadline or the state budget, s ends unfinished and
-        the run stops."""
-        cfg = self.config
-        if cfg.deadline is not None and time.monotonic() > cfg.deadline:
-            self.stop_reason = "time-limit"
+        """Make the symbolic address of pb's Read or Write step i concrete:
+        one child per feasible value in the region, each constrained to it
+        and run by `_exec_from` from step i with that value as the address,
+        so the access and its hooks happen there. A listener's stop verdict,
+        at the access or later in the block, drops the remaining values.
+        Out of budget (`_out_of_budget`), s ends unfinished; a fan-out
+        already under way still runs each value it enumerated."""
+        if self._out_of_budget():
             self._terminate(s, "unfinished")
             return []
-        if self.states_created >= cfg.max_states:
-            if self.stop_reason != "state-limit":
-                self.diagnostics.append(_OUT_OF_STATES)
-            self.stop_reason = "state-limit"
-            self._terminate(s, "unfinished")
-            return []
-        what = "load address" if st[0] is Read else "store address"
-        choices = self._enumerate(s, addr, self._bound(st[1]), what)
+        kind, region = pb.steps[i][:2]
+        what = "load address" if kind is Read else "store address"
+        choices = self._enumerate(s, addr, self._bound(region), what)
         out = []
         for v in choices:
             child = self._pin(s, addr, v, "mem-index")
-            nv = list(vals)
-            if not self._access(child, st, v, nv):
-                break
-            out.extend(self._exec_from(child, pb, i + 1, nv))
+            out.extend(self._exec_from(child, pb, i, list(vals), v))
             if self.stop_reason == "listener-stop":
                 break
         if not choices:
@@ -740,14 +718,14 @@ class Executor:
     # -- block execution ---------------------------------------------------
 
     def _exec_from(self, s: ExecState, pb: PreparedBlock, i: int,
-                   vals: list) -> list[ExecState]:
+                   vals: list, at: int | None = None) -> list[ExecState]:
         """Run pb's steps from i; returns continuation states (PC advanced).
 
-        A Read or Write at a concrete address runs inline, by the rule of
-        `_read`/`_write`, and calls its hooks as `_access` does; at a
-        symbolic address it runs in place (`_same_child`) or forks
-        (`_fork_access`). A Reread calls its load hooks only. The kinds are
-        tested in the order of how often they run."""
+        Every Read and Write runs here, and calls its hooks here. One at a
+        symbolic address takes `at` when it is the step i that a fork
+        started from (`_fork_access` enumerated that value), else runs in
+        place (`_same_child`), else forks. A Reread calls its load hooks
+        only. The kinds are tested in the order of how often they run."""
         steps = pb.steps
         mem = s.mem
         image = self.image
@@ -772,10 +750,11 @@ class Executor:
                 _, region, a, k = st
                 addr = vals[a]
                 if type(addr) is not int:
-                    v = self._same_child(s, region, addr)
+                    v = at if at is not None else self._same_child(
+                        s, region, addr)
                     if v is None:
-                        return self._fork_access(s, pb, i - 1, st, addr, vals)
-                    addr = v
+                        return self._fork_access(s, pb, i - 1, addr, vals)
+                    addr, at = v, None
                 if region == _CODE:
                     raise AssertionError("store to CODE")
                 value = vals[k]
@@ -800,10 +779,11 @@ class Executor:
                 _, region, a, d = st
                 addr = vals[a]
                 if type(addr) is not int:
-                    v = self._same_child(s, region, addr)
+                    v = at if at is not None else self._same_child(
+                        s, region, addr)
                     if v is None:
-                        return self._fork_access(s, pb, i - 1, st, addr, vals)
-                    addr = v
+                        return self._fork_access(s, pb, i - 1, addr, vals)
+                    addr, at = v, None
                 if region == _CODE:
                     value = image[addr] if addr < len(image) else 0
                 else:
@@ -893,8 +873,7 @@ class Executor:
         frontier = Frontier([s0])
         reason = "complete"
         cfg = self.config
-        targets, deadline = cfg.targets, cfg.deadline
-        max_states, max_blocks = cfg.max_states, cfg.max_blocks
+        targets, max_blocks = cfg.targets, cfg.max_blocks
         target_hits = self.target_hits
         rng = self.rng
         image_end = len(self.image)
@@ -902,15 +881,10 @@ class Executor:
             if targets and target_hits.keys() >= targets:
                 reason = "targets-hit"
                 break
-            if self.states_created >= max_states:
-                reason = "state-limit"
-                self.diagnostics.append(_OUT_OF_STATES)
+            if self._out_of_budget():
                 break
             if self.blocks_executed >= max_blocks:
                 reason = "block-limit"
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                reason = "time-limit"
                 break
             s = select_next(frontier, rng)
             if s.pc >= image_end:

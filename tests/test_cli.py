@@ -566,6 +566,7 @@ def test_time_limit_is_one_budget_for_the_whole_analysis(tmp_path,
     ("XRAM:0x10000:==:6", "address 0x10000 outside XRAM"),
     ("IRAM:0x100:==:6", "address 0x100 outside IRAM"),
     ("SFR:-1:==:6", "address -1 outside SFR"),
+    ("SFR:0x10:==:6", "address 0x10 outside SFR"),
 ])
 def test_main_bad_precondition_exit_code(tmp_path, capsys, monkeypatch,
                                          precondition, message):

@@ -3,7 +3,10 @@ private name that nothing uses. No linter is a dependency, and deleting code
 tends to leave orphan imports and helpers behind, so this reads each module
 with ``ast``: every name an import statement binds must appear as a name
 somewhere else in that module, and every module-level ``_name`` must be read
-somewhere in the package, as a name or as an attribute (``isa._SPEC_BYTES``)."""
+somewhere in the package, as a name or as an attribute (``isa._SPEC_BYTES``).
+Every module-level public function and class must also be read outside
+``tests/``, in the package, ``bench/`` or ``demos/``: a helper that only
+tests call is deleted, not kept for them."""
 
 import ast
 import pathlib
@@ -11,6 +14,15 @@ import pathlib
 import usbvet
 
 SRC = pathlib.Path(usbvet.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Public names that only tests read, each with why it stays.
+TEST_ONLY = {
+    "usbstatic: find_xrefs": "the reference XREF rule that test_usbstatic "
+                             "compares scan_with_xrefs against",
+    "fwkit: assemble": "the one-line image-only assembler that test_fwkit "
+                       "calls; the package uses assemble_with_symbols",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +40,17 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}"
             for line, name in sorted((ln, n) for n, ln in bound.items())
             if name not in used]
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name tree reads, as a name or as an attribute."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
 
 
 def orphan_private_names(sources: dict[str, str]) -> list[str]:
@@ -49,14 +72,47 @@ def orphan_private_names(sources: dict[str, str]) -> list[str]:
                 names = []
             defined += [(module, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                            ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(tree)
     return [f"{module}: {name}" for module, name in defined
             if name not in read]
+
+
+def public_names_read_only_by_tests(package: dict[str, str],
+                                    outside: list[str]) -> list[str]:
+    """`module: name` for each module-level public function or class of
+    `package` (module name -> source text) that no source of the package or
+    of `outside` reads: as a name, as an attribute, or as a string equal to
+    it (the name a `getattr` table gives)."""
+    read: set[str] = set()
+    for source in [*package.values(), *outside]:
+        tree = ast.parse(source)
+        read |= names_read(tree)
+        read.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str))
+    return [f"{module}: {node.name}"
+            for module, source in sorted(package.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_public_names_read_only_by_tests_are_found():
+    package = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\n"
+                    "def h(): return g\nX = 1\ndef _p(): pass\n",
+               "b": "class D: pass\n"}
+    outside = ["from usbvet import a\nprint(a.C)\n",
+               "TABLE = [(b, 'D')]\n"]
+    assert public_names_read_only_by_tests(package, outside) == ["a: f",
+                                                                 "a: h"]
+
+
+def test_every_public_name_is_read_outside_tests():
+    package = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    outside = [path.read_text() for folder in ("bench", "demos")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    assert public_names_read_only_by_tests(package, outside) == sorted(
+        TEST_ONLY)
 
 
 def test_orphan_private_names_are_found():

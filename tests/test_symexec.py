@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -222,6 +223,52 @@ def test_state_model_satisfies_path_on_differential():
         _, mismatches = _symbolic_differential(seed, 150, [check])
         assert mismatches == 0
     assert check.checked > 1000
+
+
+# sha256 of every hook call, ended state and exploration outcome of the
+# symbolic differential's sequences (seeds 1-3); see the test below
+FORKED_ACCESS_DIGEST = (
+    "8b97bc5c3946844b31089eddca10c886e003c88fb1afec18384813370dc08971")
+
+
+def test_forked_accesses_pinned(monkeypatch):
+    # The differential's symbolic IRAM/XRAM bytes and DPL/DPH make many
+    # symbolic addresses, each forked by `_fork_access`; no fixture analysis
+    # forks one. What every listener sees, how every state ends and how
+    # every exploration stops are pinned.
+    rows, forks = [], [0]
+    real_run, real_fork = symexec.Executor.run, symexec.Executor._fork_access
+
+    class Record(Listener):
+        def on_load(self, site, state, region, addr, value):
+            rows.append(("load", state.sid, site, int(region), addr,
+                         solver.to_text(value)))
+
+        def on_store(self, site, state, region, addr, value):
+            rows.append(("store", state.sid, site, int(region), addr,
+                         solver.to_text(value)))
+
+    def run(ex):
+        res = real_run(ex)
+        rows.extend(("ended", s.sid, s.pc, s.terminated,
+                     [(solver.to_text(e), site, note)
+                      for e, site, note in s.path.entries])
+                    for s in res.ended)
+        rows.append(("run", res.states_created, res.reason,
+                     res.diagnostics))
+        return res
+
+    def fork_access(ex, *args):
+        forks[0] += 1
+        return real_fork(ex, *args)
+
+    monkeypatch.setattr(symexec.Executor, "run", run)
+    monkeypatch.setattr(symexec.Executor, "_fork_access", fork_access)
+    for seed in (1, 2, 3):
+        _symbolic_differential(seed, 150, [Record()])
+    assert forks[0] == 560
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == FORKED_ACCESS_DIGEST
 
 
 @pytest.mark.parametrize("template", ["benign-hid", "injector-hid",
