@@ -273,6 +273,13 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
             "mass-storage evidence uses the bulk-only CBW tag signature "
             "as a stand-in for class-specific descriptor data")
 
+    # Precondition satisfiability needs no policy: every policy names a
+    # byte's variable by region and address. So it is checked before
+    # discovery; whether each byte is symbolic is checked by Query 1.
+    run_query1 = config.query in ("identity", "both") and bool(targets)
+    if run_query1:
+        queries.check_preconditions(preconditions, base_cfg)
+
     # 3. every exploration of this analysis shares one memo of the image's
     # pure work: its lifted blocks and the solver's tables. It is dropped
     # when the analysis returns.
@@ -301,7 +308,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     # 3b. Query 1 (identity reachability)
     q1 = None
     q1_dict = None
-    if config.query in ("identity", "both") and targets:
+    if run_query1:
         q1 = queries.query1(image, sorted(targets), policy,
                             preconditions=preconditions, config=base_cfg,
                             memo=memo)

@@ -301,11 +301,6 @@ def assemble_with_symbols(source: str) -> tuple[bytes, dict[str, int]]:
     return asm.encode(program), program.symbols
 
 
-def assemble(source: str) -> bytes:
-    """Assemble source text into a flat image."""
-    return assemble_with_symbols(source)[0]
-
-
 # ---------------------------------------------------------------------------
 # Fixture generation
 # ---------------------------------------------------------------------------

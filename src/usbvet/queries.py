@@ -164,11 +164,18 @@ class UnsatisfiablePreconditions(PreconditionError):
     pass
 
 
-def _precondition_exprs(preconditions, policy: SymbolicPolicy):
+def _precondition_exprs(preconditions, policy: SymbolicPolicy | None = None):
+    """Each precondition's constraint, with its note. A byte's variable is
+    the policy's, and a byte the policy does not cover is an error. Without
+    a policy, it is the variable every policy gives that byte: the one named
+    by region and address (`SymbolicPolicy.var_name`)."""
     out = []
     for p in preconditions:
         region = _as_region(p.region)
-        v = policy.lookup(region, p.addr)
+        if policy is None:
+            v = solver.var(SymbolicPolicy.var_name(region, p.addr), 8)
+        else:
+            v = policy.lookup(region, p.addr)
         if v is None:
             raise PreconditionError(
                 f"{Region(region).name}[0x{p.addr:04x}] is not designated "
@@ -191,6 +198,19 @@ def _precondition_exprs(preconditions, policy: SymbolicPolicy):
                 f"{p.relation} {p.value}")
         out.append((e, note))
     return out
+
+
+def check_preconditions(preconditions, config: ExplorationConfig,
+                        policy: SymbolicPolicy | None = None):
+    """The preconditions' constraints (`_precondition_exprs`), or
+    UnsatisfiablePreconditions when their conjunction has no solution. A
+    solver timeout counts as satisfiable."""
+    init = _precondition_exprs(preconditions, policy)
+    if init and not solver.check([e for e, _ in init], config.solver_timeout,
+                                 deadline=config.deadline).sat:
+        raise UnsatisfiablePreconditions(
+            "unsatisfiable: " + "; ".join(note for _, note in init))
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +272,7 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
         raise ValueError("query1 requires at least one target instruction")
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
-    init = _precondition_exprs(preconditions, policy) if preconditions else []
-    if init and not solver.check([e for e, _ in init], cfg.solver_timeout,
-                                 deadline=cfg.deadline).sat:
-        raise UnsatisfiablePreconditions(
-            "unsatisfiable: " + "; ".join(note for _, note in init))
+    init = check_preconditions(preconditions, cfg, policy)
     res = execute(image, policy, cfg, initial_constraints=init, memo=memo)
     out: dict[int, Query1Target] = {}
     for t in sorted(targets):

@@ -346,6 +346,10 @@ class PathCondition:
         """The distinct constraints, in the order first appended."""
         return list(self._distinct)
 
+    def holds(self, expr: SymExpr) -> bool:
+        """True if expr is one of the path's constraints."""
+        return expr in self._distinct
+
     def __len__(self):
         return len(self.entries)
 

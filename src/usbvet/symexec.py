@@ -17,10 +17,13 @@ run reads.
 
 Each state carries a model of its path: an assignment that satisfies it,
 `{}` for the empty path, or None when unknown (after a solver timeout, or
-when a fork's value is not the model's). A symbolic branch evaluates the
-model once, and the side it satisfies needs no query; the model's value of
-a symbolic address is checked for uniqueness with one query. With no model
-both fall back to querying each side, or enumerating, from scratch.
+when a fork's value is not the model's). A symbolic branch whose condition
+or negation the path already holds takes that side with no evaluation and
+no query: a polling loop tests the same byte on every pass. Any other
+symbolic branch evaluates the model once, and the side it satisfies needs
+no query; the model's value of a symbolic address is checked for
+uniqueness with one query. With no model both fall back to querying each
+side, or enumerating, from scratch.
 
 `_exec_from` runs a block's prepared form (`prepare_block`), made once from
 its lifted statements: a tuple per step over a per-block value list, whose
@@ -601,22 +604,30 @@ class Executor:
     def _branch(self, s: ExecState, cond: SymExpr, taken: int,
                 fall: int) -> list[ExecState]:
         """A CJump on a symbolic condition: each side the path allows goes
-        on, the taken side in a fork. The model of s is evaluated once; a
-        side it satisfies needs no query."""
+        on, the taken side in a fork. When s has a model and its path holds
+        cond or its negation, s takes that side with no evaluation and no
+        query: the model satisfies the path, and the other side contradicts
+        it. Otherwise the model is evaluated once, and a side it satisfies
+        needs no query."""
         site = s.cur_site
         neg = solver.bool_not(cond)
         m = s.model
-        by_model = None if m is None else eval_expr(cond, m) != 0
-        if by_model:
-            t_ok, t_model = True, m
+        if m is not None and s.path.holds(cond):
+            t_ok, t_model, f_ok = True, m, False
+        elif m is not None and s.path.holds(neg):
+            t_ok, f_ok, f_model = False, True, m
         else:
-            res = self.solver.query(s.path, (cond,))
-            t_ok, t_model = res.sat, res.model
-        if by_model is False:
-            f_ok, f_model = True, m
-        else:
-            res = self.solver.query(s.path, (neg,))
-            f_ok, f_model = res.sat, res.model
+            by_model = None if m is None else eval_expr(cond, m) != 0
+            if by_model:
+                t_ok, t_model = True, m
+            else:
+                res = self.solver.query(s.path, (cond,))
+                t_ok, t_model = res.sat, res.model
+            if by_model is False:
+                f_ok, f_model = True, m
+            else:
+                res = self.solver.query(s.path, (neg,))
+                f_ok, f_model = res.sat, res.model
         if t_ok and f_ok:
             child = self._fork(s)
             child.path.append(cond, site, "taken")

@@ -467,14 +467,15 @@ def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
     assert lifted and len(lifted) == len(set(lifted))
 
 
-def _hooked_analysis(monkeypatch, path, spec, forward):
+def _hooked_analysis(monkeypatch, config, patches=()):
     """The report, every hook call (as `Accesses` records it) and the result
-    of every exploration of a `--query both` analysis (discovery, Query 1,
-    Query 2), and the address and number of reloads of each block the
-    analysis prepared. With `forward` False, `symexec.forward_loads` is the
-    identity."""
-    rec, runs, prepared = Accesses(), [], []
+    of every exploration of the analysis, the address and number of reloads
+    of each block the analysis prepared, and the number of `Solver.query`
+    calls. Each `(owner, name, value)` of `patches` is set for the
+    analysis."""
+    rec, runs, prepared, queried = Accesses(), [], [], []
     real_execute, real_prepare = symexec.execute, symexec.prepare_block
+    real_query = solver.Solver.query
 
     def recording(image, policy, config, listeners=(), **kw):
         res = real_execute(image, policy, config, [*listeners, rec], **kw)
@@ -493,25 +494,39 @@ def _hooked_analysis(monkeypatch, path, spec, forward):
                                        for st in pb.steps)))
         return pb
 
+    def query(self, *args):
+        queried.append(1)
+        return real_query(self, *args)
+
     monkeypatch.setattr(queries, "execute", recording)
     monkeypatch.setattr(symexec, "prepare_block", counting)
-    if not forward:
-        monkeypatch.setattr(symexec, "forward_loads", lambda stmts: stmts)
-    report, _ = run_pipeline(small_config(
-        path, query="both",
-        preconditions=[f"XRAM:0x{spec.setup_base + 1:04x}:==:6"]))
+    monkeypatch.setattr(solver.Solver, "query", query)
+    for owner, name, value in patches:
+        monkeypatch.setattr(owner, name, value)
+    report, _ = run_pipeline(config)
     monkeypatch.undo()
-    return report.to_json(), rec.seen, runs, prepared
+    return report.to_json(), rec.seen, runs, prepared, len(queried)
+
+
+def _fixture_path(tmp_path, name, spec):
+    image, _ = fwkit.generate_fixture(spec)
+    path = tmp_path / f"{name}.bin"
+    path.write_bytes(image)
+    return str(path)
+
+
+def _setup_precondition(spec):
+    return [f"XRAM:0x{spec.setup_base + 1:04x}:==:6"]
 
 
 @pytest.mark.parametrize("name", sorted(SHARING_SPECS))
 def test_forwarded_loads_change_no_hook_call(name, tmp_path, monkeypatch):
     spec = SHARING_SPECS[name]
-    image, _ = fwkit.generate_fixture(spec)
-    path = tmp_path / f"{name}.bin"
-    path.write_bytes(image)
-    forwarded = _hooked_analysis(monkeypatch, str(path), spec, True)
-    plain = _hooked_analysis(monkeypatch, str(path), spec, False)
+    config = small_config(_fixture_path(tmp_path, name, spec), query="both",
+                          preconditions=_setup_precondition(spec))
+    forwarded = _hooked_analysis(monkeypatch, config)
+    plain = _hooked_analysis(monkeypatch, config, [
+        (symexec, "forward_loads", lambda stmts: stmts)])
     assert forwarded[:3] == plain[:3]
     report = json.loads(forwarded[0])
     assert report["query1"] is not None and report["query2"] is not None
@@ -521,6 +536,40 @@ def test_forwarded_loads_change_no_hook_call(name, tmp_path, monkeypatch):
     assert blocks and len(blocks) == len(set(blocks))
     assert sum(n for _, n in forwarded[3]) > 0
     assert sum(n for _, n in plain[3]) == 0
+
+
+# The three fixtures under the full policy, both queries; and an
+# identity-triage analysis of a seeded variant (moved descriptors, FIFOs,
+# SETUP and IRQ bytes, its own scancodes and mode byte), at CLI defaults.
+TRIAGE_SPEC = fwkit.FixtureSpec(
+    template="storage-claiming-hid", ep0_fifo=0x7700, ep1_buffer=0x7780,
+    setup_base=0x7FE0, usb_irq_addr=0x7FA3, device_desc_addr=0x2C00,
+    config_desc_addr=0x2C12, hid_report_addr=0x2C59,
+    scancodes=tuple(range(0x30, 0x40)), mode_magic=0x5A)
+HELD_CASES = {t: (fwkit.FixtureSpec(template=t),
+                  dict(query="both", policy="full", tau=8, seed=7,
+                       state_limit=1200))
+              for t in ("benign-hid", "injector-hid", "storage-claiming-hid")}
+HELD_CASES["identity-triage"] = (TRIAGE_SPEC, dict(
+    query="identity", expected="hid", seed=40503,
+    preconditions=_setup_precondition(TRIAGE_SPEC)))
+
+
+@pytest.mark.parametrize("name", sorted(HELD_CASES))
+def test_branch_the_path_decides_changes_no_exploration(name, tmp_path,
+                                                        monkeypatch):
+    # A symbolic branch whose condition or negation the path holds takes
+    # that side without the solver. With the membership test answering
+    # "no", every such branch queries as before: the explorations, their
+    # hook calls and the report are the same, at the cost of more queries.
+    spec, kw = HELD_CASES[name]
+    config = RunConfig(image_path=_fixture_path(tmp_path, name, spec), **kw)
+    held = _hooked_analysis(monkeypatch, config)
+    queried = _hooked_analysis(monkeypatch, config, [
+        (solver.PathCondition, "holds", lambda self, expr: False)])
+    assert held[:3] == queried[:3]
+    assert len(held[2]) >= 2 and json.loads(held[0])["query1"] is not None
+    assert held[4] < queried[4]
 
 
 def test_time_limit_bounds_symbolic_set_discovery(tmp_path):
@@ -585,6 +634,23 @@ def test_main_bad_precondition_exit_code(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1
     if "outside" in message:
         assert explored == []  # rejected before any exploration
+
+
+def test_unsatisfiable_preconditions_exit_before_discovery(tmp_path, capsys,
+                                                          monkeypatch):
+    path, man = write_fixture(tmp_path, "benign-hid")
+    setup1 = hex(man.setup_base + 1)
+    explored = []
+    real = queries.execute
+    monkeypatch.setattr(queries, "execute",
+                        lambda *a, **kw: explored.append(1) or real(*a, **kw))
+    code = cli.main(["analyze", path, "--query", "identity",
+                     "--precondition", f"XRAM:{setup1}:==:6",
+                     "--precondition", f"XRAM:{setup1}:==:7"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsatisfiable:") and err.count("\n") == 1
+    assert explored == []  # neither discovery nor Query 1 ran
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from usbvet import fwkit, isa, machine
-from usbvet.fwkit import FixtureSpec, assemble, generate_fixture
+from usbvet.fwkit import FixtureSpec, assemble_with_symbols, generate_fixture
 
 from test_report_bytes import VARIANTS
 
@@ -13,51 +13,54 @@ TEMPLATES = ("benign-hid", "injector-hid", "storage-claiming-hid",
 
 
 def test_assemble_nop():
-    assert assemble("nop") == bytes([0x00])
+    assert assemble_with_symbols("nop")[0] == bytes([0x00])
 
 
 def test_assemble_mov_direct_direct_emits_src_then_dst():
-    assert assemble("mov 0x40, 0x30") == bytes([0x85, 0x30, 0x40])
+    assert assemble_with_symbols("mov 0x40, 0x30")[0] == bytes(
+        [0x85, 0x30, 0x40])
 
 
 def test_assemble_sfr_names_and_bits():
-    assert assemble("mov ie, #0x81") == bytes([0x75, 0xA8, 0x81])
-    assert assemble("jnb acc.0, next\nnext: nop") == bytes([0x30, 0xE0, 0x00, 0x00])
+    assert assemble_with_symbols("mov ie, #0x81")[0] == bytes(
+        [0x75, 0xA8, 0x81])
+    assert assemble_with_symbols("jnb acc.0, next\nnext: nop")[0] == bytes(
+        [0x30, 0xE0, 0x00, 0x00])
 
 
 def test_assemble_labels_and_org():
-    image = assemble("""
+    image = assemble_with_symbols("""
     .org 0
         ljmp main
     .org 0x40
     main:
         sjmp main
-    """)
+    """)[0]
     assert image[0:3] == bytes([0x02, 0x00, 0x40])
     assert image[0x40:0x42] == bytes([0x80, 0xFE])
 
 
 def test_unresolved_label():
     with pytest.raises(fwkit.UnresolvedLabel):
-        assemble("ljmp nowhere")
+        assemble_with_symbols("ljmp nowhere")
 
 
 def test_relative_range_error():
     src = ".org 0\n sjmp far\n.org 0x300\nfar: nop"
     with pytest.raises(fwkit.OperandRange):
-        assemble(src)
+        assemble_with_symbols(src)
 
 
 def test_addr11_page_error():
     src = ".org 0x7f0\n ajmp target\n.org 0x900\ntarget: nop"
     with pytest.raises(fwkit.OperandRange):
-        assemble(src)
+        assemble_with_symbols(src)
 
 
 def test_roundtrip_random_programs_through_decoder ():
     # decode(assemble(p)) == p, with the decoder as the oracle: random
-    # instructions are rendered to text, assembled at the same origin, and
-    # must reproduce their bytes
+    # instructions are rendered to text, assembled at the same origin by
+    # assemble_with_symbols, and must reproduce their bytes
     rng = random.Random(99)
     checked = 0
     while checked < 2500:
@@ -70,7 +73,7 @@ def test_roundtrip_random_programs_through_decoder ():
         image = bytes(addr) + raw
         ins = isa.decode(image, addr)
         src = f".org 0x{addr:04x}\n    {ins.text()}\n"
-        out = assemble(src)
+        out = assemble_with_symbols(src)[0]
         assert out[addr:addr + ins.length] == raw, (hex(addr), ins.text())
         checked += 1
 

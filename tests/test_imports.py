@@ -20,8 +20,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TEST_ONLY = {
     "usbstatic: find_xrefs": "the reference XREF rule that test_usbstatic "
                              "compares scan_with_xrefs against",
-    "fwkit: assemble": "the one-line image-only assembler that test_fwkit "
-                       "calls; the package uses assemble_with_symbols",
 }
 
 

@@ -1208,3 +1208,70 @@ def test_same_operator_over_the_same_slots_is_computed_once(monkeypatch):
     assert computes[2][6] == computes[2][7] == computes[0][1]
     forwarded, plain = _forwarded_and_not(stmts, 5, monkeypatch)
     assert forwarded == plain
+
+
+_BRANCH_COND = solver.mk("ne", (solver.var("xram_7f00"), 6), 1)
+
+
+def _branch_on(monkeypatch, row, model):
+    """`_branch` on `(xram_7f00 != 6)` for a state whose path holds `row`,
+    with `model`. Returns the state, the result, and the `Solver.query`
+    and `eval_expr` calls it made."""
+    ex = symexec.Executor(b"\x00", xram_policy(0x7F00),
+                          ExplorationConfig(seed=1), isr_map={})
+    s = ExecState()
+    s.path.append(row, 0, "row")
+    s.model = model
+    queries, evals = [], []
+    real_query, real_eval = solver.Solver.query, symexec.eval_expr
+
+    def query(self, *args):
+        queries.append(args)
+        return real_query(self, *args)
+
+    def evaluate(*args):
+        evals.append(args)
+        return real_eval(*args)
+
+    monkeypatch.setattr(solver.Solver, "query", query)
+    monkeypatch.setattr(symexec, "eval_expr", evaluate)
+    out = ex._branch(s, _BRANCH_COND, 0x10, 0x20)
+    return s, out, queries, evals
+
+
+@pytest.mark.parametrize("side", ["taken", "fall"])
+def test_branch_the_path_decides_makes_no_query(side, monkeypatch):
+    cond = _BRANCH_COND
+    row = cond if side == "taken" else solver.bool_not(cond)
+    model = {"xram_7f00": 0 if side == "taken" else 6}
+    s, out, queries, evals = _branch_on(monkeypatch, row, model)
+    assert out == [s] and queries == [] and evals == []
+    assert s.pc == (0x10 if side == "taken" else 0x20)
+    assert s.path.entries == [(row, 0, "row"), (row, 0, side)]
+    assert s.model is model
+
+
+def test_branch_without_a_model_still_queries(monkeypatch):
+    s, out, queries, evals = _branch_on(monkeypatch, _BRANCH_COND, None)
+    assert out == [s] and len(queries) == 2 and evals == []
+    assert s.pc == 0x10 and s.path.entries[-1][2] == "taken"
+    assert s.model is not None and s.model["xram_7f00"] != 6
+
+
+def test_polling_loop_takes_its_held_condition_without_a_fork():
+    # mov dptr,#0x7f00; loop: movx a,@dptr; cjne a,#6,loop; sjmp $
+    image = bytes([0x90, 0x7F, 0x00, 0xE0, 0xB4, 0x06, 0xFC, 0x80, 0xFE])
+    res = execute(image, xram_policy(0x7F00),
+                  ExplorationConfig(block_repeat_threshold=8, seed=1,
+                                    solver_timeout=0.0), isr_map={})
+    # The first pass is open: its fall side's query times out and forks.
+    # Every later pass holds the loop condition, so it neither forks nor
+    # queries.
+    assert res.solver.diagnostics == ["solver timeout: assumed satisfiable"]
+    assert res.states_created == 2  # the initial state and one fork
+    loop, fall = sorted(res.ended, key=lambda s: s.path.entries[0][2],
+                        reverse=True)
+    assert loop.terminated == "loop-pruned"
+    assert {note for _, _, note in loop.path.entries} == {"taken"}
+    assert len(loop.path.entries) > 1
+    assert [note for _, _, note in fall.path.entries] == ["fall"]
