@@ -19,7 +19,8 @@ exploration makes its own.
 
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
-the environment), and counter detection (delay counters guard injection
+the environment), which ends a handler's discovery with a static proof where
+it can, and counter detection (delay counters guard injection
 payloads and must be symbolic for the payload to be explored) over the
 static facts of `usbstatic.prop_const_mem`.
 """
@@ -29,8 +30,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from . import isa, machine, solver, usbstatic
-from .lifter import Region
+from . import isa, lifter, machine, solver, usbstatic
+from .lifter import Assign, CJump, Jump, Load, Region, RetMark, Store, Tmp
 from .solver import NOT_UNIQUE, is_symbolic, mk
 from .symexec import (ExplorationConfig, ImageMemo, Listener, STOP_ALL,
                       SymbolicPolicy, execute)
@@ -77,43 +78,179 @@ class SymbolicLocationSet:
         return sorted((Region(r).name, a) for r, a in self.locations)
 
 
+def _reads_fresh(loc, known, written) -> bool:
+    """Whether an in-handler load of loc reads environment data: loc is
+    neither a CODE byte (an image constant), nor already symbolic (in
+    `known`), nor written by the handler (in `written`). The one rule of a
+    fresh read, for `_CheckLoads` and `_no_fresh_read` alike."""
+    return loc[0] != Region.CODE and loc not in known and loc not in written
+
+
 class _CheckLoads(Listener):
-    """Stop the run at the first in-handler load from a location neither
-    written by the handler on this path (`ExecState.isr_written`) nor already
-    symbolic; that location is environment data. CODE loads are image
-    constants and never qualify."""
+    """Stop the run at the first in-handler load that reads fresh
+    (`_reads_fresh`), with the handler's writes on this path
+    (`ExecState.isr_written`); that location is environment data."""
 
     def __init__(self, known: set):
         self.known = known
         self.found: tuple | None = None
 
     def on_load(self, site, state, region, addr, value):
-        if state.active_isr is None or region == Region.CODE:
+        if state.active_isr is None:
             return None
         loc = (region, addr)
-        if loc in self.known or loc in state.isr_written:
+        if not _reads_fresh(loc, self.known, state.isr_written):
             return None
         self.found = loc
         return STOP_ALL
+
+
+# The abstract value of `_no_fresh_read` at the handler's stack: the entry
+# SP plus k (mod 256) is ("sp", k). A location (Region.IRAM, ("sp", k)) is
+# the IRAM byte there, a stack slot of the handler's frame.
+def _sp(k: int) -> tuple:
+    return ("sp", k & 0xFF)
+
+
+def _abstract_op(op: str, args: list, width: int):
+    """An IR operator over abstract values: its value when every operand is
+    a constant, the entry SP plus a constant for an 8-bit add or sub of one,
+    else None (unknown)."""
+    if all(type(a) is int for a in args):
+        return solver.eval_op(op, args, width)
+    if (op in ("add", "sub") and width == 8 and type(args[0]) is tuple
+            and type(args[1]) is int):
+        k = args[0][1]
+        return _sp(k + args[1] if op == "add" else k - args[1])
+    return None
+
+
+def _no_fresh_read(program, entry: int, known, deadline) -> bool:
+    """Whether the handler at `entry` can make no load that reads fresh
+    (`_reads_fresh`) on any path from entry to its RETI, whatever the state
+    it is entered in. Then a discovery run of it can find no location.
+
+    A forward must-analysis over `program`'s lifted blocks. Per block entry
+    it keeps the locations every path has written since the handler's
+    entry, and the values that every path gives some locations: constants,
+    and stack addresses relative to the entry SP. Entry writes SP and the
+    two return-address bytes below it, as `Executor._schedule_interrupts`
+    does. A join keeps the locations written on both sides and the values
+    equal on both. A store where the proof cannot tell what it overwrites
+    forgets the values it may overwrite. Each path ends at RETI, at the
+    image end or at an undecodable block, as an exploration's does.
+
+    False when it cannot tell: a load of a non-CODE byte at an address it
+    cannot resolve, an indirect jump, a RET to an unresolved address, or
+    the deadline passed."""
+    image_end = len(program.image)
+    start_written = frozenset({(Region.SFR, machine.SP),
+                               (Region.IRAM, _sp(0)), (Region.IRAM, _sp(-1))})
+    at = {entry: (start_written, {(Region.SFR, machine.SP): _sp(0)})}
+    work = [entry]
+    while work:
+        if deadline is not None and time.monotonic() > deadline:
+            return False
+        addr = work.pop()
+        if addr >= image_end:
+            continue
+        try:
+            blk = program.block(addr)
+        except isa.IsaError:
+            continue
+        written, values = at[addr]
+        written, values = set(written), dict(values)
+        tmps: list = [None] * blk.n_temps
+
+        def val(a):
+            return tmps[a.i] if type(a) is Tmp else a
+
+        succs: tuple = ()
+        for st in blk.stmts:
+            cls = st.__class__
+            if cls is Assign:
+                tmps[st.dst.i] = _abstract_op(
+                    st.op, [val(a) for a in st.args], st.width)
+            elif cls is Load:
+                a = val(st.addr)
+                if st.region == Region.CODE:
+                    if type(a) is int:
+                        tmps[st.dst.i] = (program.image[a] if a < image_end
+                                          else 0)
+                    continue
+                if a is None:
+                    return False
+                loc = (st.region, a)
+                if _reads_fresh(loc, known, written):
+                    return False
+                tmps[st.dst.i] = values.get(loc)
+            elif cls is Store:
+                a, v = val(st.addr), val(st.src)
+                # forget every value the store may overwrite: a stack slot
+                # may be any absolute address, and the reverse
+                values = {k: x for k, x in values.items()
+                          if k[0] != st.region
+                          or (a is not None and type(k[1]) is type(a)
+                              and k[1] != a)}
+                if a is not None:
+                    written.add((st.region, a))
+                    if v is not None:
+                        values[(st.region, a)] = v
+            elif cls is CJump:
+                c = val(st.cond)
+                succs = ((st.taken, st.fall) if c is None
+                         else (st.taken if c else st.fall,))
+            elif cls is Jump:
+                if type(st.target) is Tmp:
+                    return False  # JMP @A+DPTR
+                succs = (st.target,)
+            elif cls is RetMark and not st.reti:
+                t = val(st.target)
+                if type(t) is not int:
+                    return False
+                succs = (t & 0xFFFF,)
+        for nxt in succs:
+            old = at.get(nxt)
+            if old is None:
+                at[nxt] = (frozenset(written), values)
+            else:
+                w = old[0] & written
+                kept = {k: x for k, x in old[1].items()
+                        if k in values and values[k] == x}
+                if w == old[0] and len(kept) == len(old[1]):
+                    continue
+                at[nxt] = (w, kept)
+            if nxt not in work:
+                work.append(nxt)
+    return True
 
 
 def find_symbolic_locations(image: bytes, tau: int = 16,
                             config: ExplorationConfig | None = None,
                             memo: ImageMemo | None = None
                             ) -> SymbolicLocationSet:
-    """Up to tau runs per ISR, each restricted to that single interrupt
-    source; every run either grows the symbolic set by one location and
-    restarts cold, or finds none and ends that handler's discovery, since a
-    rerun would be identical. Such a run proves the handler free of fresh
-    environment reads only if it explored everything: its
-    `IterationRecord.reason` says whether it was `complete`."""
+    """Up to tau iterations per ISR, each of one run restricted to that
+    single interrupt source; every run either grows the symbolic set by one
+    location and restarts cold, or finds none and ends that handler's
+    discovery, since a rerun would be identical. Before each run,
+    `_no_fresh_read` tries to prove that the run can find nothing; when it
+    does, the iteration is logged with reason `proved` and ends the
+    handler's discovery without the run. Otherwise the run's
+    `IterationRecord.reason` says whether it explored everything
+    (`complete`)."""
     base = config or ExplorationConfig()
     isrs = machine.discover_isrs(image)
+    program = memo.program if memo is not None else lifter.lift_program(image)
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):
         for it in range(1, tau + 1):
             t0 = time.monotonic()
+            if _no_fresh_read(program, isrs[source], locations, base.deadline):
+                # fixpoint: no run of this handler can find a location
+                log.append(IterationRecord(source, it, None,
+                                           time.monotonic() - t0, "proved"))
+                break
             policy = SymbolicPolicy(locations)
             # Tight budgets: each run only has to reach the handler's next
             # fresh read, not saturate the whole program.
@@ -135,8 +272,8 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                                            reason))
             else:
                 log.append(IterationRecord(source, it, None, dt, reason))
-                # no find: a rerun would be identical, so this handler's
-                # discovery ends (complete only if reason says so)
+                # fixpoint unproved: a rerun would be identical, so this
+                # handler's discovery ends (complete only if reason says so)
                 break
     return SymbolicLocationSet(locations, log)
 

@@ -1,6 +1,11 @@
+import importlib.util
+import pathlib
+import sys
+import time
+
 import pytest
 
-from usbvet import fwkit, queries, solver, symexec, usbstatic
+from usbvet import fwkit, lifter, queries, solver, symexec, usbstatic
 from usbvet.lifter import Region
 from usbvet.queries import Precondition
 from usbvet.symexec import ExplorationConfig, SymbolicPolicy
@@ -19,9 +24,8 @@ def cfg(**kw):
 # ---------------------------------------------------------------------------
 
 
-def test_self_satisfied_isr_adds_nothing():
-    # handler writes X then reads X back: no environment byte
-    src = """
+# handler writes X then reads X back: no environment byte
+SELF_SATISFIED_SRC = """
     .org 0x0000
         ljmp main
     .org 0x0003
@@ -47,15 +51,17 @@ def test_self_satisfied_isr_adds_nothing():
         mov a, 0x30
         reti
     """
-    image, _ = fwkit.assemble_with_symbols(src)
+
+
+def test_self_satisfied_isr_adds_nothing():
+    image, _ = fwkit.assemble_with_symbols(SELF_SATISFIED_SRC)
     out = queries.find_symbolic_locations(image, tau=4, config=cfg())
     assert out.locations == set()
 
 
-def test_discovery_runs_fire_only_their_own_source():
-    # Both handlers are enabled, but external0's runs must not enter timer0,
-    # so timer0's environment read is found only in timer0's own runs.
-    src = """
+# Both handlers are enabled, but external0's runs must not enter timer0,
+# so timer0's environment read is found only in timer0's own runs.
+TWO_SOURCES_SRC = """
     .org 0x0000
         ljmp main
     .org 0x0003
@@ -82,7 +88,10 @@ def test_discovery_runs_fire_only_their_own_source():
         movx a, @dptr
         reti
     """
-    image, _ = fwkit.assemble_with_symbols(src)
+
+
+def test_discovery_runs_fire_only_their_own_source():
+    image, _ = fwkit.assemble_with_symbols(TWO_SOURCES_SRC)
     out = queries.find_symbolic_locations(
         image, tau=4, config=ExplorationConfig(seed=1))
     assert [(rec.source, rec.added) for rec in out.log] == [
@@ -117,6 +126,286 @@ def test_injector_env_bytes_discovered():
     out = queries.find_symbolic_locations(image, tau=8, config=cfg())
     got = {(Region(r).name, a) for r, a in out.locations}
     assert got == {(r, a) for r, a in man.env_bytes}
+
+
+# ---------------------------------------------------------------------------
+# The static proof that a handler reads nothing fresh
+# ---------------------------------------------------------------------------
+
+_VECTORS = """
+.org 0x0000
+    ljmp main
+.org 0x0003
+    ljmp isr
+.org 0x000b
+    reti
+.org 0x0013
+    reti
+.org 0x001b
+    reti
+.org 0x0023
+    reti
+.org 0x002b
+    reti
+"""
+
+_IDLE_MAIN = """
+    mov sp, #0x47
+    mov ie, #0x81
+idle:
+    sjmp idle
+"""
+
+# name -> (main code before the idle loop, handler, XRAM bytes already
+# symbolic, whether `_no_fresh_read` proves the handler)
+PROOF_CASES = {
+    "written-then-read": ("", """
+    mov psw, #0
+    mov 0x30, #0x55
+    mov a, 0x30
+    mov r1, a
+    mov a, r1
+    mov dptr, #0x7100
+    movx a, @dptr
+    mov 0x31, a
+    reti
+""", (0x7100,), True),
+    "djnz-loop": ("", """
+    mov psw, #0
+    mov dptr, #0x7680
+    mov r7, #8
+fill:
+    mov a, r7
+    movx @dptr, a
+    inc dptr
+    djnz r7, fill
+    reti
+""", (), True),
+    "lcall-ret": ("", """
+    mov psw, #0
+    mov a, #5
+    push acc
+    lcall helper
+    pop acc
+    mov 0x30, a
+    reti
+helper:
+    mov b, a
+    mov dptr, #0x7680
+    movx @dptr, a
+    ret
+""", (), True),
+    # an IRAM byte at an absolute address may be the return address's slot
+    "ret-after-iram-store": ("", """
+    mov psw, #0
+    lcall helper
+    reti
+helper:
+    mov 0x30, #1
+    ret
+""", (), False),
+    # both arms jump to one join block, which reads what they wrote
+    "join-written-on-both-arms": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    jz zero
+    mov 0x30, #0x31
+    mov 0x31, #1
+    sjmp done
+zero:
+    mov 0x31, #2
+    mov 0x30, #0x31
+    sjmp done
+done:
+    mov psw, #0
+    mov r0, 0x30
+    mov a, @r0
+    reti
+""", (0x7100,), True),
+    "join-written-on-one-arm": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    jz zero
+    mov 0x30, #1
+    sjmp done
+zero:
+    sjmp done
+done:
+    mov a, 0x30
+    reti
+""", (0x7100,), False),
+    "join-unequal-values": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    jz zero
+    mov 0x30, #0x31
+    mov 0x31, #1
+    sjmp done
+zero:
+    mov 0x30, #0x32
+    mov 0x31, #1
+    sjmp done
+done:
+    mov psw, #0
+    mov r0, 0x30
+    mov a, @r0
+    reti
+""", (0x7100,), False),
+    "fresh-iram": ("", """
+    mov a, 0x30
+    reti
+""", (), False),
+    "fresh-sfr": ("", """
+    mov a, 0x90
+    reti
+""", (), False),
+    "fresh-xram": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    reti
+""", (), False),
+    "push-unwritten-psw": ("", """
+    push psw
+    pop psw
+    reti
+""", (), False),
+    "dptr-from-main": ("    mov dptr, #0x7100\n", """
+    movx a, @dptr
+    reti
+""", (0x7100,), False),
+    "jmp-a-dptr": ("", """
+    mov a, #0
+    mov dptr, #table
+    jmp @a+dptr
+table:
+    reti
+""", (), False),
+    "unresolved-load": ("", """
+    mov psw, #0
+    mov dptr, #0x7100
+    movx a, @dptr
+    mov r0, a
+    mov a, @r0
+    reti
+""", (0x7100,), False),
+    "ret-to-unresolved": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    push acc
+    push acc
+    ret
+""", (0x7100,), False),
+    "two-pops-restored": ("", """
+    pop 0x30
+    pop 0x31
+    push 0x31
+    push 0x30
+    reti
+""", (), True),
+    "third-pop-below-frame": ("", """
+    pop 0x30
+    pop 0x31
+    pop 0x32
+    push 0x32
+    push 0x31
+    push 0x30
+    reti
+""", (), False),
+}
+
+
+def _proof_image(name):
+    main, handler, _, _ = PROOF_CASES[name]
+    src = f"{_VECTORS}\nmain:\n{main}{_IDLE_MAIN}\nisr:\n{handler}"
+    return fwkit.assemble_with_symbols(src)
+
+
+@pytest.mark.parametrize("name", sorted(PROOF_CASES))
+def test_no_fresh_read_proof(name):
+    image, labels = _proof_image(name)
+    known = {(Region.XRAM, a) for a in PROOF_CASES[name][2]}
+    proved = queries._no_fresh_read(lifter.lift_program(image),
+                                    labels["isr"], known, None)
+    assert proved is PROOF_CASES[name][3]
+
+
+def test_no_fresh_read_proof_answers_no_past_the_deadline():
+    image, labels = _proof_image("djnz-loop")
+    program = lifter.lift_program(image)
+    assert queries._no_fresh_read(program, labels["isr"], set(),
+                                  time.monotonic() + 60)
+    assert not queries._no_fresh_read(program, labels["isr"], set(),
+                                      time.monotonic() - 1)
+
+
+def test_proved_fixpoint_ends_discovery_without_a_run(monkeypatch):
+    image, _ = fwkit.generate_fixture(
+        fwkit.FixtureSpec(template="branchy", guard_count=2))
+    runs = []
+    real = queries.execute
+    monkeypatch.setattr(queries, "execute",
+                        lambda *a, **kw: runs.append(1) or real(*a, **kw))
+    out = queries.find_symbolic_locations(image, tau=8, config=cfg())
+    assert [rec.added is not None for rec in out.log] == [True, True, False]
+    assert out.log[-1].reason == "proved"
+    assert len(runs) == 2  # only the runs that found a location
+
+
+def _shadowed_discovery(monkeypatch, image, config):
+    """Discovery with every iteration explored, as if no proof held, and
+    whether the proof held before each iteration, in log order."""
+    real = queries._no_fresh_read
+    held = []
+    monkeypatch.setattr(queries, "_no_fresh_read",
+                        lambda *a: held.append(real(*a)) or False)
+    out = queries.find_symbolic_locations(image, tau=16, config=config)
+    monkeypatch.undo()
+    assert len(held) == len(out.log)
+    return list(zip(held, out.log))
+
+
+def _triage_images(tmp_path, rounds):
+    """Seeded variants of the three templates, made by the benchmark's own
+    `identity_triage_round` (seed 1), with each one's analysis seed."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("_triage_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    for r in range(rounds):
+        for op in workloads.identity_triage_round(1, r, str(tmp_path)):
+            seed = int(op.argv[op.argv.index("--seed") + 1])
+            yield (pathlib.Path(op.image_path).read_bytes(),
+                   ExplorationConfig(seed=seed))
+
+
+def test_proved_fixpoint_is_never_a_finding_run(monkeypatch, tmp_path):
+    # Soundness: wherever the proof holds, the run it replaces finds
+    # nothing. And it holds at every fixture handler's last iteration.
+    fixtures = [fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
+                for t in ("benign-hid", "injector-hid",
+                          "storage-claiming-hid")]
+    images = [(img, ExplorationConfig()) for img in fixtures]
+    images += [(fwkit.generate_fixture(fwkit.FixtureSpec(
+        template="branchy", guard_count=k))[0], cfg()) for k in range(1, 6)]
+    images += [(_proof_image(name)[0], cfg()) for name in PROOF_CASES]
+    images += [(fwkit.assemble_with_symbols(src)[0], cfg())
+               for src in (SELF_SATISFIED_SRC, TWO_SOURCES_SRC)]
+    images += list(_triage_images(tmp_path, 4))
+    assert len(images) == 3 + 5 + len(PROOF_CASES) + 2 + 12
+    held_somewhere = 0
+    for i, (image, config) in enumerate(images):
+        pairs = _shadowed_discovery(monkeypatch, image, config)
+        assert all(rec.added is None for held, rec in pairs if held), i
+        held_somewhere += any(held for held, _ in pairs)
+        if i < len(fixtures):
+            last = {rec.source: held for held, rec in pairs}
+            assert all(last.values()), i
+    assert held_somewhere >= len(images) - len(PROOF_CASES)
 
 
 # ---------------------------------------------------------------------------

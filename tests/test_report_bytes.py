@@ -24,35 +24,35 @@ FLAGS = {
 
 PINNED = {
     ("benign-hid", "defaults"): (
-        0, "6184917040bd80f465337d51b71261a9394f8790634eb466dd7947330092e658"),
+        0, "1c8d7d2e8dae7660e3640c8daa01452498e2eb28987272cdab9a04b77ddb882b"),
     ("benign-hid", "consistency"): (
-        0, "e63df2a03ea0252a25d634cf9dad5f9fcb76032c280642b907eba5d4d20693d4"),
+        0, "51e401153619bec591d6380ea0ff09f7c5a83f9a420b4a9467bee6120f7e3a83"),
     ("benign-hid", "full"): (
         0, "95aa288de602e48e803d2adc8465e76522aa53460a750231263f727865175850"),
     ("benign-hid", "seed3"): (
-        0, "09b868b85b1d412b186ef3a01553022ad9c048617eac86599de56c8e49a6a84f"),
+        0, "14a169f7247f76908494297462470a0fab1bc464cd6a4a3e577bf1266dde2b27"),
     ("benign-hid", "identity-pre"): (
-        0, "4420fc12fb79089a11191969728618bfc8d4c56e1e07393553cffb1a2db098b3"),
+        0, "bed142ed177344c833cd13dc63d00c05fac443e9a95dc54c217c590a02ef6de2"),
     ("injector-hid", "defaults"): (
-        1, "18125f1b4a93175d5942e4c3e9984f323ffb05bd11ed3232ffa96bdc7cb7cad6"),
+        1, "c77849fbaa3a420ab2a4d81c0b133c03f968999bd1b5afd90d5093d4d4e03b54"),
     ("injector-hid", "consistency"): (
-        1, "8d014692aec097127ccf8b52bf11157b88914b1004c7680c76ed215ef7d326f5"),
+        1, "51eaf821f7befcca81ed840be6475e2cc35e6385cfc21ea4825cbf88d54a7519"),
     ("injector-hid", "full"): (
         1, "89b99e0406b0eb4c10eff86d3e070dc21a9c7ed870c712a20c9816391c215514"),
     ("injector-hid", "seed3"): (
-        1, "e45b5d986040fe53c2dbee1e7f2eded9a2f0d7daf596fcc210e173261b85f3d6"),
+        1, "ffe126ec3d22191879f7b5d1e5b3ac87a32a9115c4795780e527593c1ad19e39"),
     ("injector-hid", "identity-pre"): (
-        0, "1368ad1467e053529f9e7aa7392dbed9ad7e575bbe500b00b0990e9bcf767468"),
+        0, "67dd6a0f5eb7cd03c028ee4d230095730136c719fb48f94325ad0f3fb997b7e7"),
     ("storage-claiming-hid", "defaults"): (
-        0, "d035165775e99a926e3023df39b482a67b5c1ab165b1d15fc2e595ae2210cdd6"),
+        0, "631138bee2c7bf395e3503f0130620c2425eebc195508ead26ee98b4223b0907"),
     ("storage-claiming-hid", "consistency"): (
-        0, "c9bb9e5ae3e07163166e78b847087444b92ac834c2cdc24b59dfa1cc42e9757b"),
+        0, "cf172ec9a3792c6e2d6e8798f4879a0fd9866730635d6bc4b1c423a0583b7a7e"),
     ("storage-claiming-hid", "full"): (
         0, "2b8597acf61542f7b51d302091032d6f8505f25abbd3b197791b552e7f9babe6"),
     ("storage-claiming-hid", "seed3"): (
-        0, "9598c7f504b788c6c7351f5d7546637636dd467557f6321dda17c32d1d7ad475"),
+        0, "abbbd36bef30fc3ecbf5692ea110e9af4d85027bd54d26700ff38252edfe6fe9"),
     ("storage-claiming-hid", "identity-pre"): (
-        0, "5f17809269c935c82c0b41729f83b673b9f41526cb844e0829bab965d6ca81d0"),
+        0, "214c74db1c3549e10846730781e2834f351918dc6c4e28fd929b5f7acd5e2622"),
 }
 
 
@@ -76,17 +76,17 @@ VARIANTS = {
         template="benign-hid", ep0_fifo=0x7600, ep1_buffer=0x7680,
         setup_base=0x7FD0, device_desc_addr=0x0A00,
         config_desc_addr=0x0A12, hid_report_addr=0x0A34),
-        0, "64ed42a2fbf69310998f357adc01ed61a0d5346f4a0909642f98e5aa7a3dc575"),
+        0, "11258251a51e92cdfba4a3daaf52caafe5aa2802fad95f3e21fafde450bf2999"),
     "injector-hid-moved": (fwkit.FixtureSpec(
         template="injector-hid", ep0_fifo=0x7A00, ep1_buffer=0x7A80,
         setup_base=0x7FC8, device_desc_addr=0x0C40,
         config_desc_addr=0x0C52, hid_report_addr=0x0C74),
-        0, "f0ea8b65cb2882f090789583c1eac6893f8c2a02c2af40ef4507e083e5ef05c3"),
+        0, "91716c4fed8ca6db1d85df4c73bbae5ff60aa0f09dcb6ee4c09b9c44b7643632"),
     "storage-claiming-hid-moved": (fwkit.FixtureSpec(
         template="storage-claiming-hid", ep0_fifo=0x7500, ep1_buffer=0x7580,
         setup_base=0x7FF0, device_desc_addr=0x2A00,
         config_desc_addr=0x2A12, hid_report_addr=0x2A59),
-        0, "6b6d1b607ade2e113981c65dd813bd5d184bb99ea4486f579adaf30fdcf7eede"),
+        0, "7890af35b03569b3477f73c98cf751d78ae2e00b706c16d4709dd12bed543d46"),
 }
 
 
