@@ -7,7 +7,8 @@ from usbvet import fwkit, usbdb, usbstatic
 image, manifest = fwkit.generate_fixture(
     fwkit.FixtureSpec(template="storage-claiming-hid"))
 
-hits = usbstatic.scan_with_xrefs(image)
+hits = usbstatic.scan_with_xrefs(
+    image, usbstatic.reachable_instructions(image))
 print("signature hits:")
 for h in hits:
     xr = ", ".join(f"0x{x:04x}" for x in h.xrefs) or "-"

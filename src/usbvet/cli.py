@@ -8,10 +8,11 @@ degrade into diagnostics instead of aborting.
 
 `run_pipeline` owns the analysis-wide decisions: it builds the image's
 static facts once (`usbstatic.prop_const_mem` over the reachable
-instructions), which EP0 inference and Query 2 share; it builds the one
-`SymbolicPolicy` that both queries run under (`--policy full` covers the
-whole IRAM and XRAM regions, `auto`/`partial` the discovered set); and it
-turns `--time-limit` into one deadline shared by every exploration.
+instructions, the same list the XREF scan reads), which EP0 inference and
+Query 2 share; it builds the one `SymbolicPolicy` that both queries run
+under (`--policy full` covers the whole IRAM and XRAM regions,
+`auto`/`partial` the discovered set); and it turns `--time-limit` into one
+deadline shared by every exploration.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
@@ -24,7 +25,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from . import queries, symexec, usbdb, usbstatic
 from .lifter import REGION_SIZE, Region
@@ -136,7 +137,7 @@ class AnalysisReport:
     timing: dict | None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         if d["timing"] is None:
             del d["timing"]
         return d
@@ -238,15 +239,16 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                   else time.monotonic() + config.time_limit),
         seed=config.seed)
 
-    # 1. signature scan + XREFs
-    hits = usbstatic.scan_with_xrefs(image, patterns)
+    # 1. signature scan, with XREFs among the reachable instructions
+    instrs = usbstatic.reachable_instructions(image)
+    hits = usbstatic.scan_with_xrefs(image, instrs, patterns)
     hit_rows = [{"name": h.name, "addr": _hx(h.addr),
                  "bytes": h.matched.hex(),
                  "xrefs": [_hx(x) for x in h.xrefs]} for h in hits]
 
-    # 2. the image's static facts, built once; EP0 votes and the target
-    # sites of every hunted class
-    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
+    # 2. the image's static facts, built once from the same instructions;
+    # EP0 votes and the target sites of every hunted class
+    M = usbstatic.prop_const_mem(instrs)
     classes: dict = {}
     ep0_info: dict = {"classes": classes}
     targets: set[int] = set()

@@ -348,45 +348,23 @@ class DecodeDiagnostic:
     reason: str
 
 
-# Byte length of each opcode's instruction, 0 for the reserved one.
-_LENGTHS = bytes(plan[1] if plan else 0 for plan in _PLANS)
-
-
-def sweep_alignment(image: bytes, start: int = 0) -> tuple[list[int], list[int]]:
-    """The linear sweep's alignment from start to image end, read from opcode
-    lengths alone: (instruction starts, skipped bytes), each ascending.
-
-    A reserved opcode or a truncated tail instruction is skipped one byte at
-    a time, so data tables embedded in code do not abort scanning. Every
-    start decodes; every skipped byte raises in `decode`.
-    """
-    starts: list[int] = []
-    skipped: list[int] = []
-    lengths = _LENGTHS
-    pos = start
-    n = len(image)
-    while pos < n:
-        end = pos + lengths[image[pos]]
-        if pos < end <= n:
-            starts.append(pos)
-            pos = end
-        else:
-            skipped.append(pos)
-            pos += 1
-    return starts, skipped
-
-
 def disassemble_sweep(
     image: bytes, start: int = 0
 ) -> tuple[list[Instruction], list[DecodeDiagnostic]]:
-    """Linear sweep from start to image end: the instructions at each
-    `sweep_alignment` start, and a diagnostic at each skipped byte."""
-    starts, skipped = sweep_alignment(image, start)
-    instrs = [decode(image, pos) for pos in starts]
+    """Linear sweep from start to image end: each instruction decodes where
+    the one before it ends. A reserved opcode or a truncated tail
+    instruction gets a diagnostic and is skipped one byte at a time, so
+    data tables embedded in code do not abort the sweep."""
+    instrs: list[Instruction] = []
     diags: list[DecodeDiagnostic] = []
-    for pos in skipped:
+    pos = start
+    while pos < len(image):
         try:
-            decode(image, pos)
+            ins = decode(image, pos)
         except IsaError as e:
             diags.append(DecodeDiagnostic(pos, str(e)))
+            pos += 1
+            continue
+        instrs.append(ins)
+        pos += ins.length
     return instrs, diags

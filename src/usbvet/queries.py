@@ -14,8 +14,9 @@ its locations plus the delay counters, and its regions.
 
 Discovery and both queries take the caller's `symexec.ImageMemo` and hand
 it to every exploration they run, so the explorations of one analysis lift
-each block once and share the solver's tables. Without one, each
-exploration makes its own.
+each block once and share the solver's tables. Without one, discovery
+makes one for its proofs and all its runs, and each query's exploration
+makes its own.
 
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
@@ -30,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from . import isa, lifter, machine, solver, usbstatic
+from . import isa, machine, solver, usbstatic
 from .lifter import Assign, CJump, Jump, Load, Region, RetMark, Store, Tmp
 from .solver import NOT_UNIQUE, is_symbolic, mk
 from .symexec import (ExplorationConfig, ImageMemo, Listener, STOP_ALL,
@@ -240,13 +241,15 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
     (`complete`)."""
     base = config or ExplorationConfig()
     isrs = machine.discover_isrs(image)
-    program = memo.program if memo is not None else lifter.lift_program(image)
+    if memo is None:
+        memo = ImageMemo(image)  # one memo serves the proof and every run
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):
         for it in range(1, tau + 1):
             t0 = time.monotonic()
-            if _no_fresh_read(program, isrs[source], locations, base.deadline):
+            if _no_fresh_read(memo.program, isrs[source], locations,
+                              base.deadline):
                 # fixpoint: no run of this handler can find a location
                 log.append(IterationRecord(source, it, None,
                                            time.monotonic() - t0, "proved"))

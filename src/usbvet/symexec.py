@@ -443,7 +443,6 @@ class Executor:
         elif memo.program.image != self.image:
             raise ValueError("the memo is of another image")
         self.memo = memo
-        self.program = memo.program
         # Every query of this exploration goes through this Solver, whose
         # tables are the memo's.
         self.solver = solver.Solver(config.solver_timeout, config.deadline,

@@ -9,6 +9,13 @@ store that moves function-specific data (e.g. an HID report descriptor) into
 that buffer is a target instruction. EP0 votes are cast once, and target
 stores are found for every claimed class from the same votes.
 
+An image is disassembled one way: `reachable_instructions` decodes what
+static control flow reaches from the reset and interrupt vectors. Both the
+XREF scan (`scan_with_xrefs`, by the one rule `find_xrefs`) and the static
+facts read that list. So a data table that no code reaches never decodes
+into a phantom reference, and code reached only through a `JMP @A+DPTR`
+or `MOVC A,@A+PC` table is in neither.
+
 `prop_const_mem` returns the image's static facts as one `PropMap`: the
 instructions in address order, the read/write summary of each, and the
 propagated tuples M. An analysis builds it once from the reachable
@@ -138,15 +145,15 @@ _MOV_DPTR_IMM = 0x90   # MOV DPTR,#imm16, the only constant load of DPTR
 
 
 def _feeds_code_read(load: isa.Instruction, following) -> bool:
-    """Whether the DPTR load `load` is an XREF, given the linear-sweep
-    instructions after it (read lazily, at most _XREF_SCAN_LIMIT): a CODE
+    """Whether the DPTR load `load` is an XREF, given the instructions in
+    address order after it (read lazily, at most _XREF_SCAN_LIMIT): a CODE
     read comes before any control flow or DPTR re-target in the same block.
-    Accepts when the sweep loses alignment or the look-ahead runs out
-    (conservative linear-sweep behavior)."""
+    Accepts when the fall-through does not decode or the look-ahead runs
+    out (conservative)."""
     expect = load.addr + load.length
     for nxt in islice(following, _XREF_SCAN_LIMIT):
         if nxt.addr != expect:
-            return True  # sweep lost alignment: be conservative
+            return True  # the fall-through does not decode: be conservative
         if nxt.mnemonic == "MOVC" or nxt.mnemonic == "JMP":
             return True
         if nxt.mnemonic in isa.CONTROL_FLOW:
@@ -159,40 +166,30 @@ def _feeds_code_read(load: isa.Instruction, following) -> bool:
 
 def find_xrefs(instrs: list[isa.Instruction], target: int,
                range_len: int = 1) -> list[int]:
-    """Addresses of linear-sweep instructions loading DPTR with a constant
-    inside [target, target+range_len) that feed a CODE read downstream in the
-    same block (`_feeds_code_read`)."""
+    """Addresses of the instructions of `instrs` (in address order) that
+    load DPTR with a constant inside [target, target+range_len) and feed a
+    CODE read downstream in the same block (`_feeds_code_read`)."""
     return [ins.addr for idx, ins in enumerate(instrs)
             if ins.opcode == _MOV_DPTR_IMM
             and target <= ins.operands[1].value < target + range_len
             and _feeds_code_read(ins, islice(instrs, idx + 1, None))]
 
 
-def scan_with_xrefs(image: bytes, patterns=DEFAULT_SIGNATURES) -> list[DescriptorHit]:
-    """Signature hits, each with its XREFs. One alignment walk finds the
-    sweep's DPTR loads; only those aimed into some hit's extent, and the
-    instructions the XREF rule reads after them, are decoded."""
+def scan_with_xrefs(image: bytes, instrs: list[isa.Instruction],
+                    patterns=DEFAULT_SIGNATURES) -> list[DescriptorHit]:
+    """Signature hits, each with its XREFs among `instrs`, the image's
+    reachable instructions in address order (`reachable_instructions`)."""
     hits = scan_signatures(image, patterns)
-    starts, _ = isa.sweep_alignment(image, 0)
-    loads = [(idx, image[pos + 1] << 8 | image[pos + 2])
-             for idx, pos in enumerate(starts) if image[pos] == _MOV_DPTR_IMM]
     for h in hits:
-        lo = h.addr
-        hi = lo + descriptor_extent(image, h)
-        for idx, imm in loads:
-            if lo <= imm < hi:
-                following = (isa.decode(image, pos)
-                             for pos in islice(starts, idx + 1, None))
-                if _feeds_code_read(isa.decode(image, starts[idx]), following):
-                    h.xrefs.append(starts[idx])
+        h.xrefs = find_xrefs(instrs, h.addr, descriptor_extent(image, h))
     return hits
 
 
 def reachable_instructions(image: bytes) -> list[isa.Instruction]:
     """Recursive-descent decoding from the reset vector and interrupt
-    vectors: the instructions static control flow can actually reach.
-    Keeps data tables from decoding into phantom code the flow analyses
-    would otherwise chew on."""
+    vectors: the instructions static control flow can actually reach, in
+    address order. Keeps data tables from decoding into phantom code the
+    flow analyses would otherwise chew on."""
     seen: dict[int, isa.Instruction] = {}
     work = [0] + [vec for vec, _bit in machine.INT_SOURCES.values()]
     while work:

@@ -389,22 +389,26 @@ def test_full_policy_makes_only_the_variables_it_reads(tmp_path,
 def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
     path, _ = write_fixture(tmp_path, "injector-hid")
     calls = {}
+    args = {}
 
     def counting(name):
         real = getattr(usbstatic, name)
 
         def wrapper(*a, **kw):
             calls[name] = calls.get(name, 0) + 1
+            args[name] = a
             return real(*a, **kw)
         return wrapper
 
-    for name in ("reachable_instructions", "prop_const_mem",
-                 "find_devspec_to_ep0"):
+    for name in ("reachable_instructions", "scan_with_xrefs",
+                 "prop_const_mem", "find_devspec_to_ep0"):
         monkeypatch.setattr(usbstatic, name, counting(name))
     report, _ = run_pipeline(RunConfig(image_path=path, query="both"))
     assert report.query1 is not None and report.query2 is not None
-    assert calls == {"reachable_instructions": 1, "prop_const_mem": 1,
-                     "find_devspec_to_ep0": 1}
+    assert calls == {"reachable_instructions": 1, "scan_with_xrefs": 1,
+                     "prop_const_mem": 1, "find_devspec_to_ep0": 1}
+    # the XREF scan and the static facts read one instruction list
+    assert args["scan_with_xrefs"][1] is args["prop_const_mem"][0]
 
 
 SHARING_SPECS = {t: fwkit.FixtureSpec(template=t)

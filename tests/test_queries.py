@@ -128,6 +128,20 @@ def test_injector_env_bytes_discovered():
     assert got == {(r, a) for r, a in man.env_bytes}
 
 
+def test_memoless_discovery_lifts_the_image_once(monkeypatch):
+    # Without a caller's memo, discovery makes one private memo: its
+    # proofs and every run share one lifted program.
+    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
+    lifts = []
+    real = lifter.lift_program
+    monkeypatch.setattr(lifter, "lift_program",
+                        lambda img: lifts.append(img) or real(img))
+    out = queries.find_symbolic_locations(image, config=ExplorationConfig(
+        seed=3))
+    assert sum(rec.reason != "proved" for rec in out.log) > 1
+    assert len(lifts) == 1
+
+
 # ---------------------------------------------------------------------------
 # The static proof that a handler reads nothing fresh
 # ---------------------------------------------------------------------------

@@ -768,7 +768,7 @@ def _run_hand_block(stmts, n_temps, fanout=16, listeners=(),
                                             max_indirect_fanout=fanout,
                                             solver_timeout=solver_timeout),
                           listeners=listeners, isr_map={})
-    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
+    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
     return ex.run()
 
 
@@ -1031,7 +1031,7 @@ def _limited_hand_run(stmts, n_temps, max_states):
                           ExplorationConfig(seed=1, max_blocks=1,
                                             max_states=max_states),
                           isr_map={})
-    ex.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
+    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
     return ex.run()
 
 

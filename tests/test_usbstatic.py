@@ -10,6 +10,7 @@ from usbvet.usbstatic import (CONFIG_DESC, DEFAULT_SIGNATURES, DEVICE_DESC,
                               HID_REPORT, prop_const_mem, scan_signatures)
 
 from static_facts import static_facts
+from test_queries import _triage_images
 from test_report_bytes import VARIANTS
 
 
@@ -115,40 +116,72 @@ def test_find_xrefs_requires_code_read_downstream():
     assert usbstatic.find_xrefs(sweep(image), 0x30C3) == []
 
 
+def reachable_xrefs(image, patterns=DEFAULT_SIGNATURES):
+    return usbstatic.scan_with_xrefs(
+        image, usbstatic.reachable_instructions(image), patterns)
+
+
 def test_fixture_xrefs_found_for_all_descriptors():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
-    hits = usbstatic.scan_with_xrefs(image)
+    hits = reachable_xrefs(image)
     by_name = {h.name: h for h in hits if h.name in man.descriptors}
     for name, addr in man.descriptors.items():
         assert by_name[name].addr == addr
         assert by_name[name].xrefs, name
 
 
-def test_scan_with_xrefs_walks_once_and_decodes_candidates(monkeypatch):
-    image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
-    walks, decodes = [], []
-    real_walk, real_decode = isa.sweep_alignment, isa.decode
+# A device descriptor at 0x0300 and one real read of it from main; the
+# vectors' NOP sleds end at the `halt` before main.
+XREF_DESC = """
+.org 0x0300
+desc:
+    .db 0x12, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x40, 0x47, 0x05
+    .db 0x02, 0x21, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01
+"""
 
-    def walk(*args):
-        walks.append(args)
-        return real_walk(*args)
 
-    def decode(*args):
-        decodes.append(args)
-        return real_decode(*args)
+def test_xrefs_ignore_a_dptr_load_in_unreachable_data():
+    # A data table after main holds `90 03 02 93`: to a linear sweep a
+    # `mov dptr,#0x0302; movc` aimed into the descriptor, which no code
+    # executes.
+    image, sym = fwkit.assemble_with_symbols("""
+    ljmp main
+.org 0x0100
+halt:
+    sjmp halt
+main:
+    mov dptr, #desc
+    clr a
+    movc a, @a+dptr
+    sjmp main
+table:
+    .db 0x90, 0x03, 0x02, 0x93
+""" + XREF_DESC)
+    (hit,) = reachable_xrefs(image, (DEVICE_DESC,))
+    assert hit.addr == sym["desc"]
+    assert hit.xrefs == [sym["main"]]
+    assert usbstatic.find_xrefs(sweep(image), hit.addr, 18) == [
+        sym["main"], sym["table"]]
 
-    monkeypatch.setattr(isa, "sweep_alignment", walk)
-    monkeypatch.setattr(isa, "decode", decode)
-    hits = usbstatic.scan_with_xrefs(image)
-    assert len(hits) >= 2 and len(walks) == 1
-    starts, _ = real_walk(image, 0)
-    extents = [(h.addr, h.addr + usbstatic.descriptor_extent(image, h))
-               for h in hits]
-    candidates = [a for a in starts if image[a] == 0x90
-                  and any(lo <= (image[a + 1] << 8 | image[a + 2]) < hi
-                          for lo, hi in extents)]
-    assert candidates
-    assert 0 < len(decodes) <= len(candidates) * (1 + 32)
+
+def test_xrefs_find_a_dptr_load_a_sweep_misaligns_over():
+    # The data byte 0x02 before main decodes as a three-byte LJMP that
+    # swallows the `mov dptr,#desc` main starts with.
+    image, sym = fwkit.assemble_with_symbols("""
+    ljmp main
+.org 0x0100
+halt:
+    sjmp halt
+    .db 0x02
+main:
+    mov dptr, #desc
+    clr a
+    movc a, @a+dptr
+    sjmp main
+""" + XREF_DESC)
+    (hit,) = reachable_xrefs(image, (DEVICE_DESC,))
+    assert hit.xrefs == [sym["main"]]
+    assert usbstatic.find_xrefs(sweep(image), hit.addr, 18) == []
 
 
 def _record_sweep(image):
@@ -205,11 +238,18 @@ def _xref_image(rng):
 
 
 @pytest.mark.parametrize("source", ["fixtures", "random"])
-def test_scan_with_xrefs_matches_record_path(source):
+def test_scan_with_xrefs_matches_record_path(source, tmp_path):
+    # The sweep is the record-level decode-and-resync loop. Where the sweep
+    # stays aligned over the code, as on the fixtures and their seeded
+    # variants, the XREFs among the reachable instructions are those the
+    # same rule finds over the sweep.
     if source == "fixtures":
         images = [fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
                   for t in ("benign-hid", "injector-hid",
                             "storage-claiming-hid")]
+        images += [fwkit.generate_fixture(spec)[0]
+                   for spec, _, _ in VARIANTS.values()]
+        images += [image for image, _ in _triage_images(tmp_path, 4)]
     else:
         rng = random.Random(2024)
         images = [_xref_image(rng) for _ in range(60)]
@@ -219,13 +259,16 @@ def test_scan_with_xrefs_matches_record_path(source):
         swept, diags = isa.disassemble_sweep(image, 0)
         assert swept == instrs
         assert [d.addr for d in diags] == skipped
-        hits = usbstatic.scan_with_xrefs(image)
+        if source == "random":
+            continue
+        hits = reachable_xrefs(image)
         assert len(hits) >= 3
         for h in hits:
             extent = usbstatic.descriptor_extent(image, h)
             assert h.xrefs == usbstatic.find_xrefs(instrs, h.addr, extent)
             with_xrefs += bool(h.xrefs)
-    assert with_xrefs >= len(images)
+    if source == "fixtures":
+        assert len(images) == 18 and with_xrefs >= len(images)
 
 
 # ---------------------------------------------------------------------------
