@@ -2,13 +2,13 @@
 """Descriptor parsing and driver matching in isolation: parse the descriptor
 blobs out of a generated image and ask which kernel-style rules would bind."""
 
-from usbvet import fwkit, usbdb, usbstatic
+from usbvet import fwkit, lifter, usbdb, usbstatic
 
 image, manifest = fwkit.generate_fixture(
     fwkit.FixtureSpec(template="storage-claiming-hid"))
 
 hits = usbstatic.scan_with_xrefs(
-    image, usbstatic.reachable_instructions(image))
+    image, usbstatic.reachable_instructions(lifter.lift_program(image)))
 print("signature hits:")
 for h in hits:
     xr = ", ".join(f"0x{x:04x}" for x in h.xrefs) or "-"

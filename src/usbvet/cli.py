@@ -6,10 +6,13 @@ claimed-model construction, driver matching / expected-model comparison,
 report. Partial failures (no descriptors, no targets, budget exhaustion)
 degrade into diagnostics instead of aborting.
 
-`run_pipeline` owns the analysis-wide decisions: it builds the image's
-static facts once (`usbstatic.prop_const_mem` over the reachable
-instructions, the same list the XREF scan reads), which EP0 inference and
-Query 2 share; it builds the one `SymbolicPolicy` that both queries run
+`run_pipeline` owns the analysis-wide decisions: it makes the one
+`symexec.ImageMemo` of the analysis first, so the static pass and every
+exploration decode and lift each block once; it builds the image's static
+facts once (`usbstatic.prop_const_mem` over the reachable instructions,
+the same list the XREF scan reads, and the memo's blocks), which EP0
+inference and Query 2 share; it solves the preconditions once, before
+discovery; it builds the one `SymbolicPolicy` that both queries run
 under (`--policy full` covers the whole IRAM and XRAM regions,
 `auto`/`partial` the discovered set); and it turns `--time-limit` into one
 deadline shared by every exploration.
@@ -202,6 +205,33 @@ def _q2_dict(rep: queries.Query2Report) -> dict:
     }
 
 
+# The class whose function-specific evidence is a stand-in: the bulk-only
+# CBW tag, which firmware never copies to EP0, so its hits have no target
+# site to find.
+_STAND_IN_CLASS = "mass-storage"
+
+
+def _unplaced_hits(hits, ep0: set[int], target_sites: dict) -> list[str]:
+    """A verdict warning per signature hit whose claim Query 1 cannot check:
+    every hit when EP0 is unknown, else each function-specific hit
+    (`usbstatic.CLASS_FUNCSPEC`) whose class has no target site. Hits of
+    _STAND_IN_CLASS are exempt."""
+    class_of = {name: cls for cls, names in usbstatic.CLASS_FUNCSPEC.items()
+                for name in names}
+    out = []
+    for h in hits:
+        cls = class_of.get(h.name)
+        if cls == _STAND_IN_CLASS:
+            continue
+        if not ep0:
+            out.append(f"{h.name} at {_hx(h.addr)} is unplaced: EP0 is "
+                       f"unknown, so no target site serves it")
+        elif cls is not None and not target_sites[cls]:
+            out.append(f"{h.name} at {_hx(h.addr)} is unplaced: no target "
+                       f"site copies {cls} data to EP0")
+    return out
+
+
 def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     config.validate()
     try:
@@ -239,20 +269,26 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                   else time.monotonic() + config.time_limit),
         seed=config.seed)
 
-    # 1. signature scan, with XREFs among the reachable instructions
-    instrs = usbstatic.reachable_instructions(image)
+    # Every exploration of this analysis, and the static pass before them,
+    # shares one memo of the image's pure work: its lifted blocks and the
+    # solver's tables. It is dropped when the analysis returns.
+    memo = symexec.ImageMemo(image)
+
+    # 1. signature scan, with XREFs among the reachable instructions, which
+    # the walk reads off the memo's lifted blocks
+    instrs = usbstatic.reachable_instructions(memo.program)
     hits = usbstatic.scan_with_xrefs(image, instrs, patterns)
     hit_rows = [{"name": h.name, "addr": _hx(h.addr),
                  "bytes": h.matched.hex(),
                  "xrefs": [_hx(x) for x in h.xrefs]} for h in hits]
 
-    # 2. the image's static facts, built once from the same instructions;
-    # EP0 votes and the target sites of every hunted class
-    M = usbstatic.prop_const_mem(instrs)
+    # 2. the image's static facts, built once from the same instructions
+    # and blocks; EP0 votes and the target sites of every hunted class
+    M = usbstatic.prop_const_mem(instrs, memo.program)
     classes: dict = {}
     ep0_info: dict = {"classes": classes}
     targets: set[int] = set()
-    hid_targets: list[int] = []
+    target_sites: dict[str, list[int]] = {}
     ep0: set[int] = set()
     try:
         inf = usbstatic.find_devspec_to_ep0(image, M, hits)
@@ -261,9 +297,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
             diagnostics.append(f"NoDescriptors[{cls}]: {e}")
             classes[cls] = {"error": "NoDescriptors"}
     else:
-        ep0 = inf.ep0
-        hid_targets = inf.target_sites["hid"]
-        for cls, sites in inf.target_sites.items():
+        ep0, target_sites = inf.ep0, inf.target_sites
+        for cls, sites in target_sites.items():
             classes[cls] = {
                 "ep0": sorted(_hx(a) for a in inf.ep0),
                 "ep0_config_votes": sorted(_hx(a) for a in inf.ep0_1),
@@ -271,21 +306,18 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                 "target_sites": [_hx(t) for t in sites],
             }
             targets.update(sites)
-        classes["mass-storage"]["note"] = (
+        classes[_STAND_IN_CLASS]["note"] = (
             "mass-storage evidence uses the bulk-only CBW tag signature "
             "as a stand-in for class-specific descriptor data")
+    unplaced = (_unplaced_hits(hits, ep0, target_sites)
+                if config.query in ("identity", "both") else [])
 
     # Precondition satisfiability needs no policy: every policy names a
-    # byte's variable by region and address. So it is checked before
+    # byte's variable by region and address. So it is checked once, before
     # discovery; whether each byte is symbolic is checked by Query 1.
     run_query1 = config.query in ("identity", "both") and bool(targets)
     if run_query1:
         queries.check_preconditions(preconditions, base_cfg)
-
-    # 3. every exploration of this analysis shares one memo of the image's
-    # pure work: its lifted blocks and the solver's tables. It is dropped
-    # when the analysis returns.
-    memo = symexec.ImageMemo(image)
 
     # 3a. the symbolic policy of both queries: the whole IRAM and XRAM
     # regions, or the symbolic set (Alg. 3) for partial/auto
@@ -313,7 +345,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     if run_query1:
         q1 = queries.query1(image, sorted(targets), policy,
                             preconditions=preconditions, config=base_cfg,
-                            memo=memo)
+                            memo=memo, checked=True)
         q1_dict = _q1_dict(q1, policy_name)
     elif config.query in ("identity", "both"):
         diagnostics.append("no target instructions: identity query skipped")
@@ -352,6 +384,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                 iface.bInterfaceClass, iface.bInterfaceSubClass,
                 iface.bInterfaceProtocol, confirmed=True,
                 evidence="configuration descriptor"))
+    hid_targets = target_sites.get("hid", [])
     hid_reached = [t for t in hid_targets
                    if q1 is not None and q1.targets[t].reached]
     hid_static = bool(hid_targets) and q1 is None
@@ -403,7 +436,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         "identity": identity,
         "behavior": "flagged" if behavior_flagged else "clean",
         "reasons": verdict.reasons,
-        "warnings": verdict.warnings,
+        "warnings": verdict.warnings + unplaced,
         "flagged_sites": sorted(set(flagged_sites)),
     }
 
@@ -450,8 +483,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     )
     if not verdict.consistent or behavior_flagged:
         exit_code = EXIT_FLAGGED
-    elif (config.query in ("identity", "both") and targets and q1 is not None
-          and not q1.any_reached):
+    elif unplaced or (config.query in ("identity", "both") and targets
+                      and q1 is not None and not q1.any_reached):
         exit_code = EXIT_INCOMPLETE
     else:
         exit_code = EXIT_CONSISTENT

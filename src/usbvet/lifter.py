@@ -116,13 +116,20 @@ class UnliftableInstruction(Exception):
 
 
 class IRBlock:
-    __slots__ = ("addr", "stmts", "n_temps", "instr_addrs")
+    """A lifted block: its statements, and `instrs`, the decoded
+    instructions they were lifted from, in order. The k-th `Boundary`
+    starts the statements of `instrs[k]`."""
+    __slots__ = ("addr", "stmts", "n_temps", "instrs")
 
-    def __init__(self, addr, stmts, n_temps, instr_addrs):
+    def __init__(self, addr, stmts, n_temps, instrs):
         self.addr = addr
         self.stmts = stmts
         self.n_temps = n_temps
-        self.instr_addrs = instr_addrs
+        self.instrs = instrs
+
+    @property
+    def instr_addrs(self) -> list[int]:
+        return [ins.addr for ins in self.instrs]
 
 
 _PSW = machine.PSW
@@ -141,6 +148,19 @@ _AC = 0x40
 _OV = 0x04
 
 
+# _TMPS[n] is the Tmp of index n in every block: temps are read-only and
+# read only through `.i`, so blocks share them. Grown on demand, to the
+# largest block lifted so far.
+_TMPS: list[Tmp] = []
+
+
+def _new_tmp(n: int) -> Tmp:
+    """Append Tmp(n) to _TMPS, whose length is n."""
+    t = Tmp(n)
+    _TMPS.append(t)
+    return t
+
+
 class _Emit:
     """Statement builder for one block."""
 
@@ -149,14 +169,22 @@ class _Emit:
         self.n = 0
 
     def tmp(self, op, args, width) -> Tmp:
-        t = Tmp(self.n)
-        self.n += 1
+        n = self.n
+        self.n = n + 1
+        try:
+            t = _TMPS[n]
+        except IndexError:
+            t = _new_tmp(n)
         self.stmts.append(Assign(t, op, args, width))
         return t
 
     def load(self, region, addr) -> Tmp:
-        t = Tmp(self.n)
-        self.n += 1
+        n = self.n
+        self.n = n + 1
+        try:
+            t = _TMPS[n]
+        except IndexError:
+            t = _new_tmp(n)
         self.stmts.append(Load(t, region, addr))
         return t
 
@@ -172,7 +200,7 @@ class _Emit:
         return self.load(Region.SFR, addr)
 
     def acc(self) -> Tmp:
-        return self.sfr(_ACC)
+        return self.load(Region.SFR, _ACC)
 
     def set_acc(self, v):
         self.put(_ACC, v)
@@ -535,43 +563,51 @@ def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
     raise UnliftableInstruction(f"{m} at 0x{ins.addr:04x}")
 
 
-def lift_instruction(ins: isa.Instruction) -> list:
-    """The `Assign`, `Load` and `Store` statements of one instruction, in
-    order; no `Boundary` and no terminator."""
-    e = _Emit()
-    _lift_one(e, ins)
-    return e.stmts
-
-
 # A block ends at the first control-flow instruction, a decode failure, the
 # image end, or this many instructions (keeps NOP seas from producing one
 # giant block).
 MAX_BLOCK_INSTRS = 128
 
 
+def lift(instrs) -> IRBlock:
+    """The block of `instrs`, decoded instructions in fall-through order,
+    read lazily: it ends at the first control-flow instruction (terminator
+    included), at MAX_BLOCK_INSTRS, or where `instrs` ends, then with a
+    Jump to the next address."""
+    e = _Emit()
+    lifted: list[isa.Instruction] = []
+    terminator = None
+    for ins in instrs:
+        e.stmts.append(Boundary(ins.addr, ins.length))
+        lifted.append(ins)
+        terminator = _lift_one(e, ins)
+        if terminator is not None or len(lifted) >= MAX_BLOCK_INSTRS:
+            break
+    if terminator is None:
+        terminator = Jump((ins.addr + ins.length) & 0xFFFF)
+    e.stmts.append(terminator)
+    return IRBlock(lifted[0].addr, e.stmts, e.n, lifted)
+
+
+def _decoded(image: bytes, addr: int):
+    """The instructions of image from addr in fall-through order, up to the
+    image end or the first that does not decode; a decode failure at addr
+    itself propagates."""
+    ins = isa.decode(image, addr)
+    while True:
+        yield ins
+        addr = (addr + ins.length) & 0xFFFF
+        if addr >= len(image):
+            return
+        try:
+            ins = isa.decode(image, addr)
+        except isa.IsaError:
+            return  # runtime error surfaces if actually reached
+
+
 def lift_block(image: bytes, addr: int) -> IRBlock:
     """Lift the basic block starting at addr (terminator included)."""
-    e = _Emit()
-    instr_addrs: list[int] = []
-    pos = addr
-    ins = isa.decode(image, pos)  # first decode failure propagates to caller
-    while True:
-        e.stmts.append(Boundary(ins.addr, ins.length))
-        instr_addrs.append(ins.addr)
-        terminator = _lift_one(e, ins)
-        pos = (pos + ins.length) & 0xFFFF
-        if terminator is not None:
-            break
-        if pos >= len(image) or len(instr_addrs) >= MAX_BLOCK_INSTRS:
-            terminator = Jump(pos)
-            break
-        try:
-            ins = isa.decode(image, pos)  # the next iteration lifts it
-        except isa.IsaError:
-            terminator = Jump(pos)  # runtime error surfaces if actually reached
-            break
-    e.stmts.append(terminator)
-    return IRBlock(addr, e.stmts, e.n, instr_addrs)
+    return lift(_decoded(image, addr))
 
 
 class LiftedProgram:

@@ -15,8 +15,9 @@ its locations plus the delay counters, and its regions.
 Discovery and both queries take the caller's `symexec.ImageMemo` and hand
 it to every exploration they run, so the explorations of one analysis lift
 each block once and share the solver's tables. Without one, discovery
-makes one for its proofs and all its runs, and each query's exploration
-makes its own.
+makes one for its proofs and all its runs, `query2_unexpected` and
+`query2_inconsistent` make one for their static pass and exploration, and
+Query 1's exploration makes its own.
 
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
@@ -407,12 +408,19 @@ def _usb_notes(path: solver.PathCondition) -> list[UsbConstraintNote]:
 
 def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
            config: ExplorationConfig | None = None,
-           memo: ImageMemo | None = None) -> Query1Report:
+           memo: ImageMemo | None = None,
+           checked: bool = False) -> Query1Report:
+    """Reachability of `targets` under `policy` and `preconditions`, each
+    of whose bytes the policy must cover. Their conjunction must be
+    satisfiable (`check_preconditions`); with `checked`, the caller has
+    already found it so without a policy, whose variables every policy
+    shares, and it is not solved again."""
     if not targets:
         raise ValueError("query1 requires at least one target instruction")
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
-    init = check_preconditions(preconditions, cfg, policy)
+    init = (_precondition_exprs(preconditions, policy) if checked
+            else check_preconditions(preconditions, cfg, policy))
     res = execute(image, policy, cfg, initial_constraints=init, memo=memo)
     out: dict[int, Query1Target] = {}
     for t in sorted(targets):
@@ -678,6 +686,17 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                    ), inconsistent
 
 
+def _query2_alone(image: bytes, ep0: set[int], policy: SymbolicPolicy,
+                  max_ep: int, config: ExplorationConfig | None):
+    """query2 for a caller with no static facts: one memo serves the static
+    pass (`usbstatic.prop_const_mem` over its reachable blocks) and the
+    exploration."""
+    memo = ImageMemo(image)
+    instrs = usbstatic.reachable_instructions(memo.program)
+    M = usbstatic.prop_const_mem(instrs, memo.program)
+    return query2(image, ep0, policy, M, max_ep, config, memo)
+
+
 def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                       max_ep: int = 4,
                       config: ExplorationConfig | None = None
@@ -686,8 +705,7 @@ def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,
     with the static facts built from `image`."""
     if not ep0:
         raise ValueError("query2_unexpected requires a nonempty EP0 set")
-    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
-    return query2(image, ep0, policy, M, max_ep, config)[0]
+    return _query2_alone(image, ep0, policy, max_ep, config)[0]
 
 
 def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
@@ -698,5 +716,4 @@ def query2_inconsistent(image: bytes, policy: SymbolicPolicy,
     distinct concrete values involved (single-value writers rank low; they
     are the documented false-positive shape). Like query2, it explores with
     the image's delay counters added to `policy`."""
-    M = usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
-    return query2(image, set(), policy, M, config=config)[1]
+    return _query2_alone(image, set(), policy, 4, config)[1]

@@ -6,11 +6,14 @@ when its value is nonzero. Comparison operators yield 0/1.
 
 The satisfiability backend is internal: constraints are split into
 independent sets (connected components over shared variables), single
-variable constraints prune domains by enumeration, and the rest is settled
-by backtracking search. A domain is enumerated in one post-order walk of its
-constraint, in which each node holds its values at all 2^width points.
-Firmware constraints here are over 8-bit memory bytes, where this is both
-exact and fast.
+variable constraints prune domains, and the rest is settled by
+backtracking search. The commonest single-variable shapes, a byte or its
+masked bits compared equal or unequal to a constant (`eq`/`ne` of a
+constant and `v` or `and(v, m)`), have their domain computed in closed
+form, as the intersection of one bit column per bit of the mask. Any other
+domain is enumerated in one post-order walk of its constraint, in which
+each node holds its values at all 2^width points. Firmware constraints
+here are over 8-bit memory bytes, where both are exact and fast.
 
 Each `Solver` memoises two pure functions for the queries it is given: the
 satisfying values of a single-variable constraint (a domain, kept as an int
@@ -424,12 +427,67 @@ def split_independent(exprs: list[SymExpr]) -> list[list[SymExpr]]:
     return out
 
 
+def _bit_column(width: int, bit: int) -> int:
+    """The bitmask of the width-bit values that have `bit` set: a run of
+    2^bit ones above 2^bit zeros, repeated every 2^(bit+1) values."""
+    half = 1 << bit
+    run = ((1 << half) - 1) << half
+    return run * (((1 << (1 << width)) - 1) // ((1 << (half << 1)) - 1))
+
+
+def _closed_domain(e: SymExpr, name: str, width: int) -> int | None:
+    """The domain of `name` in e when e is `eq`/`ne` of a constant and
+    either the variable or `and(variable, constant)`, either operand order:
+    the values x with x & m == c, the intersection of one bit column per
+    bit of m, or their complement. None for every other shape."""
+    if e.op != "eq" and e.op != "ne":
+        return None
+    a, b = e.args
+    if a.op == "const":
+        a, b = b, a
+    if b.op != "const":
+        return None
+    if a.op == "and":
+        x, m = a.args
+        if x.op == "const":
+            x, m = m, x
+        if m.op != "const":
+            return None
+        m = m.value
+    else:
+        x, m = a, (1 << width) - 1
+    if x.op != "var" or x.args[0] != name or x.width != width:
+        return None
+    c = b.value
+    full = (1 << (1 << width)) - 1
+    if c & ~m:
+        mask = 0  # c sets a bit that and(x, m) never does
+    else:
+        mask = full
+        for bit in range(width):
+            if m >> bit & 1:
+                column = _bit_column(width, bit)
+                mask &= column if c >> bit & 1 else full ^ column
+    return mask if e.op == "eq" else full ^ mask
+
+
+def _column_domain(e: SymExpr, name: str, width: int) -> int:
+    """The domain of `name` in e, enumerated in one walk of e over all
+    2^width values."""
+    mask = 0
+    for x, v in enumerate(_walk(e, {}, name, range(1 << width))):
+        if v:
+            mask |= 1 << x
+    return mask
+
+
 def _domain(e: SymExpr, name: str, width: int, deadline: float,
             domains: dict, fresh: dict) -> int:
     """Bitmask of the values of `name` that satisfy the single-variable
     constraint e, looked up in the stored table, then in this query's new
-    entries, else enumerated in one walk of e over all 2^width values. May
-    raise SolverTimeout before enumerating."""
+    entries, else computed: in closed form for the shapes
+    `_closed_domain` knows, by the column walk for the rest. May raise
+    SolverTimeout before computing."""
     key = (e, name, width)
     mask = domains.get(key)
     if mask is None:
@@ -437,10 +495,9 @@ def _domain(e: SymExpr, name: str, width: int, deadline: float,
     if mask is None:
         if time.monotonic() > deadline:
             raise SolverTimeout()
-        mask = 0
-        for x, v in enumerate(_walk(e, {}, name, range(1 << width))):
-            if v:
-                mask |= 1 << x
+        mask = _closed_domain(e, name, width)
+        if mask is None:
+            mask = _column_domain(e, name, width)
         fresh[key] = mask
     return mask
 

@@ -9,26 +9,29 @@ store that moves function-specific data (e.g. an HID report descriptor) into
 that buffer is a target instruction. EP0 votes are cast once, and target
 stores are found for every claimed class from the same votes.
 
-An image is disassembled one way: `reachable_instructions` decodes what
-static control flow reaches from the reset and interrupt vectors. Both the
-XREF scan (`scan_with_xrefs`, by the one rule `find_xrefs`) and the static
-facts read that list. So a data table that no code reaches never decodes
-into a phantom reference, and code reached only through a `JMP @A+DPTR`
-or `MOVC A,@A+PC` table is in neither.
+An image is disassembled and lifted one way: `reachable_instructions`
+walks what static control flow reaches from the reset and interrupt
+vectors, block by block over a `lifter.LiftedProgram`. An analysis passes
+the program of its `symexec.ImageMemo`, so the blocks the walk lifts are
+the ones its explorations run. Both the XREF scan (`scan_with_xrefs`, by
+the one rule `find_xrefs`) and the static facts read the walk's list. So
+a data table that no code reaches never decodes into a phantom reference,
+and code reached only through a `JMP @A+DPTR` or `MOVC A,@A+PC` table is
+in neither.
 
 `prop_const_mem` returns the image's static facts as one `PropMap`: the
 instructions in address order, the read/write summary of each, and the
 propagated tuples M. An analysis builds it once from the reachable
-instructions; EP0 inference, Query 2's endpoint targets and its counter
-detection all read that one map.
+instructions and the same program; EP0 inference, Query 2's endpoint
+targets and its counter detection all read that one map.
 
-Each instruction's summary is read off its lifted IR
-(`lifter.lift_instruction`), so the static pass and the symbolic executor
-share one instruction semantics. Only successors come from the decoded
-instruction (`_successors`): the reachability walk needs them before
-anything is lifted, and the call-returns fall-through is not in the IR.
-A summary names a location `(Region, addr)`, as the executor does, so
-Query 2's counter detection takes a summary's write as it is.
+Each instruction's summary is read off its lifted IR, the statements
+between its `Boundary` and the next in a lifted block, so the static pass
+and the symbolic executor share one instruction semantics and one lift.
+Only successors come from the decoded instruction (`_successors`): the
+call-returns fall-through is not in the IR. A summary names a location
+`(Region, addr)`, as the executor does, so Query 2's counter detection
+takes a summary's write as it is.
 
 The propagation runs at the instruction level. Arithmetic does not
 propagate tuples, register banking is assumed to stay on bank 0, the stack
@@ -47,7 +50,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import isa, machine
-from .lifter import Assign, Load, Region, Store, Tmp, lift_instruction
+from .lifter import (Assign, Boundary, IRBlock, LiftedProgram, Load, Region,
+                     Store, Tmp, lift)
 
 # ---------------------------------------------------------------------------
 # Signature patterns
@@ -185,23 +189,29 @@ def scan_with_xrefs(image: bytes, instrs: list[isa.Instruction],
     return hits
 
 
-def reachable_instructions(image: bytes) -> list[isa.Instruction]:
+def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
     """Recursive-descent decoding from the reset vector and interrupt
     vectors: the instructions static control flow can actually reach, in
     address order. Keeps data tables from decoding into phantom code the
-    flow analyses would otherwise chew on."""
+    flow analyses would otherwise chew on.
+
+    The walk reads `program`'s lifted blocks, one per entry it meets: a
+    block's instructions are the fall-through successors of its first, and
+    its last one's successors (`_successors`) are the next entries."""
+    image_end = len(program.image)
     seen: dict[int, isa.Instruction] = {}
     work = [0] + [vec for vec, _bit in machine.INT_SOURCES.values()]
     while work:
         addr = work.pop()
-        if addr in seen or addr >= len(image):
+        if addr in seen or addr >= image_end:
             continue
         try:
-            ins = isa.decode(image, addr)
+            blk = program.block(addr)
         except isa.IsaError:
             continue
-        seen[addr] = ins
-        work.extend(_successors(ins))
+        for ins in blk.instrs:
+            seen[ins.addr] = ins
+        work.extend(_successors(blk.instrs[-1]))
     return [seen[a] for a in sorted(seen)]
 
 
@@ -258,8 +268,8 @@ _MARKS = {("and", PSW, 0x18): _BANK, ("shl", DPH, 8): _DPH_HIGH,
           ("or", _DPH_HIGH, DPL): _DPTR, ("add", ACC, _DPTR): _DPTR}
 
 
-def _summarize(ins: isa.Instruction) -> _Summary:
-    """Read the facts of `ins` off its lifted IR.
+def _summarize(ins: isa.Instruction, stmts) -> _Summary:
+    """Read the facts of `ins` off `stmts`, its lifted IR (`_by_instruction`).
 
     A location is a constant SFR or low-IRAM address, or register slot n
     (bank base + n, the base folded to 0). A `Store` at a location writes
@@ -290,7 +300,7 @@ def _summarize(ins: isa.Instruction) -> _Summary:
             return frozenset((held,))
         return _NONE
 
-    for stmt in lift_instruction(ins):
+    for stmt in stmts:
         cls = stmt.__class__
         if cls is Assign:
             args = [facts.get(a.i) if type(a) is Tmp else a for a in stmt.args]
@@ -357,15 +367,49 @@ def _successors(ins: isa.Instruction) -> list[int]:
     return [nxt]
 
 
+def _by_instruction(blk: IRBlock):
+    """Each instruction of blk with its statements: those between its
+    `Boundary` and the next one, or the block's terminator."""
+    stmts = blk.stmts
+    starts = [k for k, st in enumerate(stmts) if st.__class__ is Boundary]
+    starts.append(len(stmts) - 1)
+    for k, ins in enumerate(blk.instrs):
+        yield ins, stmts[starts[k] + 1:starts[k + 1]]
+
+
+def _fall_through(by_addr: dict, addr: int):
+    """The instructions of by_addr from addr in fall-through order, up to
+    the first address it does not hold."""
+    ins = by_addr.get(addr)
+    while ins is not None:
+        yield ins
+        ins = by_addr.get(ins.addr + ins.length)
+
+
 class PropMap:
     """The static facts of one instruction set: the instructions in address
     order, `by_addr`, the `_Summary` of each, and M: (site, 'src'|'dst') ->
-    (value, tracked address); absent means (bot,bot)."""
+    (value, tracked address); absent means (bot,bot).
 
-    def __init__(self, instrs: list[isa.Instruction]):
+    Summaries read lifted blocks: `program`'s, when the instructions were
+    decoded from its image (an analysis passes its memo's, whose blocks the
+    reachability walk already lifted), else blocks lifted from the list
+    itself. Either way each instruction is summarised from the first block
+    that holds it, in address order."""
+
+    def __init__(self, instrs: list[isa.Instruction],
+                 program: LiftedProgram | None = None):
         self.instrs = sorted(instrs, key=lambda i: i.addr)
-        self.by_addr = {i.addr: i for i in self.instrs}
-        self.summaries = {a: _summarize(i) for a, i in self.by_addr.items()}
+        by_addr = self.by_addr = {i.addr: i for i in self.instrs}
+        summaries = self.summaries = {}
+        for first in self.instrs:
+            if first.addr in summaries:
+                continue
+            blk = (program.block(first.addr) if program is not None
+                   else lift(_fall_through(by_addr, first.addr)))
+            for ins, stmts in _by_instruction(blk):
+                if ins.addr in by_addr and ins.addr not in summaries:
+                    summaries[ins.addr] = _summarize(ins, stmts)
         self.m: dict[tuple[int, str], tuple] = {}
 
     def get(self, site: int, role: str) -> tuple:
@@ -375,8 +419,10 @@ class PropMap:
         self.m[(site, role)] = tup
 
 
-def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
-    """Worklist propagation of constant values / tracked addresses.
+def prop_const_mem(instrs: list[isa.Instruction],
+                   program: LiftedProgram | None = None) -> PropMap:
+    """Worklist propagation of constant values / tracked addresses over the
+    static facts of `instrs` (`PropMap`, with `program`'s blocks if given).
 
     Seeds are stores of constants into memory-mapped registers. A value
     tuple consumed as an indirect address converts to a tracked address;
@@ -384,7 +430,7 @@ def prop_const_mem(instrs: list[isa.Instruction]) -> PropMap:
     non-register memory record roles but stop propagation. The defined-role
     guard bounds updates to at most two per site.
     """
-    M = PropMap(instrs)
+    M = PropMap(instrs, program)
     summaries = M.summaries
     wl: deque[int] = deque()
     for ins in M.instrs:

@@ -1,7 +1,9 @@
 """The static facts of an image, built as `cli.run_pipeline` builds them."""
 
-from usbvet import usbstatic
+from usbvet import lifter, usbstatic
 
 
 def static_facts(image: bytes) -> usbstatic.PropMap:
-    return usbstatic.prop_const_mem(usbstatic.reachable_instructions(image))
+    program = lifter.lift_program(image)
+    return usbstatic.prop_const_mem(usbstatic.reachable_instructions(program),
+                                    program)

@@ -122,7 +122,9 @@ def test_one_byte_sub_descriptor_is_a_diagnostic(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "config descriptor at 0x0032: bLength 1 at offset 9" in (
         report["diagnostics"])
-    assert code == cli.EXIT_CONSISTENT
+    # no code copies either descriptor, so EP0 is unknown and the claimed
+    # identity goes unchecked: the analysis is incomplete
+    assert code == cli.EXIT_INCOMPLETE
 
 
 def test_image_too_large(tmp_path):
@@ -469,6 +471,194 @@ def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
     assert len(report.symbolic_set["iterations"]) > 1
     assert report.query1 is not None and report.query2 is not None
     assert lifted and len(lifted) == len(set(lifted))
+
+
+def test_static_pass_lifts_through_the_memo(tmp_path, monkeypatch):
+    # The static pass reads the memo's blocks, so every instruction the
+    # analysis lifts is lifted into one of them, once.
+    memos, lifts = [], []
+    real_memo, real_lift = symexec.ImageMemo, lifter._lift_one
+
+    def recording_memo(image):
+        memos.append(real_memo(image))
+        return memos[-1]
+
+    monkeypatch.setattr(symexec, "ImageMemo", recording_memo)
+    monkeypatch.setattr(lifter, "_lift_one",
+                        lambda e, ins: lifts.append(ins) or real_lift(e, ins))
+    for template in ("benign-hid", "injector-hid", "storage-claiming-hid"):
+        path, _ = write_fixture(tmp_path, template)
+        memos.clear()
+        lifts.clear()
+        run_pipeline(small_config(path, query="both"))
+        (memo,) = memos
+        cached = sum(len(blk.instrs) for blk in memo.program.cache.values())
+        assert lifts and len(lifts) == cached, template
+
+
+# A mass-storage device with a hidden HID claim, in the shape of the
+# storage-claiming-hid fixture: its SETUP handler dispatches on wValueH and
+# copies each descriptor to the EP0 FIFO at 0x7e00. A case swaps in the
+# wValueH dispatch, or the way the HID report descriptor is served.
+_CLAIM_DISPATCH = """
+    cjne a, #1, hs_cfg
+    sjmp send_dev
+hs_cfg:
+    cjne a, #2, hs_rep
+    sjmp send_cfg
+hs_rep:
+    cjne a, #0x22, hs_done
+    sjmp send_hid
+"""
+
+
+def _copy_to_ep0(loop, table, count, store, load_dptr=None):
+    load_dptr = load_dptr or f"    mov dptr, #{table}"
+    return f"""
+    mov r0, #0
+    mov r7, #{count}
+{loop}:
+    mov a, r0
+{load_dptr}
+    movc a, @a+dptr
+    mov dptr, #0x7e00
+{store}:
+    movx @dptr, a
+    inc r0
+    djnz r7, {loop}
+"""
+
+
+def _claim_image(dispatch=_CLAIM_DISPATCH, send_hid=None):
+    send_hid = send_hid or _copy_to_ep0("hr_loop", "hid_report", 0x3F,
+                                        "hid_store")
+    src = f"""
+.org 0x0000
+    ljmp main
+.org 0x0003
+    ljmp usb_isr
+.org 0x000b
+    reti
+.org 0x0013
+    reti
+.org 0x001b
+    reti
+.org 0x0023
+    reti
+.org 0x002b
+    reti
+.org 0x0040
+main:
+    mov sp, #0x47
+    mov psw, #0
+    mov ie, #0x81
+loop:
+    mov a, 0x2f
+    jz loop
+    mov 0x2f, #0
+    lcall handle_setup
+    sjmp loop
+handle_setup:
+    mov a, 0x30          ; bRequest
+    cjne a, #6, hs_done
+    mov a, 0x31          ; wValueH
+{dispatch}
+send_dev:
+{_copy_to_ep0("sd_loop", "dev_desc", 18, "dev_store")}
+    sjmp hs_done
+send_cfg:
+{_copy_to_ep0("sc_loop", "cfg_desc", 32, "cfg_store")}
+    sjmp hs_done
+send_hid:
+{send_hid}
+hs_done:
+    ret
+usb_isr:
+    mov psw, #0
+    mov dptr, #0x7fab
+    movx a, @dptr
+    jnb acc.0, ui_done
+    mov dptr, #0x7fe9
+    movx a, @dptr
+    mov 0x30, a
+    mov dptr, #0x7feb
+    movx a, @dptr
+    mov 0x31, a
+    mov 0x2f, #1
+ui_done:
+    reti
+cbw_tag:
+.db "USBC"
+.org 0x0400
+dev_desc:
+{fwkit._device_descriptor_db(vid=0x13FE, pid=0x5201)}
+.org 0x0412
+cfg_desc:
+{fwkit._storage_config_db()}
+.org 0x0480
+hid_report:
+{fwkit._hid_report_db()}
+"""
+    return fwkit.assemble_with_symbols(src)[0]
+
+
+# name -> (the image's keyword arguments, the hits left unplaced). Each
+# hides the HID report copy from the static pass, so Query 1 has no target.
+UNPLACED_CASES = {
+    # DPTR loaded as two bytes: M forms no 16-bit address
+    "split-dptr-load": ({"send_hid": _copy_to_ep0(
+        "hr_loop", "hid_report", 0x3F, "hid_store",
+        "    mov dph, #0x04\n    mov dpl, #0x80")},
+        ["HID_REPORT at 0x0480"]),
+    # a jump table on wValueH: no copy is reachable, so EP0 is unknown
+    "jump-table-dispatch": ({"dispatch": """
+    anl a, #3
+    rl a
+    mov dptr, #jtab
+    jmp @a+dptr
+jtab:
+    ajmp hs_done
+    ajmp send_dev
+    ajmp send_cfg
+    ajmp send_hid
+"""}, ["DEVICE_DESC at 0x0400", "CONFIG_DESC at 0x0412",
+       "HID_REPORT at 0x0480"]),
+    # the report's address goes to a setup-data pointer, with no copy
+    "setup-data-pointer": ({"send_hid": """
+    mov dptr, #0x7fd4
+    mov a, #0x04
+    movx @dptr, a
+    inc dptr
+    mov a, #0x80
+hid_store:
+    movx @dptr, a
+"""}, ["HID_REPORT at 0x0480"]),
+}
+
+
+def _claim_analysis(tmp_path, image):
+    path = tmp_path / "claim.bin"
+    path.write_bytes(image)
+    return run_pipeline(small_config(str(path), expected="mass-storage",
+                                     query="identity"))
+
+
+def test_reached_hid_copy_is_anomalous_for_mass_storage(tmp_path):
+    report, code = _claim_analysis(tmp_path, _claim_image())
+    assert report.verdict["identity"] == "anomalous"
+    assert report.verdict["warnings"] == []  # the CBW tag is exempt
+    assert code == cli.EXIT_FLAGGED
+
+
+@pytest.mark.parametrize("name", sorted(UNPLACED_CASES))
+def test_unplaced_descriptor_fails_closed(name, tmp_path):
+    kwargs, unplaced = UNPLACED_CASES[name]
+    report, code = _claim_analysis(tmp_path, _claim_image(**kwargs))
+    assert report.query1 is None
+    assert report.verdict["identity"] == "consistent"
+    assert [w.split(" is unplaced")[0]
+            for w in report.verdict["warnings"]] == unplaced
+    assert code == cli.EXIT_INCOMPLETE
 
 
 def _hooked_analysis(monkeypatch, config, patches=()):

@@ -100,8 +100,9 @@ def test_ir_statement_set_is_closed():
     one = set()
     for op in range(256):
         if op != isa.RESERVED_OPCODE:
-            ins = isa.decode(bytes([op, 0x10, 0x02]), 0)
-            one.update(type(s).__name__ for s in lifter.lift_instruction(ins))
+            blk = lifter.lift_block(bytes([op, 0x10, 0x02, 0x80, 0xFE]), 0)
+            for _ins, stmts in usbstatic._by_instruction(blk):
+                one.update(type(s).__name__ for s in stmts)
     assert one <= _branched_on(usbstatic._summarize)
 
 
@@ -262,3 +263,30 @@ def test_differential_helpers_draw_pinned_data():
         h.update(repr(rng.getstate()).encode())
     assert h.hexdigest() == ("65f1e9d9df11ede8b26b006d791721ed"
                              "76f01bc9cfe875aa80228b0dbd178497")
+
+
+def _ir_pin_text() -> str:
+    """The printed IR of one block per legal opcode, with seeded operand
+    bytes, entered at two base addresses (AJMP/ACALL targets and relative
+    jumps depend on the address)."""
+    rng = random.Random(2604)
+    out = []
+    for base in (0x0000, 0x1234):
+        for op in range(256):
+            if op == isa.RESERVED_OPCODE:
+                continue
+            body = bytes([op, rng.randrange(256), rng.randrange(256),
+                          0x80, 0xFE])
+            blk = lifter.lift_block(bytes(base) + body, base)
+            out.append(lifter.format_block(blk))
+    return "\n".join(out)
+
+
+# sha256 of _ir_pin_text(); a change to the lifter that alters the IR of any
+# opcode moves it.
+IR_PIN = "b203c28a6ec5f1ebd162f4579115d6d64c188e0a865d70d0b35b35ca260e62e7"
+
+
+def test_lifted_ir_pinned():
+    digest = hashlib.sha256(_ir_pin_text().encode()).hexdigest()
+    assert digest == IR_PIN

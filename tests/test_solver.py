@@ -308,6 +308,48 @@ def test_past_deadline_ends_query_before_its_timeout():
     assert later.model == {"x": 3} and not later.timed_out
 
 
+def _closed_shapes(x, m, c):
+    """Every shape `_closed_domain` settles, for variable x, mask m and
+    constant c, built without mk so that no mask folds away."""
+    masked = [SymExpr("and", (x, m), x.width),
+              SymExpr("and", (m, x), x.width)]
+    return [SymExpr(op, args, 1) for op in ("eq", "ne")
+            for a in [x] + masked for args in ((a, c), (c, a))]
+
+
+def test_closed_form_domain_equals_the_column_walk():
+    x = var("x", 8)
+    masks = [0x00, 0xFF] + random.Random(26).sample(range(1, 0xFF), 6)
+    for m in masks:
+        for c in range(256):
+            for e in _closed_shapes(x, const(m), const(c)):
+                got = solver._closed_domain(e, "x", 8)
+                assert got == solver._column_domain(e, "x", 8), (m, c, e)
+    # the bit columns hold at any width: every mask and constant of 4 bits
+    n = var("n", 4)
+    for m in range(16):
+        for c in range(16):
+            for e in _closed_shapes(n, const(m, 4), const(c, 4)):
+                got = solver._closed_domain(e, "n", 4)
+                assert got == solver._column_domain(e, "n", 4), (m, c, e)
+    # any other shape is left to the walk
+    y = var("y", 8)
+    for e in (mk("ult", (x, 9), 1), mk("eq", (mk("add", (x, 1), 8), 9), 1),
+              mk("eq", (mk("and", (x, y), 8), 1), 1),
+              mk("eq", (mk("resize", (var("w", 16),), 8), 1), 1)):
+        assert solver._closed_domain(e, "x", 8) is None, e
+
+
+def test_past_deadline_ends_a_closed_form_query():
+    # the closed form runs where the walk would, after the clock check
+    exprs = [mk("eq", (mk("and", (var("x", 8), 0x0F), 8), 3), 1)]
+    s = Solver(timeout=60.0, deadline=time.monotonic() - 1.0)
+    res = s.query(exprs)
+    assert res.timed_out and res.sat and res.model is None
+    assert s.domains == {} and s.components == {}
+    assert check(exprs, timeout=60.0).model == {"x": 3}
+
+
 def test_pbits_is_superset_of_reachable_values():
     rng = random.Random(31)
     for _ in range(2000):

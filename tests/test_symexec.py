@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from usbvet import fwkit, lifter, machine, solver, symexec
+from usbvet import fwkit, isa, lifter, machine, solver, symexec
 from usbvet.lifter import Region
 from usbvet.symexec import (ExecState, ExplorationConfig, Listener,
                             Frontier, SymbolicPolicy, execute, select_next)
@@ -760,6 +760,11 @@ def test_stop_all_on_the_last_state_reports_listener_stop():
     assert res.reason == "listener-stop"
 
 
+# The instruction a hand-lifted block at address 0 stands in for: the NOP
+# of the one-byte image it runs in.
+_NOP_AT_0 = [isa.decode(b"\x00", 0)]
+
+
 def _run_hand_block(stmts, n_temps, fanout=16, listeners=(),
                     solver_timeout=5.0):
     """Run one hand-lifted block at address 0 of a one-byte image."""
@@ -768,7 +773,7 @@ def _run_hand_block(stmts, n_temps, fanout=16, listeners=(),
                                             max_indirect_fanout=fanout,
                                             solver_timeout=solver_timeout),
                           listeners=listeners, isr_map={})
-    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
+    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, _NOP_AT_0)
     return ex.run()
 
 
@@ -1031,7 +1036,7 @@ def _limited_hand_run(stmts, n_temps, max_states):
                           ExplorationConfig(seed=1, max_blocks=1,
                                             max_states=max_states),
                           isr_map={})
-    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, [0])
+    ex.memo.program.cache[0] = lifter.IRBlock(0, stmts, n_temps, _NOP_AT_0)
     return ex.run()
 
 
@@ -1076,7 +1081,7 @@ def test_state_limit_inside_one_block_ends_each_child_once():
 
 
 def _prepared(stmts, n_temps):
-    return symexec.prepare_block(lifter.IRBlock(0, stmts, n_temps, [0]))
+    return symexec.prepare_block(lifter.IRBlock(0, stmts, n_temps, _NOP_AT_0))
 
 
 def _kinds(pb):

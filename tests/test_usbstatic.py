@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from usbvet import fwkit, isa, machine, queries, usbstatic
+from usbvet import fwkit, isa, lifter, machine, queries, usbstatic
 from usbvet.lifter import Region
 from usbvet.usbstatic import (CONFIG_DESC, DEFAULT_SIGNATURES, DEVICE_DESC,
                               HID_REPORT, prop_const_mem, scan_signatures)
@@ -118,7 +118,8 @@ def test_find_xrefs_requires_code_read_downstream():
 
 def reachable_xrefs(image, patterns=DEFAULT_SIGNATURES):
     return usbstatic.scan_with_xrefs(
-        image, usbstatic.reachable_instructions(image), patterns)
+        image, usbstatic.reachable_instructions(lifter.lift_program(image)),
+        patterns)
 
 
 def test_fixture_xrefs_found_for_all_descriptors():
@@ -439,8 +440,9 @@ def test_summaries_are_sound_against_the_interpreter():
             continue
         for _ in range(6):
             image = bytes([op]) + rng.randbytes(2)
-            ins = isa.decode(image, 0)
-            sm = usbstatic._summarize(ins)
+            (ins, stmts), *_ = usbstatic._by_instruction(
+                lifter.lift_block(image, 0))
+            sm = usbstatic._summarize(ins, stmts)
             for _ in range(4):
                 before = _oracle_state(rng)
                 after = machine.step_concrete(before.clone(), image)
@@ -545,7 +547,7 @@ def test_ep0_requires_candidates():
 def test_reachable_instructions_skip_data():
     image, man = fwkit.generate_fixture(
         fwkit.FixtureSpec(template="injector-hid"))
-    reach = usbstatic.reachable_instructions(image)
+    reach = usbstatic.reachable_instructions(lifter.lift_program(image))
     addrs = {i.addr for i in reach}
     assert man.labels["main"] in addrs
     assert man.target_sites["hid_report_copy"] in addrs
