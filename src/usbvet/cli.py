@@ -11,9 +11,9 @@ degrade into diagnostics instead of aborting.
 exploration decode and lift each block once; it builds the image's static
 facts once (`usbstatic.prop_const_mem` over the reachable instructions,
 the same list the XREF scan reads, and the memo's blocks), which EP0
-inference and Query 2 share; it solves the preconditions once, before
-discovery; it builds the one `SymbolicPolicy` that both queries run
-under (`--policy full` covers the whole IRAM and XRAM regions,
+inference and Query 2 share; it solves the preconditions before discovery
+(Query 1 solves them again); it builds the one `SymbolicPolicy` that both
+queries run under (`--policy full` covers the whole IRAM and XRAM regions,
 `auto`/`partial` the discovered set); and it turns `--time-limit` into one
 deadline shared by every exploration.
 
@@ -56,12 +56,18 @@ class IoError(Exception):
     pass
 
 
+# The values of --expected, --query and --policy.
+EXPECTED_CLASSES = tuple(usbdb.EXPECTED_CLASS_SETS)
+QUERIES = ("identity", "consistency", "both")
+POLICIES = ("full", "partial", "auto")
+
+
 @dataclass
 class RunConfig:
     image_path: str
-    expected: str = "unknown"            # mass-storage | hid | composite | unknown
-    query: str = "both"                  # identity | consistency | both
-    policy: str = "auto"                 # full | partial | auto
+    expected: str = "unknown"            # one of EXPECTED_CLASSES
+    query: str = "both"                  # one of QUERIES
+    policy: str = "auto"                 # one of POLICIES
     tau: int = 16
     max_ep: int = 4
     seed: int = 0
@@ -74,11 +80,11 @@ class RunConfig:
     include_timing: bool = False
 
     def validate(self):
-        if self.expected not in ("mass-storage", "hid", "composite", "unknown"):
+        if self.expected not in EXPECTED_CLASSES:
             raise ConfigInvalid(f"expected class {self.expected!r}")
-        if self.query not in ("identity", "consistency", "both"):
+        if self.query not in QUERIES:
             raise ConfigInvalid(f"query {self.query!r}")
-        if self.policy not in ("full", "partial", "auto"):
+        if self.policy not in POLICIES:
             raise ConfigInvalid(f"policy {self.policy!r}")
         if self.tau <= 0 or self.max_ep <= 0 or self.state_limit <= 0:
             raise ConfigInvalid("tau, max-ep and state-limit must be positive")
@@ -309,13 +315,13 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         classes[_STAND_IN_CLASS]["note"] = (
             "mass-storage evidence uses the bulk-only CBW tag signature "
             "as a stand-in for class-specific descriptor data")
-    unplaced = (_unplaced_hits(hits, ep0, target_sites)
-                if config.query in ("identity", "both") else [])
+    asks_identity = config.query in ("identity", "both")
+    unplaced = _unplaced_hits(hits, ep0, target_sites) if asks_identity else []
 
     # Precondition satisfiability needs no policy: every policy names a
-    # byte's variable by region and address. So it is checked once, before
-    # discovery; whether each byte is symbolic is checked by Query 1.
-    run_query1 = config.query in ("identity", "both") and bool(targets)
+    # byte's variable by region and address. So it is checked before
+    # discovery; Query 1 checks that its policy covers each byte.
+    run_query1 = asks_identity and bool(targets)
     if run_query1:
         queries.check_preconditions(preconditions, base_cfg)
 
@@ -345,9 +351,9 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     if run_query1:
         q1 = queries.query1(image, sorted(targets), policy,
                             preconditions=preconditions, config=base_cfg,
-                            memo=memo, checked=True)
+                            memo=memo)
         q1_dict = _q1_dict(q1, policy_name)
-    elif config.query in ("identity", "both"):
+    elif asks_identity:
         diagnostics.append("no target instructions: identity query skipped")
 
     # 3c. Query 2 (consistency): both detectors watch one exploration
@@ -483,8 +489,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     )
     if not verdict.consistent or behavior_flagged:
         exit_code = EXIT_FLAGGED
-    elif unplaced or (config.query in ("identity", "both") and targets
-                      and q1 is not None and not q1.any_reached):
+    elif unplaced or (q1 is not None and not q1.any_reached):
         exit_code = EXIT_INCOMPLETE
     else:
         exit_code = EXIT_CONSISTENT
@@ -506,12 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     an = sub.add_parser("analyze", help="run the full analysis pipeline")
     an.add_argument("image", help="flat firmware image (<= 64 KiB)")
-    an.add_argument("--expected", default=None,
-                    choices=["mass-storage", "hid", "composite", "unknown"])
-    an.add_argument("--query", default=None,
-                    choices=["identity", "consistency", "both"])
-    an.add_argument("--policy", default=None,
-                    choices=["full", "partial", "auto"])
+    an.add_argument("--expected", default=None, choices=EXPECTED_CLASSES)
+    an.add_argument("--query", default=None, choices=QUERIES)
+    an.add_argument("--policy", default=None, choices=POLICIES)
     an.add_argument("--tau", type=int, default=None)
     an.add_argument("--max-ep", type=int, default=None)
     an.add_argument("--seed", type=int, default=None)

@@ -25,6 +25,10 @@ the environment), which ends a handler's discovery with a static proof where
 it can, and counter detection (delay counters guard injection
 payloads and must be symbolic for the payload to be explored) over the
 static facts of `usbstatic.prop_const_mem`.
+
+Preconditions are made by one function (`_precondition_exprs`, one table
+from relation to constraint) and solved only in `check_preconditions`,
+which Query 1 calls once its policy covers each precondition's byte.
 """
 
 from __future__ import annotations
@@ -286,7 +290,17 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
 # Preconditions
 # ---------------------------------------------------------------------------
 
-RELATIONS = ("==", "!=", "<", ">", "bit-set", "bit-clear")
+# Each relation's constraint on a byte's variable v and a value x (a bit
+# number for bit-set and bit-clear).
+_RELATION_EXPRS = {
+    "==": lambda v, x: mk("eq", (v, x), 1),
+    "!=": lambda v, x: mk("ne", (v, x), 1),
+    "<": lambda v, x: mk("ult", (v, x), 1),
+    ">": lambda v, x: mk("ugt", (v, x), 1),
+    "bit-set": lambda v, x: mk("ne", (mk("and", (v, 1 << x), 8), 0), 1),
+    "bit-clear": lambda v, x: mk("eq", (mk("and", (v, 1 << x), 8), 0), 1),
+}
+RELATIONS = tuple(_RELATION_EXPRS)
 
 
 @dataclass(frozen=True)
@@ -305,48 +319,28 @@ class UnsatisfiablePreconditions(PreconditionError):
     pass
 
 
-def _precondition_exprs(preconditions, policy: SymbolicPolicy | None = None):
-    """Each precondition's constraint, with its note. A byte's variable is
-    the policy's, and a byte the policy does not cover is an error. Without
-    a policy, it is the variable every policy gives that byte: the one named
-    by region and address (`SymbolicPolicy.var_name`)."""
+def _precondition_exprs(preconditions):
+    """Each precondition's constraint (`_RELATION_EXPRS`), with its note. A
+    byte's variable is named by region and address
+    (`SymbolicPolicy.var_name`), the name every policy gives it."""
     out = []
     for p in preconditions:
         region = _as_region(p.region)
-        if policy is None:
-            v = solver.var(SymbolicPolicy.var_name(region, p.addr), 8)
-        else:
-            v = policy.lookup(region, p.addr)
-        if v is None:
-            raise PreconditionError(
-                f"{Region(region).name}[0x{p.addr:04x}] is not designated "
-                f"symbolic; preconditions may only constrain symbolic bytes")
-        if p.relation == "==":
-            e = mk("eq", (v, p.value), 1)
-        elif p.relation == "!=":
-            e = mk("ne", (v, p.value), 1)
-        elif p.relation == "<":
-            e = mk("ult", (v, p.value), 1)
-        elif p.relation == ">":
-            e = mk("ugt", (v, p.value), 1)
-        elif p.relation == "bit-set":
-            e = mk("ne", (mk("and", (v, 1 << p.value), 8), 0), 1)
-        elif p.relation == "bit-clear":
-            e = mk("eq", (mk("and", (v, 1 << p.value), 8), 0), 1)
-        else:
+        relation = _RELATION_EXPRS.get(p.relation)
+        if relation is None:
             raise PreconditionError(f"unknown relation {p.relation!r}")
-        note = (f"precondition {Region(region).name}[0x{p.addr:04x}] "
+        v = solver.var(SymbolicPolicy.var_name(region, p.addr), 8)
+        note = (f"precondition {region.name}[0x{p.addr:04x}] "
                 f"{p.relation} {p.value}")
-        out.append((e, note))
+        out.append((relation(v, p.value), note))
     return out
 
 
-def check_preconditions(preconditions, config: ExplorationConfig,
-                        policy: SymbolicPolicy | None = None):
+def check_preconditions(preconditions, config: ExplorationConfig):
     """The preconditions' constraints (`_precondition_exprs`), or
     UnsatisfiablePreconditions when their conjunction has no solution. A
-    solver timeout counts as satisfiable."""
-    init = _precondition_exprs(preconditions, policy)
+    solver timeout counts as satisfiable. Preconditions are solved only here."""
+    init = _precondition_exprs(preconditions)
     if init and not solver.check([e for e, _ in init], config.solver_timeout,
                                  deadline=config.deadline).sat:
         raise UnsatisfiablePreconditions(
@@ -408,19 +402,22 @@ def _usb_notes(path: solver.PathCondition) -> list[UsbConstraintNote]:
 
 def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
            config: ExplorationConfig | None = None,
-           memo: ImageMemo | None = None,
-           checked: bool = False) -> Query1Report:
+           memo: ImageMemo | None = None) -> Query1Report:
     """Reachability of `targets` under `policy` and `preconditions`, each
-    of whose bytes the policy must cover. Their conjunction must be
-    satisfiable (`check_preconditions`); with `checked`, the caller has
-    already found it so without a policy, whose variables every policy
-    shares, and it is not solved again."""
+    of whose bytes the policy must cover (PreconditionError names the
+    first that it does not). Their conjunction must be satisfiable
+    (`check_preconditions`)."""
     if not targets:
         raise ValueError("query1 requires at least one target instruction")
+    for p in preconditions:
+        region = _as_region(p.region)
+        if policy.lookup(region, p.addr) is None:
+            raise PreconditionError(
+                f"{region.name}[0x{p.addr:04x}] is not designated "
+                f"symbolic; preconditions may only constrain symbolic bytes")
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
-    init = (_precondition_exprs(preconditions, policy) if checked
-            else check_preconditions(preconditions, cfg, policy))
+    init = check_preconditions(preconditions, cfg)
     res = execute(image, policy, cfg, initial_constraints=init, memo=memo)
     out: dict[int, Query1Target] = {}
     for t in sorted(targets):

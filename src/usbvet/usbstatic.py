@@ -26,12 +26,12 @@ instructions and the same program; EP0 inference, Query 2's endpoint
 targets and its counter detection all read that one map.
 
 Each instruction's summary is read off its lifted IR, the statements
-between its `Boundary` and the next in a lifted block, so the static pass
-and the symbolic executor share one instruction semantics and one lift.
-Only successors come from the decoded instruction (`_successors`): the
-call-returns fall-through is not in the IR. A summary names a location
-`(Region, addr)`, as the executor does, so Query 2's counter detection
-takes a summary's write as it is.
+between its `Boundary` and the next in a lifted block, and so is its
+control flow (`_exits`: the terminators the executor follows, plus a
+call's fall-through, the call-returns assumption), so the static pass and
+the symbolic executor share one instruction semantics and one lift. A
+summary names a location `(Region, addr)`, as the executor does, so
+Query 2's counter detection takes a summary's write as it is.
 
 The propagation runs at the instruction level. Arithmetic does not
 propagate tuples, register banking is assumed to stay on bank 0, the stack
@@ -50,8 +50,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import isa, machine
-from .lifter import (Assign, Boundary, IRBlock, LiftedProgram, Load, Region,
-                     Store, Tmp, lift)
+from .lifter import (Assign, Boundary, CJump, IRBlock, LiftedProgram, Load,
+                     Region, Store, Tmp, lift)
 
 # ---------------------------------------------------------------------------
 # Signature patterns
@@ -197,7 +197,7 @@ def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
 
     The walk reads `program`'s lifted blocks, one per entry it meets: a
     block's instructions are the fall-through successors of its first, and
-    its last one's successors (`_successors`) are the next entries."""
+    its exits (`_exits`) are the next entries."""
     image_end = len(program.image)
     seen: dict[int, isa.Instruction] = {}
     work = [0] + [vec for vec, _bit in machine.INT_SOURCES.values()]
@@ -211,7 +211,7 @@ def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
             continue
         for ins in blk.instrs:
             seen[ins.addr] = ins
-        work.extend(_successors(blk.instrs[-1]))
+        work.extend(_exits(blk))
     return [seen[a] for a in sorted(seen)]
 
 
@@ -239,12 +239,6 @@ def is_register(loc) -> bool:
 BOT = (None, None)
 
 
-@dataclass
-class _Use:
-    site: int
-    kind: str  # 'value' | 'addr-load' | 'addr-store'
-
-
 class _Summary(NamedTuple):
     """Static read/write/flow facts for one instruction."""
     reads_value: frozenset   # a copy's source location
@@ -254,7 +248,7 @@ class _Summary(NamedTuple):
     seed: tuple | None       # (value, width) for const-to-register
     value_dst_reg: tuple | None  # register location a copy stores to
     store_class: bool        # writes non-register memory
-    succ: tuple              # successor addresses (`_successors`)
+    succ: tuple              # successor addresses (`_by_instruction`)
 
 
 # What a temp of one instruction's IR holds, besides a location's value (the
@@ -268,8 +262,9 @@ _MARKS = {("and", PSW, 0x18): _BANK, ("shl", DPH, 8): _DPH_HIGH,
           ("or", _DPH_HIGH, DPL): _DPTR, ("add", ACC, _DPTR): _DPTR}
 
 
-def _summarize(ins: isa.Instruction, stmts) -> _Summary:
-    """Read the facts of `ins` off `stmts`, its lifted IR (`_by_instruction`).
+def _summarize(stmts, succ: tuple) -> _Summary:
+    """An instruction's facts: `stmts` and `succ` are its IR and its
+    successors (`_by_instruction`).
 
     A location is a constant SFR or low-IRAM address, or register slot n
     (bank base + n, the base folded to 0). A `Store` at a location writes
@@ -348,33 +343,40 @@ def _summarize(ins: isa.Instruction, stmts) -> _Summary:
         seed = (value, 8)
     return _Summary(reads_value, frozenset(addr_load) or _NONE,
                     frozenset(addr_store) or _NONE, frozenset(writes) or _NONE,
-                    seed, value_dst_reg, store_class, tuple(_successors(ins)))
+                    seed, value_dst_reg, store_class, succ)
 
 
-def _successors(ins: isa.Instruction) -> list[int]:
-    m = ins.mnemonic
-    nxt = ins.addr + ins.length
-    if m in ("LJMP", "AJMP", "SJMP"):
-        return [ins.operands[0].value]
-    if m in ("RET", "RETI", "JMP"):
-        return []
-    if m in ("LCALL", "ACALL"):
-        # follow into the callee and across it (call-returns assumption)
-        return [ins.operands[0].value, nxt]
-    if m in isa.CONTROL_FLOW:  # conditional family
-        target = ins.operands[-1].value
-        return [target, nxt]
-    return [nxt]
+def _exits(blk: IRBlock) -> tuple:
+    """Where control leaves blk: its terminator's constant targets (a
+    CJump's taken then fall, a Jump's int target; a RetMark's target is a
+    temp), plus a call's fall-through (call-returns assumption); or the
+    fall-through of a block cut after an instruction that is not control
+    flow. A fall-through is never wrapped past 0xFFFF to 0."""
+    last = blk.instrs[-1]
+    fall = last.addr + last.length
+    if last.mnemonic not in isa.CONTROL_FLOW:
+        return (fall,)
+    term = blk.stmts[-1]
+    if term.__class__ is CJump:
+        return (term.taken, fall)
+    if type(term.target) is not int:  # RET, RETI or JMP @A+DPTR
+        return ()
+    if last.mnemonic in ("LCALL", "ACALL"):
+        return (term.target, fall)
+    return (term.target,)
 
 
 def _by_instruction(blk: IRBlock):
-    """Each instruction of blk with its statements: those between its
-    `Boundary` and the next one, or the block's terminator."""
+    """Each instruction of blk with its statements (from its `Boundary` to
+    the next one, or to the terminator) and its successors: the next
+    instruction inside blk, else blk's exits (`_exits`)."""
     stmts = blk.stmts
     starts = [k for k, st in enumerate(stmts) if st.__class__ is Boundary]
     starts.append(len(stmts) - 1)
+    last = len(blk.instrs) - 1
     for k, ins in enumerate(blk.instrs):
-        yield ins, stmts[starts[k] + 1:starts[k + 1]]
+        succ = _exits(blk) if k == last else (ins.addr + ins.length,)
+        yield ins, stmts[starts[k] + 1:starts[k + 1]], succ
 
 
 def _fall_through(by_addr: dict, addr: int):
@@ -407,16 +409,13 @@ class PropMap:
                 continue
             blk = (program.block(first.addr) if program is not None
                    else lift(_fall_through(by_addr, first.addr)))
-            for ins, stmts in _by_instruction(blk):
+            for ins, stmts, succ in _by_instruction(blk):
                 if ins.addr in by_addr and ins.addr not in summaries:
-                    summaries[ins.addr] = _summarize(ins, stmts)
+                    summaries[ins.addr] = _summarize(stmts, succ)
         self.m: dict[tuple[int, str], tuple] = {}
 
     def get(self, site: int, role: str) -> tuple:
         return self.m.get((site, role), BOT)
-
-    def set(self, site: int, role: str, tup: tuple):
-        self.m[(site, role)] = tup
 
 
 def prop_const_mem(instrs: list[isa.Instruction],
@@ -436,14 +435,16 @@ def prop_const_mem(instrs: list[isa.Instruction],
     for ins in M.instrs:
         sm = summaries[ins.addr]
         if sm.seed is not None:
-            M.set(ins.addr, "dst", (sm.seed[0], None))
+            M.m[ins.addr, "dst"] = (sm.seed[0], None)
             wl.append(ins.addr)
 
-    def uses_of(site: int) -> list[_Use]:
+    def uses_of(site: int) -> list[tuple[int, str]]:
+        """(site, kind) of each use of site's writes, kind 'value',
+        'addr-load' or 'addr-store'."""
         tracked = summaries[site].writes
         if not tracked:
             return []
-        uses: list[_Use] = []
+        uses: list[tuple[int, str]] = []
         seen = {site: tracked}
         queue = deque((succ, tracked) for succ in summaries[site].succ)
         while queue:
@@ -456,11 +457,11 @@ def prop_const_mem(instrs: list[isa.Instruction],
                 continue
             seen[addr] = (prev or frozenset()) | live
             if live & sm.reads_value:
-                uses.append(_Use(addr, "value"))
+                uses.append((addr, "value"))
             if live & sm.addr_load:
-                uses.append(_Use(addr, "addr-load"))
+                uses.append((addr, "addr-load"))
             if live & sm.addr_store:
-                uses.append(_Use(addr, "addr-store"))
+                uses.append((addr, "addr-store"))
             live = live - sm.writes
             if live:
                 for succ in sm.succ:
@@ -472,8 +473,7 @@ def prop_const_mem(instrs: list[isa.Instruction],
         tup = M.get(site, "dst")
         if tup == BOT:
             continue
-        for use in uses_of(site):
-            j = use.site
+        for j, kind in uses_of(site):
             sm = summaries[j]
             srcdef = M.get(j, "src") != BOT
             dstdef = M.get(j, "dst") != BOT
@@ -484,21 +484,21 @@ def prop_const_mem(instrs: list[isa.Instruction],
                     continue
             elif srcdef or dstdef:
                 continue
-            if use.kind == "value":
-                M.set(j, "src", tup)
+            if kind == "value":
+                M.m[j, "src"] = tup
                 if sm.value_dst_reg is not None:
-                    M.set(j, "dst", tup)  # copy-through into a register
-            elif use.kind == "addr-load":
+                    M.m[j, "dst"] = tup  # copy-through into a register
+            elif kind == "addr-load":
                 if tup[0] is None:
                     continue  # only a known value can become an address
                 conv = (None, tup[0])
-                M.set(j, "src", conv)
+                M.m[j, "src"] = conv
                 if sm.value_dst_reg is not None:
-                    M.set(j, "dst", conv)
+                    M.m[j, "dst"] = conv
             else:  # addr-store
                 if tup[0] is None:
                     continue
-                M.set(j, "dst", (None, tup[0]))
+                M.m[j, "dst"] = (None, tup[0])
             if not sm.store_class:
                 wl.append(j)
     return M

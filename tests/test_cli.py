@@ -862,8 +862,7 @@ def test_precondition_value_is_kept_or_rejected(region, addr, relation,
         p = cli.parse_precondition(f"{region}:{addr}:{relation}:{value}")
     except cli.ConfigInvalid:
         return
-    pol = symexec.SymbolicPolicy([(Region[region], addr)])
-    [(expr, _)] = queries._precondition_exprs([p], pol)
+    [(expr, _)] = queries._precondition_exprs([p])
     if relation in ("bit-set", "bit-clear"):
         mask = expr.args[0].args[1]
         assert mask.op == "const" and mask.value == 1 << value

@@ -101,7 +101,7 @@ def test_ir_statement_set_is_closed():
     for op in range(256):
         if op != isa.RESERVED_OPCODE:
             blk = lifter.lift_block(bytes([op, 0x10, 0x02, 0x80, 0xFE]), 0)
-            for _ins, stmts in usbstatic._by_instruction(blk):
+            for _ins, stmts, _succ in usbstatic._by_instruction(blk):
                 one.update(type(s).__name__ for s in stmts)
     assert one <= _branched_on(usbstatic._summarize)
 

@@ -432,15 +432,41 @@ def make_policy(*xram_addrs):
 
 
 def test_precondition_exprs_empty():
-    assert queries._precondition_exprs([], make_policy()) == []
+    assert queries._precondition_exprs([]) == []
 
 
 def test_precondition_exprs_renders_equality():
-    pol = make_policy(0x7FE9)
     [(expr, note)] = queries._precondition_exprs(
-        [Precondition("XRAM", 0x7FE9, "==", 6)], pol)
+        [Precondition("XRAM", 0x7FE9, "==", 6)])
     assert solver.to_text(expr) == "(xram_7fe9 == 6)"
     assert note == "precondition XRAM[0x7fe9] == 6"
+
+
+# Each relation's meaning on a byte b and the precondition's value x.
+_RELATION_HOLDS = {
+    "==": lambda b, x: b == x, "!=": lambda b, x: b != x,
+    "<": lambda b, x: b < x, ">": lambda b, x: b > x,
+    "bit-set": lambda b, x: (b >> x) & 1 == 1,
+    "bit-clear": lambda b, x: (b >> x) & 1 == 0,
+}
+
+
+def test_precondition_exprs_constrain_every_policys_variable():
+    # A precondition's constraint holds exactly where its relation does,
+    # over the one variable that the full policy and a discovered-set
+    # policy both give the byte, so it means the same under either.
+    assert queries.RELATIONS == tuple(_RELATION_HOLDS)
+    for region, addr in ((Region.XRAM, 0x7FE9), (Region.IRAM, 0x30)):
+        v = SymbolicPolicy.full().lookup(region, addr)
+        assert SymbolicPolicy([(region, addr)]).lookup(region, addr) == v
+        for rel, holds in _RELATION_HOLDS.items():
+            for x in ((0, 3, 7) if rel.startswith("bit") else (0, 6, 255)):
+                [(expr, _)] = queries._precondition_exprs(
+                    [Precondition(region.name, addr, rel, x)])
+                assert expr.vars() == v.vars()
+                for b in range(256):
+                    assert solver.eval_expr(expr, {v.args[0]: b}) == (
+                        1 if holds(b, x) else 0), (rel, x, b)
 
 
 def test_query1_rejects_contradiction():
@@ -452,15 +478,17 @@ def test_query1_rejects_contradiction():
 
 
 def test_precondition_exprs_requires_designation():
-    with pytest.raises(queries.PreconditionError):
-        queries._precondition_exprs(
-            [Precondition("XRAM", 0x7FE9, "==", 6)], make_policy())
+    # Query 1 rejects a precondition on a byte its policy does not make
+    # symbolic, before it solves or explores anything.
+    with pytest.raises(queries.PreconditionError,
+                       match=r"^XRAM\[0x7fe9\] is not designated symbolic"):
+        queries.query1(bytes([0x80, 0xFE]), {0}, make_policy(),
+                       preconditions=[Precondition("XRAM", 0x7FE9, "==", 6)])
 
 
 def test_bit_relations():
-    pol = make_policy(0x7FAB)
     [(expr, _)] = queries._precondition_exprs(
-        [Precondition("XRAM", 0x7FAB, "bit-set", 0)], pol)
+        [Precondition("XRAM", 0x7FAB, "bit-set", 0)])
     assert "& 1" in solver.to_text(expr)
 
 

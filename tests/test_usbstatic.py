@@ -440,9 +440,9 @@ def test_summaries_are_sound_against_the_interpreter():
             continue
         for _ in range(6):
             image = bytes([op]) + rng.randbytes(2)
-            (ins, stmts), *_ = usbstatic._by_instruction(
+            (ins, stmts, succ), *_ = usbstatic._by_instruction(
                 lifter.lift_block(image, 0))
-            sm = usbstatic._summarize(ins, stmts)
+            sm = usbstatic._summarize(stmts, succ)
             for _ in range(4):
                 before = _oracle_state(rng)
                 after = machine.step_concrete(before.clone(), image)
@@ -553,6 +553,50 @@ def test_reachable_instructions_skip_data():
     assert man.target_sites["hid_report_copy"] in addrs
     # descriptor data is not code
     assert man.descriptors["HID_REPORT"] not in addrs
+
+
+def _mnemonic_successors(ins: isa.Instruction) -> list[int]:
+    """The successor table the static pass once kept beside the lifter:
+    a jump's target, none after RET, RETI or JMP @A+DPTR, a call's target
+    and its fall-through, a branch's target and its fall-through, else the
+    fall-through, never wrapped past 0xFFFF."""
+    m = ins.mnemonic
+    nxt = ins.addr + ins.length
+    if m in ("LJMP", "AJMP", "SJMP"):
+        return [ins.operands[0].value]
+    if m in ("RET", "RETI", "JMP"):
+        return []
+    if m in ("LCALL", "ACALL"):
+        return [ins.operands[0].value, nxt]
+    if m in isa.CONTROL_FLOW:
+        return [ins.operands[-1].value, nxt]
+    return [nxt]
+
+
+def test_block_successors_equal_the_mnemonic_table():
+    # Every legal opcode with seeded operands, mid-image and at the top of a
+    # 64 KiB image (where the fall-through would wrap to 0), followed by a
+    # reserved opcode (the instruction ends its block) or by a NOP (only
+    # control flow ends it).
+    rng = random.Random(27)
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        length = isa.TABLE[op].length
+        for _ in range(6):
+            code = bytes([op]) + rng.randbytes(length - 1)
+            for size, at in ((0x200, 0x100), (0x10000, 0x10000 - length)):
+                for after in (isa.RESERVED_OPCODE, 0x00):
+                    image = bytearray(size)
+                    image[at:at + length] = code
+                    image[(at + length) & 0xFFFF] = after
+                    blk = lifter.lift_block(bytes(image), at)
+                    ins, _stmts, succ = next(usbstatic._by_instruction(blk))
+                    ends = (after == isa.RESERVED_OPCODE
+                            or ins.mnemonic in isa.CONTROL_FLOW)
+                    assert (len(blk.instrs) == 1) == ends, ins
+                    assert list(succ) == _mnemonic_successors(ins), (
+                        ins, hex(at), after)
 
 
 def _static_facts_text(image: bytes) -> str:
