@@ -15,11 +15,17 @@ inference and Query 2 share; it solves the preconditions before discovery
 (Query 1 solves them again); it builds the one `SymbolicPolicy` that both
 queries run under (`--policy full` covers the whole IRAM and XRAM regions,
 `auto`/`partial` the discovered set); and it turns `--time-limit` into one
-deadline shared by every exploration.
+deadline shared by the static pass and every exploration. A static pass
+stopped by it leaves EP0 unknown and the analysis incomplete.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
-requested.
+requested. `AnalysisReport.to_json` writes the text of `json.dumps(...,
+indent=2, sort_keys=True)` with its own small encoder, which is faster
+than json's pure-Python one for indented output.
+
+What does not depend on the image is built once per process, on first
+use: the argument parser here, and the default driver rules in `usbdb`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import queries, symexec, usbdb, usbstatic
 from .lifter import REGION_SIZE, Region
@@ -152,7 +159,75 @@ class AnalysisReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The text of `json.dumps(self.to_dict(), indent=2,
+        sort_keys=True)` and a newline, written by `_encode`."""
+        out: list[str] = []
+        _encode(self.to_dict(), out, "\n")
+        out.append("\n")
+        return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar(o) -> str | None:
+    """json's text of o when o is a string, None, a bool, an int or a
+    float, else None. Strings go through json's own C escaper."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return ("NaN" if o != o else "Infinity" if o == _INF
+                else "-Infinity" if o == -_INF else float.__repr__(o))
+    return None
+
+
+def _encode(o, out: list, newline: str):
+    """Append the text `json.dumps(o, indent=2, sort_keys=True)` gives o
+    to out, with `newline` the line break and indent of o's own level.
+    json writes an indented document with its pure-Python encoder, so this
+    writer is faster. A value or key of a type json refuses raises
+    TypeError."""
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _encode(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            key = k if isinstance(k, str) else _scalar(k)
+            if key is None:
+                raise TypeError(f"keys must be str, int, float, bool or "
+                                f"None, not {k.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _encode(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def emit_report(text: str, path: str):
@@ -280,28 +355,42 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     # solver's tables. It is dropped when the analysis returns.
     memo = symexec.ImageMemo(image)
 
-    # 1. signature scan, with XREFs among the reachable instructions, which
-    # the walk reads off the memo's lifted blocks
-    instrs = usbstatic.reachable_instructions(memo.program)
+    # 1. the static pass: the reachable instructions, which the walk reads
+    # off the memo's lifted blocks, and the image's static facts, built once
+    # from the same instructions and blocks. Past the deadline it leaves
+    # EP0 unknown, and the analysis is incomplete.
+    instrs: list = []
+    no_ep0: Exception | None = None
+    try:
+        instrs = usbstatic.reachable_instructions(memo.program,
+                                                  base_cfg.deadline)
+        M = usbstatic.prop_const_mem(instrs, memo.program, base_cfg.deadline)
+    except usbstatic.StaticTimeLimit as e:
+        no_ep0 = e
+        M = usbstatic.PropMap([])
+
+    # and the signature scan, with XREFs among the reachable instructions
     hits = usbstatic.scan_with_xrefs(image, instrs, patterns)
     hit_rows = [{"name": h.name, "addr": _hx(h.addr),
                  "bytes": h.matched.hex(),
                  "xrefs": [_hx(x) for x in h.xrefs]} for h in hits]
 
-    # 2. the image's static facts, built once from the same instructions
-    # and blocks; EP0 votes and the target sites of every hunted class
-    M = usbstatic.prop_const_mem(instrs, memo.program)
+    # 2. EP0 votes and the target sites of every hunted class
     classes: dict = {}
     ep0_info: dict = {"classes": classes}
     targets: set[int] = set()
     target_sites: dict[str, list[int]] = {}
     ep0: set[int] = set()
-    try:
-        inf = usbstatic.find_devspec_to_ep0(image, M, hits)
-    except usbstatic.NoDescriptors as e:
+    if no_ep0 is None:
+        try:
+            inf = usbstatic.find_devspec_to_ep0(image, M, hits)
+        except usbstatic.NoDescriptors as e:
+            no_ep0 = e
+    if no_ep0 is not None:
+        name = type(no_ep0).__name__
         for cls in usbstatic.CLASS_FUNCSPEC:
-            diagnostics.append(f"NoDescriptors[{cls}]: {e}")
-            classes[cls] = {"error": "NoDescriptors"}
+            diagnostics.append(f"{name}[{cls}]: {no_ep0}")
+            classes[cls] = {"error": name}
     else:
         ep0, target_sites = inf.ep0, inf.target_sites
         for cls, sites in target_sites.items():
@@ -489,7 +578,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     )
     if not verdict.consistent or behavior_flagged:
         exit_code = EXIT_FLAGGED
-    elif unplaced or (q1 is not None and not q1.any_reached):
+    elif (unplaced or isinstance(no_ep0, usbstatic.StaticTimeLimit)
+          or q1 is not None and not q1.any_reached):
         exit_code = EXIT_INCOMPLETE
     else:
         exit_code = EXIT_CONSISTENT
@@ -504,7 +594,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by
+    every later one: parsing reads it and changes nothing in it."""
     ap = _Parser(
         prog="usbvet",
         description="Semantic queries over raw 8051 USB controller firmware")

@@ -21,10 +21,12 @@ Query 1's exploration makes its own.
 
 Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
-the environment), which ends a handler's discovery with a static proof where
-it can, and counter detection (delay counters guard injection
+the environment), and counter detection (delay counters guard injection
 payloads and must be symbolic for the payload to be explored) over the
-static facts of `usbstatic.prop_const_mem`.
+static facts of `usbstatic.prop_const_mem`. Discovery ends a handler's
+iterations with a static proof where it can: one walk per handler gives
+the locations its loads may read fresh, and an iteration is proved once
+they are all symbolic.
 
 Preconditions are made by one function (`_precondition_exprs`, one table
 from relation to constraint) and solved only in `check_preconditions`,
@@ -88,7 +90,7 @@ def _reads_fresh(loc, known, written) -> bool:
     """Whether an in-handler load of loc reads environment data: loc is
     neither a CODE byte (an image constant), nor already symbolic (in
     `known`), nor written by the handler (in `written`). The one rule of a
-    fresh read, for `_CheckLoads` and `_no_fresh_read` alike."""
+    fresh read, for `_CheckLoads` and `_fresh_reads` alike."""
     return loc[0] != Region.CODE and loc not in known and loc not in written
 
 
@@ -111,7 +113,7 @@ class _CheckLoads(Listener):
         return STOP_ALL
 
 
-# The abstract value of `_no_fresh_read` at the handler's stack: the entry
+# The abstract value of `_fresh_reads` at the handler's stack: the entry
 # SP plus k (mod 256) is ("sp", k). A location (Region.IRAM, ("sp", k)) is
 # the IRAM byte there, a stack slot of the handler's frame.
 def _sp(k: int) -> tuple:
@@ -131,10 +133,13 @@ def _abstract_op(op: str, args: list, width: int):
     return None
 
 
-def _no_fresh_read(program, entry: int, known, deadline) -> bool:
-    """Whether the handler at `entry` can make no load that reads fresh
-    (`_reads_fresh`) on any path from entry to its RETI, whatever the state
-    it is entered in. Then a discovery run of it can find no location.
+def _fresh_reads(program, entry: int, deadline) -> frozenset | None:
+    """The set C of locations that a load of the handler at `entry` may
+    read fresh (`_reads_fresh`, with nothing yet symbolic) on some path from
+    entry to its RETI, whatever the state it is entered in; or None when it
+    cannot tell. Once every location of C is symbolic, a discovery run of
+    the handler can find no location. The walk never reads the symbolic
+    set, so one walk answers every iteration of the handler's discovery.
 
     A forward must-analysis over `program`'s lifted blocks. Per block entry
     it keeps the locations every path has written since the handler's
@@ -146,17 +151,18 @@ def _no_fresh_read(program, entry: int, known, deadline) -> bool:
     forgets the values it may overwrite. Each path ends at RETI, at the
     image end or at an undecodable block, as an exploration's does.
 
-    False when it cannot tell: a load of a non-CODE byte at an address it
+    None when it cannot tell: a load of a non-CODE byte at an address it
     cannot resolve, an indirect jump, a RET to an unresolved address, or
     the deadline passed."""
     image_end = len(program.image)
     start_written = frozenset({(Region.SFR, machine.SP),
                                (Region.IRAM, _sp(0)), (Region.IRAM, _sp(-1))})
     at = {entry: (start_written, {(Region.SFR, machine.SP): _sp(0)})}
+    fresh: set = set()
     work = [entry]
     while work:
         if deadline is not None and time.monotonic() > deadline:
-            return False
+            return None
         addr = work.pop()
         if addr >= image_end:
             continue
@@ -185,10 +191,10 @@ def _no_fresh_read(program, entry: int, known, deadline) -> bool:
                                           else 0)
                     continue
                 if a is None:
-                    return False
+                    return None
                 loc = (st.region, a)
-                if _reads_fresh(loc, known, written):
-                    return False
+                if _reads_fresh(loc, (), written):
+                    fresh.add(loc)
                 tmps[st.dst.i] = values.get(loc)
             elif cls is Store:
                 a, v = val(st.addr), val(st.src)
@@ -208,12 +214,12 @@ def _no_fresh_read(program, entry: int, known, deadline) -> bool:
                          else (st.taken if c else st.fall,))
             elif cls is Jump:
                 if type(st.target) is Tmp:
-                    return False  # JMP @A+DPTR
+                    return None  # JMP @A+DPTR
                 succs = (st.target,)
             elif cls is RetMark and not st.reti:
                 t = val(st.target)
                 if type(t) is not int:
-                    return False
+                    return None
                 succs = (t & 0xFFFF,)
         for nxt in succs:
             old = at.get(nxt)
@@ -228,7 +234,7 @@ def _no_fresh_read(program, entry: int, known, deadline) -> bool:
                 at[nxt] = (w, kept)
             if nxt not in work:
                 work.append(nxt)
-    return True
+    return frozenset(fresh)
 
 
 def find_symbolic_locations(image: bytes, tau: int = 16,
@@ -238,12 +244,13 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
     """Up to tau iterations per ISR, each of one run restricted to that
     single interrupt source; every run either grows the symbolic set by one
     location and restarts cold, or finds none and ends that handler's
-    discovery, since a rerun would be identical. Before each run,
-    `_no_fresh_read` tries to prove that the run can find nothing; when it
-    does, the iteration is logged with reason `proved` and ends the
-    handler's discovery without the run. Otherwise the run's
-    `IterationRecord.reason` says whether it explored everything
-    (`complete`)."""
+    discovery, since a rerun would be identical. One static walk per
+    handler (`_fresh_reads`) gives the locations its loads may read fresh.
+    An iteration is proved, before the deadline, once all of them are
+    symbolic: no run can find a location, so the iteration is logged with
+    reason `proved` and ends the handler's discovery without the run.
+    Otherwise the run's `IterationRecord.reason` says whether it explored
+    everything (`complete`)."""
     base = config or ExplorationConfig()
     isrs = machine.discover_isrs(image)
     if memo is None:
@@ -251,10 +258,13 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):
+        # the first iteration's duration includes the walk
+        t0 = time.monotonic()
+        fresh = _fresh_reads(memo.program, isrs[source], base.deadline)
         for it in range(1, tau + 1):
-            t0 = time.monotonic()
-            if _no_fresh_read(memo.program, isrs[source], locations,
-                              base.deadline):
+            if (fresh is not None and fresh <= locations
+                    and (base.deadline is None
+                         or time.monotonic() <= base.deadline)):
                 # fixpoint: no run of this handler can find a location
                 log.append(IterationRecord(source, it, None,
                                            time.monotonic() - t0, "proved"))
@@ -278,6 +288,7 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                 log.append(IterationRecord(source, it,
                                            (Region(region).name, addr), dt,
                                            reason))
+                t0 = time.monotonic()
             else:
                 log.append(IterationRecord(source, it, None, dt, reason))
                 # fixpoint unproved: a rerun would be identical, so this

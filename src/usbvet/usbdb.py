@@ -12,7 +12,9 @@ extend it without touching code.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 USB_CLASS_HID = 0x03
@@ -304,15 +306,19 @@ def load_rules(text: str) -> list[MatchRule]:
     return rules
 
 
-def default_rules() -> list[MatchRule]:
+@cache
+def default_rules() -> tuple[MatchRule, ...]:
+    """The packaged rule file (`data/usb_rules.txt`), parsed on the first
+    call. Every call returns the same immutable tuple of frozen rules."""
     text = (resources.files("usbvet") / "data" / "usb_rules.txt").read_text()
-    return load_rules(text)
+    return tuple(load_rules(text))
 
 
 def match_drivers(device: DeviceDescriptor, interfaces,
-                  rules: list[MatchRule] | None = None
+                  rules: Sequence[MatchRule] | None = None
                   ) -> list[tuple[str, str]]:
-    """All (rule form, driver) pairs the OS would consider for this device.
+    """All (rule form, driver) pairs the OS would consider for this device,
+    under `rules`, or the shared `default_rules()` when None.
 
     Interface-level rules are evaluated once per interface; device-only
     rules once. No priority ordering is modeled: every match is reported.

@@ -23,7 +23,9 @@ in neither.
 instructions in address order, the read/write summary of each, and the
 propagated tuples M. An analysis builds it once from the reachable
 instructions and the same program; EP0 inference, Query 2's endpoint
-targets and its counter detection all read that one map.
+targets and its counter detection all read that one map. Given the
+analysis deadline, the walk and the propagation raise StaticTimeLimit once
+it has passed; with none they check no clock.
 
 Each instruction's summary is read off its lifted IR, the statements
 between its `Boundary` and the next in a lifted block, and so is its
@@ -43,6 +45,7 @@ under-approximation, which is the contract the emitting queries rely on.
 from __future__ import annotations
 
 import re
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -189,7 +192,13 @@ def scan_with_xrefs(image: bytes, instrs: list[isa.Instruction],
     return hits
 
 
-def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
+class StaticTimeLimit(Exception):
+    """The static pass ran past its caller's deadline."""
+
+
+def reachable_instructions(program: LiftedProgram,
+                           deadline: float | None = None
+                           ) -> list[isa.Instruction]:
     """Recursive-descent decoding from the reset vector and interrupt
     vectors: the instructions static control flow can actually reach, in
     address order. Keeps data tables from decoding into phantom code the
@@ -197,7 +206,9 @@ def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
 
     The walk reads `program`'s lifted blocks, one per entry it meets: a
     block's instructions are the fall-through successors of its first, and
-    its exits (`_exits`) are the next entries."""
+    its exits (`_exits`) are the next entries. Past `deadline` (a
+    `time.monotonic()` value, checked before each block) it raises
+    StaticTimeLimit."""
     image_end = len(program.image)
     seen: dict[int, isa.Instruction] = {}
     work = [0] + [vec for vec, _bit in machine.INT_SOURCES.values()]
@@ -205,6 +216,9 @@ def reachable_instructions(program: LiftedProgram) -> list[isa.Instruction]:
         addr = work.pop()
         if addr in seen or addr >= image_end:
             continue
+        if deadline is not None and time.monotonic() > deadline:
+            raise StaticTimeLimit(
+                "time-limit passed in reachable_instructions")
         try:
             blk = program.block(addr)
         except isa.IsaError:
@@ -419,7 +433,8 @@ class PropMap:
 
 
 def prop_const_mem(instrs: list[isa.Instruction],
-                   program: LiftedProgram | None = None) -> PropMap:
+                   program: LiftedProgram | None = None,
+                   deadline: float | None = None) -> PropMap:
     """Worklist propagation of constant values / tracked addresses over the
     static facts of `instrs` (`PropMap`, with `program`'s blocks if given).
 
@@ -428,6 +443,9 @@ def prop_const_mem(instrs: list[isa.Instruction],
     loads and register-to-register copies carry tuples through; stores to
     non-register memory record roles but stop propagation. The defined-role
     guard bounds updates to at most two per site.
+
+    Past `deadline` (a `time.monotonic()` value, checked before each
+    worklist site) it raises StaticTimeLimit.
     """
     M = PropMap(instrs, program)
     summaries = M.summaries
@@ -470,6 +488,8 @@ def prop_const_mem(instrs: list[isa.Instruction],
 
     while wl:
         site = wl.popleft()
+        if deadline is not None and time.monotonic() > deadline:
+            raise StaticTimeLimit("time-limit passed in prop_const_mem")
         tup = M.get(site, "dst")
         if tup == BOT:
             continue

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import time
 
 import pytest
@@ -317,6 +318,71 @@ def test_timing_flag_adds_timing_section(tmp_path):
     report, _ = run_pipeline(cfg)
     assert report.timing is not None
     assert "timing" in report.to_dict()
+    # the report's own encoder writes json's text
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2,
+                              sort_keys=True) + "\n"
+    assert json.loads(text) == json.loads(json.dumps(report.to_dict()))
+
+
+_TEXT = ('a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\r', '\x00', '\x1f',
+         '\x7f', '\u00e9', '\u4e2d', '\u2028', '\U0001f600', '\ud800')
+
+
+def _random_tree(rng: random.Random, depth: int = 0):
+    """A JSON-able value of a report's kinds: text with escapes and
+    non-ASCII, ints, floats like `--timing`'s and extreme ones, bools,
+    None, and dicts, lists and tuples, empty or nested."""
+    kind = rng.randrange(11 if depth < 4 else 7)
+    if kind == 0:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((0, -1, 7, 255, 0x7fe9, -2**70, 2**64))
+    if kind == 2:
+        return rng.choice((round(rng.random() * 3, 3), 0.0, -0.0, 1e-7,
+                           1e300, 0.1, math.inf, -math.inf, math.nan))
+    if kind in (3, 4, 5):
+        return (True, False, None)[kind - 3]
+    if kind == 6:
+        return rng.choice(({}, [], ()))
+    items = [_random_tree(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return items
+    if kind == 8:
+        return tuple(items)
+    if kind == 9:
+        return {"".join(rng.choice(_TEXT) for _ in range(rng.randrange(4))): v
+                for v in items}
+    # json writes the keys it takes besides text as text
+    return {rng.choice((0, 1, -5, 2.5, 1e300, True, False)): v
+            for v in items}
+
+
+def _report_of(fields: dict) -> cli.AnalysisReport:
+    names = cli.AnalysisReport.__dataclass_fields__
+    return cli.AnalysisReport(**{n: fields.get(n) for n in names})
+
+
+def test_report_encoder_writes_json_text():
+    # json.dumps(indent=2, sort_keys=True) is the reference
+    rng = random.Random(28)
+    names = list(cli.AnalysisReport.__dataclass_fields__)
+    for _ in range(300):
+        report = _report_of({n: _random_tree(rng) for n in names
+                             if rng.random() < 0.7})
+        want = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert report.to_json() == want
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", 1j,
+                                   {"k": [1, {"v": object()}]},
+                                   {(1, 2): "tuple key"},
+                                   {None: 1, "a": 2}])
+def test_report_encoder_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _report_of({"verdict": value}).to_json()
 
 
 def test_consistency_query_explores_once(tmp_path, monkeypatch):
@@ -756,12 +822,12 @@ def test_branch_the_path_decides_changes_no_exploration(name, tmp_path,
     # that side without the solver. With the membership test answering
     # "no", every such branch queries as before: the explorations, their
     # hook calls and the report are the same, at the cost of more queries.
-    # Both arms explore every discovery iteration (the fixpoint proof
-    # answers "not proved"): the held branches of the identity-triage case
-    # are in the last discovery runs, which the proof would skip.
+    # Both arms explore every discovery iteration (the fixpoint proof's
+    # walk answers "cannot tell"): the held branches of the identity-triage
+    # case are in the last discovery runs, which the proof would skip.
     spec, kw = HELD_CASES[name]
     config = RunConfig(image_path=_fixture_path(tmp_path, name, spec), **kw)
-    unproved = (queries, "_no_fresh_read", lambda *a: False)
+    unproved = (queries, "_fresh_reads", lambda *a: None)
     held = _hooked_analysis(monkeypatch, config, [unproved])
     queried = _hooked_analysis(monkeypatch, config, [
         unproved, (solver.PathCondition, "holds", lambda self, expr: False)])
@@ -800,6 +866,58 @@ def test_time_limit_is_one_budget_for_the_whole_analysis(tmp_path,
     assert reasons and "time-limit" not in reasons
     assert report.query1["reason"] == "time-limit"
     assert {q["reason"] for q in report.query2.values()} == {"time-limit"}
+
+
+def test_time_limit_bounds_the_static_pass(tmp_path):
+    # Static flow reaches 12,003 instructions of this seeded random image,
+    # and prop_const_mem takes about 12 s over them with no deadline (on a
+    # shared 2-core x86-64 host).
+    path = tmp_path / "random.bin"
+    path.write_bytes(random.Random(5).randbytes(0x6000))
+    out = tmp_path / "r.json"
+    t0 = time.monotonic()
+    code = cli.main(["analyze", str(path), "--query", "identity",
+                     "--time-limit", "1", "--report", str(out)])
+    assert time.monotonic() - t0 < 5
+    assert code == cli.EXIT_INCOMPLETE
+    report = json.loads(out.read_text())
+    assert report["ep0_inference"]["classes"]["hid"] == {
+        "error": "StaticTimeLimit"}
+    assert any(d.startswith("StaticTimeLimit[hid]: time-limit passed in ")
+               for d in report["diagnostics"])
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process. A call's flags and config
+    # file leave nothing in it for the next call.
+    path, man = write_fixture(tmp_path, "benign-hid")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tau": 4, "expected": "hid"}))
+    parsers, configs = [], []
+    real_parse, real_run = cli._Parser.parse_args, cli.run_pipeline
+    monkeypatch.setattr(cli._Parser, "parse_args", lambda self, *a, **kw:
+                        parsers.append(self) or real_parse(self, *a, **kw))
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda cfg: configs.append(cfg) or real_run(cfg))
+    common = ["analyze", path, "--query", "identity", "--seed", "7",
+              "--state-limit", "1200"]
+    first = tmp_path / "first.json"
+    assert cli.main(common + [
+        "--precondition", f"XRAM:{man.setup_base + 1:#x}:==:6", "--timing",
+        "--config", str(cfg_file), "--report", str(first)]) == 0
+    second = tmp_path / "second.json"
+    assert cli.main(common + ["--report", str(second)]) == 0
+    assert (configs[0].tau, configs[0].expected) == (4, "hid")
+    assert configs[0].include_timing and configs[0].preconditions
+    assert (configs[1].tau, configs[1].expected) == (16, "unknown")
+    assert not configs[1].include_timing and configs[1].preconditions == []
+    data = json.loads(second.read_text())
+    assert "timing" not in data and data["config"]["preconditions"] == []
+    capsys.readouterr()
+    assert cli.main(["analyze", path, "--tau", "x"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --tau") and err.count("\n") == 1
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
 
 
 @pytest.mark.parametrize("precondition, message", [

@@ -171,7 +171,8 @@ idle:
 """
 
 # name -> (main code before the idle loop, handler, XRAM bytes already
-# symbolic, whether `_no_fresh_read` proves the handler)
+# symbolic, whether the proof holds: `_fresh_reads` can tell, and every
+# location it gives is symbolic)
 PROOF_CASES = {
     "written-then-read": ("", """
     mov psw, #0
@@ -334,22 +335,28 @@ def _proof_image(name):
     return fwkit.assemble_with_symbols(src)
 
 
+def _proved(fresh, known) -> bool:
+    """The proof's answer for one iteration, given the handler's
+    `_fresh_reads` walk and the locations already symbolic."""
+    return fresh is not None and fresh <= known
+
+
 @pytest.mark.parametrize("name", sorted(PROOF_CASES))
 def test_no_fresh_read_proof(name):
     image, labels = _proof_image(name)
     known = {(Region.XRAM, a) for a in PROOF_CASES[name][2]}
-    proved = queries._no_fresh_read(lifter.lift_program(image),
-                                    labels["isr"], known, None)
-    assert proved is PROOF_CASES[name][3]
+    fresh = queries._fresh_reads(lifter.lift_program(image), labels["isr"],
+                                 None)
+    assert _proved(fresh, known) is PROOF_CASES[name][3]
 
 
 def test_no_fresh_read_proof_answers_no_past_the_deadline():
     image, labels = _proof_image("djnz-loop")
     program = lifter.lift_program(image)
-    assert queries._no_fresh_read(program, labels["isr"], set(),
-                                  time.monotonic() + 60)
-    assert not queries._no_fresh_read(program, labels["isr"], set(),
-                                      time.monotonic() - 1)
+    assert _proved(queries._fresh_reads(program, labels["isr"],
+                                        time.monotonic() + 60), set())
+    assert not _proved(queries._fresh_reads(program, labels["isr"],
+                                            time.monotonic() - 1), set())
 
 
 def test_proved_fixpoint_ends_discovery_without_a_run(monkeypatch):
@@ -366,16 +373,24 @@ def test_proved_fixpoint_ends_discovery_without_a_run(monkeypatch):
 
 
 def _shadowed_discovery(monkeypatch, image, config):
-    """Discovery with every iteration explored, as if no proof held, and
-    whether the proof held before each iteration, in log order."""
-    real = queries._no_fresh_read
-    held = []
-    monkeypatch.setattr(queries, "_no_fresh_read",
-                        lambda *a: held.append(real(*a)) or False)
+    """Discovery with every iteration explored, as if the walk could never
+    tell, and whether the proof held before each iteration, in log order:
+    the handler's walk told, and every location it gave was symbolic."""
+    real = queries._fresh_reads
+    walks = []
+    monkeypatch.setattr(queries, "_fresh_reads",
+                        lambda *a: walks.append(real(*a)))
     out = queries.find_symbolic_locations(image, tau=16, config=config)
     monkeypatch.undo()
-    assert len(held) == len(out.log)
-    return list(zip(held, out.log))
+    sources = list(dict.fromkeys(rec.source for rec in out.log))
+    assert len(walks) == len(sources)
+    fresh_of = dict(zip(sources, walks))
+    known, pairs = set(), []
+    for rec in out.log:
+        pairs.append((_proved(fresh_of[rec.source], known), rec))
+        if rec.added is not None:
+            known.add((Region[rec.added[0]], rec.added[1]))
+    return pairs
 
 
 def _triage_images(tmp_path, rounds):
@@ -420,6 +435,27 @@ def test_proved_fixpoint_is_never_a_finding_run(monkeypatch, tmp_path):
             last = {rec.source: held for held, rec in pairs}
             assert all(last.values()), i
     assert held_somewhere >= len(images) - len(PROOF_CASES)
+
+
+def test_discovery_walks_each_handler_once(monkeypatch, tmp_path):
+    # The proof's walk never reads the symbolic set, so each handler is
+    # walked once, however many iterations its discovery takes.
+    images = [(fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0],
+               ExplorationConfig())
+              for t in ("benign-hid", "injector-hid", "storage-claiming-hid")]
+    images += list(_triage_images(tmp_path, 1))
+    real = queries._fresh_reads
+    walked = []
+    monkeypatch.setattr(queries, "_fresh_reads",
+                        lambda *a: walked.append(a[1]) or real(*a))
+    iterations = 0
+    for image, config in images:
+        walked.clear()
+        out = queries.find_symbolic_locations(image, tau=16, config=config)
+        sources = {rec.source for rec in out.log}
+        assert len(walked) == len(set(walked)) == len(sources)
+        iterations += len(out.log)
+    assert iterations > 2 * len(images)  # handlers take several iterations
 
 
 # ---------------------------------------------------------------------------

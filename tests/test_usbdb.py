@@ -94,6 +94,13 @@ def test_default_rules_cover_all_ten_forms():
     assert {r.form for r in rules} == set(RULE_FORMS)
 
 
+def test_default_rules_are_one_shared_tuple():
+    rules = usbdb.default_rules()
+    assert type(rules) is tuple and usbdb.default_rules() is rules
+    with pytest.raises(AttributeError):
+        rules[0].driver = "other"  # frozen
+
+
 def test_usb_device_rule_semantics():
     rule = MatchRule("USB_DEVICE", "drv", usbdb.MATCH_DEVICE,
                      idVendor=0x1234, idProduct=0x5678)
