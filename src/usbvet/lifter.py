@@ -610,17 +610,45 @@ def lift_block(image: bytes, addr: int) -> IRBlock:
     return lift(_decoded(image, addr))
 
 
+def _suffix(blk: IRBlock, k: int) -> IRBlock:
+    """The block of blk's instructions from the k-th on: its statements
+    from that instruction's `Boundary` on, with blk's temps. Lifting the
+    image there ends at the same terminator when blk stopped before
+    MAX_BLOCK_INSTRS, and gives the same statements with other temps."""
+    addr = blk.instrs[k].addr
+    j = next(j for j, st in enumerate(blk.stmts)
+             if st.__class__ is Boundary and st.addr == addr)
+    return IRBlock(addr, blk.stmts[j:], blk.n_temps, blk.instrs[k:])
+
+
 class LiftedProgram:
-    """Lazily populated cache of lifted blocks, keyed by entry address."""
+    """Lazily populated cache of lifted blocks, keyed by entry address.
+
+    Each instruction is decoded and lifted once. An entry inside a cached
+    block that stopped before MAX_BLOCK_INSTRS gets that block's suffix
+    (`_suffix`), which decodes and lifts nothing; any other entry is lifted
+    from the image (`lift_block`)."""
 
     def __init__(self, image: bytes):
         self.image = bytes(image)
         self.cache: dict[int, IRBlock] = {}
+        # address -> (block, position) of each instruction after the first
+        # of a lifted block that stopped before MAX_BLOCK_INSTRS
+        self._inside: dict[int, tuple[IRBlock, int]] = {}
 
     def block(self, addr: int) -> IRBlock:
         blk = self.cache.get(addr)
         if blk is None:
-            blk = lift_block(self.image, addr)
+            held = self._inside.get(addr)
+            if held is not None:
+                blk = _suffix(*held)
+            else:
+                blk = lift_block(self.image, addr)
+                instrs = blk.instrs
+                if len(instrs) < MAX_BLOCK_INSTRS:
+                    inside = self._inside
+                    for k in range(1, len(instrs)):
+                        inside[instrs[k].addr] = (blk, k)
             self.cache[addr] = blk
         return blk
 

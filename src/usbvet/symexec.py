@@ -26,12 +26,13 @@ uniqueness with one query. With no model both fall back to querying each
 side, or enumerating, from scratch.
 
 `_exec_from` runs a block's prepared form (`prepare_block`), made once from
-its lifted statements: a tuple per step over a per-block value list, whose
-constants are preloaded and whose Assigns have their `solver.OPS` rule and
-mask bound. A load of a constant address that the block already read or
-wrote becomes a step that only calls the load hooks with the byte a slot
-holds (`forward_loads`); an Assign over constants is folded, and an Assign
-of the same operator over the same slots as an earlier one reuses its slot.
+its lifted statements in one pass: a tuple per step over a per-block value
+list, whose constants are preloaded and whose Assigns have their
+`solver.OPS` rule and mask bound. A load of a constant address that the
+block already read or wrote becomes a step that only calls the load hooks
+with the byte a slot holds (a Reread); an Assign over constants is folded,
+and an Assign of the same operator over the same slots as an earlier one
+reuses its slot.
 Every other step runs where its statement stood, so every listener still
 sees every load and store, with the same site, state, region, address and
 value, and may stop the run at any of them. A symbolic Assign builds its
@@ -102,43 +103,6 @@ class SymbolicPolicy:
         return SymbolicPolicy(regions=(Region.IRAM, Region.XRAM))
 
 
-class Reload:
-    """A Load of a constant address whose byte an earlier Load or Store of
-    the same block read or wrote: the atom `src` holds that byte. Made by
-    `forward_loads`; a prepared block runs it as its load hooks only."""
-    __slots__ = ("dst", "region", "addr", "src")
-
-    def __init__(self, dst, region, addr, src):
-        self.dst = dst
-        self.region = region
-        self.addr = addr
-        self.src = src
-
-
-def forward_loads(stmts: list) -> list:
-    """The block's statements, with each Load of a constant address that an
-    earlier Load or Store of the block read or wrote replaced by a Reload.
-    A Store to a computed address may write any byte of its region, so it
-    forgets what the block knows there."""
-    known: dict[tuple, object] = {}  # (region, addr) -> atom holding the byte
-    out = []
-    for st in stmts:
-        cls = st.__class__
-        if cls is Load and type(st.addr) is int:
-            key = (st.region, st.addr)
-            if key in known:
-                st = Reload(st.dst, st.region, st.addr, known[key])
-            else:
-                known[key] = st.dst
-        elif cls is Store:
-            if type(st.addr) is int:
-                known[(st.region, st.addr)] = st.src
-            else:
-                known = {k: v for k, v in known.items() if k[0] != st.region}
-        out.append(st)
-    return out
-
-
 # The kinds of a prepared step. A step is a tuple whose first item is its
 # kind; every other item is a slot of the block's value list or a constant.
 class Site:
@@ -191,66 +155,118 @@ class PreparedBlock:
 
 
 def prepare_block(blk) -> PreparedBlock:
-    """The prepared form of blk. Its loads are forwarded by `forward_loads`;
-    an Assign over constants is folded into a constant; an Assign of the
-    same operator over the same slots as an earlier one reuses its slot.
-    Every operand is a slot, and every Assign's rule is bound. A step runs
-    exactly where its statement stood, so the listeners see every load and
-    store as before."""
+    """The prepared form of blk, made in one pass over its statements.
+    A Load of a constant address that an earlier Load or Store of the block
+    read or wrote becomes a Reread of the slot that holds that byte; a Store
+    to a computed address may write any byte of its region, so it forgets
+    the block's bytes there. An Assign over constants is folded into a
+    constant; an Assign of the same operator over the same slots as an
+    earlier one reuses its slot. Every operand is a slot, and every
+    Assign's rule is bound. A step runs exactly where its statement stood,
+    so the listeners see every load and store as before."""
     init: list = []
     consts: dict[int, int] = {}          # constant -> its slot
     slot: dict[int, int] = {}            # Tmp index -> slot
     made: dict[tuple, int] = {}          # (op, slots, width) -> slot
-
-    def atom(a) -> int:
-        if type(a) is Tmp:
-            return slot[a.i]
-        k = consts.get(a)
-        if k is None:
-            k = consts[a] = len(init)
-            init.append(a)
-        return k
-
-    def fresh(t: Tmp) -> int:
-        k = slot[t.i] = len(init)
-        init.append(None)
-        return k
-
+    known: dict[tuple, int] = {}         # (region, addr) -> slot of its byte
     steps: list[tuple] = []
-    for st in forward_loads(blk.stmts):
+    for st in blk.stmts:
         cls = st.__class__
         if cls is Assign:
-            args = tuple(atom(a) for a in st.args)
-            mask = (1 << st.width) - 1
-            key = (st.op, args, st.width)
-            if all(init[k] is not None for k in args):
-                value = OPS[st.op](mask, [init[k] for k in args])
-                slot[st.dst.i] = atom(value)
-            elif key in made:
-                slot[st.dst.i] = made[key]
-            else:
-                d = made[key] = fresh(st.dst)
-                if len(args) == 2:
-                    steps.append((Compute, d, OPS[st.op], mask, st.op,
-                                  st.width, *args))
+            args = []
+            folded = True
+            for a in st.args:
+                if type(a) is Tmp:
+                    k = slot[a.i]
                 else:
-                    steps.append((ComputeN, d, OPS[st.op], mask, st.op,
-                                  st.width, args))
+                    k = consts.get(a)
+                    if k is None:
+                        k = consts[a] = len(init)
+                        init.append(a)
+                if init[k] is None:
+                    folded = False
+                args.append(k)
+            args = tuple(args)
+            op, width = st.op, st.width
+            mask = (1 << width) - 1
+            if folded:
+                value = OPS[op](mask, [init[k] for k in args])
+                k = consts.get(value)
+                if k is None:
+                    k = consts[value] = len(init)
+                    init.append(value)
+                slot[st.dst.i] = k
+                continue
+            key = (op, args, width)
+            k = made.get(key)
+            if k is not None:
+                slot[st.dst.i] = k
+                continue
+            k = made[key] = slot[st.dst.i] = len(init)
+            init.append(None)
+            if len(args) == 2:
+                steps.append((Compute, k, OPS[op], mask, op, width, *args))
+            else:
+                steps.append((ComputeN, k, OPS[op], mask, op, width, args))
         elif cls is Load:
-            steps.append((Read, st.region, atom(st.addr), fresh(st.dst)))
-        elif cls is Reload:
-            k = slot[st.dst.i] = atom(st.src)
-            steps.append((Reread, st.region, st.addr, k))
+            a = st.addr
+            if type(a) is Tmp:
+                steps.append((Read, st.region, slot[a.i], len(init)))
+                slot[st.dst.i] = len(init)
+                init.append(None)
+                continue
+            key = (st.region, a)
+            k = known.get(key)
+            if k is not None:
+                slot[st.dst.i] = k
+                steps.append((Reread, st.region, a, k))
+                continue
+            k = consts.get(a)
+            if k is None:
+                k = consts[a] = len(init)
+                init.append(a)
+            known[key] = slot[st.dst.i] = len(init)
+            steps.append((Read, st.region, k, len(init)))
+            init.append(None)
         elif cls is Store:
-            steps.append((Write, st.region, atom(st.addr), atom(st.src)))
+            a, v = st.addr, st.src
+            if type(a) is Tmp:
+                ka = slot[a.i]
+            else:
+                ka = consts.get(a)
+                if ka is None:
+                    ka = consts[a] = len(init)
+                    init.append(a)
+            if type(v) is Tmp:
+                kv = slot[v.i]
+            else:
+                kv = consts.get(v)
+                if kv is None:
+                    kv = consts[v] = len(init)
+                    init.append(v)
+            steps.append((Write, st.region, ka, kv))
+            if type(a) is Tmp:
+                known = {key: k for key, k in known.items()
+                         if key[0] != st.region}
+            else:
+                known[(st.region, a)] = kv
         elif cls is Boundary:
             steps.append((Site, st.addr))
-        elif cls is CJump:
-            steps.append((Branch, atom(st.cond), st.taken, st.fall))
-        elif cls is Jump:
-            steps.append((Goto, atom(st.target), False))
-        elif cls is RetMark:
-            steps.append((Goto, atom(st.target), st.reti))
+        else:  # the terminator: CJump, Jump or RetMark
+            a = st.cond if cls is CJump else st.target
+            if type(a) is Tmp:
+                k = slot[a.i]
+            else:
+                k = consts.get(a)
+                if k is None:
+                    k = consts[a] = len(init)
+                    init.append(a)
+            if cls is CJump:
+                steps.append((Branch, k, st.taken, st.fall))
+            elif cls is Jump:
+                steps.append((Goto, k, False))
+            elif cls is RetMark:
+                steps.append((Goto, k, st.reti))
     return PreparedBlock(blk.addr, steps, init, blk.instr_addrs)
 
 
@@ -688,13 +704,16 @@ class Executor:
         if s.active_isr is not None:
             return []
         cooldowns = s.cooldowns
-        ready = [src for src in self._sources if cooldowns.get(src, 0) <= 0]
-        if not ready:
-            return []
+        for source in self._sources:
+            if cooldowns.get(source, 0) <= 0:
+                break
+        else:
+            return []  # no source is ready
         cfg = self.config
         ie = self._read(s, Region.SFR, machine.IE)
         forks: list[ExecState] = []
-        for source in ready:
+        for source in [src for src in self._sources
+                       if cooldowns.get(src, 0) <= 0]:
             mask = machine.ie_mask(source)
             pred = None
             if type(ie) is int:

@@ -31,9 +31,11 @@ Each instruction's summary is read off its lifted IR, the statements
 between its `Boundary` and the next in a lifted block, and so is its
 control flow (`_exits`: the terminators the executor follows, plus a
 call's fall-through, the call-returns assumption), so the static pass and
-the symbolic executor share one instruction semantics and one lift. A
-summary names a location `(Region, addr)`, as the executor does, so
-Query 2's counter detection takes a summary's write as it is.
+the symbolic executor share one instruction semantics and one lift. One
+pass over a block's statements summarises all of its instructions
+(`_block_summaries`). A summary names a location `(Region, addr)`, as the
+executor does, so Query 2's counter detection takes a summary's write as
+it is.
 
 The propagation runs at the instruction level. Arithmetic does not
 propagate tuples, register banking is assumed to stay on bank 0, the stack
@@ -242,12 +244,13 @@ DPL = (Region.SFR, machine.DPL)
 DPH = (Region.SFR, machine.DPH)
 DPTR_LOCS = frozenset((DPL, DPH))
 _NONE = frozenset()  # shared: each frozenset() call makes a new object
+_SFR, _IRAM = Region.SFR, Region.IRAM  # read without an enum lookup
 
 
 def is_register(loc) -> bool:
     """Memory-mapped registers: every SFR plus the four register banks."""
     region, addr = loc
-    return region == Region.SFR or addr < 0x20
+    return region == _SFR or addr < 0x20
 
 
 BOT = (None, None)
@@ -262,7 +265,7 @@ class _Summary(NamedTuple):
     seed: tuple | None       # (value, width) for const-to-register
     value_dst_reg: tuple | None  # register location a copy stores to
     store_class: bool        # writes non-register memory
-    succ: tuple              # successor addresses (`_by_instruction`)
+    succ: tuple              # successor addresses (`_block_summaries`)
 
 
 # What a temp of one instruction's IR holds, besides a location's value (the
@@ -276,72 +279,13 @@ _MARKS = {("and", PSW, 0x18): _BANK, ("shl", DPH, 8): _DPH_HIGH,
           ("or", _DPH_HIGH, DPL): _DPTR, ("add", ACC, _DPTR): _DPTR}
 
 
-def _summarize(stmts, succ: tuple) -> _Summary:
-    """An instruction's facts: `stmts` and `succ` are its IR and its
-    successors (`_by_instruction`).
-
-    A location is a constant SFR or low-IRAM address, or register slot n
-    (bank base + n, the base folded to 0). A `Store` at a location writes
-    it, and a constant stored to a register seeds it. An address held by a
-    location other than SP, or by DPTR, is tracked. A store to non-register
-    memory or through a tracked address is store-class; a store through any
-    other address is a stack slot, which is not modelled. An instruction
-    that stores exactly one loaded value is a copy."""
-    facts: dict[int, object] = {}   # temp -> location, _MEMORY or a mark
-    slots: dict[int, tuple] = {}    # temp -> the register slot it addresses
-    writes, addr_load, addr_store = set(), set(), set()
-    consts: dict[tuple, int] = {}   # register -> constant stored to it
-    copies = []                     # (source, destination) of loaded values
-    store_class = False
-
-    def location(region, addr):
-        if type(addr) is Tmp:
-            return slots.get(addr.i)
-        if region == Region.SFR or (region == Region.IRAM and addr < 0x80):
-            return (region, addr)
-        return None
-
-    def tracked(addr) -> frozenset:
-        held = facts.get(addr.i) if type(addr) is Tmp else None
-        if held == _DPTR:
-            return DPTR_LOCS
-        if type(held) is tuple and held != SP:
-            return frozenset((held,))
-        return _NONE
-
-    for stmt in stmts:
-        cls = stmt.__class__
-        if cls is Assign:
-            args = [facts.get(a.i) if type(a) is Tmp else a for a in stmt.args]
-            if stmt.op == "add" and args[0] is _BANK:
-                slots[stmt.dst.i] = (Region.IRAM, args[1])
-            else:
-                mark = _MARKS.get((stmt.op, *args))
-                if mark is not None:
-                    facts[stmt.dst.i] = mark
-        elif cls is Load:
-            loc = location(stmt.region, stmt.addr)
-            if loc is None:
-                addr_load |= tracked(stmt.addr)
-                loc = _MEMORY
-            facts[stmt.dst.i] = loc
-        elif cls is Store:
-            loc = location(stmt.region, stmt.addr)
-            if loc is not None:
-                writes.add(loc)
-                if not is_register(loc):
-                    store_class = True
-                elif type(stmt.src) is int:
-                    consts[loc] = stmt.src
-            else:
-                through = tracked(stmt.addr)
-                if not through:
-                    continue  # a stack slot
-                addr_store |= through
-                store_class = True
-            src = facts.get(stmt.src.i) if type(stmt.src) is Tmp else None
-            if src is _MEMORY or type(src) is tuple:
-                copies.append((src, loc))
+def _summary(writes: list, addr_load: list, addr_store: list, consts: dict,
+             copies: list, store_class: bool, succ: tuple) -> _Summary:
+    """The `_Summary` of one instruction from what `_block_summaries` read
+    off its statements: the locations it writes and uses as load and store
+    addresses, the constants it stores to registers, its copies of loaded
+    values (source, destination), whether it is store-class, and its
+    successors."""
     reads_value, value_dst_reg = _NONE, None
     if len(copies) == 1:
         src, dst = copies[0]
@@ -355,9 +299,105 @@ def _summarize(stmts, succ: tuple) -> _Summary:
     elif consts:
         (value,) = consts.values()
         seed = (value, 8)
-    return _Summary(reads_value, frozenset(addr_load) or _NONE,
-                    frozenset(addr_store) or _NONE, frozenset(writes) or _NONE,
+    return _Summary(reads_value,
+                    frozenset(addr_load) if addr_load else _NONE,
+                    frozenset(addr_store) if addr_store else _NONE,
+                    frozenset(writes) if writes else _NONE,
                     seed, value_dst_reg, store_class, succ)
+
+
+def _block_summaries(blk: IRBlock) -> list[_Summary]:
+    """The facts of each instruction of blk, in order, read in one pass
+    over its statements. An instruction's facts start afresh at its
+    `Boundary`; its successors are the next instruction inside blk, else
+    blk's exits (`_exits`).
+
+    A location is a constant SFR or low-IRAM address, or register slot n
+    (bank base + n, the base folded to 0). A `Store` at a location writes
+    it, and a constant stored to a register seeds it. An address held by a
+    location other than SP, or by DPTR, is tracked. A store to non-register
+    memory or through a tracked address is store-class; a store through any
+    other address is a stack slot, which is not modelled. An instruction
+    that stores exactly one loaded value is a copy."""
+    out: list[_Summary] = []
+    # temps are assigned once per block, so these hold across instructions
+    facts: dict[int, object] = {}   # temp -> location, _MEMORY or a mark
+    slots: dict[int, tuple] = {}    # temp -> the register slot it addresses
+    # the Boundary of the instruction being read; the block's first
+    # statement is one, and it starts that instruction's facts
+    at = None
+    for stmt in blk.stmts:
+        cls = stmt.__class__
+        if cls is Assign:
+            # a mark or a slot is made of two operands, the first a temp
+            # that holds a location or a mark
+            args = stmt.args
+            a = args[0]
+            held = facts.get(a.i) if type(a) is Tmp else None
+            if held is not None and len(args) == 2:
+                b = args[1]
+                if type(b) is Tmp:
+                    b = facts.get(b.i)
+                if held is _BANK and stmt.op == "add":
+                    slots[stmt.dst.i] = (_IRAM, b)
+                else:
+                    mark = _MARKS.get((stmt.op, held, b))
+                    if mark is not None:
+                        facts[stmt.dst.i] = mark
+        elif cls is Load:
+            region, a = stmt.region, stmt.addr
+            if type(a) is Tmp:
+                loc = slots.get(a.i)
+                if loc is None:
+                    held = facts.get(a.i)
+                    if held == _DPTR:
+                        addr_load.extend(DPTR_LOCS)
+                    elif type(held) is tuple and held != SP:
+                        addr_load.append(held)
+                    loc = _MEMORY
+            elif region == _SFR or (region == _IRAM and a < 0x80):
+                loc = (region, a)
+            else:
+                loc = _MEMORY
+            facts[stmt.dst.i] = loc
+        elif cls is Store:
+            region, a = stmt.region, stmt.addr
+            if type(a) is Tmp:
+                loc = slots.get(a.i)
+            elif region == _SFR or (region == _IRAM and a < 0x80):
+                loc = (region, a)
+            else:
+                loc = None
+            if loc is not None:
+                writes.append(loc)
+                if not is_register(loc):
+                    store_class = True
+                elif type(stmt.src) is int:
+                    consts[loc] = stmt.src
+            else:
+                held = facts.get(a.i) if type(a) is Tmp else None
+                if held == _DPTR:
+                    addr_store.extend(DPTR_LOCS)
+                elif type(held) is tuple and held != SP:
+                    addr_store.append(held)
+                else:
+                    continue  # a stack slot
+                store_class = True
+            src = facts.get(stmt.src.i) if type(stmt.src) is Tmp else None
+            if src is _MEMORY or type(src) is tuple:
+                copies.append((src, loc))
+        elif cls is Boundary:
+            if at is not None:
+                out.append(_summary(writes, addr_load, addr_store, consts,
+                                    copies, store_class,
+                                    (at.addr + at.length,)))
+            at = stmt
+            writes, addr_load, addr_store, copies = [], [], [], []
+            consts: dict[tuple, int] = {}   # register -> constant stored
+            store_class = False
+    out.append(_summary(writes, addr_load, addr_store, consts, copies,
+                        store_class, _exits(blk)))
+    return out
 
 
 def _exits(blk: IRBlock) -> tuple:
@@ -378,19 +418,6 @@ def _exits(blk: IRBlock) -> tuple:
     if last.mnemonic in ("LCALL", "ACALL"):
         return (term.target, fall)
     return (term.target,)
-
-
-def _by_instruction(blk: IRBlock):
-    """Each instruction of blk with its statements (from its `Boundary` to
-    the next one, or to the terminator) and its successors: the next
-    instruction inside blk, else blk's exits (`_exits`)."""
-    stmts = blk.stmts
-    starts = [k for k, st in enumerate(stmts) if st.__class__ is Boundary]
-    starts.append(len(stmts) - 1)
-    last = len(blk.instrs) - 1
-    for k, ins in enumerate(blk.instrs):
-        succ = _exits(blk) if k == last else (ins.addr + ins.length,)
-        yield ins, stmts[starts[k] + 1:starts[k + 1]], succ
 
 
 def _fall_through(by_addr: dict, addr: int):
@@ -423,9 +450,9 @@ class PropMap:
                 continue
             blk = (program.block(first.addr) if program is not None
                    else lift(_fall_through(by_addr, first.addr)))
-            for ins, stmts, succ in _by_instruction(blk):
+            for ins, sm in zip(blk.instrs, _block_summaries(blk)):
                 if ins.addr in by_addr and ins.addr not in summaries:
-                    summaries[ins.addr] = _summarize(stmts, succ)
+                    summaries[ins.addr] = sm
         self.m: dict[tuple[int, str], tuple] = {}
 
     def get(self, site: int, role: str) -> tuple:

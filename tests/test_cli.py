@@ -5,6 +5,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from usbvet import (cli, fwkit, lifter, machine, queries, solver, symexec,
 from usbvet.cli import RunConfig, run_pipeline
 from usbvet.lifter import Region
 
+import reference_ir
 from static_facts import static_facts
 from test_report_bytes import VARIANTS
 from test_symexec import Accesses
@@ -540,8 +542,9 @@ def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
 
 
 def test_static_pass_lifts_through_the_memo(tmp_path, monkeypatch):
-    # The static pass reads the memo's blocks, so every instruction the
-    # analysis lifts is lifted into one of them, once.
+    # The static pass reads the memo's blocks, and an entry inside a cached
+    # block gets that block's suffix, so the analysis lifts each instruction
+    # once, into a cached block that is not a suffix.
     memos, lifts = [], []
     real_memo, real_lift = symexec.ImageMemo, lifter._lift_one
 
@@ -558,8 +561,16 @@ def test_static_pass_lifts_through_the_memo(tmp_path, monkeypatch):
         lifts.clear()
         run_pipeline(small_config(path, query="both"))
         (memo,) = memos
-        cached = sum(len(blk.instrs) for blk in memo.program.cache.values())
-        assert lifts and len(lifts) == cached, template
+        blocks = list(memo.program.cache.values())
+        # a suffix starts at a Boundary of the block it was cut from
+        starts = Counter(id(st) for blk in blocks for st in blk.stmts
+                         if type(st) is lifter.Boundary)
+        lifted = [blk for blk in blocks if starts[id(blk.stmts[0])] == 1]
+        assert len(lifted) < len(blocks), template  # suffixes were taken
+        addrs = [ins.addr for ins in lifts]
+        assert addrs and len(addrs) == len(set(addrs)), template
+        assert sorted(addrs) == sorted(ins.addr for blk in lifted
+                                       for ins in blk.instrs), template
 
 
 # A mass-storage device with a hidden HID claim, in the shape of the
@@ -727,14 +738,16 @@ def test_unplaced_descriptor_fails_closed(name, tmp_path):
     assert code == cli.EXIT_INCOMPLETE
 
 
-def _hooked_analysis(monkeypatch, config, patches=()):
+def _hooked_analysis(monkeypatch, config, patches=(), prepare=None):
     """The report, every hook call (as `Accesses` records it) and the result
     of every exploration of the analysis, the address and number of reloads
     of each block the analysis prepared, and the number of `Solver.query`
     calls. Each `(owner, name, value)` of `patches` is set for the
-    analysis."""
+    analysis, and blocks are prepared by `prepare`, by default
+    `symexec.prepare_block`."""
     rec, runs, prepared, queried = Accesses(), [], [], []
-    real_execute, real_prepare = symexec.execute, symexec.prepare_block
+    real_execute = symexec.execute
+    real_prepare = prepare or symexec.prepare_block
     real_query = solver.Solver.query
 
     def recording(image, policy, config, listeners=(), **kw):
@@ -785,8 +798,8 @@ def test_forwarded_loads_change_no_hook_call(name, tmp_path, monkeypatch):
     config = small_config(_fixture_path(tmp_path, name, spec), query="both",
                           preconditions=_setup_precondition(spec))
     forwarded = _hooked_analysis(monkeypatch, config)
-    plain = _hooked_analysis(monkeypatch, config, [
-        (symexec, "forward_loads", lambda stmts: stmts)])
+    plain = _hooked_analysis(monkeypatch, config,
+                             prepare=reference_ir.unforwarded)
     assert forwarded[:3] == plain[:3]
     report = json.loads(forwarded[0])
     assert report["query1"] is not None and report["query2"] is not None

@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from usbvet import isa, lifter, machine, symexec, usbstatic
+from usbvet import isa, lifter, machine, queries, symexec, usbstatic
 from usbvet.lifter import Boundary, CJump, Jump, Load, Region, RetMark, Store
 
 import diffutil
+from test_usbstatic import _fixtures_and_triage
 
 
 def test_nop_block_shape():
@@ -67,6 +68,73 @@ def test_program_cache_returns_identical_block():
     assert prog.block(0) is prog.block(0)
 
 
+class _FreshLifts:
+    """A program whose every block is lifted from the image afresh."""
+
+    def __init__(self, image: bytes):
+        self.image = image
+
+    def block(self, addr: int):
+        return lifter.lift_block(self.image, addr)
+
+
+def _facts(program, addr: int) -> tuple:
+    """What the analyses read of the block at addr: its prepared form, its
+    instructions' summaries, and the fresh reads of a handler entered
+    there."""
+    blk = program.block(addr)
+    pb = symexec.prepare_block(blk)
+    return (pb.addr, pb.steps, pb.init, pb.instr_addrs,
+            usbstatic._block_summaries(blk),
+            queries._fresh_reads(program, addr, None))
+
+
+def test_entry_inside_a_block_gets_its_suffix(tmp_path, monkeypatch):
+    # At every instruction inside a cached block, the block the program
+    # gives is what a fresh lift gives to every analysis, and it lifts
+    # nothing when it is a suffix.
+    rng = random.Random(41)
+    images = _fixtures_and_triage(tmp_path)
+    randoms = [rng.randbytes(0x200) for _ in range(4)]
+    lifted = []
+    real = lifter.lift_block
+    monkeypatch.setattr(lifter, "lift_block",
+                        lambda image, addr: lifted.append(addr)
+                        or real(image, addr))
+    suffixes = 0
+    for image in images + randoms:
+        program = lifter.lift_program(image)
+        if image in randoms:
+            for addr in range(len(image)):
+                try:
+                    program.block(addr)
+                except isa.IsaError:
+                    pass
+        else:
+            usbstatic.reachable_instructions(program)
+        inside = {ins.addr for blk in list(program.cache.values())
+                  for ins in blk.instrs[1:]}
+        for addr in sorted(inside):
+            lifted.clear()
+            got = _facts(program, addr)
+            suffixes += addr not in lifted
+            assert got == _facts(_FreshLifts(image), addr), hex(addr)
+    assert suffixes > 500
+
+
+def test_entry_inside_a_capped_block_is_lifted_fresh():
+    # A block cut at MAX_BLOCK_INSTRS does not end where a lift from inside
+    # it would, so such an entry is lifted, not cut from it.
+    cap = lifter.MAX_BLOCK_INSTRS
+    image = bytes(cap + 40) + bytes([0x80, 0xFE])  # NOPs, then sjmp $
+    program = lifter.lift_program(image)
+    assert len(program.block(0).instrs) == cap
+    assert program.block(5).instr_addrs == list(range(5, 5 + cap))
+    tail = program.block(cap)
+    assert tail.instr_addrs == list(range(cap, cap + 41))
+    assert program.block(cap + 38).instr_addrs == [cap + 38, cap + 39, cap + 40]
+
+
 def test_all_opcodes_liftable():
     # conformance metric: UnliftableInstruction must be empty
     for op in range(256):
@@ -96,14 +164,10 @@ def test_ir_statement_set_is_closed():
     for consumer in (symexec.prepare_block, lifter.run_lifted,
                      lifter.format_block):
         assert kinds <= _branched_on(consumer), consumer.__name__
-    # the static pass reads one instruction's statements at a time
-    one = set()
-    for op in range(256):
-        if op != isa.RESERVED_OPCODE:
-            blk = lifter.lift_block(bytes([op, 0x10, 0x02, 0x80, 0xFE]), 0)
-            for _ins, stmts, _succ in usbstatic._by_instruction(blk):
-                one.update(type(s).__name__ for s in stmts)
-    assert one <= _branched_on(usbstatic._summarize)
+    # the static pass reads each instruction's statements, from its
+    # Boundary on, in one pass over the block; `_exits` reads the terminator
+    assert kinds - {"CJump", "Jump", "RetMark"} <= _branched_on(
+        usbstatic._block_summaries)
 
 
 def test_prepared_step_set_is_closed():

@@ -1,6 +1,4 @@
-import importlib.util
 import pathlib
-import sys
 import time
 
 import pytest
@@ -11,6 +9,7 @@ from usbvet.queries import Precondition
 from usbvet.symexec import ExplorationConfig, SymbolicPolicy
 
 from static_facts import static_facts
+from test_report_bytes import load_workloads
 
 
 def cfg(**kw):
@@ -396,15 +395,7 @@ def _shadowed_discovery(monkeypatch, image, config):
 def _triage_images(tmp_path, rounds):
     """Seeded variants of the three templates, made by the benchmark's own
     `identity_triage_round` (seed 1), with each one's analysis seed."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
-        "workloads.py"
-    spec = importlib.util.spec_from_file_location("_triage_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look it up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
+    workloads = load_workloads()
     for r in range(rounds):
         for op in workloads.identity_triage_round(1, r, str(tmp_path)):
             seed = int(op.argv[op.argv.index("--seed") + 1])

@@ -3,11 +3,15 @@
 Each case runs the CLI on one `fwkit` fixture written to
 `img/<fixture>.bin` under a temporary working directory (the report records
 that relative path) and compares the report's sha256 and the exit code with
-the pinned values. A change that alters report bytes on purpose updates the
+the pinned values. The triage cases run the benchmark's own seed-1
+`identity-triage` analyses, made by `bench/workloads.py`. A change that alters report bytes on purpose updates the
 hashes here and says why in CHANGES.md; any other change must leave them
 alone."""
 
 import hashlib
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -102,3 +106,51 @@ def test_variant_report_bytes_pinned(name, tmp_path, monkeypatch):
                      "--report", "report.json"])
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert (code, digest) == (pinned_code, pinned_digest)
+
+
+def load_workloads():
+    """bench/workloads.py, loaded from its path as the benchmark loads it."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("_triage_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+# The benchmark's own traffic: the exit code and a 12-hex sha256 prefix of
+# each seed-1 `identity-triage` report of rounds 0-4, made in the work
+# directory `triage` (each report holds its image's path).
+TRIAGE_PINNED = {
+    "r000-benign-hid": (0, "d09a683b2ca6"),
+    "r000-injector-hid": (0, "670f7c0ee313"),
+    "r000-storage-claiming-hid": (1, "ce6708f9ea1f"),
+    "r001-benign-hid": (0, "d0c61c156b0a"),
+    "r001-injector-hid": (0, "1204230d773d"),
+    "r001-storage-claiming-hid": (1, "fe4cb75ad3eb"),
+    "r002-benign-hid": (0, "957d4e11bec5"),
+    "r002-injector-hid": (0, "755d1eed88a5"),
+    "r002-storage-claiming-hid": (1, "16db0d3cfe37"),
+    "r003-benign-hid": (0, "cc8a509b5cb7"),
+    "r003-injector-hid": (0, "3a0375bbd7c0"),
+    "r003-storage-claiming-hid": (1, "1dc500c30e19"),
+    "r004-benign-hid": (0, "bee6327cbbac"),
+    "r004-injector-hid": (0, "490c19322000"),
+    "r004-storage-claiming-hid": (1, "4661dd59d774"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIAGE_PINNED))
+def test_triage_report_bytes_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triage").mkdir()
+    ops = load_workloads().identity_triage_round(1, int(name[1:4]), "triage")
+    (op,) = [op for op in ops if op.key() == f"{name}.bin"]
+    code = cli.main(op.argv)
+    with open(op.report_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert (code, digest[:12]) == TRIAGE_PINNED[name]

@@ -10,6 +10,8 @@ from usbvet.symexec import (ExecState, ExplorationConfig, Listener,
                             Frontier, SymbolicPolicy, execute, select_next)
 
 import diffutil
+import reference_ir
+from test_usbstatic import _fixtures_and_triage
 
 # mov dptr,#0x7fe9; movx a,@dptr; cjne a,#6,+3; nop; sjmp $; sjmp $
 FORK_IMAGE = bytes([0x90, 0x7F, 0xE9, 0xE0, 0xB4, 0x06, 0x03,
@@ -1103,11 +1105,12 @@ class Accesses(Listener):
 
 def _forwarded_and_not(stmts, n_temps, monkeypatch):
     """The hook calls and ended states of the hand block, run with its loads
-    forwarded and with `forward_loads` the identity."""
+    forwarded and prepared with none forwarded (`reference_ir.unforwarded`)."""
     runs = []
     for forward in (True, False):
         if not forward:
-            monkeypatch.setattr(symexec, "forward_loads", lambda stmts: stmts)
+            monkeypatch.setattr(symexec, "prepare_block",
+                                reference_ir.unforwarded)
         rec = Accesses()
         res = _run_hand_block(stmts, n_temps, fanout=4, listeners=[rec])
         runs.append((rec.seen, res.states_created, res.reason,
@@ -1280,3 +1283,16 @@ def test_polling_loop_takes_its_held_condition_without_a_fork():
     assert {note for _, _, note in loop.path.entries} == {"taken"}
     assert len(loop.path.entries) > 1
     assert [note for _, _, note in fall.path.entries] == ["fall"]
+
+
+def test_one_pass_preparation_equals_the_two_pass_reference(tmp_path):
+    # Forwarding inside the one pass gives the steps and the value list of
+    # forwarding first and preparing after.
+    blocks = reference_ir.sample_blocks(_fixtures_and_triage(tmp_path), 31)
+    reloads = 0
+    for blk in blocks:
+        got, want = symexec.prepare_block(blk), reference_ir.prepare_block(blk)
+        assert (got.addr, got.steps, got.init, got.instr_addrs) == (
+            want.addr, want.steps, want.init, want.instr_addrs), hex(blk.addr)
+        reloads += sum(st[0] is symexec.Reread for st in got.steps)
+    assert reloads > 0

@@ -9,6 +9,7 @@ from usbvet.lifter import Region
 from usbvet.usbstatic import (CONFIG_DESC, DEFAULT_SIGNATURES, DEVICE_DESC,
                               HID_REPORT, prop_const_mem, scan_signatures)
 
+import reference_ir
 from static_facts import static_facts
 from test_queries import _triage_images
 from test_report_bytes import VARIANTS
@@ -440,9 +441,8 @@ def test_summaries_are_sound_against_the_interpreter():
             continue
         for _ in range(6):
             image = bytes([op]) + rng.randbytes(2)
-            (ins, stmts, succ), *_ = usbstatic._by_instruction(
-                lifter.lift_block(image, 0))
-            sm = usbstatic._summarize(stmts, succ)
+            blk = lifter.lift_block(image, 0)
+            ins, sm = blk.instrs[0], usbstatic._block_summaries(blk)[0]
             for _ in range(4):
                 before = _oracle_state(rng)
                 after = machine.step_concrete(before.clone(), image)
@@ -468,6 +468,22 @@ def test_summaries_are_sound_against_the_interpreter():
                 else:
                     got = after.iram[_held(before, sm.addr_store)]
                 assert got == _byte(before, src), ins
+
+
+def _fixtures_and_triage(tmp_path) -> list[bytes]:
+    """The three fixtures and the seed-1 round-0 `identity-triage` images."""
+    return ([fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
+             for t in ("benign-hid", "injector-hid", "storage-claiming-hid")]
+            + [image for image, _ in _triage_images(tmp_path, 1)])
+
+
+def test_block_summaries_equal_the_per_instruction_reference(tmp_path):
+    # One pass over a block's statements gives each instruction the summary
+    # that reading its own statements alone gives.
+    blocks = reference_ir.sample_blocks(_fixtures_and_triage(tmp_path), 29)
+    for blk in blocks:
+        assert (usbstatic._block_summaries(blk)
+                == reference_ir.block_summaries(blk)), hex(blk.addr)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +607,8 @@ def test_block_successors_equal_the_mnemonic_table():
                     image[at:at + length] = code
                     image[(at + length) & 0xFFFF] = after
                     blk = lifter.lift_block(bytes(image), at)
-                    ins, _stmts, succ = next(usbstatic._by_instruction(blk))
+                    ins = blk.instrs[0]
+                    succ = usbstatic._block_summaries(blk)[0].succ
                     ends = (after == isa.RESERVED_OPCODE
                             or ins.mnemonic in isa.CONTROL_FLOW)
                     assert (len(blk.instrs) == 1) == ends, ins
