@@ -14,9 +14,13 @@ the same list the XREF scan reads, and the memo's blocks), which EP0
 inference and Query 2 share; it solves the preconditions before discovery
 (Query 1 solves them again); it builds the one `SymbolicPolicy` that both
 queries run under (`--policy full` covers the whole IRAM and XRAM regions,
-`auto`/`partial` the discovered set); and it turns `--time-limit` into one
-deadline shared by the static pass and every exploration. A static pass
-stopped by it leaves EP0 unknown and the analysis incomplete.
+`auto` the discovered set, which the report's `query1.policy` names
+`partial`); and it turns `--time-limit` into one deadline shared by the
+static pass and every exploration. A static pass stopped by it leaves EP0
+unknown and the analysis incomplete.
+
+A `--config` file mirrors every flag but `--config` and `--timing`; any
+other key, or a value of the wrong type, is a usage error.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
@@ -66,7 +70,7 @@ class IoError(Exception):
 # The values of --expected, --query and --policy.
 EXPECTED_CLASSES = tuple(usbdb.EXPECTED_CLASS_SETS)
 QUERIES = ("identity", "consistency", "both")
-POLICIES = ("full", "partial", "auto")
+POLICIES = ("full", "auto")
 
 
 @dataclass
@@ -415,7 +419,7 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         queries.check_preconditions(preconditions, base_cfg)
 
     # 3a. the symbolic policy of both queries: the whole IRAM and XRAM
-    # regions, or the symbolic set (Alg. 3) for partial/auto
+    # regions, or the symbolic set (Alg. 3) for auto, a partial policy
     if config.policy == "full":
         symset = queries.SymbolicLocationSet(set(), [])
         policy_name, policy = "full", symexec.SymbolicPolicy.full()
@@ -651,10 +655,11 @@ def config_from_args(args) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigInvalid("config file: want a JSON object, not "
                                 f"{type(data).__name__}")
-        for key, (attr, types) in _CONFIG_KEYS.items():
-            if key not in data:
-                continue
-            value = data[key]
+        for key, value in data.items():
+            if key not in _CONFIG_KEYS:
+                raise ConfigInvalid(f"config file: {key!r} is not a key (the "
+                                    f"keys are {', '.join(_CONFIG_KEYS)})")
+            attr, types = _CONFIG_KEYS[key]
             # bool is an int subclass, but no key takes true/false
             if (isinstance(value, bool) or not isinstance(value, types)
                     or isinstance(value, list)

@@ -15,6 +15,9 @@ A block is a list of seven statement kinds: a `Boundary` before each
 instruction, `Assign`, `Load` and `Store`, and one terminator (`CJump`,
 `Jump` or `RetMark`). A register write is a `Store` to its SFR address;
 `format_block` prints one to a named register as `put NAME`.
+
+An analysed image is decoded only here, each instruction once, by
+`LiftedProgram`; `discover_isrs` reads the handlers' entries off it.
 """
 
 from __future__ import annotations
@@ -657,6 +660,25 @@ def lift_program(image: bytes) -> LiftedProgram:
     return LiftedProgram(image)
 
 
+def discover_isrs(program: LiftedProgram) -> dict[str, int]:
+    """Interrupt sources -> handler entries, read off the first instruction
+    of each vector's lifted block: RETI (or no instruction) means no
+    handler, a direct jump enters at its target, anything else at the
+    vector."""
+    isrs: dict[str, int] = {}
+    for source, (vector, _bit) in machine.INT_SOURCES.items():
+        try:
+            ins = program.block(vector).instrs[0]
+        except isa.IsaError:
+            continue
+        if ins.mnemonic == "RETI":
+            continue
+        isrs[source] = (ins.operands[0].value
+                        if ins.mnemonic in ("LJMP", "AJMP", "SJMP")
+                        else vector)
+    return isrs
+
+
 # ---------------------------------------------------------------------------
 # Concrete IR evaluation (ints only) -- reference executor for the lifter and
 # the fast half of the lifter/interpreter differential tests.
@@ -665,6 +687,8 @@ def lift_program(image: bytes) -> LiftedProgram:
 # Operator semantics are owned by the expression module so the concrete and
 # symbolic evaluations of the same IR can never drift apart.
 from .solver import OPS  # noqa: E402
+
+_IRAM, _SFR, _XRAM = Region.IRAM, Region.SFR, Region.XRAM  # no enum lookup
 
 
 def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
@@ -697,11 +721,11 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
                 a = stmt.addr
                 addr = vals[a.i] if type(a) is Tmp else a
                 r = stmt.region
-                if r == Region.IRAM:
+                if r == _IRAM:
                     vals[stmt.dst.i] = iram[addr & 0xFF]
-                elif r == Region.SFR:
+                elif r == _SFR:
                     vals[stmt.dst.i] = sfr[(addr - 0x80) & 0x7F]
-                elif r == Region.XRAM:
+                elif r == _XRAM:
                     vals[stmt.dst.i] = xram.get(addr & 0xFFFF, 0)
                 else:
                     vals[stmt.dst.i] = image[addr] if addr < len(image) else 0
@@ -711,11 +735,11 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
                 v = stmt.src
                 v = vals[v.i] if type(v) is Tmp else v
                 r = stmt.region
-                if r == Region.SFR:  # first: every register write is one
+                if r == _SFR:  # first: every register write is one
                     sfr[(addr - 0x80) & 0x7F] = v
-                elif r == Region.IRAM:
+                elif r == _IRAM:
                     iram[addr & 0xFF] = v
-                elif r == Region.XRAM:
+                elif r == _XRAM:
                     xram[addr & 0xFFFF] = v
                 else:
                     raise AssertionError("store to CODE")

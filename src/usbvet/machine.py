@@ -1,9 +1,9 @@
 """Concrete 8051/8052 machine model.
 
 Register file, the three runtime memory images (IRAM / SFR / XRAM; CODE is the
-read-only image itself), interrupt-enable semantics and a plain interpreter.
-The interpreter is a direct opcode dispatch, deliberately independent of the
-IR lifter, so the two can be differentially tested against each other.
+read-only image itself), the interrupt vectors and their IE gating, and a
+plain interpreter: a direct opcode dispatch, independent of the IR lifter, so
+the two can be differentially tested against each other.
 
 Conventions pinned here (and mirrored by the lifter):
   - PSW bit 0 (parity of ACC) is combinational hardware; the stored byte's
@@ -54,7 +54,6 @@ SFR_NAMES = {
 # PSW bit positions
 PSW_P = 0
 PSW_OV = 2
-PSW_RS = 3  # two bits
 PSW_AC = 6
 PSW_CY = 7
 
@@ -208,21 +207,6 @@ class ConcreteState:
         v = self.iram[self.sp]
         self.sp = (self.sp - 1) & 0xFF
         return v
-
-    def dump(self) -> str:
-        """Textual snapshot for golden tests / debugging."""
-        lines = [f"PC={self.pc:04x} SP={self.sp:02x} A={self.acc:02x} "
-                 f"PSW={self.read_sfr(PSW):02x} DPTR={self.dptr:04x}"]
-        for base in range(0, 256, 16):
-            row = " ".join(f"{self.iram[base + i]:02x}" for i in range(16))
-            lines.append(f"iram {base:02x}: {row}")
-        for base in range(0x80, 0x100, 16):
-            row = " ".join(f"{self.read_sfr(base + i) if base + i == PSW else self.sfr[base + i - 0x80]:02x}"
-                           for i in range(16))
-            lines.append(f"sfr  {base:02x}: {row}")
-        for addr in sorted(self.xram):
-            lines.append(f"xram {addr:04x}: {self.xram[addr]:02x}")
-        return "\n".join(lines)
 
 
 def _operand_value(st: ConcreteState, op: isa.Operand) -> int:
@@ -476,26 +460,3 @@ def ie_mask(source: str) -> int:
     bit and the source's own enable bit."""
     return (1 << IE_EA_BIT) | (1 << INT_SOURCES[source][1])
 
-
-def discover_isrs(image: bytes) -> dict[str, int]:
-    """Map interrupt sources to ISR entry addresses.
-
-    A vector slot holding RETI means the source has no handler; a direct jump
-    is a trampoline and the jump target is the entry; anything else means the
-    handler body starts at the vector itself.
-    """
-    isrs: dict[str, int] = {}
-    for source, (vector, _bit) in INT_SOURCES.items():
-        if vector >= len(image):
-            continue
-        try:
-            ins = isa.decode(image, vector)
-        except isa.IsaError:
-            continue
-        if ins.mnemonic == "RETI":
-            continue
-        if ins.mnemonic in ("LJMP", "AJMP", "SJMP"):
-            isrs[source] = ins.operands[0].value
-        else:
-            isrs[source] = vector
-    return isrs

@@ -14,8 +14,9 @@ its locations plus the delay counters, and its regions.
 
 Discovery and both queries take the caller's `symexec.ImageMemo` and hand
 it to every exploration they run, so the explorations of one analysis lift
-each block once and share the solver's tables. Without one, discovery
-makes one for its proofs and all its runs, `query2_unexpected` and
+each block once and share the solver's tables; discovery reads the
+handlers' entries off its lifted program. Without one, discovery makes one
+for its handlers, proofs and all its runs, `query2_unexpected` and
 `query2_inconsistent` make one for their static pass and exploration, and
 Query 1's exploration makes its own.
 
@@ -39,7 +40,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import isa, machine, solver, usbstatic
-from .lifter import Assign, CJump, Jump, Load, Region, RetMark, Store, Tmp
+from .lifter import (Assign, CJump, Jump, Load, Region, RetMark, Store, Tmp,
+                     discover_isrs)
 from .solver import NOT_UNIQUE, is_symbolic, mk
 from .symexec import (ExplorationConfig, ImageMemo, Listener, STOP_ALL,
                       SymbolicPolicy, execute)
@@ -57,6 +59,9 @@ USB_CONSTANT_NAMES = {
     33: "HID class descriptor type",
     34: "HID report descriptor type",
 }
+
+_CODE = Region.CODE  # read without an enum lookup
+
 
 def _as_region(r) -> Region:
     if isinstance(r, str):
@@ -91,7 +96,7 @@ def _reads_fresh(loc, known, written) -> bool:
     neither a CODE byte (an image constant), nor already symbolic (in
     `known`), nor written by the handler (in `written`). The one rule of a
     fresh read, for `_CheckLoads` and `_fresh_reads` alike."""
-    return loc[0] != Region.CODE and loc not in known and loc not in written
+    return loc[0] != _CODE and loc not in known and loc not in written
 
 
 class _CheckLoads(Listener):
@@ -185,7 +190,7 @@ def _fresh_reads(program, entry: int, deadline) -> frozenset | None:
                     st.op, [val(a) for a in st.args], st.width)
             elif cls is Load:
                 a = val(st.addr)
-                if st.region == Region.CODE:
+                if st.region == _CODE:
                     if type(a) is int:
                         tmps[st.dst.i] = (program.image[a] if a < image_end
                                           else 0)
@@ -252,9 +257,9 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
     Otherwise the run's `IterationRecord.reason` says whether it explored
     everything (`complete`)."""
     base = config or ExplorationConfig()
-    isrs = machine.discover_isrs(image)
     if memo is None:
         memo = ImageMemo(image)  # one memo serves the proof and every run
+    isrs = discover_isrs(memo.program)
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):

@@ -49,9 +49,11 @@ diagnostics, RNG and `mk` memo, so sharing changes no result.
 
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
-return-address push, no nesting). Cooldowns are drawn per source per firing
-from a seeded RNG, so whole explorations replay deterministically from the
-config seed.
+return-address push, no nesting). With no `isr_map`, the handlers are read
+off the memo's lifted program (`lifter.discover_isrs`), as is each feasible
+indirect-jump target; one that does not lift gets a diagnostic, no child.
+Cooldowns are drawn per source per firing from a seeded RNG, so whole
+explorations replay deterministically from the config seed.
 """
 
 from __future__ import annotations
@@ -464,7 +466,8 @@ class Executor:
         self.solver = solver.Solver(config.solver_timeout, config.deadline,
                                     memo)
         self.rng = random.Random(config.seed)
-        self.isr_map = machine.discover_isrs(self.image) if isr_map is None else isr_map
+        self.isr_map = (lifter.discover_isrs(memo.program) if isr_map is None
+                        else isr_map)
         self._sources = sorted(self.isr_map)
         # (op, operands, width) -> the expression mk built for them
         self._expr_memo: dict[tuple, SymExpr] = {}
@@ -667,13 +670,13 @@ class Executor:
 
     def _indirect(self, s: ExecState, target: SymExpr,
                   reti: bool) -> list[ExecState]:
-        """A jump to a symbolic target: one child per feasible, decodable
-        target in the image."""
+        """A jump to a symbolic target: one child per feasible target in the
+        image whose block lifts."""
         choices = self._enumerate(s, target, len(self.image), "jump target")
         out = []
         for v in choices:
             try:
-                isa.decode(self.image, v)
+                self.memo.program.block(v)  # the lift the child runs
             except isa.IsaError:
                 self.diagnostics.append(
                     f"indirect target 0x{v:04x} undecodable "

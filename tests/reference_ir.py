@@ -1,12 +1,13 @@
 """Reference forms of the IR consumers that read a block in one pass:
 block preparation in two passes (`forward_loads`, then `prepare_block`)
 and the static summary of one instruction's statements at a time
-(`summarize`, over the slices `by_instruction` cuts). The tests compare
-the one-pass code against them."""
+(`summarize`, over the slices `by_instruction` cuts), and the handler
+entry of each interrupt vector decoded from the image (`discover_isrs`).
+The tests compare the one-pass and lifted-program code against them."""
 
 import random
 
-from usbvet import isa, lifter, usbstatic
+from usbvet import isa, lifter, machine, usbstatic
 from usbvet.lifter import (Assign, Boundary, CJump, Jump, Load, Region,
                            RetMark, Store, Tmp)
 from usbvet.solver import OPS
@@ -231,3 +232,24 @@ def sample_blocks(images, seed: int) -> list:
         usbstatic.reachable_instructions(program)
         blocks += program.cache.values()
     return blocks
+
+
+def discover_isrs(image: bytes) -> dict[str, int]:
+    """Interrupt sources to handler entries, decoding each vector's
+    instruction from the image: RETI means no handler, a direct jump enters
+    at its target, anything else at the vector."""
+    isrs: dict[str, int] = {}
+    for source, (vector, _bit) in machine.INT_SOURCES.items():
+        if vector >= len(image):
+            continue
+        try:
+            ins = isa.decode(image, vector)
+        except isa.IsaError:
+            continue
+        if ins.mnemonic == "RETI":
+            continue
+        if ins.mnemonic in ("LJMP", "AJMP", "SJMP"):
+            isrs[source] = ins.operands[0].value
+        else:
+            isrs[source] = vector
+    return isrs

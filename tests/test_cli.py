@@ -4,20 +4,21 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from usbvet import (cli, fwkit, lifter, machine, queries, solver, symexec,
-                    usbstatic)
+from usbvet import (cli, fwkit, isa, lifter, machine, queries, solver,
+                    symexec, usbstatic)
 from usbvet.cli import RunConfig, run_pipeline
 from usbvet.lifter import Region
 
 import reference_ir
 from static_facts import static_facts
-from test_report_bytes import VARIANTS
+from test_report_bytes import VARIANTS, load_workloads
 from test_symexec import Accesses
 
 
@@ -194,6 +195,10 @@ def test_main_config_file_with_flag_override(tmp_path, capsys):
     (b'{"preconditions": [5]}', "'preconditions' has the wrong type"),
     (b'{"seed": true}', "'seed' has the wrong type"),
     (b"\xff{}", "config file"),
+    # a key no flag has, and the two flags the file does not mirror
+    (b'{"state-limit": 5, "timing": true}', "'state-limit' is not a key"),
+    (b'{"timing": true}', "'timing' is not a key"),
+    (b'{"config": "other.json"}', "'config' is not a key"),
     # json refuses an integer over 4300 digits with a plain ValueError
     pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit",
                  id="overlong-integer"),
@@ -571,6 +576,30 @@ def test_static_pass_lifts_through_the_memo(tmp_path, monkeypatch):
         assert addrs and len(addrs) == len(set(addrs)), template
         assert sorted(addrs) == sorted(ins.addr for blk in lifted
                                        for ins in blk.instrs), template
+
+
+def test_only_the_lifter_decodes_an_analysed_image(tmp_path, monkeypatch,
+                                                  capsys):
+    # Handler entries and indirect-jump targets are read off the analysis's
+    # lifted program, so every decode of an analysis is one of the lifter's.
+    callers = Counter()
+    real_decode = isa.decode
+
+    def recording(image, addr):
+        callers[sys._getframe(1).f_code] += 1
+        return real_decode(image, addr)
+
+    monkeypatch.setattr(isa, "decode", recording)
+    argvs = [["analyze", write_fixture(tmp_path, t)[0], "--query", "both"]
+             for t in ("benign-hid", "injector-hid", "storage-claiming-hid")]
+    argvs += [op.argv for op in load_workloads().identity_triage_round(
+        1, 0, str(tmp_path))]
+    for argv in argvs:
+        cli.main(argv)
+    capsys.readouterr()
+    assert callers
+    assert {code.co_name for code in callers} == {"_decoded"}
+    assert set(callers) == {lifter._decoded.__code__}
 
 
 # A mass-storage device with a hidden HID claim, in the shape of the

@@ -4,9 +4,9 @@ tends to leave orphan imports and helpers behind, so this reads each module
 with ``ast``: every name an import statement binds must appear as a name
 somewhere else in that module, and every module-level ``_name`` must be read
 somewhere in the package, as a name or as an attribute (``isa._SPEC_BYTES``).
-Every module-level public function and class must also be read outside
-``tests/``, in the package, ``bench/`` or ``demos/``: a helper that only
-tests call is deleted, not kept for them."""
+Every module-level public function, class and constant must also be read
+outside ``tests/``, in the package, ``bench/`` or ``demos/``: a helper or a
+constant that only tests read is deleted, not kept for them."""
 
 import ast
 import pathlib
@@ -48,6 +48,21 @@ def names_read(tree: ast.AST) -> set[str]:
     return read
 
 
+def module_names(tree: ast.Module) -> list[str]:
+    """The names tree's top level defines: its functions, classes and
+    assignment targets."""
+    names: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
 def orphan_private_names(sources: dict[str, str]) -> list[str]:
     """`module: name` for each module-level `_name` of `sources` (module name
     -> source text) that no module reads."""
@@ -55,18 +70,8 @@ def orphan_private_names(sources: dict[str, str]) -> list[str]:
     read: set[str] = set()
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+        defined += [(module, name) for name in module_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
         read |= names_read(tree)
     return [f"{module}: {name}" for module, name in defined
             if name not in read]
@@ -74,10 +79,10 @@ def orphan_private_names(sources: dict[str, str]) -> list[str]:
 
 def public_names_read_only_by_tests(package: dict[str, str],
                                     outside: list[str]) -> list[str]:
-    """`module: name` for each module-level public function or class of
-    `package` (module name -> source text) that no source of the package or
-    of `outside` reads: as a name, as an attribute, or as a string equal to
-    it (the name a `getattr` table gives)."""
+    """`module: name` for each module-level public function, class or
+    constant of `package` (module name -> source text) that no source of the
+    package or of `outside` reads: as a name, as an attribute, or as a
+    string equal to it (the name a `getattr` table gives)."""
     read: set[str] = set()
     for source in [*package.values(), *outside]:
         tree = ast.parse(source)
@@ -85,21 +90,21 @@ def public_names_read_only_by_tests(package: dict[str, str],
         read.update(node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant)
                     and isinstance(node.value, str))
-    return [f"{module}: {node.name}"
+    return [f"{module}: {name}"
             for module, source in sorted(package.items())
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in read]
+            for name in module_names(ast.parse(source))
+            if not name.startswith("_") and name not in read]
 
 
 def test_public_names_read_only_by_tests_are_found():
     package = {"a": "def f(): pass\ndef g(): pass\nclass C: pass\n"
-                    "def h(): return g\nX = 1\ndef _p(): pass\n",
+                    "def h(): return g\nX = 1\nY: int = 2\nZ = X\n"
+                    "def _p(): pass\n",
                "b": "class D: pass\n"}
-    outside = ["from usbvet import a\nprint(a.C)\n",
+    outside = ["from usbvet import a\nprint(a.C, a.Z)\n",
                "TABLE = [(b, 'D')]\n"]
-    assert public_names_read_only_by_tests(package, outside) == ["a: f",
-                                                                 "a: h"]
+    assert public_names_read_only_by_tests(package, outside) == [
+        "a: f", "a: h", "a: Y"]
 
 
 def test_every_public_name_is_read_outside_tests():

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from usbvet import machine
+from usbvet import fwkit, lifter, machine, usbstatic
+
+import reference_ir
 
 
 def fresh():
@@ -118,10 +122,14 @@ def test_div_by_zero_convention():
     assert st.flag(machine.PSW_CY) == 0
 
 
+def isr_entries(image: bytes) -> dict[str, int]:
+    return lifter.discover_isrs(lifter.lift_program(image))
+
+
 def test_discover_isrs_reti_means_no_handler():
     image = bytearray(0x400)
     image[0x000B] = 0x32
-    isrs = machine.discover_isrs(bytes(image))
+    isrs = isr_entries(bytes(image))
     assert "timer0" not in isrs
 
 
@@ -129,14 +137,40 @@ def test_discover_isrs_trampoline():
     image = bytearray(0x400)
     image[0x0003:0x0006] = bytes([0x02, 0x04, 0x00])  # LJMP 0x0400... truncated
     image.extend(bytes(0x100))
-    isrs = machine.discover_isrs(bytes(image))
+    isrs = isr_entries(bytes(image))
     assert isrs["external0"] == 0x0400
 
 
 def test_discover_isrs_all_zero_image():
-    isrs = machine.discover_isrs(bytes(0x400))
+    isrs = isr_entries(bytes(0x400))
     for source, (vector, _bit) in machine.INT_SOURCES.items():
         assert isrs[source] == vector
+
+
+def test_discover_isrs_equals_the_decode_reference():
+    # The rule read off the lifted program gives the map that decoding each
+    # vector from the image gives: on the fixtures and on seeded random
+    # images of 0-4 KiB, from a fresh program, and for the fixtures and the
+    # first 200 random images also from one the static walk has filled, as
+    # an analysis's is (a vector inside a walked block gets its suffix).
+    images = [fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
+              for t in ("straightline", "branchy", "benign-hid",
+                        "injector-hid", "storage-claiming-hid")]
+    rng = random.Random(30)
+    images += [rng.randbytes(rng.randrange(0x1001)) for _ in range(3000)]
+    seen = set()
+    for i, image in enumerate(images):
+        want = reference_ir.discover_isrs(image)
+        assert isr_entries(image) == want, image.hex()
+        if i < 205:
+            walked = lifter.lift_program(image)
+            usbstatic.reachable_instructions(walked)
+            assert lifter.discover_isrs(walked) == want, image.hex()
+        for source, (vector, _bit) in machine.INT_SOURCES.items():
+            entry = want.get(source)
+            seen.add("none" if entry is None else
+                     "vector" if entry == vector else "trampoline")
+    assert seen == {"none", "vector", "trampoline"}
 
 
 def test_interrupt_enabled_predicate():
@@ -152,14 +186,6 @@ def test_interrupt_enabled_predicate():
     assert enabled(0xA0, "timer2")
     assert [machine.ie_mask(s) for s in machine.INT_SOURCES] == [
         0x81, 0x82, 0x84, 0x88, 0x90, 0xA0]
-
-
-def test_dump_snapshot_mentions_core_registers():
-    st = fresh()
-    st.acc = 0x12
-    st.dptr = 0x3456
-    text = st.dump()
-    assert "A=12" in text and "DPTR=3456" in text and "SP=07" in text
 
 
 def test_bit_addressing_iram_and_sfr():

@@ -27,10 +27,16 @@ def test_readme_option_values_are_the_accepted_ones():
         assert tuple(listed.group(1).split(",")) == values, flag
 
 
+def _first_listed(flag: str) -> tuple[str, ...]:
+    """The first parenthesised list of backquoted names in flag's bullet."""
+    listed = re.search(r"\(((?:`[^`]+`,\s*)*`[^`]+`)\)", _bullet(flag))
+    assert listed, flag
+    return tuple(re.findall(r"`([^`]+)`", listed.group(1)))
+
+
 def test_readme_precondition_relations_are_the_accepted_ones():
-    # the first parenthesised list of backquoted names in the bullet
-    listed = re.search(r"\(((?:`[^`]+`,\s*)*`[^`]+`)\)",
-                       _bullet("--precondition"))
-    assert listed
-    assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == (
-        queries.RELATIONS)
+    assert _first_listed("--precondition") == queries.RELATIONS
+
+
+def test_readme_config_keys_are_the_accepted_ones():
+    assert _first_listed("--config") == tuple(cli._CONFIG_KEYS)

@@ -559,6 +559,38 @@ def test_indirect_jump_enumerates_decodable_targets():
     assert syms["t0"] in res.coverage and syms["t1"] in res.coverage
 
 
+@pytest.mark.parametrize("table, diagnosed, ended, states", [
+    # offsets 2 and 6 hold the reserved opcode 0xa5
+    ("sjmp t0\n .db 0xa5, 0x00\n sjmp t0\n .db 0xa5, 0x00\nt0: sjmp t0",
+     (0x0D, 0x11), ["loop-pruned", "loop-pruned"], 3),
+    # no target decodes; the last is an ljmp cut off by the image end
+    (".db 0xa5, 0x00, 0xa5, 0x00, 0xa5, 0x00, 0xa5, 0x02",
+     (0x0B, 0x0D, 0x0F, 0x11), ["indirect-undecodable"], 1),
+])
+def test_indirect_jump_skips_undecodable_targets(table, diagnosed, ended,
+                                                 states):
+    # A feasible target that does not lift gets a diagnostic and no child;
+    # a jump with no target left ends `indirect-undecodable`.
+    src = """
+    .org 0
+        mov dptr, #0x7f00
+        movx a, @dptr        ; selector (symbolic)
+        anl a, #0x03
+        rl a                 ; *2: offsets 0, 2, 4 or 6
+        mov dptr, #table
+        jmp @a+dptr
+    table:
+    """ + table
+    image, syms = fwkit.assemble_with_symbols(src)
+    assert syms["table"] == 0x0B
+    cfg = ExplorationConfig(block_repeat_threshold=4, seed=1)
+    res = execute(image, xram_policy(0x7F00), cfg)
+    assert res.diagnostics == [f"indirect target 0x{t:04x} undecodable "
+                               f"(site 0x000a)" for t in diagnosed]
+    assert sorted(s.terminated for s in res.ended) == ended
+    assert res.states_created == states
+
+
 def test_out_of_region_code_jump_killed():
     # jump target beyond the image: path killed with a diagnostic
     src = """
