@@ -27,7 +27,8 @@ payloads and must be symbolic for the payload to be explored) over the
 static facts of `usbstatic.prop_const_mem`. Discovery ends a handler's
 iterations with a static proof where it can: one walk per handler gives
 the locations its loads may read fresh, and an iteration is proved once
-they are all symbolic.
+they are all symbolic. One run stands for the iterations that would
+rerun it unchanged up to the location it found.
 
 Preconditions are made by one function (`_precondition_exprs`, one table
 from relation to constraint) and solved only in `check_preconditions`,
@@ -37,6 +38,7 @@ which Query 1 calls once its policy covers each precondition's byte.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from . import isa, machine, solver, usbstatic
@@ -99,23 +101,40 @@ def _reads_fresh(loc, known, written) -> bool:
     return loc[0] != _CODE and loc not in known and loc not in written
 
 
-class _CheckLoads(Listener):
-    """Stop the run at the first in-handler load that reads fresh
-    (`_reads_fresh`), with the handler's writes on this path
-    (`ExecState.isr_written`); that location is environment data."""
+class _CheckLoads(SymbolicPolicy, Listener):
+    """A discovery run's policy, which covers `known`, and its listener,
+    which adds to `known` each location an in-handler load reads fresh
+    (`_reads_fresh`, with `ExecState.isr_written`): environment data.
+    Alg. 3 stops the run at the first and reruns it cold with that location
+    symbolic. A policy decides only reads of a byte's initial value, so if
+    no read before this one took the location's, the rerun repeats this run
+    up to here. Then, unless `stop(n)` holds for the n found, the run goes
+    on as the rerun, and a load of the initial value reads the variable."""
 
-    def __init__(self, known: set):
-        self.known = known
-        self.found: tuple | None = None
+    def __init__(self, known: set, stop):
+        super().__init__()
+        self.locations, self.stop = known, stop
+        self.found: list = []  # (location, when found)
+        self.initial_reads = Counter()  # of the bytes left concrete
+
+    def lookup(self, region, addr):
+        v = super().lookup(region, addr)
+        if v is None:
+            self.initial_reads[region, addr] += 1
+        return v
 
     def on_load(self, site, state, region, addr, value):
         if state.active_isr is None:
             return None
         loc = (region, addr)
-        if not _reads_fresh(loc, self.known, state.isr_written):
+        if not _reads_fresh(loc, self.locations, state.isr_written):
             return None
-        self.found = loc
-        return STOP_ALL
+        self.locations.add(loc)
+        self.found.append((loc, time.monotonic()))
+        initial = addr not in state.mem[region]
+        if self.stop(len(self.found)) or self.initial_reads[loc] != initial:
+            return STOP_ALL
+        return self.lookup(region, addr) if initial else None
 
 
 # The abstract value of `_fresh_reads` at the handler's stack: the entry
@@ -246,58 +265,60 @@ def find_symbolic_locations(image: bytes, tau: int = 16,
                             config: ExplorationConfig | None = None,
                             memo: ImageMemo | None = None
                             ) -> SymbolicLocationSet:
-    """Up to tau iterations per ISR, each of one run restricted to that
-    single interrupt source; every run either grows the symbolic set by one
-    location and restarts cold, or finds none and ends that handler's
-    discovery, since a rerun would be identical. One static walk per
-    handler (`_fresh_reads`) gives the locations its loads may read fresh.
-    An iteration is proved, before the deadline, once all of them are
-    symbolic: no run can find a location, so the iteration is logged with
-    reason `proved` and ends the handler's discovery without the run.
-    Otherwise the run's `IterationRecord.reason` says whether it explored
-    everything (`complete`)."""
+    """Alg. 3: up to tau iterations per ISR, each a run restricted to that
+    interrupt source that ends at the first location it finds (reason
+    `listener-stop`) and adds it. One run stands for several iterations
+    where `_CheckLoads` finds it is their reruns. One static walk per
+    handler (`_fresh_reads`) gives the locations its loads may read fresh;
+    before the deadline, an iteration is `proved` once all of them are
+    symbolic, and makes no run, since no run could find a location. A
+    `proved` iteration, or a run that finds none, ends the handler's
+    discovery; that run's reason says whether it explored everything
+    (`complete`)."""
     base = config or ExplorationConfig()
     if memo is None:
         memo = ImageMemo(image)  # one memo serves the proof and every run
     isrs = discover_isrs(memo.program)
+    # Tight budgets: each run only has to reach the handler's next fresh
+    # read, not saturate the whole program.
+    cfg = replace(base, max_states=min(base.max_states, 192),
+                  block_repeat_threshold=min(base.block_repeat_threshold, 32),
+                  cooldown_min=2, cooldown_max=8,
+                  max_blocks=min(base.max_blocks, 4_000), targets=frozenset())
     locations: set = set()
     log: list[IterationRecord] = []
     for source in sorted(isrs):
         # the first iteration's duration includes the walk
         t0 = time.monotonic()
         fresh = _fresh_reads(memo.program, isrs[source], base.deadline)
-        for it in range(1, tau + 1):
-            if (fresh is not None and fresh <= locations
+
+        def proved() -> bool:
+            return (fresh is not None and fresh <= locations
                     and (base.deadline is None
-                         or time.monotonic() <= base.deadline)):
-                # fixpoint: no run of this handler can find a location
-                log.append(IterationRecord(source, it, None,
-                                           time.monotonic() - t0, "proved"))
-                break
-            policy = SymbolicPolicy(locations)
-            # Tight budgets: each run only has to reach the handler's next
-            # fresh read, not saturate the whole program.
-            cfg = replace(
-                base, max_states=min(base.max_states, 192),
-                block_repeat_threshold=min(base.block_repeat_threshold, 32),
-                cooldown_min=2, cooldown_max=8,
-                max_blocks=min(base.max_blocks, 4_000), targets=frozenset())
-            checker = _CheckLoads(locations)
-            reason = execute(image, policy, cfg, listeners=[checker],
-                             isr_map={source: isrs[source]},
-                             memo=memo).reason
-            dt = time.monotonic() - t0
-            if checker.found is not None:
-                locations.add(checker.found)
-                region, addr = checker.found
+                         or time.monotonic() <= base.deadline))
+
+        it = 1
+        while it <= tau:
+            # proved: a fixpoint, where no run of this handler can find a
+            # location
+            found, reason = [], "proved"
+            if not proved():
+                checker = _CheckLoads(locations, lambda n, left=tau - it + 1:
+                                      n == left or proved())
+                reason = execute(image, checker, cfg, listeners=[checker],
+                                 isr_map={source: isrs[source]},
+                                 memo=memo).reason
+                found = checker.found
+            for (region, addr), t in found:
                 log.append(IterationRecord(source, it,
-                                           (Region(region).name, addr), dt,
-                                           reason))
-                t0 = time.monotonic()
-            else:
-                log.append(IterationRecord(source, it, None, dt, reason))
-                # fixpoint unproved: a rerun would be identical, so this
-                # handler's discovery ends (complete only if reason says so)
+                                           (Region(region).name, addr),
+                                           t - t0, "listener-stop"))
+                it, t0 = it + 1, t
+            if reason != "listener-stop":
+                # a rerun would be identical, so this handler's discovery
+                # ends (complete only if reason says so)
+                log.append(IterationRecord(source, it, None,
+                                           time.monotonic() - t0, reason))
                 break
     return SymbolicLocationSet(locations, log)
 

@@ -79,9 +79,13 @@ class SymbolicPolicy:
     """The symbolic bytes of an exploration: explicit `(Region, addr)`
     locations and whole regions. Every other byte reads its reset value.
 
-    A policy is a value; nothing changes what it covers. `lookup` makes a
-    covered byte's variable at its first read and memoises it, so a whole
-    region costs nothing until its bytes are read."""
+    A policy is a value; nothing changes what it covers, but for
+    discovery's run policy (`queries._CheckLoads`). That one adds a byte
+    only where no read but the current one has taken the byte's initial
+    value, and that read then takes its variable: the same as covering it
+    from the start. `lookup` makes a covered byte's variable at its first
+    read and memoises it, so a whole region costs nothing until its bytes
+    are read."""
 
     def __init__(self, locations=(), regions=()):
         self.locations = frozenset((Region(r), a) for r, a in locations)
@@ -311,7 +315,9 @@ STOP_ALL = "stop-all"
 
 class Listener:
     """Hooks on every load and store at a concrete address. Returning
-    STOP_ALL ends the run; any other value lets the path go on."""
+    STOP_ALL ends the run; None lets the path go on. A load hook may
+    instead return a value, which a load from memory then reads in place
+    of the byte's (a forwarded load's value stays)."""
 
     def on_load(self, site, state, region, addr, value):
         return None
@@ -757,7 +763,8 @@ class Executor:
         symbolic address takes `at` when it is the step i that a fork
         started from (`_fork_access` enumerated that value), else runs in
         place (`_same_child`), else forks. A Reread calls its load hooks
-        only. The kinds are tested in the order of how often they run."""
+        only, and keeps its value whatever they return. The kinds are
+        tested in the order of how often they run."""
         steps = pb.steps
         mem = s.mem
         image = self.image
@@ -854,8 +861,11 @@ class Executor:
             if hooks:
                 stop = False
                 for cb in hooks:
-                    if cb(s.cur_site, s, region, addr, value) == STOP_ALL:
+                    got = cb(s.cur_site, s, region, addr, value)
+                    if got == STOP_ALL:
                         stop = True
+                    elif got is not None and cls is Read:
+                        vals[st[3]] = value = got  # the byte's new value
                 if stop:
                     self.stop_reason = "listener-stop"
                     self._terminate(s, "listener-stop")

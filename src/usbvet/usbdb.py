@@ -256,39 +256,59 @@ class MatchRule:
         return True
 
 
-_FIELD_KEYS = {
-    "vid": "idVendor", "pid": "idProduct", "lo": "bcdDevice_lo",
-    "hi": "bcdDevice_hi", "class": None, "subclass": None, "protocol": None,
-    "number": "bInterfaceNumber",
+# Each rule-file key's field, match flag and width in bits.
+# class/subclass/protocol name (device field, interface field): they bind
+# to the interface when the form matches any interface info field, else to
+# the device.
+_KEY_FIELDS = {
+    "vid": ("idVendor", MATCH_VENDOR, 16),
+    "pid": ("idProduct", MATCH_PRODUCT, 16),
+    "lo": ("bcdDevice_lo", MATCH_DEV_LO, 16),
+    "hi": ("bcdDevice_hi", MATCH_DEV_HI, 16),
+    "number": ("bInterfaceNumber", MATCH_INT_NUMBER, 8),
+}
+_SIDED_KEYS = {
+    "class": (("bDeviceClass", MATCH_DEV_CLASS, 8),
+              ("bInterfaceClass", MATCH_INT_CLASS, 8)),
+    "subclass": (("bDeviceSubClass", MATCH_DEV_SUBCLASS, 8),
+                 ("bInterfaceSubClass", MATCH_INT_SUBCLASS, 8)),
+    "protocol": (("bDeviceProtocol", MATCH_DEV_PROTOCOL, 8),
+                 ("bInterfaceProtocol", MATCH_INT_PROTOCOL, 8)),
 }
 
 
 def _rule_from_parts(form: str, driver: str, kv: dict[str, int]) -> MatchRule:
+    """A rule of `form` with each key's value in its field. ValueError for an
+    unknown form or key, a key the form does not match on, or a value that
+    does not fit its field."""
     if form not in RULE_FORMS:
         raise ValueError(f"unknown rule form {form}")
     flags = RULE_FORMS[form]
-    fields: dict[str, int] = {}
-    # class/subclass/protocol bind to the interface when the form matches
-    # any interface info field, else to the device
+    # USUAL_DEV pins the interface class, so no rule sets it
+    settable = flags & ~MATCH_INT_CLASS if form == "USUAL_DEV" else flags
     int_side = bool(flags & MATCH_INT_INFO)
+    fields: dict[str, int] = {}
     for key, value in kv.items():
-        if key == "class":
-            fields["bInterfaceClass" if int_side else "bDeviceClass"] = value
-        elif key == "subclass":
-            fields["bInterfaceSubClass" if int_side else "bDeviceSubClass"] = value
-        elif key == "protocol":
-            fields["bInterfaceProtocol" if int_side else "bDeviceProtocol"] = value
-        elif key in _FIELD_KEYS and _FIELD_KEYS[key]:
-            fields[_FIELD_KEYS[key]] = value
+        if key in _SIDED_KEYS:
+            name, flag, bits = _SIDED_KEYS[key][int_side]
+        elif key in _KEY_FIELDS:
+            name, flag, bits = _KEY_FIELDS[key]
         else:
             raise ValueError(f"unknown rule field {key}")
+        if not settable & flag:
+            raise ValueError(f"{form} does not take {key}")
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{key}={value} does not fit in {bits} bits")
+        fields[name] = value
     if form == "USUAL_DEV":
         fields["bInterfaceClass"] = USB_CLASS_MASS_STORAGE
     return MatchRule(form, driver, flags, **fields)
 
 
 def load_rules(text: str) -> list[MatchRule]:
-    """One rule per line: `FORM driver key=value ...` (values hex or decimal)."""
+    """One rule per line: `FORM driver key=value ...` (values hex or decimal).
+    ValueError `rule line N: ...` for a line `_rule_from_parts` refuses or
+    one that gives a key twice."""
     rules = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -301,8 +321,13 @@ def load_rules(text: str) -> list[MatchRule]:
         kv = {}
         for p in parts[2:]:
             k, _, v = p.partition("=")
+            if k in kv:
+                raise ValueError(f"rule line {line_no}: {k} given twice")
             kv[k] = int(v, 0)
-        rules.append(_rule_from_parts(form, driver, kv))
+        try:
+            rules.append(_rule_from_parts(form, driver, kv))
+        except ValueError as e:
+            raise ValueError(f"rule line {line_no}: {e}") from None
     return rules
 
 

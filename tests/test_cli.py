@@ -18,6 +18,7 @@ from usbvet.lifter import Region
 
 import reference_ir
 from static_facts import static_facts
+from test_queries import COLD_RUNS
 from test_report_bytes import VARIANTS, load_workloads
 from test_symexec import Accesses
 
@@ -304,6 +305,23 @@ def test_custom_ruledb(tmp_path):
     ("--signatures", "# tags\nTAG: -1 ??\n",
      "signatures file: signature file line 2: cell '-1' is not a hex byte"),
     ("--ruledb", "USB_DEVICE x vid=zz\n", "rule db: invalid literal"),
+    # a key the form does not match on would be ignored
+    ("--ruledb", "USB_INTERFACE_INFO kbd vid=0x1234 class=3\n",
+     "rule db: rule line 1: USB_INTERFACE_INFO does not take vid"),
+    ("--ruledb", "# ids\nUSB_DEVICE x vid=1 number=0\n",
+     "rule db: rule line 2: USB_DEVICE does not take number"),
+    ("--ruledb", "USUAL_DEV usb-storage class=3 subclass=6\n",
+     "rule db: rule line 1: USUAL_DEV does not take class"),
+    # a value wider than its field would never match
+    ("--ruledb", "USB_DEVICE x vid=-1 pid=1\n",
+     "rule db: rule line 1: vid=-1 does not fit in 16 bits"),
+    ("--ruledb", "USB_DEVICE x vid=1 pid=70000\n",
+     "rule db: rule line 1: pid=70000 does not fit in 16 bits"),
+    ("--ruledb", "USB_DEVICE_INFO hub class=0x109\n",
+     "rule db: rule line 1: class=265 does not fit in 8 bits"),
+    # a repeated key would keep only its last value
+    ("--ruledb", "USB_DEVICE x vid=1 pid=2 vid=3\n",
+     "rule db: rule line 1: vid given twice"),
 ])
 def test_main_malformed_pattern_file_exit_code(tmp_path, capsys, flag,
                                                content, message):
@@ -495,7 +513,9 @@ SHARING_SPECS.update((name, spec) for name, (spec, _, _) in VARIANTS.items())
 def _identity_explorations(monkeypatch, path, spec, share):
     """The report and the facts of every exploration of one identity
     analysis (discovery runs, then Query 1). With `share` False, each
-    exploration gets a private memo in place of the analysis's."""
+    exploration gets a private memo in place of the analysis's. Each
+    discovery iteration that finds a location is a run of its own
+    (`COLD_RUNS`), so the memo is shared over several runs of a handler."""
     runs = []
 
     def recording(*args, memo=None, **kw):
@@ -509,6 +529,7 @@ def _identity_explorations(monkeypatch, path, spec, share):
         return res
 
     monkeypatch.setattr(queries, "execute", recording)
+    monkeypatch.setattr(*COLD_RUNS)
     report, _ = run_pipeline(RunConfig(
         image_path=path, query="identity",
         preconditions=[f"XRAM:0x{spec.setup_base + 1:04x}:==:6"]))
@@ -539,6 +560,7 @@ def test_each_block_is_lifted_once_per_analysis(tmp_path, monkeypatch):
         return real(image, addr)
 
     monkeypatch.setattr(lifter, "lift_block", counting)
+    monkeypatch.setattr(*COLD_RUNS)  # each discovery iteration runs
     report, _ = run_pipeline(small_config(path, query="both"))
     # discovery, Query 1 and Query 2 all ran, and no block was lifted twice
     assert len(report.symbolic_set["iterations"]) > 1
@@ -826,8 +848,9 @@ def test_forwarded_loads_change_no_hook_call(name, tmp_path, monkeypatch):
     spec = SHARING_SPECS[name]
     config = small_config(_fixture_path(tmp_path, name, spec), query="both",
                           preconditions=_setup_precondition(spec))
-    forwarded = _hooked_analysis(monkeypatch, config)
-    plain = _hooked_analysis(monkeypatch, config,
+    # each discovery iteration that finds a location is a run of its own
+    forwarded = _hooked_analysis(monkeypatch, config, [COLD_RUNS])
+    plain = _hooked_analysis(monkeypatch, config, [COLD_RUNS],
                              prepare=reference_ir.unforwarded)
     assert forwarded[:3] == plain[:3]
     report = json.loads(forwarded[0])

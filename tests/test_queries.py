@@ -1,9 +1,10 @@
 import pathlib
+import random
 import time
 
 import pytest
 
-from usbvet import fwkit, lifter, queries, solver, symexec, usbstatic
+from usbvet import fwkit, lifter, machine, queries, solver, symexec, usbstatic
 from usbvet.lifter import Region
 from usbvet.queries import Precondition
 from usbvet.symexec import ExplorationConfig, SymbolicPolicy
@@ -127,14 +128,28 @@ def test_injector_env_bytes_discovered():
     assert got == {(r, a) for r, a in man.env_bytes}
 
 
+class ColdRuns(queries._CheckLoads):
+    """Discovery's listener as Alg. 3 states it: every run stops at the
+    first location it finds, and the next iteration reruns cold."""
+
+    def __init__(self, known, stop):
+        super().__init__(known, lambda n: True)
+
+
+# Each discovery iteration that is not `proved` makes a run of its own.
+COLD_RUNS = (queries, "_CheckLoads", ColdRuns)
+
+
 def test_memoless_discovery_lifts_the_image_once(monkeypatch):
     # Without a caller's memo, discovery makes one private memo: its
-    # proofs and every run share one lifted program.
+    # proofs and every run share one lifted program. Every iteration that
+    # finds a location is a run of its own here.
     image, _ = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     lifts = []
     real = lifter.lift_program
     monkeypatch.setattr(lifter, "lift_program",
                         lambda img: lifts.append(img) or real(img))
+    monkeypatch.setattr(*COLD_RUNS)
     out = queries.find_symbolic_locations(image, config=ExplorationConfig(
         seed=3))
     assert sum(rec.reason != "proved" for rec in out.log) > 1
@@ -325,6 +340,53 @@ table:
     push 0x30
     reti
 """, (), False),
+    # the walk cannot name the IRAM byte below the frame that a run finds
+    # once the XRAM byte is symbolic
+    "fresh-xram-then-third-pop": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    pop 0x30
+    pop 0x31
+    pop 0x32
+    push 0x32
+    push 0x31
+    push 0x30
+    reti
+""", (0x7100,), False),
+    # the second jz takes the side the first decided: no run reads 0x7200
+    "jz-decided-by-the-path": ("", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    jz zero
+    reti
+zero:
+    jz done
+    mov dptr, #0x7200
+    movx a, @dptr
+done:
+    reti
+""", (0x7100,), False),
+    # entered at SP 0x49, the push writes IRAM 0x4a, which is then read
+    "pushed-slot-read-absolute": ("", """
+    push acc
+    mov a, 0x4a
+    pop acc
+    reti
+""", (), False),
+    # main reads 0x7100 before the handler does, and copies it to 0x40
+    "main-copies-the-byte": ("""    mov dptr, #0x7100
+    movx a, @dptr
+    mov 0x40, a
+""", """
+    mov dptr, #0x7100
+    movx a, @dptr
+    mov a, 0x40
+    jz done
+    mov dptr, #0x7300
+    movx a, @dptr
+done:
+    reti
+""", (0x7100,), False),
 }
 
 
@@ -368,19 +430,115 @@ def test_proved_fixpoint_ends_discovery_without_a_run(monkeypatch):
     out = queries.find_symbolic_locations(image, tau=8, config=cfg())
     assert [rec.added is not None for rec in out.log] == [True, True, False]
     assert out.log[-1].reason == "proved"
-    assert len(runs) == 2  # only the runs that found a location
+    assert len(runs) == 1  # one run finds both locations
+
+
+# TWO_SOURCES_SRC with interrupts never enabled, and `poll` saving PSW.
+# No run enters either handler, though poll's walk, which assumes any entry
+# state, gives PSW and ACC (the push reads PSW, whose parity bit is ACC's)
+# and XRAM 0x7100.
+NEVER_ENABLED_SRC = TWO_SOURCES_SRC.replace(
+    "        mov ie, #0x83\n", "").replace(
+    "    poll:\n", "    poll:\n        push psw\n        pop psw\n")
+
+
+def test_never_entered_handler_adds_nothing():
+    image, labels = fwkit.assemble_with_symbols(NEVER_ENABLED_SRC)
+    assert queries._fresh_reads(lifter.lift_program(image), labels["poll"],
+                                None) == {(Region.SFR, machine.PSW),
+                                          (Region.SFR, machine.ACC),
+                                          (Region.XRAM, 0x7100)}
+    out = queries.find_symbolic_locations(
+        image, tau=4, config=ExplorationConfig(seed=1))
+    assert out.locations == set()
+    assert [(rec.source, rec.added, rec.reason) for rec in out.log] == [
+        ("external0", None, "proved"), ("timer0", None, "complete")]
+
+
+def _discovery_runs(monkeypatch, image, tau, config, patches=()):
+    """Discovery's log, as (source, iteration, location, reason) rows, and
+    its locations and number of runs, with `patches` set."""
+    runs = []
+    real = queries.execute
+    with monkeypatch.context() as m:
+        m.setattr(queries, "execute",
+                  lambda *a, **kw: runs.append(1) or real(*a, **kw))
+        for patch in patches:
+            m.setattr(*patch)
+        out = queries.find_symbolic_locations(image, tau=tau, config=config)
+    rows = [(r.source, r.iteration, r.added, r.reason) for r in out.log]
+    return rows, out.locations, len(runs)
+
+
+def test_discovery_equals_cold_reruns(monkeypatch, tmp_path):
+    # A run that goes on past a location it found stands for the cold
+    # reruns Alg. 3 makes: the log, iteration by iteration, and the
+    # locations are theirs, with fewer runs.
+    fixtures = [(fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0],
+                 16, ExplorationConfig())
+                for t in ("benign-hid", "injector-hid",
+                          "storage-claiming-hid")]
+    branchy = [(fwkit.generate_fixture(fwkit.FixtureSpec(
+        template="branchy", guard_count=k))[0], tau, cfg())
+        for k in range(1, 6) for tau in {k, max(k - 1, 1)}]
+    proofs = [(_proof_image(name)[0], 16, cfg()) for name in PROOF_CASES]
+    triage = [(image, 16, config)
+              for image, config in _triage_images(tmp_path, 4)]
+    rng = random.Random(11)
+    randoms = [(rng.randbytes(rng.randrange(64, 0x401)), (16, 2)[i % 2],
+                ExplorationConfig(seed=i)) for i in range(200)]
+    runs = cold_runs = 0
+    for i, (image, tau, config) in enumerate(
+            fixtures + branchy + proofs + triage + randoms):
+        *out, n = _discovery_runs(monkeypatch, image, tau, config)
+        *cold, n_cold = _discovery_runs(monkeypatch, image, tau, config,
+                                        [COLD_RUNS])
+        assert out == cold, (i, image.hex())
+        runs, cold_runs = runs + n, cold_runs + n_cold
+        if i < len(fixtures) + len(branchy):
+            assert n < n_cold or n == n_cold == 1, i
+    assert runs < cold_runs
+
+
+def test_byte_read_before_the_handler_is_rerun_cold(monkeypatch):
+    # Main reads 0x7100 and copies it to IRAM 0x40 before the handler reads
+    # both. A run that went on past 0x7100 would keep main's copy of its
+    # reset value, and never read 0x7300; so that run stops, and a cold
+    # rerun, in which main copies the variable, goes on past 0x40.
+    image = _proof_image("main-copies-the-byte")[0]
+    rows, locations, n = _discovery_runs(monkeypatch, image, 16, cfg())
+    assert locations == {(Region.XRAM, 0x7100), (Region.IRAM, 0x40),
+                         (Region.XRAM, 0x7300)}
+    assert rows[-1][3] == "proved" and n == 2
+    assert (rows, locations) == _discovery_runs(monkeypatch, image, 16, cfg(),
+                                                [COLD_RUNS])[:2]
+
+
+@pytest.mark.parametrize("name,found", [
+    ("jz-decided-by-the-path", {(Region.XRAM, 0x7100)}),
+    ("pushed-slot-read-absolute", {(Region.SFR, machine.ACC)})])
+def test_discovery_adds_only_what_a_run_reads(name, found):
+    # The walk's set bounds what a run can read; it is not what one does:
+    # the walk takes both sides of a branch the path decides, and cannot
+    # tell a stack slot from the absolute IRAM byte it is.
+    image, labels = _proof_image(name)
+    walk = queries._fresh_reads(lifter.lift_program(image), labels["isr"],
+                                None)
+    assert walk > found
+    out = queries.find_symbolic_locations(image, tau=16, config=cfg())
+    assert out.locations == found
 
 
 def _shadowed_discovery(monkeypatch, image, config):
-    """Discovery with every iteration explored, as if the walk could never
-    tell, and whether the proof held before each iteration, in log order:
+    """Discovery with every iteration explored by a run of its own, as if
+    the walk could never tell, and whether the proof held before each iteration, in log order:
     the handler's walk told, and every location it gave was symbolic."""
     real = queries._fresh_reads
     walks = []
-    monkeypatch.setattr(queries, "_fresh_reads",
-                        lambda *a: walks.append(real(*a)))
-    out = queries.find_symbolic_locations(image, tau=16, config=config)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(queries, "_fresh_reads", lambda *a: walks.append(real(*a)))
+        m.setattr(*COLD_RUNS)
+        out = queries.find_symbolic_locations(image, tau=16, config=config)
     sources = list(dict.fromkeys(rec.source for rec in out.log))
     assert len(walks) == len(sources)
     fresh_of = dict(zip(sources, walks))
