@@ -11,7 +11,8 @@ degrade into diagnostics instead of aborting.
 exploration decode and lift each block once; it builds the image's static
 facts once (`usbstatic.prop_const_mem` over the reachable instructions,
 the same list the XREF scan reads, and the memo's blocks), which EP0
-inference and Query 2 share; it solves the preconditions before discovery
+inference and Query 2 share, and which direct Query 1's search under
+`auto` (`--policy full` stays the undirected baseline); it solves the preconditions before discovery
 (Query 1 solves them again); it builds the one `SymbolicPolicy` that both
 queries run under (`--policy full` covers the whole IRAM and XRAM regions,
 `auto` the discovered set, which the report's `query1.policy` names
@@ -438,13 +439,15 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
                        for rec in symset.log],
     }
 
-    # 3b. Query 1 (identity reachability)
+    # 3b. Query 1 (identity reachability), directed by the static facts
+    # under auto; `full` stays the undirected baseline
     q1 = None
     q1_dict = None
     if run_query1:
         q1 = queries.query1(image, sorted(targets), policy,
                             preconditions=preconditions, config=base_cfg,
-                            memo=memo)
+                            memo=memo,
+                            M=M if config.policy == "auto" else None)
         q1_dict = _q1_dict(q1, policy_name)
     elif asks_identity:
         diagnostics.append("no target instructions: identity query skipped")

@@ -2,7 +2,8 @@
 
 Query 1 ("what identity can the device claim?") is target reachability:
 symbolically execute toward the code that serves descriptor data, and report
-the path constraints that gate it. Query 2 ("is the endpoint data flow
+the path constraints that gate it. Given the image's static facts, its
+search is directed by each site's static distance to a target. Query 2 ("is the endpoint data flow
 consistent with that identity?") flags concrete data flowing into endpoint
 buffers, either against predicted endpoint addresses or, when endpoints
 cannot be predicted, by mixed symbolic/concrete writers to one address from
@@ -38,7 +39,7 @@ which Query 1 calls once its policy covers each precondition's byte.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 from . import isa, machine, solver, usbstatic
@@ -437,13 +438,38 @@ def _usb_notes(path: solver.PathCondition) -> list[UsbConstraintNote]:
     return notes
 
 
+def target_distances(M: usbstatic.PropMap, targets) -> dict[int, int]:
+    """The fewest instructions from each site of M to one of `targets`
+    (0 at a target): a breadth-first search from the targets over the
+    reverse of the static successor relation, `_Summary.succ`. A site with
+    no path to a target has no entry."""
+    preds: dict[int, list[int]] = {}
+    for a, sm in M.summaries.items():
+        for b in sm.succ:
+            preds.setdefault(b, []).append(a)
+    dist = dict.fromkeys(sorted(targets), 0)
+    queue = deque(dist)
+    while queue:
+        b = queue.popleft()
+        d = dist[b] + 1
+        for a in preds.get(b, ()):
+            if a not in dist:
+                dist[a] = d
+                queue.append(a)
+    return dist
+
+
 def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
            config: ExplorationConfig | None = None,
-           memo: ImageMemo | None = None) -> Query1Report:
+           memo: ImageMemo | None = None,
+           M: usbstatic.PropMap | None = None) -> Query1Report:
     """Reachability of `targets` under `policy` and `preconditions`, each
     of whose bytes the policy must cover (PreconditionError names the
     first that it does not). Their conjunction must be satisfiable
-    (`check_preconditions`)."""
+    (`check_preconditions`). Given the image's static facts `M`, the
+    exploration is directed (`symexec.select_next`): while a pending state
+    has a distance to a target (`target_distances`), half its picks take
+    the nearest one."""
     if not targets:
         raise ValueError("query1 requires at least one target instruction")
     for p in preconditions:
@@ -455,7 +481,9 @@ def query1(image: bytes, targets, policy: SymbolicPolicy, preconditions=(),
     base = config or ExplorationConfig()
     cfg = replace(base, targets=frozenset(targets))
     init = check_preconditions(preconditions, cfg)
-    res = execute(image, policy, cfg, initial_constraints=init, memo=memo)
+    dist = None if M is None else target_distances(M, targets)
+    res = execute(image, policy, cfg, initial_constraints=init, memo=memo,
+                  distances=dist)
     out: dict[int, Query1Target] = {}
     for t in sorted(targets):
         hit = res.target_hits.get(t)

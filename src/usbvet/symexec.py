@@ -47,6 +47,14 @@ drops it when it returns; `execute` without one makes a private memo, so
 nothing outlives the run. Each exploration still has its own `Solver`
 diagnostics, RNG and `mk` memo, so sharing changes no result.
 
+The next state to run is chosen by one RNG draw per pick (`select_next`):
+a uniform-random pending state or the one that most recently grew
+coverage, half the time each. An exploration given a distance map (pc ->
+fewest instructions to a target; Query 1 under the discovered-set policy)
+is directed: while a pending state has a distance, half the draws take the
+nearest one, from a second heap of the `Frontier`, and the other half
+split as before. Without distances the draws are the undirected ones.
+
 Interrupts are scheduled between blocks: an enabled, discovered ISR whose
 cooldown has expired forks a state that enters the handler (hardware-style
 return-address push, no nesting). With no `isr_map`, the handlers are read
@@ -395,16 +403,22 @@ class ExplorationResult:
 
 class Frontier:
     """Pending states in the order they were added, with a heap on
-    (-last_cover_seq, sid, push number) beside them.
+    (-last_cover_seq, sid, push number) beside them; and, given a distance
+    map `dist` (pc -> instructions to a target), a second heap on
+    (dist[pc], sid, push number) over the states whose pc has a distance.
 
-    The heap's top is the first pending state, in list order, with the
-    greatest (last_cover_seq, -sid). A state's key does not change while it
-    is pending. A state removed by position leaves its heap entry behind; an
-    entry counts only while its push number is the state's current one."""
+    The first heap's top is the first pending state, in list order, with the
+    greatest (last_cover_seq, -sid); the second's is the nearest state, the
+    least sid first on a tie. A state's keys do not change while it is
+    pending. A state removed by one pick leaves its entries in the other
+    heap behind; an entry counts only while its push number is the state's
+    current one."""
 
-    def __init__(self, states=()):
+    def __init__(self, states=(), dist: dict[int, int] | None = None):
         self.states: list[ExecState] = []
+        self.dist = dist
         self._heap: list[tuple] = []
+        self._near: list[tuple] = []
         self._live: dict[int, int] = {}  # id(state) -> its push number
         self._pushes = 0
         for s in states:
@@ -419,33 +433,72 @@ class Frontier:
         self.states.append(s)
         self._live[id(s)] = n
         heapq.heappush(self._heap, (-s.last_cover_seq, s.sid, n, s))
+        if self.dist is not None:
+            d = self.dist.get(s.pc)
+            if d is not None:
+                heapq.heappush(self._near, (d, s.sid, n, s))
+
+    def _forget(self, s: ExecState):
+        """Drop s's push number; a heap that stale entries have grown past
+        twice the pending states is rebuilt from its live entries."""
+        live = self._live
+        del live[id(s)]
+        cap = 2 * len(self.states) + 64
+        if len(self._heap) > cap:
+            self._heap = [e for e in self._heap if live.get(id(e[3])) == e[2]]
+            heapq.heapify(self._heap)
+        if len(self._near) > cap:
+            self._near = [e for e in self._near if live.get(id(e[3])) == e[2]]
+            heapq.heapify(self._near)
 
     def pop_at(self, i: int) -> ExecState:
         s = self.states.pop(i)
-        del self._live[id(s)]
-        if len(self._heap) > 2 * len(self.states) + 64:
-            live = self._live
-            self._heap = [e for e in self._heap if live.get(id(e[3])) == e[2]]
-            heapq.heapify(self._heap)
+        self._forget(s)
         return s
 
     def pop_latest_cover(self) -> ExecState:
         while True:
             _, _, n, s = heapq.heappop(self._heap)
             if self._live.get(id(s)) == n:
-                del self._live[id(s)]
                 self.states.remove(s)
+                self._forget(s)
                 return s
+
+    def has_nearest(self) -> bool:
+        """Whether a pending state has a distance. Stale entries on top of
+        the second heap are dropped."""
+        near, live = self._near, self._live
+        while near and live.get(id(near[0][3])) != near[0][2]:
+            heapq.heappop(near)
+        return bool(near)
+
+    def pop_nearest(self) -> ExecState:
+        """The pending state of least (distance, sid), after `has_nearest`
+        said there is one."""
+        s = heapq.heappop(self._near)[3]
+        self.states.remove(s)
+        self._forget(s)
+        return s
 
 
 def select_next(frontier: Frontier, rng: random.Random) -> ExecState:
-    """Remove and return the next state: an even split between a
-    uniform-random choice and the state that most recently grew the global
-    coverage set."""
+    """Remove and return the next state, decided by one draw: an even split
+    between a uniform-random choice and the state that most recently grew
+    the global coverage set. When a pending state has a distance to a target
+    (a directed frontier), the lower half of the draws takes the nearest
+    one, and the upper half, stretched back to [0, 1), splits as before.
+    Directing every pick would keep the search in polling loops near a
+    target; without a distance, the picks and RNG draws are the undirected
+    ones."""
     n = len(frontier.states)
     if n == 1:
         return frontier.pop_at(0)
-    if rng.random() < 0.5:
+    u = rng.random()
+    if frontier.has_nearest():
+        if u < 0.5:
+            return frontier.pop_nearest()
+        u = 2 * u - 1
+    if u < 0.5:
         return frontier.pop_at(rng.randrange(n))
     return frontier.pop_latest_cover()
 
@@ -454,8 +507,10 @@ class Executor:
     def __init__(self, image: bytes, policy: SymbolicPolicy,
                  config: ExplorationConfig, listeners=(),
                  isr_map: dict[str, int] | None = None,
-                 initial_constraints=(), memo: ImageMemo | None = None):
+                 initial_constraints=(), memo: ImageMemo | None = None,
+                 distances: dict[int, int] | None = None):
         self.initial_constraints = list(initial_constraints)
+        self.distances = distances
         self.image = bytes(image)
         self.policy = policy
         self.config = config
@@ -912,7 +967,7 @@ class Executor:
         if not all(eval_expr(e, {}) for e in s0.path.exprs()):
             s0.model = None
         self.states_created = 1
-        frontier = Frontier([s0])
+        frontier = Frontier([s0], self.distances)
         reason = "complete"
         cfg = self.config
         targets, max_blocks = cfg.targets, cfg.max_blocks
@@ -955,7 +1010,9 @@ class Executor:
 
 def execute(image: bytes, policy: SymbolicPolicy, config: ExplorationConfig,
             listeners=(), isr_map: dict[str, int] | None = None,
-            initial_constraints=(), memo: ImageMemo | None = None
-            ) -> ExplorationResult:
+            initial_constraints=(), memo: ImageMemo | None = None,
+            distances: dict[int, int] | None = None) -> ExplorationResult:
+    """Run one exploration. Given `distances` (pc -> fewest instructions to
+    a target), it is directed (`select_next`)."""
     return Executor(image, policy, config, listeners, isr_map,
-                    initial_constraints, memo).run()
+                    initial_constraints, memo, distances).run()

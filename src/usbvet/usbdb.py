@@ -307,8 +307,8 @@ def _rule_from_parts(form: str, driver: str, kv: dict[str, int]) -> MatchRule:
 
 def load_rules(text: str) -> list[MatchRule]:
     """One rule per line: `FORM driver key=value ...` (values hex or decimal).
-    ValueError `rule line N: ...` for a line `_rule_from_parts` refuses or
-    one that gives a key twice."""
+    ValueError `rule line N: ...` for a line `_rule_from_parts` refuses, one
+    that gives a key twice, or a value that is not a number."""
     rules = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -323,7 +323,11 @@ def load_rules(text: str) -> list[MatchRule]:
             k, _, v = p.partition("=")
             if k in kv:
                 raise ValueError(f"rule line {line_no}: {k} given twice")
-            kv[k] = int(v, 0)
+            try:
+                kv[k] = int(v, 0)
+            except ValueError:
+                raise ValueError(f"rule line {line_no}: {k}={v!r} is not "
+                                 f"a number") from None
         try:
             rules.append(_rule_from_parts(form, driver, kv))
         except ValueError as e:

@@ -304,7 +304,10 @@ def test_custom_ruledb(tmp_path):
      "signatures file: signature file line 1: cell '1FF' is not a hex byte"),
     ("--signatures", "# tags\nTAG: -1 ??\n",
      "signatures file: signature file line 2: cell '-1' is not a hex byte"),
-    ("--ruledb", "USB_DEVICE x vid=zz\n", "rule db: invalid literal"),
+    ("--ruledb", "USB_DEVICE x vid=zz\n",
+     "rule db: rule line 1: vid='zz' is not a number"),
+    ("--ruledb", "# ids\nUSB_DEVICE x vid\n",
+     "rule db: rule line 2: vid='' is not a number"),
     # a key the form does not match on would be ignored
     ("--ruledb", "USB_INTERFACE_INFO kbd vid=0x1234 class=3\n",
      "rule db: rule line 1: USB_INTERFACE_INFO does not take vid"),

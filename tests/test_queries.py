@@ -1,10 +1,11 @@
+import json
 import pathlib
 import random
 import time
 
 import pytest
 
-from usbvet import fwkit, lifter, machine, queries, solver, symexec, usbstatic
+from usbvet import cli, fwkit, lifter, machine, queries, solver, symexec, usbstatic
 from usbvet.lifter import Region
 from usbvet.queries import Precondition
 from usbvet.symexec import ExplorationConfig, SymbolicPolicy
@@ -772,6 +773,58 @@ def test_query1_witness_timeout_reported():
 def test_query1_requires_targets():
     with pytest.raises(ValueError):
         queries.query1(bytes(16), [], SymbolicPolicy())
+
+
+def test_target_distances_step_down_to_the_targets(tmp_path):
+    images = [fwkit.generate_fixture(fwkit.FixtureSpec(template=t))[0]
+              for t in ("benign-hid", "injector-hid", "storage-claiming-hid")]
+    images += [image for image, _ in _triage_images(tmp_path, 1)]
+    for image in images:
+        # the static facts and target sites, as `cli.run_pipeline` has them
+        M = static_facts(image)
+        inf = usbstatic.find_devspec_to_ep0(image, M,
+                                            usbstatic.scan_signatures(image))
+        targets = set().union(*inf.target_sites.values())
+        assert targets
+        dist = queries.target_distances(M, targets)
+        assert all(dist[t] == 0 for t in targets)
+        assert dist.get(0) is not None  # the reset vector leads to a target
+        for a, sm in M.summaries.items():
+            nearest = min((dist[b] for b in sm.succ if b in dist), default=None)
+            if a not in dist:
+                assert nearest is None, hex(a)  # no successor has one
+            elif dist[a] > 0:
+                assert nearest == dist[a] - 1, hex(a)
+
+
+def test_directed_query1_keeps_the_descriptor_request_constraints():
+    image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
+    symset = queries.find_symbolic_locations(image, tau=8, config=cfg())
+    target = man.target_sites["hid_report_copy"]
+    pol = SymbolicPolicy(symset.locations)
+    directed = queries.query1(image, [target], pol, config=cfg(),
+                              M=static_facts(image))
+    undirected = queries.query1(image, [target], pol, config=cfg())
+    t = directed.targets[target]
+    assert t.reached
+    assert t.witness["xram_7fe9"] == 6 and t.witness["xram_7feb"] == 34
+    assert directed.states_explored < undirected.states_explored
+
+
+# seed-2 round 16 and seed-1 round 20 of `identity-triage`: with every pick
+# directed, Query 1 runs 1,300 blocks on the first and ends at the state
+# limit (exit 2) on the second; the mix takes 25 and 35 blocks
+@pytest.mark.parametrize("seed,rnd", [(2, 16), (1, 20)])
+def test_directed_query1_still_mixes_its_picks(seed, rnd, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    workloads = load_workloads()
+    (op,) = [op for op in workloads.identity_triage_round(seed, rnd, ".")
+             if op.template == "benign-hid"]
+    code = cli.main(op.argv)
+    data = pathlib.Path(op.report_path).read_bytes()
+    assert workloads.check_analysis(op, code, data) == ""
+    assert json.loads(data)["query1"]["blocks_executed"] <= 400
 
 
 # ---------------------------------------------------------------------------

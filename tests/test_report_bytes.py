@@ -28,35 +28,35 @@ FLAGS = {
 
 PINNED = {
     ("benign-hid", "defaults"): (
-        0, "1c8d7d2e8dae7660e3640c8daa01452498e2eb28987272cdab9a04b77ddb882b"),
+        0, "b6d373109fb2330a989ec252e712cabb88fff6bd76d70ded47317fb98ab0a9d9"),
     ("benign-hid", "consistency"): (
         0, "51e401153619bec591d6380ea0ff09f7c5a83f9a420b4a9467bee6120f7e3a83"),
     ("benign-hid", "full"): (
         0, "95aa288de602e48e803d2adc8465e76522aa53460a750231263f727865175850"),
     ("benign-hid", "seed3"): (
-        0, "14a169f7247f76908494297462470a0fab1bc464cd6a4a3e577bf1266dde2b27"),
+        0, "2738e630ca441a5e458c33b941ed62bbcf48ac90350b61405202ad1f5d8f7142"),
     ("benign-hid", "identity-pre"): (
-        0, "bed142ed177344c833cd13dc63d00c05fac443e9a95dc54c217c590a02ef6de2"),
+        0, "55ebd30f9fd973ae81c9978baf490bf23c8ef8d4e8cd2f142bd70121e79bd2e9"),
     ("injector-hid", "defaults"): (
-        1, "c77849fbaa3a420ab2a4d81c0b133c03f968999bd1b5afd90d5093d4d4e03b54"),
+        1, "227659562465fd3bf30698e8ea16b6c6614f6a6589ec4bf81e9417fcb07bf768"),
     ("injector-hid", "consistency"): (
         1, "51eaf821f7befcca81ed840be6475e2cc35e6385cfc21ea4825cbf88d54a7519"),
     ("injector-hid", "full"): (
         1, "89b99e0406b0eb4c10eff86d3e070dc21a9c7ed870c712a20c9816391c215514"),
     ("injector-hid", "seed3"): (
-        1, "ffe126ec3d22191879f7b5d1e5b3ac87a32a9115c4795780e527593c1ad19e39"),
+        1, "cd766723bfe8337c1885c881e082b61bd9f3644e18a06747fd07eedb07b9f0db"),
     ("injector-hid", "identity-pre"): (
-        0, "67dd6a0f5eb7cd03c028ee4d230095730136c719fb48f94325ad0f3fb997b7e7"),
+        0, "da5183759c10ff5d4c4fadc935dce25a53de59430a37350f4ed40de529e97f61"),
     ("storage-claiming-hid", "defaults"): (
-        0, "631138bee2c7bf395e3503f0130620c2425eebc195508ead26ee98b4223b0907"),
+        0, "d19ff0b32f0e906dc6d2c08c5cc59796fe843a771fbb9271b0db7d36b81d214e"),
     ("storage-claiming-hid", "consistency"): (
         0, "cf172ec9a3792c6e2d6e8798f4879a0fd9866730635d6bc4b1c423a0583b7a7e"),
     ("storage-claiming-hid", "full"): (
         0, "2b8597acf61542f7b51d302091032d6f8505f25abbd3b197791b552e7f9babe6"),
     ("storage-claiming-hid", "seed3"): (
-        0, "abbbd36bef30fc3ecbf5692ea110e9af4d85027bd54d26700ff38252edfe6fe9"),
+        0, "9d2c22afe9e8649c6b7579cbd87bdab644e570493ea7cf2eb15880dd158e6377"),
     ("storage-claiming-hid", "identity-pre"): (
-        0, "214c74db1c3549e10846730781e2834f351918dc6c4e28fd929b5f7acd5e2622"),
+        0, "55d7156bbd2012b71a438eb5cedeb581abbe9defe7bb9e93036d3a2a88fec129"),
 }
 
 
@@ -80,17 +80,17 @@ VARIANTS = {
         template="benign-hid", ep0_fifo=0x7600, ep1_buffer=0x7680,
         setup_base=0x7FD0, device_desc_addr=0x0A00,
         config_desc_addr=0x0A12, hid_report_addr=0x0A34),
-        0, "11258251a51e92cdfba4a3daaf52caafe5aa2802fad95f3e21fafde450bf2999"),
+        0, "a89e31ee825aaa80fc06099cc066492174ef4ba4fe4eb389641f4d12a7c5f94d"),
     "injector-hid-moved": (fwkit.FixtureSpec(
         template="injector-hid", ep0_fifo=0x7A00, ep1_buffer=0x7A80,
         setup_base=0x7FC8, device_desc_addr=0x0C40,
         config_desc_addr=0x0C52, hid_report_addr=0x0C74),
-        0, "91716c4fed8ca6db1d85df4c73bbae5ff60aa0f09dcb6ee4c09b9c44b7643632"),
+        0, "f87e0ec5fa5eb8cb42b6c53f3b6fe40f0e5fc3a17e2507a2d9a76642951dd0c4"),
     "storage-claiming-hid-moved": (fwkit.FixtureSpec(
         template="storage-claiming-hid", ep0_fifo=0x7500, ep1_buffer=0x7580,
         setup_base=0x7FF0, device_desc_addr=0x2A00,
         config_desc_addr=0x2A12, hid_report_addr=0x2A59),
-        0, "7890af35b03569b3477f73c98cf751d78ae2e00b706c16d4709dd12bed543d46"),
+        0, "7d88740612811e21f09e6df5579938706e2f99430df20132f60065c1d4427774"),
 }
 
 
@@ -126,21 +126,21 @@ def load_workloads():
 # each seed-1 `identity-triage` report of rounds 0-4, made in the work
 # directory `triage` (each report holds its image's path).
 TRIAGE_PINNED = {
-    "r000-benign-hid": (0, "d09a683b2ca6"),
-    "r000-injector-hid": (0, "670f7c0ee313"),
-    "r000-storage-claiming-hid": (1, "ce6708f9ea1f"),
-    "r001-benign-hid": (0, "d0c61c156b0a"),
-    "r001-injector-hid": (0, "1204230d773d"),
-    "r001-storage-claiming-hid": (1, "fe4cb75ad3eb"),
-    "r002-benign-hid": (0, "957d4e11bec5"),
-    "r002-injector-hid": (0, "755d1eed88a5"),
-    "r002-storage-claiming-hid": (1, "16db0d3cfe37"),
-    "r003-benign-hid": (0, "cc8a509b5cb7"),
-    "r003-injector-hid": (0, "3a0375bbd7c0"),
-    "r003-storage-claiming-hid": (1, "1dc500c30e19"),
-    "r004-benign-hid": (0, "bee6327cbbac"),
-    "r004-injector-hid": (0, "490c19322000"),
-    "r004-storage-claiming-hid": (1, "4661dd59d774"),
+    "r000-benign-hid": (0, "74e8a6b2a067"),
+    "r000-injector-hid": (0, "c89bc2e26bae"),
+    "r000-storage-claiming-hid": (1, "13931d4f2472"),
+    "r001-benign-hid": (0, "03fa47181056"),
+    "r001-injector-hid": (0, "18f0ba0a7987"),
+    "r001-storage-claiming-hid": (1, "d190e7ddd464"),
+    "r002-benign-hid": (0, "fab030c2e24b"),
+    "r002-injector-hid": (0, "4545bb2c2675"),
+    "r002-storage-claiming-hid": (1, "5862d22cc04a"),
+    "r003-benign-hid": (0, "0ad7eb4fe590"),
+    "r003-injector-hid": (0, "7569fc24e548"),
+    "r003-storage-claiming-hid": (1, "6beaf5b8b46e"),
+    "r004-benign-hid": (0, "d306bb3d87a9"),
+    "r004-injector-hid": (0, "6f797abfc0b6"),
+    "r004-storage-claiming-hid": (1, "4d57eea912fd"),
 }
 
 

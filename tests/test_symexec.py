@@ -537,6 +537,120 @@ def test_select_next_matches_full_frontier_max():
             assert frontier.states == ref
 
 
+class Draws:
+    """An RNG whose random() returns the given draws in turn and whose
+    randrange(n) returns 0; it records its calls."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.calls = []
+
+    def random(self):
+        self.calls.append("random")
+        return self.draws.pop(0)
+
+    def randrange(self, n):
+        self.calls.append("randrange")
+        return 0
+
+
+def _state(sid, pc, cover=0):
+    s = ExecState()
+    s.sid, s.pc, s.last_cover_seq = sid, pc, cover
+    return s
+
+
+def test_select_next_directed_pops_nearest_then_least_sid():
+    dist = {0x10: 3, 0x20: 1, 0x30: 1}
+    a, b, c = _state(5, 0x10), _state(7, 0x20), _state(2, 0x30)
+    far = _state(1, 0x40, cover=9)  # no distance, the latest coverage
+    frontier = Frontier([a, b, far, c], dist)
+    rng = Draws(0.0, 0.49, 0.3)
+    assert [select_next(frontier, rng) for _ in range(3)] == [c, b, a]
+    assert rng.calls == ["random"] * 3  # one draw per pick
+    assert frontier.states == [far]
+
+
+def test_select_next_skips_stale_nearest_entries():
+    dist = {0x10: 1, 0x20: 2}
+    a, b, other = _state(1, 0x10), _state(2, 0x20), _state(3, 0x40)
+    frontier = Frontier([a, b, other], dist)
+    assert frontier.pop_at(0) is a  # a random pick leaves a's entry behind
+    assert select_next(frontier, Draws(0.0)) is b
+    # a picked state that comes back is keyed by its new pc, here none
+    frontier = Frontier([a, other], dist)
+    assert select_next(frontier, Draws(0.0)) is a
+    a.pc = 0x40
+    frontier.push(a)
+    rng = Draws(0.0)
+    assert select_next(frontier, rng) is other  # a random pick
+    assert rng.calls == ["random", "randrange"]
+    assert frontier.states == [a]
+
+
+def test_select_next_never_directs_to_a_state_without_distance():
+    x, y = _state(2, 0x40, cover=5), _state(1, 0x50)
+    near = _state(9, 0x10)
+    frontier = Frontier([x, y, near], {0x10: 4})
+    # the lower half takes the one state with a distance; with none left,
+    # it is the random pick again (the first in the list, not the least sid)
+    rng = Draws(0.0, 0.0)
+    assert [select_next(frontier, rng) for _ in range(2)] == [near, x]
+    assert rng.calls == ["random", "random", "randrange"]
+
+
+@pytest.mark.parametrize("dist", [None, {}, {0x7000: 1},
+                                  {0: 2, 1: 0, 2: 2, 4: 1, 5: 7}],
+                         ids=["none", "empty", "no-pending-pc", "directed"])
+def test_select_next_matches_the_full_frontier_rule(dist):
+    # The rule the two heaps replace, over the whole list: one draw; with
+    # a distance pending, its lower half takes the least (distance, sid),
+    # first in list order on a tie, and the upper half is stretched back to
+    # [0, 1); then a random pick, or the max (last_cover_seq, -sid). With
+    # no distance pending this is the undirected rule, draw for draw.
+    known = dist or {}
+
+    def reference(frontier, rng):
+        if len(frontier) == 1:
+            return frontier[0]
+        u = rng.random()
+        near = [s for s in frontier if s.pc in known]
+        if near:
+            if u < 0.5:
+                return min(near, key=lambda s: (known[s.pc], s.sid))
+            u = 2 * u - 1
+        if u < 0.5:
+            return frontier[rng.randrange(len(frontier))]
+        return max(frontier, key=lambda s: (s.last_cover_seq, -s.sid))
+
+    gen = random.Random(4)
+    for trial in range(40):
+        def new_state():
+            return _state(gen.randrange(6), gen.randrange(8), gen.randrange(4))
+
+        start = [new_state() for _ in range(gen.randrange(1, 8))]
+        ref, frontier = list(start), Frontier(start, dist)
+        rng_ref, rng_new = random.Random(trial), random.Random(trial)
+        for step in range(400):
+            if not ref:
+                break
+            want = reference(ref, rng_ref)
+            ref.remove(want)
+            assert select_next(frontier, rng_new) is want
+            # a picked state may come back with new keys, as in Executor.run
+            back = [want] if gen.random() < 0.5 else []
+            if back:
+                want.last_cover_seq += gen.randrange(2)
+                want.pc = gen.randrange(8)
+            if step < 200:
+                back += [new_state() for _ in range(gen.randrange(3))]
+            for s in back:
+                ref.append(s)
+                frontier.push(s)
+            assert frontier.states == ref
+        assert rng_new.getstate() == rng_ref.getstate()
+
+
 def test_indirect_jump_enumerates_decodable_targets():
     # jmp @a+dptr with a symbolic selector byte drives a 2-entry jump table
     src = """
