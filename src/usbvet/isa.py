@@ -4,7 +4,8 @@ The table covers all 44 mnemonics across 255 legal opcodes; 0xA5 is the one
 reserved encoding and always raises. One decode plan per opcode is built with the
 table, so decoding parses no spec strings. Operands are normalized to
 destination-first order in the plan (0x85, MOV direct,direct, is the only
-instruction whose byte stream is [op, src, dst]). Records are named tuples.
+instruction whose byte stream is [op, src, dst]). Records are named tuples,
+which decode builds directly as tuples.
 """
 
 from __future__ import annotations
@@ -307,9 +308,17 @@ def _plan(opcode: int, info: OpcodeInfo) -> tuple:
 # One decode plan per opcode, None for the reserved one.
 _PLANS = [_plan(op, TABLE[op]) if op in TABLE else None for op in range(256)]
 
+_new = tuple.__new__  # decode's record constructor (see its docstring)
+_REL, _ADDR11 = OpKind.REL, OpKind.ADDR11
+
 
 def decode(image: bytes, addr: int) -> Instruction:
-    """Decode the instruction at addr. Raises IllegalOpcode / TruncatedInstruction."""
+    """Decode the instruction at addr. Raises IllegalOpcode / TruncatedInstruction.
+
+    Follows the opcode's plan: operands that read no image bytes come
+    ready-made, and the `Instruction` and each computed `Operand` are built
+    with `tuple.__new__`, which gives the same named tuple as its
+    constructor at about half the cost."""
     n = len(image)
     if addr >= n:
         raise TruncatedInstruction(addr, 0, 1, n - addr)
@@ -331,15 +340,17 @@ def decode(image: bytes, addr: int) -> Instruction:
             b = image[addr + offset]
             if cls is tuple:
                 ops.append(how[b])
-            elif how is OpKind.REL:
-                ops.append(Operand(how, (end + (b ^ 0x80) - 0x80) & 0xFFFF))
-            elif how is OpKind.ADDR11:
-                ops.append(Operand(how, (end & 0xF800) | (opcode & 0xE0) << 3 | b))
+                continue
+            if how is _REL:
+                v = (end + (b ^ 0x80) - 0x80) & 0xFFFF
+            elif how is _ADDR11:
+                v = (end & 0xF800) | (opcode & 0xE0) << 3 | b
             else:  # ADDR16, IMM16
-                ops.append(Operand(how, b << 8 | image[addr + offset + 1]))
+                v = b << 8 | image[addr + offset + 1]
+            ops.append(_new(Operand, (how, v)))
         operands = tuple(ops)
-    return Instruction(addr, opcode, mnemonic, operands, length,
-                       bytes(image[addr:end]))
+    return _new(Instruction, (addr, opcode, mnemonic, operands, length,
+                              bytes(image[addr:end])))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,15 @@ instruction, `Assign`, `Load` and `Store`, and one terminator (`CJump`,
 `Jump` or `RetMark`). A register write is a `Store` to its SFR address;
 `format_block` prints one to a named register as `put NAME`.
 
+Each mnemonic has one emitter, a function that `_lift_one` looks up in the
+`_EMITTERS` table by the instruction's mnemonic. The emitters, the
+statement builder `_Emit` and `run_lifted` read regions and operand kinds
+through module aliases (`_SFR`, `_K_ACC`, ...), never as enum members.
+
 An analysed image is decoded only here, each instruction once, by
 `LiftedProgram`; `discover_isrs` reads the handlers' entries off it.
+`run_lifted` evaluates the IR concretely; it evaluates a two-operand
+`Assign`, the most common statement, without building a list.
 """
 
 from __future__ import annotations
@@ -38,6 +45,17 @@ class Region(IntEnum):
 # byte-wide space).
 REGION_SIZE = {Region.CODE: 0x10000, Region.IRAM: 0x100, Region.SFR: 0x100,
                Region.XRAM: 0x10000}
+
+# The regions and operand kinds as module names: the emitters, `_Emit` and
+# `run_lifted` read them per statement, and a global read costs a fraction of
+# an enum member lookup.
+_CODE, _IRAM, _SFR, _XRAM = Region.CODE, Region.IRAM, Region.SFR, Region.XRAM
+_K_ACC, _K_REG = isa.OpKind.ACC, isa.OpKind.REG
+_K_DIRECT, _K_INDIRECT = isa.OpKind.DIRECT, isa.OpKind.INDIRECT
+_K_IMM8, _K_IMM16 = isa.OpKind.IMM8, isa.OpKind.IMM16
+_K_BIT, _K_NOT_BIT = isa.OpKind.BIT, isa.OpKind.NOT_BIT
+_K_CARRY, _K_DPTR = isa.OpKind.CARRY, isa.OpKind.DPTR
+_K_IND_DPTR, _K_CODE_DPTR = isa.OpKind.IND_DPTR, isa.OpKind.CODE_DPTR
 
 
 class Tmp:
@@ -112,10 +130,6 @@ class RetMark:
     def __init__(self, target, reti):
         self.target = target
         self.reti = reti
-
-
-class UnliftableInstruction(Exception):
-    pass
 
 
 class IRBlock:
@@ -195,15 +209,15 @@ class _Emit:
         self.stmts.append(Store(region, addr, src))
 
     def put(self, reg, src):
-        self.stmts.append(Store(Region.SFR, reg, src))
+        self.stmts.append(Store(_SFR, reg, src))
 
     # -- register file helpers ------------------------------------------
 
     def sfr(self, addr) -> Tmp:
-        return self.load(Region.SFR, addr)
+        return self.load(_SFR, addr)
 
     def acc(self) -> Tmp:
-        return self.load(Region.SFR, _ACC)
+        return self.load(_SFR, _ACC)
 
     def set_acc(self, v):
         self.put(_ACC, v)
@@ -243,10 +257,10 @@ class _Emit:
         return self.tmp("add", (base, n), 8)
 
     def reg_read(self, n: int) -> Tmp:
-        return self.load(Region.IRAM, self.bank_slot(n))
+        return self.load(_IRAM, self.bank_slot(n))
 
     def reg_write(self, n: int, v):
-        self.store(Region.IRAM, self.bank_slot(n), v)
+        self.store(_IRAM, self.bank_slot(n), v)
 
     def dptr(self) -> Tmp:
         hi = self.tmp("shl", (self.sfr(_DPH), 8), 16)
@@ -260,40 +274,40 @@ class _Emit:
 
     def read_operand(self, op: isa.Operand) -> Tmp | int:
         k = op.kind
-        if k is isa.OpKind.ACC:
+        if k is _K_ACC:
             return self.acc()
-        if k is isa.OpKind.REG:
+        if k is _K_REG:
             return self.reg_read(op.value)
-        if k is isa.OpKind.DIRECT:
+        if k is _K_DIRECT:
             if op.value == _PSW:
                 return self.psw_norm()
-            region = Region.IRAM if op.value < 0x80 else Region.SFR
+            region = _IRAM if op.value < 0x80 else _SFR
             return self.load(region, op.value)
-        if k is isa.OpKind.INDIRECT:
-            return self.load(Region.IRAM, self.reg_read(op.value))
-        if k in (isa.OpKind.IMM8, isa.OpKind.IMM16):
+        if k is _K_INDIRECT:
+            return self.load(_IRAM, self.reg_read(op.value))
+        if k is _K_IMM8 or k is _K_IMM16:
             return op.value
         raise AssertionError(k)
 
     def write_operand(self, op: isa.Operand, v):
         k = op.kind
-        if k is isa.OpKind.ACC:
+        if k is _K_ACC:
             self.set_acc(v)
-        elif k is isa.OpKind.REG:
+        elif k is _K_REG:
             self.reg_write(op.value, v)
-        elif k is isa.OpKind.DIRECT:
-            region = Region.IRAM if op.value < 0x80 else Region.SFR
+        elif k is _K_DIRECT:
+            region = _IRAM if op.value < 0x80 else _SFR
             self.store(region, op.value, v)
-        elif k is isa.OpKind.INDIRECT:
-            self.store(Region.IRAM, self.reg_read(op.value), v)
+        elif k is _K_INDIRECT:
+            self.store(_IRAM, self.reg_read(op.value), v)
         else:
             raise AssertionError(k)
 
     def bit_location(self, bit: int) -> tuple[Region, int, int]:
         """(region, byte address, bit index) for a bit-address operand."""
         if bit < 0x80:
-            return Region.IRAM, 0x20 + (bit >> 3), bit & 7
-        return Region.SFR, bit & 0xF8, bit & 7
+            return _IRAM, 0x20 + (bit >> 3), bit & 7
+        return _SFR, bit & 0xF8, bit & 7
 
     def read_bit(self, bit: int) -> Tmp:
         region, addr, idx = self.bit_location(bit)
@@ -315,7 +329,7 @@ class _Emit:
         sp = self.sfr(_SP)
         sp1 = self.tmp("add", (sp, 1), 8)
         self.put(_SP, sp1)
-        self.store(Region.IRAM, sp1, v)
+        self.store(_IRAM, sp1, v)
 
     def add_with_flags(self, value, carry_in):
         a = self.acc()
@@ -334,236 +348,339 @@ class _Emit:
         self.set_acc(r)
 
 
-def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
-    """Emit IR for one instruction; returns the terminator or None."""
-    m = ins.mnemonic
-    ops = ins.operands
-    next_pc = (ins.addr + ins.length) & 0xFFFF
+# -- emitters -----------------------------------------------------------
+# One per mnemonic, looked up in _EMITTERS: emit(e, ops, next_pc) emits the
+# IR of one instruction with operands ops, whose successor in the image is at
+# next_pc, and returns its terminator, or None when it falls through.
 
-    if m == "NOP":
-        return None
-    if m in ("LJMP", "AJMP", "SJMP"):
-        return Jump(ops[0].value)
-    if m == "JMP":  # @A+DPTR
-        t = e.tmp("add", (e.acc(), e.dptr()), 16)
-        return Jump(t)
-    if m in ("LCALL", "ACALL"):
-        e.push(next_pc & 0xFF)
-        e.push(next_pc >> 8)
-        return Jump(ops[0].value)
-    if m in ("RET", "RETI"):
+def _lift_nop(e: _Emit, ops, next_pc):
+    return None
+
+
+def _lift_jump(e: _Emit, ops, next_pc):  # LJMP, AJMP, SJMP
+    return Jump(ops[0].value)
+
+
+def _lift_jmp(e: _Emit, ops, next_pc):  # @A+DPTR
+    t = e.tmp("add", (e.acc(), e.dptr()), 16)
+    return Jump(t)
+
+
+def _lift_call(e: _Emit, ops, next_pc):  # LCALL, ACALL
+    e.push(next_pc & 0xFF)
+    e.push(next_pc >> 8)
+    return Jump(ops[0].value)
+
+
+def _return(reti: bool):
+    """The emitter of RETI when reti is true, else of RET."""
+    def lift_return(e: _Emit, ops, next_pc):
         sp = e.sfr(_SP)
-        hi = e.load(Region.IRAM, sp)
+        hi = e.load(_IRAM, sp)
         sp1 = e.tmp("sub", (sp, 1), 8)
-        lo = e.load(Region.IRAM, sp1)
+        lo = e.load(_IRAM, sp1)
         e.put(_SP, e.tmp("sub", (sp, 2), 8))
         target = e.tmp("or", (e.tmp("shl", (hi, 8), 16), lo), 16)
-        return RetMark(target, m == "RETI")
-    if m == "JZ":
-        return CJump(e.tmp("eq", (e.acc(), 0), 8), ops[0].value, next_pc)
-    if m == "JNZ":
-        return CJump(e.tmp("ne", (e.acc(), 0), 8), ops[0].value, next_pc)
-    if m == "JC":
-        return CJump(e.carry(), ops[0].value, next_pc)
-    if m == "JNC":
-        return CJump(e.tmp("eq", (e.carry(), 0), 8), ops[0].value, next_pc)
-    if m == "JB":
-        return CJump(e.read_bit(ops[0].value), ops[1].value, next_pc)
-    if m == "JNB":
-        cond = e.tmp("eq", (e.read_bit(ops[0].value), 0), 8)
-        return CJump(cond, ops[1].value, next_pc)
-    if m == "JBC":
-        region, addr, idx = e.bit_location(ops[0].value)
-        byte = e.psw_norm() if addr == _PSW else e.load(region, addr)
-        bit = e.tmp("and", (e.tmp("shr", (byte, idx), 8), 1), 8)
-        cleared = e.tmp("and", (byte, (~(1 << idx)) & 0xFF), 8)
-        # untaken arm must leave the stored byte untouched (PSW keeps its raw
-        # dead parity bit), so reload raw for the else value
-        old = e.psw_raw() if addr == _PSW else byte
-        newb = e.tmp("ite", (bit, cleared, old), 8)
-        e.store(region, addr, newb)
-        return CJump(bit, ops[1].value, next_pc)
-    if m == "CJNE":
-        a = e.read_operand(ops[0])
-        b = e.read_operand(ops[1])
-        e.set_flags(cy=e.tmp("ult", (a, b), 8))
-        return CJump(e.tmp("ne", (a, b), 8), ops[2].value, next_pc)
-    if m == "DJNZ":
-        v = e.tmp("sub", (e.read_operand(ops[0]), 1), 8)
-        e.write_operand(ops[0], v)
-        return CJump(e.tmp("ne", (v, 0), 8), ops[1].value, next_pc)
+        return RetMark(target, reti)
+    return lift_return
 
-    if m == "MOV":
-        k0 = ops[0].kind
-        if k0 is isa.OpKind.DPTR:
-            e.put(_DPL, ops[1].value & 0xFF)
-            e.put(_DPH, ops[1].value >> 8)
-        elif k0 is isa.OpKind.CARRY:
-            e.set_flags(cy=e.read_bit(ops[1].value))
-        elif k0 is isa.OpKind.BIT:
-            e.write_bit_value(ops[0].value, e.carry())
-        else:
-            e.write_operand(ops[0], e.read_operand(ops[1]))
-        return None
-    if m == "MOVC":
-        if ops[1].kind is isa.OpKind.CODE_DPTR:
-            addr = e.tmp("add", (e.acc(), e.dptr()), 16)
-        else:  # @A+PC: base is the address of the *next* instruction
-            addr = e.tmp("add", (e.acc(), next_pc), 16)
-        e.set_acc(e.load(Region.CODE, addr))
-        return None
-    if m == "MOVX":
-        if ops[0].kind is isa.OpKind.ACC:
-            src = ops[1]
-            addr = e.dptr() if src.kind is isa.OpKind.IND_DPTR else e.reg_read(src.value)
-            e.set_acc(e.load(Region.XRAM, addr))
-        else:
-            dst = ops[0]
-            addr = e.dptr() if dst.kind is isa.OpKind.IND_DPTR else e.reg_read(dst.value)
-            e.store(Region.XRAM, addr, e.acc())
-        return None
-    if m == "ADD":
-        e.add_with_flags(e.read_operand(ops[1]), 0)
-        return None
-    if m == "ADDC":
-        e.add_with_flags(e.read_operand(ops[1]), e.carry())
-        return None
-    if m == "SUBB":
-        a = e.acc()
-        v = e.read_operand(ops[1])
-        c = e.carry()
-        total = e.tmp("sub", (e.tmp("sub", (a, v), 16), c), 16)
-        r = e.tmp("and", (total, 0xFF), 8)
-        cy = e.tmp("and", (e.tmp("shr", (total, 8), 16), 1), 8)  # borrow bit
-        nib = e.tmp("sub", (e.tmp("sub", (e.tmp("and", (a, 0x0F), 8),
-                                          e.tmp("and", (v, 0x0F), 8)), 16), c), 16)
-        ac = e.tmp("and", (e.tmp("shr", (nib, 4), 16), 1), 8)
-        xav = e.tmp("xor", (a, v), 8)
-        xar = e.tmp("xor", (a, r), 8)
-        ov = e.tmp("shr", (e.tmp("and", (xav, xar), 8), 7), 8)
-        e.set_flags(cy=cy, ac=ac, ov=ov)
-        e.set_acc(r)
-        return None
-    if m == "INC":
-        if ops[0].kind is isa.OpKind.DPTR:
-            e.set_dptr(e.tmp("add", (e.dptr(), 1), 16))
-        else:
-            e.write_operand(ops[0], e.tmp("add", (e.read_operand(ops[0]), 1), 8))
-        return None
-    if m == "DEC":
-        e.write_operand(ops[0], e.tmp("sub", (e.read_operand(ops[0]), 1), 8))
-        return None
-    if m in ("ANL", "ORL", "XRL"):
-        opname = {"ANL": "and", "ORL": "or", "XRL": "xor"}[m]
-        if ops[0].kind is isa.OpKind.CARRY:
+
+def _lift_jz(e: _Emit, ops, next_pc):
+    return CJump(e.tmp("eq", (e.acc(), 0), 8), ops[0].value, next_pc)
+
+
+def _lift_jnz(e: _Emit, ops, next_pc):
+    return CJump(e.tmp("ne", (e.acc(), 0), 8), ops[0].value, next_pc)
+
+
+def _lift_jc(e: _Emit, ops, next_pc):
+    return CJump(e.carry(), ops[0].value, next_pc)
+
+
+def _lift_jnc(e: _Emit, ops, next_pc):
+    return CJump(e.tmp("eq", (e.carry(), 0), 8), ops[0].value, next_pc)
+
+
+def _lift_jb(e: _Emit, ops, next_pc):
+    return CJump(e.read_bit(ops[0].value), ops[1].value, next_pc)
+
+
+def _lift_jnb(e: _Emit, ops, next_pc):
+    cond = e.tmp("eq", (e.read_bit(ops[0].value), 0), 8)
+    return CJump(cond, ops[1].value, next_pc)
+
+
+def _lift_jbc(e: _Emit, ops, next_pc):
+    region, addr, idx = e.bit_location(ops[0].value)
+    byte = e.psw_norm() if addr == _PSW else e.load(region, addr)
+    bit = e.tmp("and", (e.tmp("shr", (byte, idx), 8), 1), 8)
+    cleared = e.tmp("and", (byte, (~(1 << idx)) & 0xFF), 8)
+    # untaken arm must leave the stored byte untouched (PSW keeps its raw
+    # dead parity bit), so reload raw for the else value
+    old = e.psw_raw() if addr == _PSW else byte
+    newb = e.tmp("ite", (bit, cleared, old), 8)
+    e.store(region, addr, newb)
+    return CJump(bit, ops[1].value, next_pc)
+
+
+def _lift_cjne(e: _Emit, ops, next_pc):
+    a = e.read_operand(ops[0])
+    b = e.read_operand(ops[1])
+    e.set_flags(cy=e.tmp("ult", (a, b), 8))
+    return CJump(e.tmp("ne", (a, b), 8), ops[2].value, next_pc)
+
+
+def _lift_djnz(e: _Emit, ops, next_pc):
+    v = e.tmp("sub", (e.read_operand(ops[0]), 1), 8)
+    e.write_operand(ops[0], v)
+    return CJump(e.tmp("ne", (v, 0), 8), ops[1].value, next_pc)
+
+
+def _lift_mov(e: _Emit, ops, next_pc):
+    k0 = ops[0].kind
+    if k0 is _K_DPTR:
+        e.put(_DPL, ops[1].value & 0xFF)
+        e.put(_DPH, ops[1].value >> 8)
+    elif k0 is _K_CARRY:
+        e.set_flags(cy=e.read_bit(ops[1].value))
+    elif k0 is _K_BIT:
+        e.write_bit_value(ops[0].value, e.carry())
+    else:
+        e.write_operand(ops[0], e.read_operand(ops[1]))
+    return None
+
+
+def _lift_movc(e: _Emit, ops, next_pc):
+    if ops[1].kind is _K_CODE_DPTR:
+        addr = e.tmp("add", (e.acc(), e.dptr()), 16)
+    else:  # @A+PC: base is the address of the *next* instruction
+        addr = e.tmp("add", (e.acc(), next_pc), 16)
+    e.set_acc(e.load(_CODE, addr))
+    return None
+
+
+def _lift_movx(e: _Emit, ops, next_pc):
+    if ops[0].kind is _K_ACC:
+        src = ops[1]
+        addr = e.dptr() if src.kind is _K_IND_DPTR else e.reg_read(src.value)
+        e.set_acc(e.load(_XRAM, addr))
+    else:
+        dst = ops[0]
+        addr = e.dptr() if dst.kind is _K_IND_DPTR else e.reg_read(dst.value)
+        e.store(_XRAM, addr, e.acc())
+    return None
+
+
+def _lift_add(e: _Emit, ops, next_pc):
+    e.add_with_flags(e.read_operand(ops[1]), 0)
+    return None
+
+
+def _lift_addc(e: _Emit, ops, next_pc):
+    e.add_with_flags(e.read_operand(ops[1]), e.carry())
+    return None
+
+
+def _lift_subb(e: _Emit, ops, next_pc):
+    a = e.acc()
+    v = e.read_operand(ops[1])
+    c = e.carry()
+    total = e.tmp("sub", (e.tmp("sub", (a, v), 16), c), 16)
+    r = e.tmp("and", (total, 0xFF), 8)
+    cy = e.tmp("and", (e.tmp("shr", (total, 8), 16), 1), 8)  # borrow bit
+    nib = e.tmp("sub", (e.tmp("sub", (e.tmp("and", (a, 0x0F), 8),
+                                      e.tmp("and", (v, 0x0F), 8)), 16), c), 16)
+    ac = e.tmp("and", (e.tmp("shr", (nib, 4), 16), 1), 8)
+    xav = e.tmp("xor", (a, v), 8)
+    xar = e.tmp("xor", (a, r), 8)
+    ov = e.tmp("shr", (e.tmp("and", (xav, xar), 8), 7), 8)
+    e.set_flags(cy=cy, ac=ac, ov=ov)
+    e.set_acc(r)
+    return None
+
+
+def _lift_inc(e: _Emit, ops, next_pc):
+    if ops[0].kind is _K_DPTR:
+        e.set_dptr(e.tmp("add", (e.dptr(), 1), 16))
+    else:
+        e.write_operand(ops[0], e.tmp("add", (e.read_operand(ops[0]), 1), 8))
+    return None
+
+
+def _lift_dec(e: _Emit, ops, next_pc):
+    e.write_operand(ops[0], e.tmp("sub", (e.read_operand(ops[0]), 1), 8))
+    return None
+
+
+def _logic(opname: str):
+    """The emitter of ANL, ORL or XRL, whose IR operator is opname."""
+    def lift_logic(e: _Emit, ops, next_pc):
+        if ops[0].kind is _K_CARRY:
             bv = e.read_bit(ops[1].value)
-            if ops[1].kind is isa.OpKind.NOT_BIT:
+            if ops[1].kind is _K_NOT_BIT:
                 bv = e.tmp("xor", (bv, 1), 8)
             e.set_flags(cy=e.tmp(opname, (e.carry(), bv), 8))
         else:
             r = e.tmp(opname, (e.read_operand(ops[0]), e.read_operand(ops[1])), 8)
             e.write_operand(ops[0], r)
         return None
-    if m == "CLR":
-        if ops[0].kind is isa.OpKind.ACC:
-            e.set_acc(0)
-        elif ops[0].kind is isa.OpKind.CARRY:
-            e.set_flags(cy=0)
-        else:
-            e.write_bit_value(ops[0].value, 0)
-        return None
-    if m == "SETB":
-        if ops[0].kind is isa.OpKind.CARRY:
-            e.set_flags(cy=1)
-        else:
-            e.write_bit_value(ops[0].value, 1)
-        return None
-    if m == "CPL":
-        if ops[0].kind is isa.OpKind.ACC:
-            e.set_acc(e.tmp("xor", (e.acc(), 0xFF), 8))
-        elif ops[0].kind is isa.OpKind.CARRY:
-            e.set_flags(cy=e.tmp("xor", (e.carry(), 1), 8))
-        else:
-            b = e.read_bit(ops[0].value)
-            e.write_bit_value(ops[0].value, e.tmp("xor", (b, 1), 8))
-        return None
-    if m == "RL":
-        e.set_acc(e.tmp("rotl", (e.acc(), 1), 8))
-        return None
-    if m == "RR":
-        e.set_acc(e.tmp("rotl", (e.acc(), 7), 8))
-        return None
-    if m == "RLC":
-        a = e.acc()
-        c = e.carry()
-        e.set_flags(cy=e.tmp("shr", (a, 7), 8))
-        e.set_acc(e.tmp("or", (e.tmp("shl", (a, 1), 8), c), 8))
-        return None
-    if m == "RRC":
-        a = e.acc()
-        c = e.carry()
-        e.set_flags(cy=e.tmp("and", (a, 1), 8))
-        e.set_acc(e.tmp("or", (e.tmp("shl", (c, 7), 8), e.tmp("shr", (a, 1), 8)), 8))
-        return None
-    if m == "SWAP":
-        e.set_acc(e.tmp("rotl", (e.acc(), 4), 8))
-        return None
-    if m == "XCH":
-        a = e.acc()
-        other = e.read_operand(ops[1])
-        e.set_acc(other)
-        e.write_operand(ops[1], a)
-        return None
-    if m == "XCHD":
-        a = e.acc()
-        other = e.read_operand(ops[1])
-        e.set_acc(e.tmp("or", (e.tmp("and", (a, 0xF0), 8),
-                               e.tmp("and", (other, 0x0F), 8)), 8))
-        e.write_operand(ops[1], e.tmp("or", (e.tmp("and", (other, 0xF0), 8),
-                                             e.tmp("and", (a, 0x0F), 8)), 8))
-        return None
-    if m == "MUL":
-        prod = e.tmp("mul", (e.acc(), e.sfr(_B)), 16)
-        hi = e.tmp("shr", (prod, 8), 8)
-        e.set_acc(e.tmp("and", (prod, 0xFF), 8))
-        e.put(_B, hi)
-        e.set_flags(cy=0, ov=e.tmp("ne", (hi, 0), 8))
-        return None
-    if m == "DIV":
-        a = e.acc()
-        b = e.sfr(_B)
-        bz = e.tmp("eq", (b, 0), 8)
-        q = e.tmp("ite", (bz, a, e.tmp("udiv", (a, b), 8)), 8)
-        r = e.tmp("ite", (bz, b, e.tmp("umod", (a, b), 8)), 8)
-        e.set_acc(q)
-        e.put(_B, r)
-        e.set_flags(cy=0, ov=bz)
-        return None
-    if m == "DA":
-        a = e.acc()
-        cy = e.carry()
-        ac = e.tmp("and", (e.tmp("shr", (e.psw_raw(), 6), 8), 1), 8)
-        lowsel = e.tmp("or", (e.tmp("ugt", (e.tmp("and", (a, 0x0F), 8), 9), 8), ac), 8)
-        t1 = e.tmp("add", (a, e.tmp("ite", (lowsel, 0x06, 0), 8)), 16)
-        cy1 = e.tmp("or", (e.tmp("shr", (t1, 8), 8), cy), 8)
-        a1 = e.tmp("and", (t1, 0xFF), 8)
-        highsel = e.tmp("or", (cy1, e.tmp("ugt", (e.tmp("shr", (a1, 4), 8), 9), 8)), 8)
-        t2 = e.tmp("add", (a1, e.tmp("ite", (highsel, 0x60, 0), 8)), 16)
-        cyf = e.tmp("or", (cy1, e.tmp("shr", (t2, 8), 8)), 8)
-        e.set_acc(e.tmp("and", (t2, 0xFF), 8))
-        e.set_flags(cy=cyf)
-        return None
-    if m == "PUSH":
-        v = e.read_operand(ops[0])
-        e.push(v)
-        return None
-    if m == "POP":
-        sp = e.sfr(_SP)
-        v = e.load(Region.IRAM, sp)
-        e.put(_SP, e.tmp("sub", (sp, 1), 8))
-        e.write_operand(ops[0], v)
-        return None
-    raise UnliftableInstruction(f"{m} at 0x{ins.addr:04x}")
+    return lift_logic
+
+
+def _lift_clr(e: _Emit, ops, next_pc):
+    if ops[0].kind is _K_ACC:
+        e.set_acc(0)
+    elif ops[0].kind is _K_CARRY:
+        e.set_flags(cy=0)
+    else:
+        e.write_bit_value(ops[0].value, 0)
+    return None
+
+
+def _lift_setb(e: _Emit, ops, next_pc):
+    if ops[0].kind is _K_CARRY:
+        e.set_flags(cy=1)
+    else:
+        e.write_bit_value(ops[0].value, 1)
+    return None
+
+
+def _lift_cpl(e: _Emit, ops, next_pc):
+    if ops[0].kind is _K_ACC:
+        e.set_acc(e.tmp("xor", (e.acc(), 0xFF), 8))
+    elif ops[0].kind is _K_CARRY:
+        e.set_flags(cy=e.tmp("xor", (e.carry(), 1), 8))
+    else:
+        b = e.read_bit(ops[0].value)
+        e.write_bit_value(ops[0].value, e.tmp("xor", (b, 1), 8))
+    return None
+
+
+def _lift_rl(e: _Emit, ops, next_pc):
+    e.set_acc(e.tmp("rotl", (e.acc(), 1), 8))
+    return None
+
+
+def _lift_rr(e: _Emit, ops, next_pc):
+    e.set_acc(e.tmp("rotl", (e.acc(), 7), 8))
+    return None
+
+
+def _lift_rlc(e: _Emit, ops, next_pc):
+    a = e.acc()
+    c = e.carry()
+    e.set_flags(cy=e.tmp("shr", (a, 7), 8))
+    e.set_acc(e.tmp("or", (e.tmp("shl", (a, 1), 8), c), 8))
+    return None
+
+
+def _lift_rrc(e: _Emit, ops, next_pc):
+    a = e.acc()
+    c = e.carry()
+    e.set_flags(cy=e.tmp("and", (a, 1), 8))
+    e.set_acc(e.tmp("or", (e.tmp("shl", (c, 7), 8), e.tmp("shr", (a, 1), 8)), 8))
+    return None
+
+
+def _lift_swap(e: _Emit, ops, next_pc):
+    e.set_acc(e.tmp("rotl", (e.acc(), 4), 8))
+    return None
+
+
+def _lift_xch(e: _Emit, ops, next_pc):
+    a = e.acc()
+    other = e.read_operand(ops[1])
+    e.set_acc(other)
+    e.write_operand(ops[1], a)
+    return None
+
+
+def _lift_xchd(e: _Emit, ops, next_pc):
+    a = e.acc()
+    other = e.read_operand(ops[1])
+    e.set_acc(e.tmp("or", (e.tmp("and", (a, 0xF0), 8),
+                           e.tmp("and", (other, 0x0F), 8)), 8))
+    e.write_operand(ops[1], e.tmp("or", (e.tmp("and", (other, 0xF0), 8),
+                                         e.tmp("and", (a, 0x0F), 8)), 8))
+    return None
+
+
+def _lift_mul(e: _Emit, ops, next_pc):
+    prod = e.tmp("mul", (e.acc(), e.sfr(_B)), 16)
+    hi = e.tmp("shr", (prod, 8), 8)
+    e.set_acc(e.tmp("and", (prod, 0xFF), 8))
+    e.put(_B, hi)
+    e.set_flags(cy=0, ov=e.tmp("ne", (hi, 0), 8))
+    return None
+
+
+def _lift_div(e: _Emit, ops, next_pc):
+    a = e.acc()
+    b = e.sfr(_B)
+    bz = e.tmp("eq", (b, 0), 8)
+    q = e.tmp("ite", (bz, a, e.tmp("udiv", (a, b), 8)), 8)
+    r = e.tmp("ite", (bz, b, e.tmp("umod", (a, b), 8)), 8)
+    e.set_acc(q)
+    e.put(_B, r)
+    e.set_flags(cy=0, ov=bz)
+    return None
+
+
+def _lift_da(e: _Emit, ops, next_pc):
+    a = e.acc()
+    cy = e.carry()
+    ac = e.tmp("and", (e.tmp("shr", (e.psw_raw(), 6), 8), 1), 8)
+    lowsel = e.tmp("or", (e.tmp("ugt", (e.tmp("and", (a, 0x0F), 8), 9), 8), ac), 8)
+    t1 = e.tmp("add", (a, e.tmp("ite", (lowsel, 0x06, 0), 8)), 16)
+    cy1 = e.tmp("or", (e.tmp("shr", (t1, 8), 8), cy), 8)
+    a1 = e.tmp("and", (t1, 0xFF), 8)
+    highsel = e.tmp("or", (cy1, e.tmp("ugt", (e.tmp("shr", (a1, 4), 8), 9), 8)), 8)
+    t2 = e.tmp("add", (a1, e.tmp("ite", (highsel, 0x60, 0), 8)), 16)
+    cyf = e.tmp("or", (cy1, e.tmp("shr", (t2, 8), 8)), 8)
+    e.set_acc(e.tmp("and", (t2, 0xFF), 8))
+    e.set_flags(cy=cyf)
+    return None
+
+
+def _lift_push(e: _Emit, ops, next_pc):
+    v = e.read_operand(ops[0])
+    e.push(v)
+    return None
+
+
+def _lift_pop(e: _Emit, ops, next_pc):
+    sp = e.sfr(_SP)
+    v = e.load(_IRAM, sp)
+    e.put(_SP, e.tmp("sub", (sp, 1), 8))
+    e.write_operand(ops[0], v)
+    return None
+
+
+_EMITTERS = {
+    "NOP": _lift_nop,
+    "LJMP": _lift_jump, "AJMP": _lift_jump, "SJMP": _lift_jump,
+    "JMP": _lift_jmp,
+    "LCALL": _lift_call, "ACALL": _lift_call,
+    "RET": _return(False), "RETI": _return(True),
+    "JZ": _lift_jz, "JNZ": _lift_jnz, "JC": _lift_jc, "JNC": _lift_jnc,
+    "JB": _lift_jb, "JNB": _lift_jnb, "JBC": _lift_jbc,
+    "CJNE": _lift_cjne, "DJNZ": _lift_djnz,
+    "MOV": _lift_mov, "MOVC": _lift_movc, "MOVX": _lift_movx,
+    "ADD": _lift_add, "ADDC": _lift_addc, "SUBB": _lift_subb,
+    "INC": _lift_inc, "DEC": _lift_dec,
+    "ANL": _logic("and"), "ORL": _logic("or"), "XRL": _logic("xor"),
+    "CLR": _lift_clr, "SETB": _lift_setb, "CPL": _lift_cpl,
+    "RL": _lift_rl, "RR": _lift_rr, "RLC": _lift_rlc, "RRC": _lift_rrc,
+    "SWAP": _lift_swap, "XCH": _lift_xch, "XCHD": _lift_xchd,
+    "MUL": _lift_mul, "DIV": _lift_div, "DA": _lift_da,
+    "PUSH": _lift_push, "POP": _lift_pop,
+}
+
+
+def _lift_one(e: _Emit, ins: isa.Instruction) -> object | None:
+    """Emit IR for one instruction; returns the terminator or None."""
+    return _EMITTERS[ins.mnemonic](e, ins.operands,
+                                   (ins.addr + ins.length) & 0xFFFF)
 
 
 # A block ends at the first control-flow instruction, a decode failure, the
@@ -688,8 +805,6 @@ def discover_isrs(program: LiftedProgram) -> dict[str, int]:
 # symbolic evaluations of the same IR can never drift apart.
 from .solver import OPS  # noqa: E402
 
-_IRAM, _SFR, _XRAM = Region.IRAM, Region.SFR, Region.XRAM  # no enum lookup
-
 
 def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
                max_instrs: int) -> int:
@@ -714,9 +829,14 @@ def run_lifted(program: LiftedProgram, st: machine.ConcreteState,
         for stmt in blk.stmts:
             cls = stmt.__class__
             if cls is Assign:
-                vals[stmt.dst.i] = OPS[stmt.op](
-                    (1 << stmt.width) - 1,
-                    [vals[x.i] if type(x) is Tmp else x for x in stmt.args])
+                args = stmt.args
+                if len(args) == 2:  # most statements: no list to build
+                    x, y = args
+                    args = (vals[x.i] if type(x) is Tmp else x,
+                            vals[y.i] if type(y) is Tmp else y)
+                else:
+                    args = [vals[x.i] if type(x) is Tmp else x for x in args]
+                vals[stmt.dst.i] = OPS[stmt.op]((1 << stmt.width) - 1, args)
             elif cls is Load:
                 a = stmt.addr
                 addr = vals[a.i] if type(a) is Tmp else a
@@ -794,7 +914,7 @@ def format_block(blk: IRBlock) -> str:
             lines.append(f"  t{s.dst.i} = load.{Region(s.region).name}"
                          f"[{_atom_text(s.addr)}]")
         elif cls is Store:
-            if s.region == Region.SFR and s.addr in _REG_NAMES:
+            if s.region == _SFR and s.addr in _REG_NAMES:
                 dst = f"put {_REG_NAMES[s.addr]}"
             else:
                 dst = f"store.{Region(s.region).name}[{_atom_text(s.addr)}]"
