@@ -9,19 +9,22 @@ degrade into diagnostics instead of aborting.
 `run_pipeline` owns the analysis-wide decisions: it makes the one
 `symexec.ImageMemo` of the analysis first, so the static pass and every
 exploration decode and lift each block once; it builds the image's static
-facts once (`usbstatic.prop_const_mem` over the reachable instructions,
-the same list the XREF scan reads, and the memo's blocks), which EP0
-inference and Query 2 share, and which direct Query 1's search under
-`auto` (`--policy full` stays the undirected baseline); it solves the preconditions before discovery
-(Query 1 solves them again); it builds the one `SymbolicPolicy` that both
-queries run under (`--policy full` covers the whole IRAM and XRAM regions,
-`auto` the discovered set, which the report's `query1.policy` names
-`partial`); and it turns `--time-limit` into one deadline shared by the
-static pass and every exploration. A static pass stopped by it leaves EP0
-unknown and the analysis incomplete.
+facts once (`usbstatic.static_facts` over the memo's blocks, whose
+reachable instructions the XREF scan also reads), which EP0 inference and
+Query 2 share, and which direct Query 1's search under `auto` (`--policy
+full` stays the undirected baseline); it solves the preconditions before
+discovery (Query 1 solves them again); it builds the one `SymbolicPolicy`
+that both queries run under (`--policy full` covers the whole IRAM and
+XRAM regions, `auto` the discovered set, which the report's
+`query1.policy` names `partial`); and it turns `--time-limit` into one
+deadline shared by the static pass and every exploration. A static pass
+stopped by it leaves EP0 unknown, no hit with XREFs, and the analysis
+incomplete.
 
 A `--config` file mirrors every flag but `--config` and `--timing`; any
-other key, or a value of the wrong type, is a usage error.
+other key, or a value of the wrong type, is a usage error. One table,
+`_CONFIG_KEYS`, gives those flags and keys, so a flag cannot be parsed
+but ignored.
 
 Reports are deterministic for a fixed (image, config incl. seed): volatile
 wall-clock timings are kept out of the serialized document unless explicitly
@@ -318,6 +321,17 @@ def _unplaced_hits(hits, ep0: set[int], target_sites: dict) -> list[str]:
     return out
 
 
+def _budget_ended_discoveries(symset: queries.SymbolicLocationSet,
+                              tau: int) -> list[str]:
+    """A verdict warning per interrupt source whose symbolic-set discovery
+    a budget ended (`SymbolicLocationSet.budget_ends`): a byte its handler
+    reads may still be concrete, so data from it can read as a constant."""
+    flag = {"tau": f"--tau {tau}"}
+    return [f"symbolic set partial: {src}'s discovery stopped at "
+            f"{flag.get(budget, budget)}, so a byte it reads may stay "
+            f"concrete" for src, budget in symset.budget_ends()]
+
+
 def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     config.validate()
     try:
@@ -360,22 +374,18 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
     # solver's tables. It is dropped when the analysis returns.
     memo = symexec.ImageMemo(image)
 
-    # 1. the static pass: the reachable instructions, which the walk reads
-    # off the memo's lifted blocks, and the image's static facts, built once
-    # from the same instructions and blocks. Past the deadline it leaves
-    # EP0 unknown, and the analysis is incomplete.
-    instrs: list = []
+    # 1. the static pass: the image's static facts, built once from the
+    # memo's lifted blocks. Past the deadline it leaves EP0 unknown, and
+    # the analysis is incomplete.
     no_ep0: Exception | None = None
     try:
-        instrs = usbstatic.reachable_instructions(memo.program,
-                                                  base_cfg.deadline)
-        M = usbstatic.prop_const_mem(instrs, memo.program, base_cfg.deadline)
+        M = usbstatic.static_facts(memo.program, base_cfg.deadline)
     except usbstatic.StaticTimeLimit as e:
         no_ep0 = e
         M = usbstatic.PropMap([])
 
     # and the signature scan, with XREFs among the reachable instructions
-    hits = usbstatic.scan_with_xrefs(image, instrs, patterns)
+    hits = usbstatic.scan_with_xrefs(image, M.instrs, patterns)
     hit_rows = [{"name": h.name, "addr": _hx(h.addr),
                  "bytes": h.matched.hex(),
                  "xrefs": [_hx(x) for x in h.xrefs]} for h in hits]
@@ -538,7 +548,8 @@ def run_pipeline(config: RunConfig) -> tuple[AnalysisReport, int]:
         "identity": identity,
         "behavior": "flagged" if behavior_flagged else "clean",
         "reasons": verdict.reasons,
-        "warnings": verdict.warnings + unplaced,
+        "warnings": (verdict.warnings + unplaced
+                     + _budget_ended_discoveries(symset, config.tau)),
         "flagged_sites": sorted(set(flagged_sites)),
     }
 
@@ -601,6 +612,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(message)
 
 
+# Every value flag of `analyze`, one row each: JSON key and flag dest ->
+# (flag, RunConfig attribute, accepted JSON value types, argparse options).
+# The parser adds the flags from these rows, and `config_from_args` reads
+# the file's keys and the flags through them.
+_CONFIG_KEYS = {
+    "expected": ("--expected", "expected", str,
+                 {"choices": EXPECTED_CLASSES}),
+    "query": ("--query", "query", str, {"choices": QUERIES}),
+    "policy": ("--policy", "policy", str, {"choices": POLICIES}),
+    "tau": ("--tau", "tau", int, {"type": int}),
+    "max_ep": ("--max-ep", "max_ep", int, {"type": int}),
+    "seed": ("--seed", "seed", int, {"type": int}),
+    "state_limit": ("--state-limit", "state_limit", int, {"type": int}),
+    "time_limit": ("--time-limit", "time_limit", (int, float, type(None)),
+                   {"type": float}),
+    "preconditions": ("--precondition", "preconditions", list,
+                      {"action": "append", "metavar": "REGION:ADDR:REL:VAL"}),
+    "signatures": ("--signatures", "signatures_path", (str, type(None)),
+                   {"metavar": "FILE"}),
+    "ruledb": ("--ruledb", "ruledb_path", (str, type(None)),
+               {"metavar": "FILE"}),
+    "report": ("--report", "report_path", (str, type(None)),
+               {"metavar": "OUT"}),
+}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built on the first call and shared by
@@ -611,38 +648,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     an = sub.add_parser("analyze", help="run the full analysis pipeline")
     an.add_argument("image", help="flat firmware image (<= 64 KiB)")
-    an.add_argument("--expected", default=None, choices=EXPECTED_CLASSES)
-    an.add_argument("--query", default=None, choices=QUERIES)
-    an.add_argument("--policy", default=None, choices=POLICIES)
-    an.add_argument("--tau", type=int, default=None)
-    an.add_argument("--max-ep", type=int, default=None)
-    an.add_argument("--seed", type=int, default=None)
-    an.add_argument("--time-limit", type=float, default=None)
-    an.add_argument("--state-limit", type=int, default=None)
-    an.add_argument("--precondition", action="append", dest="preconditions",
-                    metavar="REGION:ADDR:REL:VAL")
-    an.add_argument("--signatures", default=None, metavar="FILE")
-    an.add_argument("--ruledb", default=None, metavar="FILE")
-    an.add_argument("--report", default=None, metavar="OUT")
+    for key, (flag, _attr, _types, options) in _CONFIG_KEYS.items():
+        an.add_argument(flag, dest=key, default=None, **options)
     an.add_argument("--config", default=None, metavar="FILE",
                     help="JSON config mirroring the flags; flags override it")
     an.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in the report "
                          "(breaks byte-determinism)")
     return ap
-
-
-# JSON key and flag dest -> (RunConfig attribute, accepted JSON value types)
-_CONFIG_KEYS = {
-    "expected": ("expected", str), "query": ("query", str),
-    "policy": ("policy", str), "tau": ("tau", int), "max_ep": ("max_ep", int),
-    "seed": ("seed", int), "state_limit": ("state_limit", int),
-    "time_limit": ("time_limit", (int, float, type(None))),
-    "preconditions": ("preconditions", list),
-    "signatures": ("signatures_path", (str, type(None))),
-    "ruledb": ("ruledb_path", (str, type(None))),
-    "report": ("report_path", (str, type(None))),
-}
 
 
 def config_from_args(args) -> RunConfig:
@@ -662,7 +675,7 @@ def config_from_args(args) -> RunConfig:
             if key not in _CONFIG_KEYS:
                 raise ConfigInvalid(f"config file: {key!r} is not a key (the "
                                     f"keys are {', '.join(_CONFIG_KEYS)})")
-            attr, types = _CONFIG_KEYS[key]
+            _flag, attr, types, _options = _CONFIG_KEYS[key]
             # bool is an int subclass, but no key takes true/false
             if (isinstance(value, bool) or not isinstance(value, types)
                     or isinstance(value, list)
@@ -670,7 +683,7 @@ def config_from_args(args) -> RunConfig:
                 raise ConfigInvalid(f"config file: {key!r} has the wrong "
                                     f"type: {json.dumps(value)}")
             setattr(cfg, attr, value)
-    for key, (attr, _types) in _CONFIG_KEYS.items():
+    for key, (_flag, attr, _types, _options) in _CONFIG_KEYS.items():
         value = getattr(args, key)
         if value is not None:  # a flag overrides the file
             setattr(cfg, attr, value)

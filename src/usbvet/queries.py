@@ -25,7 +25,7 @@ Supporting passes: iterative discovery of the memory bytes that must be
 symbolic (interrupt handlers reading locations they never wrote are reading
 the environment), and counter detection (delay counters guard injection
 payloads and must be symbolic for the payload to be explored) over the
-static facts of `usbstatic.prop_const_mem`. Discovery ends a handler's
+static facts of `usbstatic.static_facts`. Discovery ends a handler's
 iterations with a static proof where it can: one walk per handler gives
 the locations its loads may read fresh, and an iteration is proved once
 they are all symbolic. One run stands for the iterations that would
@@ -85,6 +85,10 @@ class IterationRecord:
     reason: str
 
 
+# the reasons of a run that a budget ended
+_LIMITS = frozenset(("state-limit", "block-limit", "time-limit"))
+
+
 @dataclass
 class SymbolicLocationSet:
     locations: set              # {(Region, addr)}
@@ -92,6 +96,16 @@ class SymbolicLocationSet:
 
     def names(self) -> list[tuple[str, int]]:
         return sorted((Region(r).name, a) for r, a in self.locations)
+
+    def budget_ends(self) -> list[tuple[str, str]]:
+        """(source, budget) of each handler whose discovery a budget ended,
+        so that a byte it reads may still be concrete: `tau` when its last
+        record still adds a location, else its last run's reason if that
+        is a limit."""
+        last = {rec.source: rec for rec in self.log}
+        return [(src, "tau" if rec.added else rec.reason)
+                for src, rec in last.items()
+                if rec.added or rec.reason in _LIMITS]
 
 
 def _reads_fresh(loc, known, written) -> bool:
@@ -702,7 +716,7 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
     inconsistent-flow report.
 
     Both the endpoint targets and the delay counters come from the image's
-    static facts `M` (see usbstatic.prop_const_mem), which the caller builds
+    static facts `M` (see usbstatic.static_facts), which the caller builds
     once per image; Query 2 runs no propagation of its own. Endpoint buffers
     are predicted from EP0 by constant packet-size offsets; stores whose
     tracked destination lands there are targets. The exploration runs under
@@ -751,12 +765,10 @@ def query2(image: bytes, ep0: set[int], policy: SymbolicPolicy,
 def _query2_alone(image: bytes, ep0: set[int], policy: SymbolicPolicy,
                   max_ep: int, config: ExplorationConfig | None):
     """query2 for a caller with no static facts: one memo serves the static
-    pass (`usbstatic.prop_const_mem` over its reachable blocks) and the
-    exploration."""
+    pass (`usbstatic.static_facts`) and the exploration."""
     memo = ImageMemo(image)
-    instrs = usbstatic.reachable_instructions(memo.program)
-    M = usbstatic.prop_const_mem(instrs, memo.program)
-    return query2(image, ep0, policy, M, max_ep, config, memo)
+    return query2(image, ep0, policy, usbstatic.static_facts(memo.program),
+                  max_ep, config, memo)
 
 
 def query2_unexpected(image: bytes, ep0: set[int], policy: SymbolicPolicy,

@@ -60,8 +60,12 @@ cooldown has expired forks a state that enters the handler (hardware-style
 return-address push, no nesting). With no `isr_map`, the handlers are read
 off the memo's lifted program (`lifter.discover_isrs`), as is each feasible
 indirect-jump target; one that does not lift gets a diagnostic, no child.
-Cooldowns are drawn per source per firing from a seeded RNG, so whole
-explorations replay deterministically from the config seed.
+A firing draws a cooldown for the source, in blocks of the state's own
+path, for the handler's state and the continuation alike, from a seeded
+RNG, so whole explorations replay deterministically from the config seed.
+A state counts the blocks its path has run and keeps, per source, the
+count from which that source may fire again; `_schedule_interrupts` is
+the one place that reads or draws a cooldown.
 """
 
 from __future__ import annotations
@@ -342,8 +346,8 @@ def _hooks(listeners, name: str) -> list:
 
 
 class ExecState:
-    __slots__ = ("pc", "mem", "path", "model", "stale",
-                 "cooldowns", "active_isr", "isr_written",
+    __slots__ = ("pc", "mem", "path", "model", "stale", "blocks",
+                 "ready_at", "active_isr", "isr_written",
                  "last_cover_seq", "sid", "terminated", "cur_site",
                  "cur_block")
 
@@ -354,7 +358,9 @@ class ExecState:
         self.path = solver.PathCondition()
         self.model: dict | None = {}  # satisfies path; None if unknown
         self.stale: dict[int, int] = {}
-        self.cooldowns: dict[str, int] = {}
+        self.blocks = 0  # blocks this state's path has run
+        # source -> the `blocks` count from which it may fire again
+        self.ready_at: dict[str, int] = {}
         self.active_isr: str | None = None
         self.isr_written: set = set()
         self.last_cover_seq = 0
@@ -370,7 +376,8 @@ class ExecState:
         c.path = self.path.copy()
         c.model = self.model
         c.stale = dict(self.stale)
-        c.cooldowns = dict(self.cooldowns)
+        c.blocks = self.blocks
+        c.ready_at = dict(self.ready_at)
         c.active_isr = self.active_isr
         c.isr_written = set(self.isr_written)
         c.last_cover_seq = self.last_cover_seq
@@ -760,24 +767,22 @@ class Executor:
         """Fork ISR-entry states for every eligible source.
 
         Eligible: handler discovered, no ISR frame already active (nesting is
-        unsupported), cooldown expired, and the IE predicate (EA and the
-        source bit) satisfiable under the path condition. The continuation
-        also redraws the cooldown so a pending source does not fork at every
-        block boundary.
+        unsupported), cooldown expired (`s.ready_at[source] <= s.blocks`),
+        and the IE predicate (EA and the source bit) satisfiable under the
+        path condition. The continuation also redraws the cooldown so a
+        pending source does not fork at every block boundary.
         """
         if s.active_isr is not None:
             return []
-        cooldowns = s.cooldowns
-        for source in self._sources:
-            if cooldowns.get(source, 0) <= 0:
-                break
-        else:
-            return []  # no source is ready
+        ready_at, blocks = s.ready_at, s.blocks
+        ready = [src for src in self._sources
+                 if ready_at.get(src, 0) <= blocks]
+        if not ready:
+            return []
         cfg = self.config
         ie = self._read(s, Region.SFR, machine.IE)
         forks: list[ExecState] = []
-        for source in [src for src in self._sources
-                       if cooldowns.get(src, 0) <= 0]:
+        for source in ready:
             mask = machine.ie_mask(source)
             pred = None
             if type(ie) is int:
@@ -801,10 +806,10 @@ class Executor:
             self._write(child, Region.IRAM, (sp + 2) & 0xFF, s.pc >> 8)
             self._write(child, Region.SFR, machine.SP, (sp + 2) & 0xFF)
             child.pc = self.isr_map[source]
-            child.cooldowns[source] = self.rng.randint(cfg.cooldown_min,
-                                                       cfg.cooldown_max)
-            s.cooldowns[source] = self.rng.randint(cfg.cooldown_min,
-                                                   cfg.cooldown_max)
+            child.ready_at[source] = blocks + self.rng.randint(
+                cfg.cooldown_min, cfg.cooldown_max)
+            ready_at[source] = blocks + self.rng.randint(cfg.cooldown_min,
+                                                         cfg.cooldown_max)
             forks.append(child)
         return forks
 
@@ -943,10 +948,7 @@ class Executor:
         threshold = self.config.block_repeat_threshold
         survivors = []
         for o in outs:
-            cooldowns = o.cooldowns
-            for k, left in cooldowns.items():
-                if left > 0:
-                    cooldowns[k] = left - 1
+            o.blocks += 1
             if new_cover:
                 o.last_cover_seq = self.cover_seq
                 o.stale.clear()

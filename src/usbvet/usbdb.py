@@ -1,12 +1,19 @@
-"""USB descriptor parsing and Linux-kernel-faithful driver matching.
+"""USB descriptor parsing and driver matching on the kernel's match flags.
 
 The matching side mirrors the kernel's usb_match_one_id semantics: a rule's
 match_flags decide exactly which descriptor fields participate, everything
-else is ignored. The ten rule forms are the kernel's device-id macros
+else is ignored. One table (`_MATCH_FIELDS`) says which field each flag
+tests. The ten rule forms are the kernel's device-id macros
 (USB_DEVICE, USB_DEVICE_VER, USB_DEVICE_INFO, USB_INTERFACE_INFO, the four
 DEVICE+interface hybrids, USB_VENDOR_AND_INTERFACE_INFO and USUAL_DEV).
 The rule database is a text file of representative entries; analysts can
 extend it without touching code.
+
+One kernel rule is not modelled. `usb_match_one_id_intf` refuses a rule
+that matches interface fields but not the vendor when the device class is
+0xFF (vendor-specific); here such a rule still matches, because the flags
+alone decide which fields take part (the acceptance suite's criterion 10
+checks exactly that).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from operator import gt, lt, ne
 
 USB_CLASS_HID = 0x03
 USB_CLASS_MASS_STORAGE = 0x08
@@ -228,52 +236,42 @@ class MatchRule:
     def matches(self, device: DeviceDescriptor,
                 interface: InterfaceDescriptor | None) -> bool:
         f = self.match_flags
-        if f & MATCH_VENDOR and device.idVendor != self.idVendor:
+        if f & MATCH_INT_ANY and interface is None:
             return False
-        if f & MATCH_PRODUCT and device.idProduct != self.idProduct:
-            return False
-        if f & MATCH_DEV_LO and device.bcdDevice < self.bcdDevice_lo:
-            return False
-        if f & MATCH_DEV_HI and device.bcdDevice > self.bcdDevice_hi:
-            return False
-        if f & MATCH_DEV_CLASS and device.bDeviceClass != self.bDeviceClass:
-            return False
-        if f & MATCH_DEV_SUBCLASS and device.bDeviceSubClass != self.bDeviceSubClass:
-            return False
-        if f & MATCH_DEV_PROTOCOL and device.bDeviceProtocol != self.bDeviceProtocol:
-            return False
-        if f & MATCH_INT_ANY:
-            if interface is None:
-                return False
-            if f & MATCH_INT_CLASS and interface.bInterfaceClass != self.bInterfaceClass:
-                return False
-            if f & MATCH_INT_SUBCLASS and interface.bInterfaceSubClass != self.bInterfaceSubClass:
-                return False
-            if f & MATCH_INT_PROTOCOL and interface.bInterfaceProtocol != self.bInterfaceProtocol:
-                return False
-            if f & MATCH_INT_NUMBER and interface.bInterfaceNumber != self.bInterfaceNumber:
+        for flag, (_key, name, on_iface, field_name, _bits,
+                   refuses) in _MATCH_FIELDS.items():
+            if f & flag and refuses(
+                    getattr(interface if on_iface else device, field_name),
+                    getattr(self, name)):
                 return False
         return True
 
 
-# Each rule-file key's field, match flag and width in bits.
-# class/subclass/protocol name (device field, interface field): they bind
-# to the interface when the form matches any interface info field, else to
-# the device.
-_KEY_FIELDS = {
-    "vid": ("idVendor", MATCH_VENDOR, 16),
-    "pid": ("idProduct", MATCH_PRODUCT, 16),
-    "lo": ("bcdDevice_lo", MATCH_DEV_LO, 16),
-    "hi": ("bcdDevice_hi", MATCH_DEV_HI, 16),
-    "number": ("bInterfaceNumber", MATCH_INT_NUMBER, 8),
-}
-_SIDED_KEYS = {
-    "class": (("bDeviceClass", MATCH_DEV_CLASS, 8),
-              ("bInterfaceClass", MATCH_INT_CLASS, 8)),
-    "subclass": (("bDeviceSubClass", MATCH_DEV_SUBCLASS, 8),
-                 ("bInterfaceSubClass", MATCH_INT_SUBCLASS, 8)),
-    "protocol": (("bDeviceProtocol", MATCH_DEV_PROTOCOL, 8),
-                 ("bInterfaceProtocol", MATCH_INT_PROTOCOL, 8)),
+# What each match flag tests, one row per flag: its rule-file key, its
+# MatchRule field, whether the descriptor field is the interface's (else
+# the device's), that field, the width in bits, and the comparison of
+# (descriptor value, rule value) that refuses a match. The bcdDevice bounds
+# are a range; every other flag tests equality. class, subclass and
+# protocol key two rows each, the device's first: a form that matches any
+# interface info field takes the interface's.
+_MATCH_FIELDS = {
+    MATCH_VENDOR: ("vid", "idVendor", False, "idVendor", 16, ne),
+    MATCH_PRODUCT: ("pid", "idProduct", False, "idProduct", 16, ne),
+    MATCH_DEV_LO: ("lo", "bcdDevice_lo", False, "bcdDevice", 16, lt),
+    MATCH_DEV_HI: ("hi", "bcdDevice_hi", False, "bcdDevice", 16, gt),
+    MATCH_DEV_CLASS: ("class", "bDeviceClass", False, "bDeviceClass", 8, ne),
+    MATCH_DEV_SUBCLASS: ("subclass", "bDeviceSubClass", False,
+                         "bDeviceSubClass", 8, ne),
+    MATCH_DEV_PROTOCOL: ("protocol", "bDeviceProtocol", False,
+                         "bDeviceProtocol", 8, ne),
+    MATCH_INT_CLASS: ("class", "bInterfaceClass", True, "bInterfaceClass",
+                      8, ne),
+    MATCH_INT_SUBCLASS: ("subclass", "bInterfaceSubClass", True,
+                         "bInterfaceSubClass", 8, ne),
+    MATCH_INT_PROTOCOL: ("protocol", "bInterfaceProtocol", True,
+                         "bInterfaceProtocol", 8, ne),
+    MATCH_INT_NUMBER: ("number", "bInterfaceNumber", True,
+                       "bInterfaceNumber", 8, ne),
 }
 
 
@@ -289,12 +287,11 @@ def _rule_from_parts(form: str, driver: str, kv: dict[str, int]) -> MatchRule:
     int_side = bool(flags & MATCH_INT_INFO)
     fields: dict[str, int] = {}
     for key, value in kv.items():
-        if key in _SIDED_KEYS:
-            name, flag, bits = _SIDED_KEYS[key][int_side]
-        elif key in _KEY_FIELDS:
-            name, flag, bits = _KEY_FIELDS[key]
-        else:
+        rows = [flag for flag, row in _MATCH_FIELDS.items() if row[0] == key]
+        if not rows:
             raise ValueError(f"unknown rule field {key}")
+        flag = rows[-1] if int_side else rows[0]
+        _key, name, _on_iface, _field, bits, _refuses = _MATCH_FIELDS[flag]
         if not settable & flag:
             raise ValueError(f"{form} does not take {key}")
         if not 0 <= value < 1 << bits:

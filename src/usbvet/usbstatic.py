@@ -14,15 +14,16 @@ walks what static control flow reaches from the reset and interrupt
 vectors, block by block over a `lifter.LiftedProgram`. An analysis passes
 the program of its `symexec.ImageMemo`, so the blocks the walk lifts are
 the ones its explorations run. Both the XREF scan (`scan_with_xrefs`, by
-the one rule `find_xrefs`) and the static facts read the walk's list. So
-a data table that no code reaches never decodes into a phantom reference,
-and code reached only through a `JMP @A+DPTR` or `MOVC A,@A+PC` table is
-in neither.
+the one rule `find_xrefs`) and the static facts read the walk's list, the
+facts' `instrs`. So a data table that no code reaches never decodes into
+a phantom reference, and code reached only through a `JMP @A+DPTR` or
+`MOVC A,@A+PC` table is in neither.
 
-`prop_const_mem` returns the image's static facts as one `PropMap`: the
-instructions in address order, the read/write summary of each, and the
-propagated tuples M. An analysis builds it once from the reachable
-instructions and the same program; EP0 inference, Query 2's endpoint
+`prop_const_mem` returns the static facts of an instruction list as one
+`PropMap`: the instructions in address order, the read/write summary of
+each, and the propagated tuples M. `static_facts` is the one recipe for
+an image's: the walk, then the propagation over its list and the same
+program. An analysis builds them once; EP0 inference, Query 2's endpoint
 targets and its counter detection all read that one map. Given the
 analysis deadline, the walk and the propagation raise StaticTimeLimit once
 it has passed; with none they check no clock.
@@ -262,7 +263,7 @@ class _Summary(NamedTuple):
     addr_load: frozenset     # locations used as a load address
     addr_store: frozenset    # locations used as a store address
     writes: frozenset        # locations stored to
-    seed: tuple | None       # (value, width) for const-to-register
+    seed: int | None         # value of a const-to-register store
     value_dst_reg: tuple | None  # register location a copy stores to
     store_class: bool        # writes non-register memory
     succ: tuple              # successor addresses (`_block_summaries`)
@@ -295,10 +296,9 @@ def _summary(writes: list, addr_load: list, addr_store: list, consts: dict,
             value_dst_reg = dst
     seed = None
     if consts.keys() == DPTR_LOCS:
-        seed = ((consts[DPH] << 8) | consts[DPL], 16)
+        seed = (consts[DPH] << 8) | consts[DPL]
     elif consts:
-        (value,) = consts.values()
-        seed = (value, 8)
+        (seed,) = consts.values()
     return _Summary(reads_value,
                     frozenset(addr_load) if addr_load else _NONE,
                     frozenset(addr_store) if addr_store else _NONE,
@@ -480,7 +480,7 @@ def prop_const_mem(instrs: list[isa.Instruction],
     for ins in M.instrs:
         sm = summaries[ins.addr]
         if sm.seed is not None:
-            M.m[ins.addr, "dst"] = (sm.seed[0], None)
+            M.m[ins.addr, "dst"] = (sm.seed, None)
             wl.append(ins.addr)
 
     def uses_of(site: int) -> list[tuple[int, str]]:
@@ -549,6 +549,16 @@ def prop_const_mem(instrs: list[isa.Instruction],
             if not sm.store_class:
                 wl.append(j)
     return M
+
+
+def static_facts(program: LiftedProgram,
+                 deadline: float | None = None) -> PropMap:
+    """The static facts of `program`'s image: `prop_const_mem` over its
+    reachable instructions (`reachable_instructions`) and its blocks. The
+    map's `instrs` are those instructions, which the XREF scan reads. Past
+    `deadline` either step raises StaticTimeLimit."""
+    return prop_const_mem(reachable_instructions(program, deadline),
+                          program, deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,9 @@ def summarize(stmts, succ: tuple) -> _Summary:
             value_dst_reg = dst
     seed = None
     if consts.keys() == DPTR_LOCS:
-        seed = ((consts[DPH] << 8) | consts[DPL], 16)
+        seed = (consts[DPH] << 8) | consts[DPL]
     elif consts:
-        (value,) = consts.values()
-        seed = (value, 8)
+        (seed,) = consts.values()
     return _Summary(reads_value, frozenset(addr_load) or _NONE,
                     frozenset(addr_store) or _NONE, frozenset(writes) or _NONE,
                     seed, value_dst_reg, store_class, succ)

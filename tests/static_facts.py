@@ -4,6 +4,4 @@ from usbvet import lifter, usbstatic
 
 
 def static_facts(image: bytes) -> usbstatic.PropMap:
-    program = lifter.lift_program(image)
-    return usbstatic.prop_const_mem(usbstatic.reachable_instructions(program),
-                                    program)
+    return usbstatic.static_facts(lifter.lift_program(image))

@@ -486,6 +486,7 @@ def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
     path, _ = write_fixture(tmp_path, "injector-hid")
     calls = {}
     args = {}
+    results = {}
 
     def counting(name):
         real = getattr(usbstatic, name)
@@ -493,7 +494,8 @@ def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
         def wrapper(*a, **kw):
             calls[name] = calls.get(name, 0) + 1
             args[name] = a
-            return real(*a, **kw)
+            results[name] = real(*a, **kw)
+            return results[name]
         return wrapper
 
     for name in ("reachable_instructions", "scan_with_xrefs",
@@ -503,8 +505,10 @@ def test_static_facts_built_once_per_analysis(tmp_path, monkeypatch):
     assert report.query1 is not None and report.query2 is not None
     assert calls == {"reachable_instructions": 1, "scan_with_xrefs": 1,
                      "prop_const_mem": 1, "find_devspec_to_ep0": 1}
-    # the XREF scan and the static facts read one instruction list
-    assert args["scan_with_xrefs"][1] is args["prop_const_mem"][0]
+    # the XREF scan reads the static facts' instruction list, the walk's
+    assert args["scan_with_xrefs"][1] is results["prop_const_mem"].instrs
+    assert (args["scan_with_xrefs"][1]
+            == results["reachable_instructions"])
 
 
 SHARING_SPECS = {t: fwkit.FixtureSpec(template=t)
@@ -934,6 +938,37 @@ def test_time_limit_is_one_budget_for_the_whole_analysis(tmp_path,
     assert reasons and "time-limit" not in reasons
     assert report.query1["reason"] == "time-limit"
     assert {q["reason"] for q in report.query2.values()} == {"time-limit"}
+
+
+def _partial_warnings(report) -> list[str]:
+    return [w for w in report.verdict["warnings"]
+            if w.startswith("symbolic set partial: ")]
+
+
+def test_discovery_ended_by_a_budget_warns(tmp_path):
+    # At --tau 1 timer0's discovery stops before it makes the scan byte
+    # (XRAM 0x7f81) symbolic, so the forwarded scancode reads as a
+    # constant 0 and the behavior is flagged; at --tau 2 it is clean,
+    # though both handlers still stop at the cap. Each says so.
+    path, _ = write_fixture(tmp_path, "benign-hid")
+    for tau, behavior, code in ((1, "flagged", cli.EXIT_FLAGGED),
+                                (2, "clean", cli.EXIT_CONSISTENT)):
+        report, got = run_pipeline(RunConfig(image_path=path, tau=tau))
+        assert (report.verdict["behavior"], got) == (behavior, code)
+        assert _partial_warnings(report) == [
+            f"symbolic set partial: {src}'s discovery stopped at --tau "
+            f"{tau}, so a byte it reads may stay concrete"
+            for src in ("external0", "timer0")]
+    # a run the state limit ends is a budget too; a proved one is not
+    report, _ = run_pipeline(RunConfig(image_path=path, state_limit=3))
+    assert _partial_warnings(report) == [
+        f"symbolic set partial: {src}'s discovery stopped at state-limit, "
+        f"so a byte it reads may stay concrete"
+        for src in ("external0", "timer0")]
+    report, _ = run_pipeline(RunConfig(image_path=path))
+    assert {it["reason"] for it in report.symbolic_set["iterations"]
+            if not it["added"]} == {"proved"}
+    assert _partial_warnings(report) == []
 
 
 def test_time_limit_bounds_the_static_pass(tmp_path):

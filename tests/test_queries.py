@@ -122,6 +122,21 @@ def test_symbolic_set_grows_monotonically():
             seen.add(loc)
 
 
+def test_budget_ends_reads_each_handlers_last_record():
+    rec = queries.IterationRecord
+    log = [rec("a", 1, ("XRAM", 1), 0.0, "listener-stop"),  # at the cap
+           rec("b", 1, ("XRAM", 2), 0.0, "listener-stop"),
+           rec("b", 2, None, 0.0, "proved"),
+           rec("c", 1, None, 0.0, "complete")]
+    log += [rec(reason, 1, None, 0.0, reason)
+            for reason in ("state-limit", "block-limit", "time-limit",
+                           "listener-kill")]
+    assert queries.SymbolicLocationSet(set(), log).budget_ends() == [
+        ("a", "tau"), ("state-limit", "state-limit"),
+        ("block-limit", "block-limit"), ("time-limit", "time-limit")]
+    assert queries.SymbolicLocationSet(set(), []).budget_ends() == []
+
+
 def test_injector_env_bytes_discovered():
     image, man = fwkit.generate_fixture(fwkit.FixtureSpec(template="injector-hid"))
     out = queries.find_symbolic_locations(image, tau=8, config=cfg())

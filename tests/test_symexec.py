@@ -313,6 +313,7 @@ def test_schedule_requires_ie():
 def test_schedule_single_fork_with_hardware_push():
     ex, st = _scheduler(), ExecState()
     st.pc = 0x1234
+    st.blocks = 10
     st.mem[Region.SFR][machine.IE] = 0x81
     forks = ex._schedule_interrupts(st)
     assert len(forks) == 1
@@ -324,8 +325,9 @@ def test_schedule_single_fork_with_hardware_push():
     assert f.mem[Region.SFR][machine.SP] == 0x09
     assert f.isr_written == {(Region.IRAM, 0x08), (Region.IRAM, 0x09),
                              (Region.SFR, machine.SP)}
-    assert 5 <= f.cooldowns["external0"] <= 9
-    assert 5 <= st.cooldowns["external0"] <= 9  # continuation redraws too
+    # a cooldown counts blocks of the state's own path from this entry
+    assert f.blocks == 10 and 15 <= f.ready_at["external0"] <= 19
+    assert 15 <= st.ready_at["external0"] <= 19  # continuation redraws too
 
 
 def test_no_nested_interrupts():
@@ -338,8 +340,29 @@ def test_no_nested_interrupts():
 def test_cooldown_blocks_scheduling():
     ex, st = _scheduler(), ExecState()
     st.mem[Region.SFR][machine.IE] = 0x81
-    st.cooldowns["external0"] = 3
+    st.ready_at["external0"] = 3
+    st.blocks = 2
     assert ex._schedule_interrupts(st) == []
+    st.blocks = 3
+    assert len(ex._schedule_interrupts(st)) == 1
+
+
+def test_run_block_counts_each_paths_blocks():
+    # both sides of a symbolic branch have run one more block
+    image, _ = fwkit.assemble_with_symbols("""
+    .org 0
+        mov a, 0x30
+        jz done
+        inc a
+    done:
+        sjmp done
+    """)
+    ex = symexec.Executor(image, SymbolicPolicy([(Region.IRAM, 0x30)]),
+                          ExplorationConfig(), isr_map={})
+    st = ExecState()
+    st.blocks = 4
+    outs = ex._run_block(st)
+    assert len(outs) == 2 and [o.blocks for o in outs] == [5, 5]
 
 
 ISR_SRC = """

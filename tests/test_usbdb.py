@@ -147,6 +147,33 @@ def test_interface_rule_requires_interface():
     assert not rule.matches(make_device(), None)
 
 
+def test_match_table_has_one_row_per_flag_and_every_key_resolves():
+    flags = {v for k, v in vars(usbdb).items()
+             if k.startswith("MATCH_") and v & (v - 1) == 0}
+    assert len(flags) == 11 and set(usbdb._MATCH_FIELDS) == flags
+    # every rule-file key, each row at its field's width
+    widths = {"vid": 16, "pid": 16, "lo": 16, "hi": 16,
+              "class": 8, "subclass": 8, "protocol": 8, "number": 8}
+    rule_fields = set(MatchRule.__dataclass_fields__)
+    for key, name, on_iface, field, width, _ in usbdb._MATCH_FIELDS.values():
+        assert name in rule_fields and width == widths[key]
+        side = InterfaceDescriptor if on_iface else DeviceDescriptor
+        assert field in side.__dataclass_fields__
+    assert {row[0] for row in usbdb._MATCH_FIELDS.values()} == set(widths)
+    # each form takes the key of every flag it sets, into that flag's field,
+    # at the field's widest value and no wider
+    for form, flags in RULE_FORMS.items():
+        for flag, (key, name, _, _, width, _) in usbdb._MATCH_FIELDS.items():
+            if not flags & flag or (form == "USUAL_DEV"
+                                    and flag == usbdb.MATCH_INT_CLASS):
+                continue
+            top = (1 << width) - 1
+            rule = usbdb._rule_from_parts(form, "drv", {key: top})
+            assert getattr(rule, name) == top, (form, key)
+            with pytest.raises(ValueError, match="does not fit"):
+                usbdb._rule_from_parts(form, "drv", {key: top + 1})
+
+
 _FIELD_SETTERS = {
     usbdb.MATCH_VENDOR: ("device", "idVendor"),
     usbdb.MATCH_PRODUCT: ("device", "idProduct"),
