@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from usbvet import fwkit, lifter, machine, usbstatic
+from usbvet import fwkit, isa, lifter, machine, usbstatic
 
 import reference_ir
 
@@ -205,3 +206,73 @@ def test_jmp_a_dptr():
     image[0] = 0x73
     machine.step_concrete(st, bytes(image))
     assert st.pc == 0x104
+
+
+# Operand bytes at which the interpreter's result depends on the value:
+# direct and bit addresses split between IRAM and SFR at 0x80, PSW (0xD0)
+# and its bits (0xD0-0xD7) are read with the live parity bit, and 0xE0 is
+# ACC's address; 0x00, 0x7F and 0xFF are the ends of each range.
+_EDGE_BYTES = (0x00, 0x7F, 0x80, 0xD0, 0xD7, 0xE0, 0xFF)
+
+
+def _pin_states() -> list:
+    """Eight seeded start states: each register bank twice, SP 0x07 and
+    0xFE four times each, CY set in four and clear in four, and XRAM
+    seeded at DPTR and in page 0 so MOVX reads written bytes."""
+    rng = random.Random(35)
+    states = []
+    for i in range(8):
+        st = machine.ConcreteState(iram=bytearray(rng.randbytes(256)),
+                                   sfr=bytearray(rng.randbytes(128)))
+        st.pc = 0
+        st.sp = 0xFE if i >= 4 else machine.RESET_SP
+        psw = st.sfr[machine.PSW - 0x80] & 0x67
+        psw |= (i % 4) << 3 | ((i ^ i >> 2) & 1) << machine.PSW_CY
+        st.write_sfr(machine.PSW, psw)
+        st.xram = {a: rng.randrange(256) for a in rng.sample(range(256), 32)}
+        st.xram[st.dptr] = rng.randrange(256)
+        st.in_interrupt = bool(i & 1)
+        states.append(st)
+    return states
+
+
+# Fills each pin image to 256 bytes, so MOVC reads image bytes.
+_PIN_TAIL = bytes((i * 37 + 11) & 0xFF for i in range(251))
+
+
+def _interpreter_edge_digest() -> str:
+    """sha256 over one step of every legal opcode, at each pair of operand
+    bytes from _EDGE_BYTES, from each of _pin_states(): the state after the
+    step, or the class of the exception it raised."""
+    h = hashlib.sha256()
+    states = _pin_states()
+    for op in range(256):
+        if op == isa.RESERVED_OPCODE:
+            continue
+        for b1 in _EDGE_BYTES:
+            for b2 in _EDGE_BYTES:
+                image = bytes([op, b1, b2, 0x80, 0xFE]) + _PIN_TAIL
+                for st0 in states:
+                    st = st0.clone()
+                    try:
+                        machine.step_concrete(st, image)
+                    except Exception as e:
+                        h.update(b"raise " + type(e).__name__.encode())
+                        continue
+                    h.update(b"state %d %d %d " % (
+                        st.pc, st.instr_count, st.in_interrupt))
+                    h.update(st.iram)
+                    h.update(st.sfr)
+                    h.update(repr(sorted(st.xram.items())).encode())
+    return h.hexdigest()
+
+
+# sha256 of _interpreter_edge_digest(); a change to the interpreter that
+# alters any opcode's result at an operand edge, in any bank, at either
+# stack end or with either carry, moves it.
+INTERPRETER_EDGE_PIN = ("7630682640fdea080077ed969f399f9a"
+                        "3a99aa94fca9db8bab4207659ecc7c9e")
+
+
+def test_interpreter_pinned_at_operand_edges():
+    assert _interpreter_edge_digest() == INTERPRETER_EDGE_PIN
