@@ -87,18 +87,23 @@ def parity(v: int) -> int:
     return v & 1
 
 
+def _reset_sfr() -> bytearray:
+    """The SFR file at reset: every register 0 but SP, which is RESET_SP."""
+    sfr = bytearray(128)
+    sfr[SP - 0x80] = RESET_SP
+    return sfr
+
+
 @dataclass
 class ConcreteState:
+    """A machine state. A default state is the reset state; a given `sfr`
+    is taken as it is, SP included, so `clone` copies every byte."""
     pc: int = 0
     iram: bytearray = field(default_factory=lambda: bytearray(256))
-    sfr: bytearray = field(default_factory=lambda: bytearray(128))
+    sfr: bytearray = field(default_factory=_reset_sfr)
     xram: dict[int, int] = field(default_factory=dict)
     instr_count: int = 0
     in_interrupt: bool = False
-
-    def __post_init__(self):
-        if self.sfr[SP - 0x80] == 0:
-            self.sfr[SP - 0x80] = RESET_SP
 
     def clone(self) -> "ConcreteState":
         return ConcreteState(self.pc, bytearray(self.iram), bytearray(self.sfr),
@@ -209,30 +214,40 @@ class ConcreteState:
         return v
 
 
+# OpKind members the step handlers test, read through module aliases: an
+# enum attribute lookup costs several times a global read.
+_K_ACC, _K_REG = isa.OpKind.ACC, isa.OpKind.REG
+_K_DIRECT, _K_INDIRECT = isa.OpKind.DIRECT, isa.OpKind.INDIRECT
+_K_IMM8, _K_IMM16 = isa.OpKind.IMM8, isa.OpKind.IMM16
+_K_BIT, _K_NOT_BIT = isa.OpKind.BIT, isa.OpKind.NOT_BIT
+_K_CARRY, _K_DPTR = isa.OpKind.CARRY, isa.OpKind.DPTR
+_K_IND_DPTR, _K_CODE_DPTR = isa.OpKind.IND_DPTR, isa.OpKind.CODE_DPTR
+
+
 def _operand_value(st: ConcreteState, op: isa.Operand) -> int:
     k = op.kind
-    if k is isa.OpKind.ACC:
+    if k is _K_ACC:
         return st.acc
-    if k is isa.OpKind.REG:
+    if k is _K_REG:
         return st.reg(op.value)
-    if k is isa.OpKind.DIRECT:
+    if k is _K_DIRECT:
         return st.read_direct(op.value)
-    if k is isa.OpKind.INDIRECT:
+    if k is _K_INDIRECT:
         return st.iram[st.reg(op.value)]
-    if k is isa.OpKind.IMM8 or k is isa.OpKind.IMM16:
+    if k is _K_IMM8 or k is _K_IMM16:
         return op.value
     raise AssertionError(k)
 
 
 def _operand_store(st: ConcreteState, op: isa.Operand, value: int):
     k = op.kind
-    if k is isa.OpKind.ACC:
+    if k is _K_ACC:
         st.acc = value
-    elif k is isa.OpKind.REG:
+    elif k is _K_REG:
         st.set_reg(op.value, value)
-    elif k is isa.OpKind.DIRECT:
+    elif k is _K_DIRECT:
         st.write_direct(op.value, value)
-    elif k is isa.OpKind.INDIRECT:
+    elif k is _K_INDIRECT:
         st.iram[st.reg(op.value)] = value & 0xFF
     else:
         raise AssertionError(k)
@@ -259,106 +274,148 @@ def _subb(st: ConcreteState, value: int):
     st.acc = r
 
 
-def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
-    """Execute exactly one instruction, mutating and returning st."""
-    ins = isa.decode(image, st.pc)
-    next_pc = (st.pc + ins.length) & 0xFFFF
-    st.pc = next_pc
-    st.instr_count += 1
-    m = ins.mnemonic
-    ops = ins.operands
+# One step handler per mnemonic: handler(st, ops, next_pc, image) executes
+# the instruction whose operands are `ops`, with st.pc already at next_pc.
 
-    if m == "NOP":
-        pass
-    elif m in ("LJMP", "AJMP", "SJMP"):
-        st.pc = ops[0].value
-    elif m == "JMP":  # @A+DPTR
-        st.pc = (st.acc + st.dptr) & 0xFFFF
-    elif m in ("LCALL", "ACALL"):
-        st.push(next_pc & 0xFF)
-        st.push(next_pc >> 8)
-        st.pc = ops[0].value
-    elif m in ("RET", "RETI"):
+def _step_nop(st, ops, next_pc, image):
+    pass
+
+
+def _step_jump(st, ops, next_pc, image):  # LJMP, AJMP, SJMP
+    st.pc = ops[0].value
+
+
+def _step_jmp(st, ops, next_pc, image):  # @A+DPTR
+    st.pc = (st.acc + st.dptr) & 0xFFFF
+
+
+def _step_call(st, ops, next_pc, image):  # LCALL, ACALL
+    st.push(next_pc & 0xFF)
+    st.push(next_pc >> 8)
+    st.pc = ops[0].value
+
+
+def _return(reti: bool):
+    def step(st, ops, next_pc, image):
         hi = st.pop()
         lo = st.pop()
         st.pc = (hi << 8) | lo
-        if m == "RETI":
+        if reti:
             st.in_interrupt = False
-    elif m == "JZ":
-        if st.acc == 0:
-            st.pc = ops[0].value
-    elif m == "JNZ":
-        if st.acc != 0:
-            st.pc = ops[0].value
-    elif m == "JC":
-        if st.flag(PSW_CY):
-            st.pc = ops[0].value
-    elif m == "JNC":
-        if not st.flag(PSW_CY):
-            st.pc = ops[0].value
-    elif m == "JB":
-        if st.read_bit(ops[0].value):
-            st.pc = ops[1].value
-    elif m == "JNB":
-        if not st.read_bit(ops[0].value):
-            st.pc = ops[1].value
-    elif m == "JBC":
-        if st.read_bit(ops[0].value):
-            st.write_bit(ops[0].value, 0)
-            st.pc = ops[1].value
-    elif m == "CJNE":
-        a = _operand_value(st, ops[0])
-        b_val = _operand_value(st, ops[1])
-        st.set_flag(PSW_CY, a < b_val)
-        if a != b_val:
-            st.pc = ops[2].value
-    elif m == "DJNZ":
-        v = (_operand_value(st, ops[0]) - 1) & 0xFF
-        _operand_store(st, ops[0], v)
-        if v != 0:
-            st.pc = ops[1].value
-    elif m == "MOV":
-        k0 = ops[0].kind
-        if k0 is isa.OpKind.DPTR:
-            st.dptr = ops[1].value
-        elif k0 is isa.OpKind.CARRY:
-            st.set_flag(PSW_CY, st.read_bit(ops[1].value))
-        elif k0 is isa.OpKind.BIT:
-            st.write_bit(ops[0].value, st.flag(PSW_CY))
-        else:
-            _operand_store(st, ops[0], _operand_value(st, ops[1]))
-    elif m == "MOVC":
-        base = st.dptr if ops[1].kind is isa.OpKind.CODE_DPTR else next_pc
-        addr = (st.acc + base) & 0xFFFF
-        st.acc = image[addr] if addr < len(image) else 0
-    elif m == "MOVX":
-        if ops[0].kind is isa.OpKind.ACC:
-            src = ops[1]
-            addr = st.dptr if src.kind is isa.OpKind.IND_DPTR else st.reg(src.value)
-            st.acc = st.read_xram(addr)
-        else:
-            dst = ops[0]
-            addr = st.dptr if dst.kind is isa.OpKind.IND_DPTR else st.reg(dst.value)
-            st.write_xram(addr, st.acc)
-    elif m == "ADD":
-        _add(st, _operand_value(st, ops[1]), 0)
-    elif m == "ADDC":
-        _add(st, _operand_value(st, ops[1]), st.flag(PSW_CY))
-    elif m == "SUBB":
-        _subb(st, _operand_value(st, ops[1]))
-    elif m == "INC":
-        if ops[0].kind is isa.OpKind.DPTR:
-            st.dptr = (st.dptr + 1) & 0xFFFF
-        else:
-            _operand_store(st, ops[0],
-                           (_operand_value(st, ops[0]) + 1) & 0xFF)
-    elif m == "DEC":
-        _operand_store(st, ops[0], (_operand_value(st, ops[0]) - 1) & 0xFF)
-    elif m in ("ANL", "ORL", "XRL"):
-        if ops[0].kind is isa.OpKind.CARRY:
+    return step
+
+
+def _step_jz(st, ops, next_pc, image):
+    if st.acc == 0:
+        st.pc = ops[0].value
+
+
+def _step_jnz(st, ops, next_pc, image):
+    if st.acc != 0:
+        st.pc = ops[0].value
+
+
+def _step_jc(st, ops, next_pc, image):
+    if st.flag(PSW_CY):
+        st.pc = ops[0].value
+
+
+def _step_jnc(st, ops, next_pc, image):
+    if not st.flag(PSW_CY):
+        st.pc = ops[0].value
+
+
+def _step_jb(st, ops, next_pc, image):
+    if st.read_bit(ops[0].value):
+        st.pc = ops[1].value
+
+
+def _step_jnb(st, ops, next_pc, image):
+    if not st.read_bit(ops[0].value):
+        st.pc = ops[1].value
+
+
+def _step_jbc(st, ops, next_pc, image):
+    if st.read_bit(ops[0].value):
+        st.write_bit(ops[0].value, 0)
+        st.pc = ops[1].value
+
+
+def _step_cjne(st, ops, next_pc, image):
+    a = _operand_value(st, ops[0])
+    b_val = _operand_value(st, ops[1])
+    st.set_flag(PSW_CY, a < b_val)
+    if a != b_val:
+        st.pc = ops[2].value
+
+
+def _step_djnz(st, ops, next_pc, image):
+    v = (_operand_value(st, ops[0]) - 1) & 0xFF
+    _operand_store(st, ops[0], v)
+    if v != 0:
+        st.pc = ops[1].value
+
+
+def _step_mov(st, ops, next_pc, image):
+    k0 = ops[0].kind
+    if k0 is _K_DPTR:
+        st.dptr = ops[1].value
+    elif k0 is _K_CARRY:
+        st.set_flag(PSW_CY, st.read_bit(ops[1].value))
+    elif k0 is _K_BIT:
+        st.write_bit(ops[0].value, st.flag(PSW_CY))
+    else:
+        _operand_store(st, ops[0], _operand_value(st, ops[1]))
+
+
+def _step_movc(st, ops, next_pc, image):
+    base = st.dptr if ops[1].kind is _K_CODE_DPTR else next_pc
+    addr = (st.acc + base) & 0xFFFF
+    st.acc = image[addr] if addr < len(image) else 0
+
+
+def _step_movx(st, ops, next_pc, image):
+    if ops[0].kind is _K_ACC:
+        src = ops[1]
+        addr = st.dptr if src.kind is _K_IND_DPTR else st.reg(src.value)
+        st.acc = st.read_xram(addr)
+    else:
+        dst = ops[0]
+        addr = st.dptr if dst.kind is _K_IND_DPTR else st.reg(dst.value)
+        st.write_xram(addr, st.acc)
+
+
+def _step_add(st, ops, next_pc, image):
+    _add(st, _operand_value(st, ops[1]), 0)
+
+
+def _step_addc(st, ops, next_pc, image):
+    _add(st, _operand_value(st, ops[1]), st.flag(PSW_CY))
+
+
+def _step_subb(st, ops, next_pc, image):
+    _subb(st, _operand_value(st, ops[1]))
+
+
+def _step_inc(st, ops, next_pc, image):
+    if ops[0].kind is _K_DPTR:
+        st.dptr = (st.dptr + 1) & 0xFFFF
+    else:
+        _operand_store(st, ops[0], (_operand_value(st, ops[0]) + 1) & 0xFF)
+
+
+def _step_dec(st, ops, next_pc, image):
+    _operand_store(st, ops[0], (_operand_value(st, ops[0]) - 1) & 0xFF)
+
+
+def _logic(m: str):
+    """The ANL, ORL or XRL handler: a byte operation, or for ANL and ORL
+    also the carry with a bit or a complemented bit."""
+    def step(st, ops, next_pc, image):
+        if ops[0].kind is _K_CARRY:
             bit_op = ops[1]
             bv = st.read_bit(bit_op.value)
-            if bit_op.kind is isa.OpKind.NOT_BIT:
+            if bit_op.kind is _K_NOT_BIT:
                 bv ^= 1
             c = st.flag(PSW_CY)
             st.set_flag(PSW_CY, (c & bv) if m == "ANL" else (c | bv))
@@ -367,91 +424,171 @@ def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
             b_val = _operand_value(st, ops[1])
             r = a & b_val if m == "ANL" else a | b_val if m == "ORL" else a ^ b_val
             _operand_store(st, ops[0], r)
-    elif m == "CLR":
-        if ops[0].kind is isa.OpKind.ACC:
-            st.acc = 0
-        elif ops[0].kind is isa.OpKind.CARRY:
-            st.set_flag(PSW_CY, 0)
-        else:
-            st.write_bit(ops[0].value, 0)
-    elif m == "SETB":
-        if ops[0].kind is isa.OpKind.CARRY:
-            st.set_flag(PSW_CY, 1)
-        else:
-            st.write_bit(ops[0].value, 1)
-    elif m == "CPL":
-        if ops[0].kind is isa.OpKind.ACC:
-            st.acc = st.acc ^ 0xFF
-        elif ops[0].kind is isa.OpKind.CARRY:
-            st.set_flag(PSW_CY, st.flag(PSW_CY) ^ 1)
-        else:
-            st.write_bit(ops[0].value, st.read_bit(ops[0].value) ^ 1)
-    elif m == "RL":
-        a = st.acc
-        st.acc = ((a << 1) | (a >> 7)) & 0xFF
-    elif m == "RR":
-        a = st.acc
-        st.acc = ((a >> 1) | (a << 7)) & 0xFF
-    elif m == "RLC":
-        a = st.acc
-        c = st.flag(PSW_CY)
-        st.set_flag(PSW_CY, (a >> 7) & 1)
-        st.acc = ((a << 1) | c) & 0xFF
-    elif m == "RRC":
-        a = st.acc
-        c = st.flag(PSW_CY)
-        st.set_flag(PSW_CY, a & 1)
-        st.acc = (c << 7) | (a >> 1)
-    elif m == "SWAP":
-        a = st.acc
-        st.acc = ((a << 4) | (a >> 4)) & 0xFF
-    elif m == "XCH":
-        other = _operand_value(st, ops[1])
-        a = st.acc
-        st.acc = other
-        _operand_store(st, ops[1], a)
-    elif m == "XCHD":
-        other = _operand_value(st, ops[1])
-        a = st.acc
-        st.acc = (a & 0xF0) | (other & 0x0F)
-        _operand_store(st, ops[1], (other & 0xF0) | (a & 0x0F))
-    elif m == "MUL":
-        prod = st.acc * st.sfr[B - 0x80]
-        st.acc = prod & 0xFF
-        st.write_sfr(B, prod >> 8)
+    return step
+
+
+def _step_clr(st, ops, next_pc, image):
+    if ops[0].kind is _K_ACC:
+        st.acc = 0
+    elif ops[0].kind is _K_CARRY:
         st.set_flag(PSW_CY, 0)
-        st.set_flag(PSW_OV, prod > 0xFF)
-    elif m == "DIV":
-        b_val = st.sfr[B - 0x80]
-        st.set_flag(PSW_CY, 0)
-        if b_val == 0:
-            st.set_flag(PSW_OV, 1)
-        else:
-            a = st.acc
-            st.acc = a // b_val
-            st.write_sfr(B, a % b_val)
-            st.set_flag(PSW_OV, 0)
-    elif m == "DA":
-        a = st.acc
-        cy = st.flag(PSW_CY)
-        if (a & 0x0F) > 9 or st.flag(PSW_AC):
-            a += 0x06
-            if a > 0xFF:
-                cy = 1
-            a &= 0xFF
-        if cy or ((a >> 4) & 0x0F) > 9:
-            a += 0x60
-            if a > 0xFF:
-                cy = 1
-            a &= 0xFF
-        st.set_flag(PSW_CY, cy)
-        st.acc = a
-    elif m == "PUSH":
-        st.push(st.read_direct(ops[0].value))
-    elif m == "POP":
-        st.write_direct(ops[0].value, st.pop())
     else:
-        raise AssertionError(f"unhandled mnemonic {m}")
+        st.write_bit(ops[0].value, 0)
+
+
+def _step_setb(st, ops, next_pc, image):
+    if ops[0].kind is _K_CARRY:
+        st.set_flag(PSW_CY, 1)
+    else:
+        st.write_bit(ops[0].value, 1)
+
+
+def _step_cpl(st, ops, next_pc, image):
+    if ops[0].kind is _K_ACC:
+        st.acc = st.acc ^ 0xFF
+    elif ops[0].kind is _K_CARRY:
+        st.set_flag(PSW_CY, st.flag(PSW_CY) ^ 1)
+    else:
+        st.write_bit(ops[0].value, st.read_bit(ops[0].value) ^ 1)
+
+
+def _step_rl(st, ops, next_pc, image):
+    a = st.acc
+    st.acc = ((a << 1) | (a >> 7)) & 0xFF
+
+
+def _step_rr(st, ops, next_pc, image):
+    a = st.acc
+    st.acc = ((a >> 1) | (a << 7)) & 0xFF
+
+
+def _step_rlc(st, ops, next_pc, image):
+    a = st.acc
+    c = st.flag(PSW_CY)
+    st.set_flag(PSW_CY, (a >> 7) & 1)
+    st.acc = ((a << 1) | c) & 0xFF
+
+
+def _step_rrc(st, ops, next_pc, image):
+    a = st.acc
+    c = st.flag(PSW_CY)
+    st.set_flag(PSW_CY, a & 1)
+    st.acc = (c << 7) | (a >> 1)
+
+
+def _step_swap(st, ops, next_pc, image):
+    a = st.acc
+    st.acc = ((a << 4) | (a >> 4)) & 0xFF
+
+
+def _step_xch(st, ops, next_pc, image):
+    other = _operand_value(st, ops[1])
+    a = st.acc
+    st.acc = other
+    _operand_store(st, ops[1], a)
+
+
+def _step_xchd(st, ops, next_pc, image):
+    other = _operand_value(st, ops[1])
+    a = st.acc
+    st.acc = (a & 0xF0) | (other & 0x0F)
+    _operand_store(st, ops[1], (other & 0xF0) | (a & 0x0F))
+
+
+def _step_mul(st, ops, next_pc, image):
+    prod = st.acc * st.sfr[B - 0x80]
+    st.acc = prod & 0xFF
+    st.write_sfr(B, prod >> 8)
+    st.set_flag(PSW_CY, 0)
+    st.set_flag(PSW_OV, prod > 0xFF)
+
+
+def _step_div(st, ops, next_pc, image):
+    b_val = st.sfr[B - 0x80]
+    st.set_flag(PSW_CY, 0)
+    if b_val == 0:
+        st.set_flag(PSW_OV, 1)
+    else:
+        a = st.acc
+        st.acc = a // b_val
+        st.write_sfr(B, a % b_val)
+        st.set_flag(PSW_OV, 0)
+
+
+def _step_da(st, ops, next_pc, image):
+    a = st.acc
+    cy = st.flag(PSW_CY)
+    if (a & 0x0F) > 9 or st.flag(PSW_AC):
+        a += 0x06
+        if a > 0xFF:
+            cy = 1
+        a &= 0xFF
+    if cy or ((a >> 4) & 0x0F) > 9:
+        a += 0x60
+        if a > 0xFF:
+            cy = 1
+        a &= 0xFF
+    st.set_flag(PSW_CY, cy)
+    st.acc = a
+
+
+def _step_push(st, ops, next_pc, image):
+    st.push(st.read_direct(ops[0].value))
+
+
+def _step_pop(st, ops, next_pc, image):
+    st.write_direct(ops[0].value, st.pop())
+
+
+_STEPS = {
+    "NOP": _step_nop,
+    "LJMP": _step_jump, "AJMP": _step_jump, "SJMP": _step_jump,
+    "JMP": _step_jmp,
+    "LCALL": _step_call, "ACALL": _step_call,
+    "RET": _return(False), "RETI": _return(True),
+    "JZ": _step_jz, "JNZ": _step_jnz, "JC": _step_jc, "JNC": _step_jnc,
+    "JB": _step_jb, "JNB": _step_jnb, "JBC": _step_jbc,
+    "CJNE": _step_cjne, "DJNZ": _step_djnz,
+    "MOV": _step_mov, "MOVC": _step_movc, "MOVX": _step_movx,
+    "ADD": _step_add, "ADDC": _step_addc, "SUBB": _step_subb,
+    "INC": _step_inc, "DEC": _step_dec,
+    "ANL": _logic("ANL"), "ORL": _logic("ORL"), "XRL": _logic("XRL"),
+    "CLR": _step_clr, "SETB": _step_setb, "CPL": _step_cpl,
+    "RL": _step_rl, "RR": _step_rr, "RLC": _step_rlc, "RRC": _step_rrc,
+    "SWAP": _step_swap, "XCH": _step_xch, "XCHD": _step_xchd,
+    "MUL": _step_mul, "DIV": _step_div, "DA": _step_da,
+    "PUSH": _step_push, "POP": _step_pop,
+}
+
+# The decode memo of the last image step_concrete ran: pc -> (handler,
+# operands, next_pc). The strong reference keeps the image alive, so an
+# `is` test cannot match a new object that reuses its id.
+_memo_image: object = None
+_memo: dict[int, tuple] = {}
+
+
+def step_concrete(st: ConcreteState, image: bytes) -> ConcreteState:
+    """Execute exactly one instruction, mutating and returning st.
+
+    Each code address of `image` is decoded once, on its first step, and
+    its handler, operands and next pc are kept for the later steps of the
+    same image object. 8051 CODE memory is read-only at run time, so
+    `image` must not change between calls; pass a new object for new code.
+    A decode that raises is not kept, so it raises again on every call."""
+    global _memo_image, _memo
+    if image is not _memo_image:
+        _memo_image = image
+        _memo = {}
+    pc = st.pc
+    entry = _memo.get(pc)
+    if entry is None:
+        ins = isa.decode(image, pc)
+        entry = _memo[pc] = (_STEPS[ins.mnemonic], ins.operands,
+                             (pc + ins.length) & 0xFFFF)
+    step, ops, next_pc = entry
+    st.pc = next_pc
+    st.instr_count += 1
+    step(st, ops, next_pc, image)
     return st
 
 

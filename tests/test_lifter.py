@@ -177,10 +177,14 @@ def test_every_mnemonic_has_one_emitter():
 def _translation_kernels() -> list:
     """The functions that run per decoded instruction or per statement:
     decode, the concrete evaluator, the emitter dispatch, every emitter and
-    the statement builder's methods."""
+    the statement builder's methods; and the reference interpreter's step,
+    every step handler and their operand helpers."""
     fns = [isa.decode, lifter.run_lifted, lifter._lift_one]
     fns += lifter._EMITTERS.values()
     fns += [f for f in vars(lifter._Emit).values() if inspect.isfunction(f)]
+    fns += [machine.step_concrete, machine._operand_value,
+            machine._operand_store]
+    fns += machine._STEPS.values()
     return fns
 
 

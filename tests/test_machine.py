@@ -5,6 +5,7 @@ import pytest
 
 from usbvet import fwkit, isa, lifter, machine, usbstatic
 
+import diffutil
 import reference_ir
 
 
@@ -15,6 +16,15 @@ def fresh():
 def test_reset_sp():
     st = fresh()
     assert st.sp == 0x07
+
+
+def test_clone_keeps_sp_zero():
+    # Only a default state starts at the reset SP; a clone copies SP as it is.
+    st = fresh()
+    st.sp = 0
+    twin = st.clone()
+    assert twin.sp == 0
+    assert diffutil.states_equal(st, twin)
 
 
 def test_nop_advances_pc_only():
@@ -276,3 +286,52 @@ INTERPRETER_EDGE_PIN = ("7630682640fdea080077ed969f399f9a"
 
 def test_interpreter_pinned_at_operand_edges():
     assert _interpreter_edge_digest() == INTERPRETER_EDGE_PIN
+
+
+def test_every_mnemonic_has_one_step():
+    assert set(machine._STEPS) == isa.MNEMONICS
+
+
+def _count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = isa.decode
+
+    def counting(image, addr):
+        calls.append(addr)
+        return decode(image, addr)
+
+    monkeypatch.setattr(isa, "decode", counting)
+    return calls
+
+
+def test_loop_decodes_each_address_once(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    image = bytes([0xD8, 0xFE])  # djnz r0,$
+    st = fresh()  # R0 = 0: the loop runs 256 times
+    steps = 0
+    while st.pc < len(image):
+        machine.step_concrete(st, image)
+        steps += 1
+    assert steps == 256 and st.reg(0) == 0
+    assert calls == [0]
+
+
+def test_each_image_object_runs_its_own_code():
+    mov = bytes([0x74, 0x11])   # mov a,#0x11
+    inc = bytes([0x04, 0x00])   # inc a
+    st = fresh()
+    for image, want in ((mov, 0x11), (inc, 0x12), (mov, 0x11), (inc, 0x12)):
+        st.pc = 0
+        machine.step_concrete(st, image)
+        assert st.acc == want
+
+
+def test_illegal_opcode_raises_on_every_call(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    image = bytes([isa.RESERVED_OPCODE])
+    st = fresh()
+    for _ in range(3):
+        with pytest.raises(isa.IllegalOpcode):
+            machine.step_concrete(st, image)
+        assert st.pc == 0 and st.instr_count == 0
+    assert calls == [0, 0, 0]
