@@ -2,8 +2,12 @@
 
 Register file, the three runtime memory images (IRAM / SFR / XRAM; CODE is the
 read-only image itself), the interrupt vectors and their IE gating, and a
-plain interpreter: a direct opcode dispatch, independent of the IR lifter, so
-the two can be differentially tested against each other.
+plain interpreter, independent of the IR lifter, so the two can be
+differentially tested against each other. The interpreter looks each
+instruction's mnemonic up in a table of step handlers, one per mnemonic, and
+keeps a decode memo for the last image it ran: each code address is decoded
+once per image object, which is exact because CODE memory is read-only at
+run time (the image must not change between steps).
 
 Conventions pinned here (and mirrored by the lifter):
   - PSW bit 0 (parity of ACC) is combinational hardware; the stored byte's
