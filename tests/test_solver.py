@@ -509,6 +509,100 @@ def column_trees(draw, width, depth=4):
     return SymExpr(op, (sub(), sub()), width)
 
 
+@st.composite
+def shared_trees(draw):
+    """Two `column_trees` a and b of one width, joined as op(a, op(op(a, y),
+    b)) under a drawn operator: a is shared by identity, and the 8-bit
+    variable y is mixed in beside x."""
+    width = draw(st.sampled_from([1, 8, 16]))
+    a, b = draw(column_trees(width)), draw(column_trees(width))
+    y = var("y", 8)
+    if width != 8:
+        y = SymExpr("resize", (y,), width)
+    op = draw(st.sampled_from(["add", "sub", "and", "or", "xor", "mul"]))
+    return SymExpr(op, (a, SymExpr(op, (SymExpr(op, (a, y), width), b),
+                                   width)), width)
+
+
+# Recursive reference versions of an expression's facts, written from their
+# definitions: the solver computes them without recursion.
+
+def ref_vars(e) -> frozenset:
+    if not isinstance(e, SymExpr) or e.op == "const":
+        return frozenset()
+    if e.op == "var":
+        return frozenset((e.args[0],))
+    return frozenset().union(*(ref_vars(a) for a in e.args))
+
+
+def ref_eq(a, b) -> bool:
+    if isinstance(a, SymExpr) and isinstance(b, SymExpr):
+        return (a.op == b.op and a.width == b.width
+                and len(a.args) == len(b.args)
+                and all(ref_eq(x, y) for x, y in zip(a.args, b.args)))
+    if isinstance(a, SymExpr) or isinstance(b, SymExpr):
+        return False
+    return a == b
+
+
+def ref_text(e) -> str:
+    if isinstance(e, int):
+        return str(e)
+    if e.op == "const":
+        return f"0x{e.args[0]:x}" if e.args[0] > 9 else str(e.args[0])
+    if e.op == "var":
+        return e.args[0]
+    if e.op in solver._INFIX and len(e.args) == 2:
+        return (f"({ref_text(e.args[0])} {solver._INFIX[e.op]} "
+                f"{ref_text(e.args[1])})")
+    return f"{e.op}({', '.join(ref_text(a) for a in e.args)})"
+
+
+def ref_eval(e, env: dict) -> int:
+    if isinstance(e, int):
+        return e
+    if e.op == "const":
+        return e.args[0]
+    if e.op == "var":
+        return env.get(e.args[0], 0) & ((1 << e.width) - 1)
+    return eval_op(e.op, tuple(ref_eval(a, env) for a in e.args), e.width)
+
+
+def ref_nodes(e, out: dict) -> list:
+    """The distinct nodes under e, by identity."""
+    if isinstance(e, SymExpr) and id(e) not in out:
+        out[id(e)] = e
+        for a in e.args:
+            ref_nodes(a, out)
+    return list(out.values())
+
+
+def rebuilt(e):
+    """A copy of e that shares no node with it."""
+    if not isinstance(e, SymExpr):
+        return e
+    return SymExpr(e.op, tuple(rebuilt(a) for a in e.args), e.width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=shared_trees(), x=st.integers(0, 255), y=st.integers(0, 255))
+def test_expression_facts_equal_their_recursive_definitions(e, x, y):
+    nodes = ref_nodes(e, {})
+    copies = [rebuilt(n) for n in nodes]
+    env = {"x": x, "y": y}
+    for n, c in zip(nodes, copies):
+        assert n.vars() == ref_vars(n)
+        assert hash(n) == hash((n.op, n.width, n.args)) == hash(c)
+        assert solver.to_text(n) == ref_text(n)
+        assert eval_expr(n, env) == ref_eval(n, env)
+        for other in copies:
+            same = ref_eq(n, other)
+            assert (n == other) is same and (other == n) is same
+            assert (n != other) is not same
+            assert not same or hash(n) == hash(other)
+    assert e.vars() == {"x", "y"} or e.vars() == {"y"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(e=st.sampled_from([1, 8, 16]).flatmap(column_trees))
 def test_column_walk_equals_pointwise_evaluation(e):
