@@ -692,20 +692,25 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run `usbvet analyze`; returns the exit code. A fault inside usbvet
+    (any other Exception) is one `error: internal error:` line and exit 2:
+    no verdict was reached, and exit 1 would read as one."""
     try:
         cfg = config_from_args(_build_parser().parse_args(argv))
         report, code = run_pipeline(cfg)
+        text = report.to_json()
+        if cfg.report_path:
+            emit_report(text, cfg.report_path)
     except (ConfigInvalid, IoError, ImageTooLarge,
             queries.PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    text = report.to_json()
+    except Exception as e:
+        message = " ".join(str(e).splitlines())
+        print(f"error: internal error: {type(e).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INCOMPLETE
     if cfg.report_path:
-        try:
-            emit_report(text, cfg.report_path)
-        except IoError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
         v = report.verdict
         print(f"identity: {v['identity']}  behavior: {v['behavior']}  "
               f"-> {cfg.report_path}")

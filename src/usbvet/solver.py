@@ -4,6 +4,14 @@ Expressions are immutable trees over unsigned bit-vectors. Evaluation
 semantics: every node's value is masked to its width, and a constraint holds
 when its value is nonzero. Comparison operators yield 0/1.
 
+A node's facts (its possible bits, its variables and its hash) are made
+with the node from its operands' facts, and equality compares operand pairs
+from an explicit stack. Every other pass over an expression (evaluation,
+the column walk below, variable widths, text) is one loop over
+`_postorder`, the one traversal: each distinct node once, operands first,
+iteratively. No function here recurses over an expression, so a loop that
+deepens an expression on every pass cannot exhaust Python's stack.
+
 The satisfiability backend is internal: constraints are split into
 independent sets (connected components over shared variables), single
 variable constraints prune domains, and the rest is settled by
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
+from operator import is_
 
 
 def _rotl(m: int, a) -> int:
@@ -100,14 +109,14 @@ def _possible_bits(op: str, args: tuple, width: int) -> int:
         return mask
     if op in ("eq", "ne", "ult", "ugt", "ule", "uge", "par"):
         return 1
-    pa = [a.pbits if isinstance(a, SymExpr) else a for a in args]
+    pa = [a.pbits for a in args]
     if op == "and":
         return pa[0] & pa[1] & mask
     if op in ("or", "xor"):
         return (pa[0] | pa[1]) & mask
-    if op == "shl" and isinstance(args[1], SymExpr) and args[1].op == "const":
+    if op == "shl" and args[1].op == "const":
         return (pa[0] << args[1].value) & mask
-    if op == "shr" and isinstance(args[1], SymExpr) and args[1].op == "const":
+    if op == "shr" and args[1].op == "const":
         return pa[0] >> args[1].value
     if op == "resize":
         return pa[0] & mask
@@ -117,7 +126,15 @@ def _possible_bits(op: str, args: tuple, width: int) -> int:
 
 
 class SymExpr:
-    """Immutable expression node. op 'const': args=(value,); 'var': args=(name,)."""
+    """Immutable expression node. op 'const': args=(value,); 'var':
+    args=(name,); any other op: args are its operands, all nodes.
+
+    Each fact of a node is made with the node, from its operands' stored
+    facts, never by walking below them: `pbits`, the variable set that
+    `vars()` returns, and the hash. Equality rejects on the stored hashes,
+    then compares operand pairs from an explicit stack, each distinct pair
+    once. Every other walk over an expression runs through `_postorder`, so
+    an expression of any depth is safe to build and to use."""
 
     __slots__ = ("op", "args", "width", "pbits", "_hash", "_vars")
 
@@ -126,22 +143,46 @@ class SymExpr:
         self.args = args
         self.width = width
         self.pbits = _possible_bits(op, args, width)
-        self._hash = None
-        self._vars = None
+        self._hash = hash((op, width, args))
+        vs = frozenset(args) if op == "var" else _NO_VARS
+        for a in args:
+            if isinstance(a, SymExpr) and not a._vars <= vs:
+                vs = vs | a._vars if vs else a._vars
+        self._vars = vs
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, SymExpr):
             return NotImplemented
-        return (self.op == other.op and self.width == other.width
-                and self.args == other.args)
+        if (self._hash != other._hash or self.op != other.op
+                or self.width != other.width):
+            return False
+        if self.op in _LEAVES or all(map(is_, self.args, other.args)):
+            # a leaf's args are an int or a name, and identical operands
+            # are equal: the tuples compare without calling back in here
+            return self.args == other.args
+        # operand tuples of node pairs whose stored facts agree
+        stack, seen = [(self.args, other.args)], set()
+        while stack:
+            xs, ys = stack.pop()
+            if len(xs) != len(ys):
+                return False
+            for x, y in zip(xs, ys):
+                if x is y:
+                    continue
+                if x._hash != y._hash or x.op != y.op or x.width != y.width:
+                    return False
+                if x.op in _LEAVES:
+                    if x.args != y.args:
+                        return False
+                elif (id(x), id(y)) not in seen:
+                    seen.add((id(x), id(y)))
+                    stack.append((x.args, y.args))
+        return True
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.op, self.width, self.args))
-        return h
+        return self._hash
 
     def is_const(self) -> bool:
         return self.op == "const"
@@ -152,20 +193,36 @@ class SymExpr:
         return self.args[0]
 
     def vars(self) -> frozenset:
-        v = self._vars
-        if v is None:
-            if self.op == "var":
-                v = frozenset((self.args[0],))
-            elif self.op == "const":
-                v = frozenset()
-            else:
-                v = frozenset().union(*(a.vars() for a in self.args
-                                        if isinstance(a, SymExpr)))
-            self._vars = v
-        return v
+        return self._vars
 
     def __repr__(self):
         return to_text(self)
+
+
+_NO_VARS = frozenset()
+_LEAVES = frozenset(("const", "var"))
+
+
+def _postorder(roots):
+    """Each distinct node (by identity) under `roots` once, after all of its
+    operands, left to right: the one traversal of expressions. Iterative, so
+    an expression of any depth is walked without recursion."""
+    seen = set()
+    stack = [(None, iter(roots))]
+    while stack:
+        node, operands = stack[-1]
+        for a in operands:
+            if id(a) not in seen:
+                seen.add(id(a))
+                if a.op in _LEAVES:
+                    yield a  # a leaf: its args hold no node
+                else:
+                    stack.append((a, iter(a.args)))
+                    break
+        else:
+            stack.pop()
+            if node is not None:
+                yield node
 
 
 def const(value: int, width: int = 8) -> SymExpr:
@@ -279,34 +336,21 @@ def _walk(e: SymExpr, env: dict, name: str | None = None,
     `OPS` rule in one `map`, to a list with one value per point of the
     column, and every other node to one int."""
     memo: dict[int, object] = {}
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        key = id(node)
-        if key in memo:
-            continue
-        if node.op == "const":
-            memo[key] = node.args[0]
-        elif node.op == "var":
-            mask = (1 << node.width) - 1
-            if node.args[0] == name:
-                memo[key] = [x & mask for x in column]
-            else:
-                memo[key] = env.get(node.args[0], 0) & mask
-        elif not ready:
-            stack.append((node, True))
-            for a in node.args:
-                if isinstance(a, SymExpr) and id(a) not in memo:
-                    stack.append((a, False))
+    for node in _postorder((e,)):
+        op, mask = node.op, (1 << node.width) - 1
+        if op == "const":
+            v = node.args[0]
+        elif op == "var":
+            v = ([x & mask for x in column] if node.args[0] == name
+                 else env.get(node.args[0], 0) & mask)
         else:
-            vals = [memo[id(a)] if isinstance(a, SymExpr) else a
-                    for a in node.args]
-            rule, mask = OPS[node.op], (1 << node.width) - 1
-            if name is not None and name in node.vars():
-                memo[key] = list(map(rule, repeat(mask), zip(*(
-                    v if isinstance(v, list) else repeat(v) for v in vals))))
+            vals = [memo[id(a)] for a in node.args]
+            if name in node._vars:
+                v = list(map(OPS[op], repeat(mask), zip(*(
+                    x if isinstance(x, list) else repeat(x) for x in vals))))
             else:
-                memo[key] = rule(mask, vals)
+                v = OPS[op](mask, vals)
+        memo[id(node)] = v
     return memo[id(e)]
 
 
@@ -375,22 +419,6 @@ class Unsat(Exception):
 NOT_UNIQUE = object()
 
 
-def _collect_var_widths(exprs) -> dict[str, int]:
-    widths: dict[str, int] = {}
-    seen = set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if not isinstance(e, SymExpr) or id(e) in seen:
-            continue
-        seen.add(id(e))
-        if e.op == "var":
-            widths[e.args[0]] = e.width
-        else:
-            stack.extend(a for a in e.args if isinstance(a, SymExpr))
-    return widths
-
-
 def split_independent(exprs: list[SymExpr]) -> list[list[SymExpr]]:
     """Partition constraints into connected components over shared variables."""
     parent: dict[str, str] = {}
@@ -401,30 +429,21 @@ def split_independent(exprs: list[SymExpr]) -> list[list[SymExpr]]:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    groups: dict[str, list[SymExpr]] = {}
-    free: list[SymExpr] = []
     for e in exprs:
         vs = sorted(e.vars())
-        if not vs:
-            free.append(e)
-            continue
         for v in vs:
             parent.setdefault(v, v)
         for v in vs[1:]:
-            union(vs[0], v)
+            ra, rb = find(vs[0]), find(v)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[str, list[SymExpr]] = {}
     for e in exprs:
-        vs = sorted(e.vars())
-        if vs:
-            groups.setdefault(find(vs[0]), []).append(e)
+        if e.vars():
+            groups.setdefault(find(min(e.vars())), []).append(e)
     out = [grp for _, grp in sorted(groups.items())]
-    if free:
-        out.append(free)
-    return out
+    free = [e for e in exprs if not e.vars()]
+    return out + [free] if free else out
 
 
 def _bit_column(width: int, bit: int) -> int:
@@ -473,12 +492,9 @@ def _closed_domain(e: SymExpr, name: str, width: int) -> int | None:
 
 def _column_domain(e: SymExpr, name: str, width: int) -> int:
     """The domain of `name` in e, enumerated in one walk of e over all
-    2^width values."""
-    mask = 0
-    for x, v in enumerate(_walk(e, {}, name, range(1 << width))):
-        if v:
-            mask |= 1 << x
-    return mask
+    2^width values: bit x of the mask is set when e holds at x."""
+    column = _walk(e, {}, name, range(1 << width))
+    return int("".join("1" if v else "0" for v in reversed(column)), 2)
 
 
 def _domain(e: SymExpr, name: str, width: int, deadline: float,
@@ -489,9 +505,7 @@ def _domain(e: SymExpr, name: str, width: int, deadline: float,
     `_closed_domain` knows, by the column walk for the rest. May raise
     SolverTimeout before computing."""
     key = (e, name, width)
-    mask = domains.get(key)
-    if mask is None:
-        mask = fresh.get(key)
+    mask = domains.get(key, fresh.get(key))
     if mask is None:
         if time.monotonic() > deadline:
             raise SolverTimeout()
@@ -507,7 +521,7 @@ def _solve_component(exprs: list[SymExpr], deadline: float, domains: dict,
     """Exact model search for one component; None if unsat. May raise
     SolverTimeout. Domains are read from `domains` and `fresh`; new ones are
     added to `fresh`."""
-    widths = _collect_var_widths(exprs)
+    widths = {n.args[0]: n.width for n in _postorder(exprs) if n.op == "var"}
     names = sorted(widths)
     # Domain pruning with single-variable constraints.
     masks: dict[str, int] = {}
@@ -645,9 +659,7 @@ class Solver:
         return check(exprs, self.timeout, cache=self, deadline=self.deadline)
 
     def _exprs(self, pc) -> list[SymExpr]:
-        if isinstance(pc, PathCondition):
-            return pc.exprs()
-        return list(pc)
+        return pc.exprs() if isinstance(pc, PathCondition) else list(pc)
 
     def query(self, pc, extra=()) -> SatResult:
         """Satisfiability of pc and extra, with a model when satisfiable; a
@@ -738,13 +750,24 @@ _INFIX = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
 
 
 def to_text(e) -> str:
+    """e's text, built in post-order. A node's text is dropped once its last
+    user has read it, so a deep chain holds only the texts still due."""
     if isinstance(e, int):
         return str(e)
-    if e.op == "const":
-        return f"0x{e.args[0]:x}" if e.args[0] > 9 else str(e.args[0])
-    if e.op == "var":
-        return e.args[0]
-    if e.op in _INFIX and len(e.args) == 2:
-        return f"({to_text(e.args[0])} {_INFIX[e.op]} {to_text(e.args[1])})"
-    inner = ", ".join(to_text(a) for a in e.args)
-    return f"{e.op}({inner})"
+    order = list(_postorder((e,)))
+    last = {id(a): i for i, n in enumerate(order) for a in n.args}
+    text: dict[int, str] = {}
+    for i, n in enumerate(order):
+        if n.op == "const":
+            t = f"0x{n.args[0]:x}" if n.args[0] > 9 else str(n.args[0])
+        elif n.op == "var":
+            t = n.args[0]
+        elif n.op in _INFIX and len(n.args) == 2:
+            t = f"({text[id(n.args[0])]} {_INFIX[n.op]} {text[id(n.args[1])]})"
+        else:
+            t = f"{n.op}({', '.join(text[id(a)] for a in n.args)})"
+        for a in n.args:
+            if last[id(a)] == i:
+                text.pop(id(a), None)
+        text[id(n)] = t
+    return text[id(e)]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -259,6 +260,54 @@ def test_main_malformed_command_line_exit_code(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1
+
+
+def test_main_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # a fault inside usbvet exits 2 (no verdict), never 1 (flagged)
+    path, _ = write_fixture(tmp_path, "straightline")
+
+    def broken(cfg):
+        raise RecursionError("maximum recursion depth exceeded\nin vars")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    assert cli.main(["analyze", path]) == cli.EXIT_INCOMPLETE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: internal error: RecursionError: maximum recursion "
+                   "depth exceeded in vars\n")
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_pipeline", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["analyze", path])
+
+
+def deep_loop_image() -> bytes:
+    """A valid 1 KiB image from random bytes whose loop folds R5 into ACC
+    on every pass, so Query 2 meets a branch condition about 2,000 nodes
+    deep: the 84th image of a seeded random-image probe."""
+    rng = random.Random(1)
+    for _ in range(84):
+        image = rng.randbytes(rng.choice([64, 256, 1024, 4096]))
+        rng.choice(range(3))
+        rng.choice(range(4))
+    return image
+
+
+def test_deep_branch_condition_analyses_without_a_traceback(tmp_path,
+                                                            capsys):
+    image = deep_loop_image()
+    assert hashlib.sha256(image).hexdigest().startswith("c970bd1082f0d098")
+    path, out = tmp_path / "deep.bin", tmp_path / "deep.json"
+    path.write_bytes(image)
+    code = cli.main(["analyze", str(path), "--time-limit", "5",
+                     "--report", str(out)])
+    assert code in (cli.EXIT_CONSISTENT, cli.EXIT_FLAGGED,
+                    cli.EXIT_INCOMPLETE)
+    assert "internal error" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["verdict"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])

@@ -683,3 +683,78 @@ def test_values_of_a_constant_with_a_model_makes_no_query(monkeypatch):
     assert calls
     pc.append(mk("ugt", (k, 9), 1), 0, "f")
     assert s.values(pc, addr, 4) == ([], False, False)
+
+
+DEEP = 10_000
+
+
+def deep_chain(depth: int) -> SymExpr:
+    """add and xor in turn, `depth` levels, each with x or a nonzero
+    constant, built through mk: no level folds away."""
+    x = var("x", 8)
+    e = x
+    for i in range(depth):
+        b = x if i % 3 == 0 else i % 251 + 1
+        e = mk("xor" if i % 2 else "add", (e, b), 8)
+    return e
+
+
+def deep_fold(depth: int, x: int) -> tuple[int, str]:
+    """deep_chain's value at x, and its text, by a plain loop."""
+    v, text = x, "x"
+    for i in range(depth):
+        b = x if i % 3 == 0 else i % 251 + 1
+        v = v ^ b if i % 2 else (v + b) & 0xFF
+        b_text = "x" if i % 3 == 0 else ref_text(const(b))
+        text = f"({text} {'^' if i % 2 else '+'} {b_text})"
+    return v, text
+
+
+def test_deep_expressions_are_walked_without_recursion():
+    a, b = deep_chain(DEEP), deep_chain(DEEP)
+    assert a is not b
+    assert a.vars() == {"x"} and hash(a) == hash(b)
+    assert a == b and not a != b
+    assert a != mk("add", (b, 1), 8) and a != deep_chain(DEEP - 1)
+    for x in (0, 7, 200):
+        assert eval_expr(a, {"x": x}) == deep_fold(DEEP, x)[0]
+    assert solver.to_text(a) == deep_fold(DEEP, 0)[1]
+    want = deep_fold(DEEP, 7)[0]
+    cond, y_small = mk("eq", (a, want), 1), mk("ult", (var("y", 8), 3), 1)
+    assert solver.split_independent([y_small, cond]) == [[cond], [y_small]]
+    res = check([cond])  # one variable: the column walk
+    assert res.sat and not res.timed_out
+    assert deep_fold(DEEP, res.model["x"])[0] == want
+    pc = PathCondition()
+    pc.append(cond, 0, "deep")
+    assert pc.holds(mk("eq", (b, want), 1))
+
+
+def test_equal_shared_operands_are_compared_once():
+    # add(e, e) doubles the paths at every level: 2^200 of them
+    def doubled():
+        e = var("x", 8)
+        for _ in range(200):
+            e = mk("add", (e, e), 8)
+        return e
+
+    a, b = doubled(), doubled()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.vars() == {"x"} and eval_expr(a, {"x": 1}) == 0
+
+
+def test_equality_tells_structure_apart_under_equal_hashes():
+    # every node pair's hashes forced equal, as a collision would make them:
+    # equality must still find each difference
+    x = var("x", 8)
+    cases = [
+        (SymExpr("not", (const(3),), 8), SymExpr("not", (const(4),), 8)),
+        (SymExpr("not", (x,), 8), SymExpr("not", (var("y", 8),), 8)),
+        (SymExpr("not", (x,), 8), SymExpr("not", (var("x", 4),), 8)),
+        (SymExpr("not", (SymExpr("not", (x,), 8),), 8),
+         SymExpr("not", (SymExpr("par", (x,), 8),), 8)),
+    ]
+    for a, b in cases:
+        for p, q in zip(ref_nodes(a, {}), ref_nodes(b, {})):
+            q._hash = p._hash
+        assert a != b and b != a and not a == b
