@@ -4,18 +4,25 @@ Expressions are immutable trees over unsigned bit-vectors. Evaluation
 semantics: every node's value is masked to its width, and a constraint holds
 when its value is nonzero. Comparison operators yield 0/1.
 
-A node's facts (its possible bits, its variables and its hash) are made
-with the node from its operands' facts, and equality compares operand pairs
-from an explicit stack. Every other pass over an expression (evaluation,
-the column walk below, variable widths, text) is one loop over
-`_postorder`, the one traversal: each distinct node once, operands first,
-iteratively. No function here recurses over an expression, so a loop that
-deepens an expression on every pass cannot exhaust Python's stack.
+Nodes are hash-consed: one weak table, `_NODES`, holds every live node by
+its op, width and operands, and building a node that is already there
+returns that node. So one structure is one node, in every exploration and
+analysis alive at once, and equality and hashing are identity. The table
+holds nodes weakly: a node leaves it when its last user lets go of it, so
+it needs no clearing. A new node's facts (its possible bits and its
+variables) are made with it from its operands' facts. Every other pass over
+an expression (evaluation, the column walk below, variable widths, text) is
+one loop over `_postorder`, the one traversal: each distinct node once,
+operands first, iteratively. No function here recurses over an expression,
+so a loop that deepens an expression on every pass cannot exhaust Python's
+stack.
 
 The satisfiability backend is internal: constraints are split into
 independent sets (connected components over shared variables), single
 variable constraints prune domains, and the rest is settled by
-backtracking search. The commonest single-variable shapes, a byte or its
+backtracking search. The search reads the clock by the nodes its checks
+evaluate, not by their number, so a deep constraint cannot carry it far
+past its deadline. The commonest single-variable shapes, a byte or its
 masked bits compared equal or unequal to a constant (`eq`/`ne` of a
 constant and `v` or `and(v, m)`), have their domain computed in closed
 form, as the intersection of one bit column per bit of the mask. Any other
@@ -47,8 +54,8 @@ nothing in the tables.
 from __future__ import annotations
 
 import time
+import weakref
 from itertools import repeat
-from operator import is_
 
 
 def _rotl(m: int, a) -> int:
@@ -129,60 +136,33 @@ class SymExpr:
     """Immutable expression node. op 'const': args=(value,); 'var':
     args=(name,); any other op: args are its operands, all nodes.
 
-    Each fact of a node is made with the node, from its operands' stored
-    facts, never by walking below them: `pbits`, the variable set that
-    `vars()` returns, and the hash. Equality rejects on the stored hashes,
-    then compares operand pairs from an explicit stack, each distinct pair
-    once. Every other walk over an expression runs through `_postorder`, so
-    an expression of any depth is safe to build and to use."""
+    Nodes are interned: building one looks its `(op, width, args)` up in
+    `_NODES` and returns the node already there, so equal structures are
+    one node, and equality and hashing are identity. Operands are interned
+    already, so the key compare is shallow. A new node's facts are made
+    with it, from its operands' stored facts, never by walking below them:
+    `pbits` and the variable set that `vars()` returns. Every walk over an
+    expression runs through `_postorder`, so an expression of any depth is
+    safe to build and to use."""
 
-    __slots__ = ("op", "args", "width", "pbits", "_hash", "_vars")
+    __slots__ = ("op", "args", "width", "pbits", "_vars", "__weakref__")
 
-    def __init__(self, op: str, args: tuple, width: int):
-        self.op = op
-        self.args = args
-        self.width = width
-        self.pbits = _possible_bits(op, args, width)
-        self._hash = hash((op, width, args))
-        vs = frozenset(args) if op == "var" else _NO_VARS
-        for a in args:
-            if isinstance(a, SymExpr) and not a._vars <= vs:
-                vs = vs | a._vars if vs else a._vars
-        self._vars = vs
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SymExpr):
-            return NotImplemented
-        if (self._hash != other._hash or self.op != other.op
-                or self.width != other.width):
-            return False
-        if self.op in _LEAVES or all(map(is_, self.args, other.args)):
-            # a leaf's args are an int or a name, and identical operands
-            # are equal: the tuples compare without calling back in here
-            return self.args == other.args
-        # operand tuples of node pairs whose stored facts agree
-        stack, seen = [(self.args, other.args)], set()
-        while stack:
-            xs, ys = stack.pop()
-            if len(xs) != len(ys):
-                return False
-            for x, y in zip(xs, ys):
-                if x is y:
-                    continue
-                if x._hash != y._hash or x.op != y.op or x.width != y.width:
-                    return False
-                if x.op in _LEAVES:
-                    if x.args != y.args:
-                        return False
-                elif (id(x), id(y)) not in seen:
-                    seen.add((id(x), id(y)))
-                    stack.append((x.args, y.args))
-        return True
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, op: str, args: tuple, width: int):
+        key = (op, width, args)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.op = op
+            node.args = args
+            node.width = width
+            node.pbits = _possible_bits(op, args, width)
+            vs = frozenset(args) if op == "var" else _NO_VARS
+            for a in args:
+                if isinstance(a, SymExpr) and not a._vars <= vs:
+                    vs = vs | a._vars if vs else a._vars
+            node._vars = vs
+            _NODES[key] = node
+        return node
 
     def is_const(self) -> bool:
         return self.op == "const"
@@ -196,10 +176,23 @@ class SymExpr:
         return self._vars
 
     def __repr__(self):
-        return to_text(self)
+        """to_text(self) while its text has under _REPR_NODES nodes in it,
+        else op, width and the count of distinct nodes: a text can be
+        exponentially longer than the nodes it shows, a repr may not be."""
+        size: dict[int, int] = {}
+        for n in _postorder((self,)):
+            size[id(n)] = 1 if n.op in _LEAVES else min(
+                _REPR_NODES, 1 + sum(size[id(a)] for a in n.args))
+        if size[id(self)] < _REPR_NODES:
+            return to_text(self)
+        return f"<{self.op}/{self.width}: {len(size)} nodes>"
 
 
+# Every live node, by (op, width, args). Only the nodes are held weakly: a
+# node leaves the table when its last user lets go of it.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NO_VARS = frozenset()
+_REPR_NODES = 256
 _LEAVES = frozenset(("const", "var"))
 
 
@@ -283,7 +276,7 @@ def mk(op: str, args: tuple, width: int) -> SymExpr:
         y = _resize(_coerce(args[2], width), width)
         if cond.op == "const":
             return x if cond.value else y
-        if x == y:
+        if x is y:
             return x
         coerced = (cond, x, y)
     else:
@@ -516,6 +509,9 @@ def _domain(e: SymExpr, name: str, width: int, deadline: float,
     return mask
 
 
+_CLOCK_NODES = 512 * 8
+
+
 def _solve_component(exprs: list[SymExpr], deadline: float, domains: dict,
                      fresh: dict) -> dict | None:
     """Exact model search for one component; None if unsat. May raise
@@ -556,18 +552,24 @@ def _solve_component(exprs: list[SymExpr], deadline: float, domains: dict,
     for e in multi:
         by_last[max(pos[v] for v in e.vars())].append(e)
 
+    # a check at level i evaluates at most cost[i] nodes, and the clock is
+    # read once per _CLOCK_NODES of them: no more often than every 512
+    # checks of up to 8 nodes, and at every check of a deep constraint
+    cost = [sum(1 for e in es for _ in _postorder((e,))) for es in by_last]
     env: dict[str, int] = {}
-    checks = 0
+    work = 0
 
     def backtrack(i: int):
-        nonlocal checks
+        nonlocal work
         if i == len(order):
             return True
         name = order[i]
         for v in domains_of[name]:
-            checks += 1
-            if checks % 512 == 0 and time.monotonic() > deadline:
-                raise SolverTimeout()
+            work += cost[i]
+            if work > _CLOCK_NODES:
+                work = 0
+                if time.monotonic() > deadline:
+                    raise SolverTimeout()
             env[name] = v
             if all(eval_expr(e, env) != 0 for e in by_last[i]):
                 if backtrack(i + 1):

@@ -37,8 +37,10 @@ Every other step runs where its statement stood, so every listener still
 sees every load and store, with the same site, state, region, address and
 value, and may stop the run at any of them. A symbolic Assign builds its
 expression through `Executor._mk`, which memoises `mk` per exploration, as
-do address and interrupt-enable constraints: the paths of one run share
-equal expressions, and the table is freed with the run.
+do address and interrupt-enable constraints, and the table is freed with
+the run. Expressions are interned (see `solver`), so equal expressions are
+one node across explorations, and the memo and every expression-keyed
+table look them up by identity.
 
 The pure work on an image is shared by every exploration given the same
 `ImageMemo`: its lifted blocks, their prepared forms and the solver's

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -284,6 +285,16 @@ def test_main_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
         cli.main(["analyze", path])
 
 
+def test_an_analysis_leaves_no_node_in_the_intern_table(tmp_path):
+    path, _ = write_fixture(tmp_path, "injector-hid")
+    gc.collect()
+    before = len(solver._NODES)
+    assert cli.main(["analyze", path, "--report",
+                     str(tmp_path / "r.json")]) == cli.EXIT_FLAGGED
+    gc.collect()
+    assert len(solver._NODES) == before
+
+
 def deep_loop_image() -> bytes:
     """A valid 1 KiB image from random bytes whose loop folds R5 into ACC
     on every pass, so Query 2 meets a branch condition about 2,000 nodes
@@ -302,8 +313,10 @@ def test_deep_branch_condition_analyses_without_a_traceback(tmp_path,
     assert hashlib.sha256(image).hexdigest().startswith("c970bd1082f0d098")
     path, out = tmp_path / "deep.bin", tmp_path / "deep.json"
     path.write_bytes(image)
-    code = cli.main(["analyze", str(path), "--time-limit", "5",
+    start = time.monotonic()
+    code = cli.main(["analyze", str(path), "--time-limit", "1",
                      "--report", str(out)])
+    assert time.monotonic() - start < 2
     assert code in (cli.EXIT_CONSISTENT, cli.EXIT_FLAGGED,
                     cli.EXIT_INCOMPLETE)
     assert "internal error" not in capsys.readouterr().err

@@ -400,7 +400,7 @@ def test_path_condition_hands_each_distinct_constraint_once():
 def test_structural_equality_and_hash():
     a = mk("add", (var("x", 8), 3), 8)
     b = mk("add", (var("x", 8), 3), 8)
-    assert a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != mk("add", (var("x", 8), 4), 8)
 
 
@@ -592,13 +592,13 @@ def test_expression_facts_equal_their_recursive_definitions(e, x, y):
     env = {"x": x, "y": y}
     for n, c in zip(nodes, copies):
         assert n.vars() == ref_vars(n)
-        assert hash(n) == hash((n.op, n.width, n.args)) == hash(c)
+        assert c is n
         assert solver.to_text(n) == ref_text(n)
         assert eval_expr(n, env) == ref_eval(n, env)
         for other in copies:
             same = ref_eq(n, other)
             assert (n == other) is same and (other == n) is same
-            assert (n != other) is not same
+            assert (n != other) is not same and (n is other) is same
             assert not same or hash(n) == hash(other)
     assert e.vars() == {"x", "y"} or e.vars() == {"y"}
 
@@ -712,7 +712,7 @@ def deep_fold(depth: int, x: int) -> tuple[int, str]:
 
 def test_deep_expressions_are_walked_without_recursion():
     a, b = deep_chain(DEEP), deep_chain(DEEP)
-    assert a is not b
+    assert a is b
     assert a.vars() == {"x"} and hash(a) == hash(b)
     assert a == b and not a != b
     assert a != mk("add", (b, 1), 8) and a != deep_chain(DEEP - 1)
@@ -730,31 +730,47 @@ def test_deep_expressions_are_walked_without_recursion():
     assert pc.holds(mk("eq", (b, want), 1))
 
 
-def test_equal_shared_operands_are_compared_once():
-    # add(e, e) doubles the paths at every level: 2^200 of them
-    def doubled():
-        e = var("x", 8)
-        for _ in range(200):
-            e = mk("add", (e, e), 8)
-        return e
+def doubled() -> SymExpr:
+    """add(e, e) at each of 200 levels: 201 nodes whose text would have
+    2^200 leaves."""
+    e = var("x", 8)
+    for _ in range(200):
+        e = mk("add", (e, e), 8)
+    return e
 
+
+def test_equal_shared_operands_are_compared_once():
     a, b = doubled(), doubled()
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a.vars() == {"x"} and eval_expr(a, {"x": 1}) == 0
 
 
+def test_repr_stays_linear_in_distinct_nodes():
+    assert repr(doubled()) == "<add/8: 201 nodes>"
+    assert repr(deep_chain(DEEP)).startswith("<xor/8: ")
+    e = mk("add", (var("x", 8), 3), 8)
+    assert repr(e) == solver.to_text(e) == "(x + 3)"
+
+
 def test_equality_tells_structure_apart_under_equal_hashes():
-    # every node pair's hashes forced equal, as a collision would make them:
-    # equality must still find each difference
+    # pairs that differ in a leaf's value, a leaf's name, a width or an
+    # inner op are distinct nodes, and so unequal
     x = var("x", 8)
+    # 2^61 - 1 hashes as 0 does, so these two leaves' table keys collide
+    top = (1 << 61) - 1
+    assert hash(("const", 64, (0,))) == hash(("const", 64, (top,)))
     cases = [
         (SymExpr("not", (const(3),), 8), SymExpr("not", (const(4),), 8)),
         (SymExpr("not", (x,), 8), SymExpr("not", (var("y", 8),), 8)),
         (SymExpr("not", (x,), 8), SymExpr("not", (var("x", 4),), 8)),
         (SymExpr("not", (SymExpr("not", (x,), 8),), 8),
          SymExpr("not", (SymExpr("par", (x,), 8),), 8)),
+        (SymExpr("not", (const(0, 64),), 64),
+         SymExpr("not", (const(top, 64),), 64)),
     ]
     for a, b in cases:
-        for p, q in zip(ref_nodes(a, {}), ref_nodes(b, {})):
-            q._hash = p._hash
-        assert a != b and b != a and not a == b
+        assert a is not b and a != b and b != a and not a == b
+        assert a is SymExpr(a.op, a.args, a.width)
+        assert b is SymExpr(b.op, b.args, b.width)
+    assert const(top, 64).value == top and const(0, 64).value == 0
+

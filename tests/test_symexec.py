@@ -40,6 +40,16 @@ def test_fork_on_designated_symbolic_byte():
     assert conds == ["(xram_7fe9 != 6)", "(xram_7fe9 == 6)"]
 
 
+def test_explorations_share_equal_expressions():
+    a, b = xram_policy(0x7FE9), xram_policy(0x7FE9)
+    assert a.lookup(Region.XRAM, 0x7FE9) is b.lookup(Region.XRAM, 0x7FE9)
+    cfg = ExplorationConfig(block_repeat_threshold=8, seed=1)
+    runs = [execute(FORK_IMAGE, xram_policy(0x7FE9), cfg) for _ in range(2)]
+    first, second = (sorted((s.path.entries[0][0] for s in res.ended),
+                            key=solver.to_text) for res in runs)
+    assert len(first) == 2 and all(x is y for x, y in zip(first, second))
+
+
 def test_fork_children_satisfiable_and_complementary():
     cfg = ExplorationConfig(block_repeat_threshold=8, seed=1)
     res = execute(FORK_IMAGE, xram_policy(0x7FE9), cfg)
